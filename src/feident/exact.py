@@ -93,17 +93,8 @@ def compositions(total: int, num_parts: int) -> Iterator[tuple[int, ...]]:
     """
     if total < 1 or num_parts < 1:
         raise ValueError("compositions needs total >= 1 and num_parts >= 1")
-    yield from _compositions(total, num_parts)
-
-
-def _compositions(total: int, num_parts: int) -> Iterator[tuple[int, ...]]:
-    if num_parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - num_parts + 2):
-        for rest in _compositions(total - first, num_parts - 1):
-            yield (first,) + rest
+    if num_parts <= total:
+        yield from _lex_compositions(total, num_parts, 1)
 
 
 def weak_compositions(total: int, num_parts: int) -> Iterator[tuple[int, ...]]:
@@ -114,13 +105,35 @@ def weak_compositions(total: int, num_parts: int) -> Iterator[tuple[int, ...]]:
     """
     if total < 0 or num_parts < 1:
         raise ValueError("weak_compositions needs total >= 0 and num_parts >= 1")
-    yield from _weak_compositions(total, num_parts)
+    yield from _lex_compositions(total, num_parts, 0)
 
 
-def _weak_compositions(total: int, num_parts: int) -> Iterator[tuple[int, ...]]:
-    if num_parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, num_parts - 1):
-            yield (first,) + rest
+def _lex_compositions(total: int, num_parts: int, low: int) -> Iterator[tuple[int, ...]]:
+    """Tuples of ``num_parts`` integers >= ``low`` summing to ``total`` (at
+    least low * num_parts), in lexicographic order, without recursion.
+
+    The successor of a tuple moves one unit into the rightmost entry that
+    can still grow, and puts everything after it back at its minimum with
+    the remainder in the last entry.
+    """
+    last = num_parts - 1
+    parts = [low] * last + [total - low * last]
+    while True:
+        yield tuple(parts)
+        if last == 0:
+            return
+        if parts[last] > low:
+            parts[last - 1] += 1
+            parts[last] -= 1
+            continue
+        # parts[last] is at its minimum: the excess sits in the last entry
+        # p < last above the minimum, and the entry before it grows; with
+        # no such p > 0 this was the last tuple.
+        p = last - 1
+        while p > 0 and parts[p] == low:
+            p -= 1
+        if p == 0:
+            return
+        parts[p - 1] += 1
+        parts[last] = parts[p] - 1
+        parts[p] = low

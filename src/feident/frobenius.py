@@ -4,11 +4,27 @@ Bernoulli and Euler companions.
 The order-1 numbers H_n(u) are the EGF coefficients of (1-u)/(e^t - u);
 they satisfy H_0 = 1 and, for n > 0,
 
-    H_n(u) = (sum_{l<n} C(n,l) H_l(u)) / (u - 1),
+    H_n(u) = (sum_{l<n} C(n,l) H_l(u)) / (u - 1).
 
-which is the recurrence used here (the series expansion is kept in
-:mod:`feident.series` as an independent oracle).  Order-N numbers are the
-coefficients of the N-th power of the order-1 EGF.
+By Carlitz, H_n(u) = A_n(u) / (u-1)^n with A_n the Eulerian polynomial,
+so for u = p/q and r = p - q the denominator of H_n(u) divides r^n.  The
+recurrence therefore runs fraction-free: H_n(u) = M_n / r^n with M_0 = 1
+and
+
+    M_n = q * sum_{l<n} C(n,l) M_l r^(n-1-l),
+
+all in integers, with one gcd per value (when it becomes a Fraction)
+instead of one per addition.  (The series expansion is kept in
+:mod:`feident.series` as an independent oracle; this kernel never calls
+it.)  Order-N numbers are the coefficients of the N-th power of the
+order-1 EGF.
+
+Each u gets one prefix table holding M_0..M_k and H_0..H_k, grown on
+demand to the largest index asked for.  At most ``_TABLE_BOUND`` (256)
+tables are kept, least recently used first out, so a long-lived process
+that walks many distinct u holds a bounded number of tables; each one
+holds what its largest index needed.  A table only ever publishes whole
+new prefixes, so concurrent readers see correct values.
 
 The closed formula for higher-order numbers in terms of the coefficient
 triangle comes in two variants: ``corrected`` carries the prefactor
@@ -60,29 +76,59 @@ def _check_variant(variant: str) -> str:
     return variant
 
 
-@lru_cache(maxsize=None)
-def _fe_number(n: int, u: Fraction) -> Fraction:
-    if n == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for l in range(n):
-        acc += binomial(n, l) * _fe_number(l, u)
-    return acc / (u - 1)
+# Most parameter values u whose prefix tables are kept at once.
+_TABLE_BOUND = 256
+
+
+class _NumberTable:
+    """H_0(u)..H_k(u) for one u = p/q, grown by prefix on demand."""
+
+    __slots__ = ("_q", "_r", "_prefix")
+
+    def __init__(self, u: Fraction):
+        self._q = u.denominator
+        self._r = u.numerator - u.denominator
+        # (M_0..M_k, H_0..H_k); replaced whole, never mutated, so threads
+        # extending one table at once may redo work but never read a
+        # half-built prefix.
+        self._prefix = ((1,), (Fraction(1),))
+
+    def upto(self, n: int) -> tuple[Fraction, ...]:
+        """H_0(u)..H_k(u) for some k >= n."""
+        ms, hs = self._prefix
+        if n < len(hs):
+            return hs
+        q, r = self._q, self._r
+        ms, hs = list(ms), list(hs)
+        r_pow = r ** (len(ms) - 1)
+        for k in range(len(ms), n + 1):
+            acc, c = 0, 1  # c = C(k, l)
+            for l in range(k):
+                acc = acc * r + c * ms[l]
+                c = c * (k - l) // (l + 1)
+            ms.append(q * acc)
+            r_pow *= r
+            hs.append(Fraction(ms[k], r_pow))
+        self._prefix = (tuple(ms), tuple(hs))
+        return self._prefix[1]
+
+
+_table = lru_cache(maxsize=_TABLE_BOUND)(_NumberTable)
 
 
 def fe_number(n: int, u: Fraction) -> Fraction:
     """n-th Frobenius-Euler number H_n(u), by recurrence."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _fe_number(n, _check_u(u))
+    return _table(_check_u(u)).upto(n)[n]
 
 
 def fe_polynomial(n: int, u: Fraction) -> Polynomial:
     """H_n(x|u) = sum_l C(n,l) x^(n-l) H_l(u); monic of degree n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    u = _check_u(u)
-    return Polynomial([binomial(n, d) * _fe_number(n - d, u) for d in range(n + 1)])
+    numbers = _table(_check_u(u)).upto(n)
+    return Polynomial([binomial(n, d) * numbers[n - d] for d in range(n + 1)])
 
 
 def fe_higher_numbers(n_max: int, order: int, u: Fraction) -> tuple[Fraction, ...]:
@@ -120,9 +166,10 @@ def fe_higher_number_formula(
     _check_variant(variant)
     factor = (1 - u) / u if variant == "as_printed" else (u - 1) / u
     row = triangle_recurrence(order).row(order)
+    numbers = _table(u).upto(n + len(row) - 1)
     acc = Fraction(0)
     for k, weight in enumerate(row):
-        acc += weight * _fe_number(n + k, u)
+        acc += weight * numbers[n + k]
     return factor ** (order - 1) * acc / math.factorial(order - 1)
 
 
@@ -140,21 +187,16 @@ def euler_polynomial(n: int) -> Polynomial:
     return fe_polynomial(n, Fraction(-1))
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_numbers(n_max: int) -> tuple[Fraction, ...]:
-    return bernoulli_oracle(n_max).coeffs
-
-
 def bernoulli_number(n: int) -> Fraction:
     """B_n from t/(e^t - 1); B_1 = -1/2 in this convention."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _bernoulli_numbers(n)[n]
+    return bernoulli_oracle(n)[n]
 
 
 def bernoulli_polynomial(n: int) -> Polynomial:
     """B_n(x) = sum_l C(n,l) x^(n-l) B_l."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    numbers = _bernoulli_numbers(n)
+    numbers = bernoulli_oracle(n).coeffs
     return Polynomial([binomial(n, d) * numbers[n - d] for d in range(n + 1)])

@@ -11,6 +11,15 @@ needs rational scalars, since it divides by the constant coefficient).
 
 Mixed-order operands are truncated to the shorter order, never padded:
 callers size their inputs deliberately.
+
+:func:`series_pow` squares and multiplies, so the N-th power takes about
+2*log2(N) products instead of N-1 (5 at N = 20); it needs only a
+commutative ring, so Polynomial coefficients and a zero constant term
+work.  :func:`bernoulli_oracle` serves truncations of one module-level
+prefix B_0..B_K: asking for an order above K recomputes the prefix once,
+to max(order, 2K), so the prefix stays within twice the largest order
+asked for.  A truncated reciprocal equals the reciprocal of the
+truncation, so served values do not depend on what was asked before.
 """
 
 from __future__ import annotations
@@ -147,10 +156,14 @@ def series_pow(a: EgfSeries, exponent: int) -> EgfSeries:
     """exponent-fold product of a with itself; exponent >= 1."""
     if exponent < 1:
         raise ValueError("series power needs exponent >= 1")
-    out = a
-    for _ in range(exponent - 1):
-        out = series_mul(out, a)
-    return out
+    out = None
+    while True:
+        if exponent & 1:
+            out = a if out is None else series_mul(out, a)
+        exponent >>= 1
+        if not exponent:
+            return out
+        a = series_mul(a, a)
 
 
 def series_truncate(a: EgfSeries, order: int) -> EgfSeries:
@@ -181,8 +194,17 @@ def frobenius_oracle(u: Fraction, order: int) -> EgfSeries:
     return series_scale(series_reciprocal(exp_minus_constant(u, order)), 1 - u)
 
 
+# B_0..B_K for the largest K computed so far; replaced whole, never mutated.
+_bernoulli_prefix = EgfSeries([Fraction(1)])
+
+
 def bernoulli_oracle(order: int) -> EgfSeries:
     """Bernoulli numbers B_0..B_T from t/(e^t - 1), computed as the
     reciprocal of (e^t - 1)/t, whose EGF coefficients are 1/(n+1)."""
-    g = EgfSeries([Fraction(1, n + 1) for n in range(order + 1)])
-    return series_reciprocal(g)
+    global _bernoulli_prefix
+    prefix = _bernoulli_prefix
+    if order > prefix.order:
+        size = max(order, 2 * prefix.order)
+        g = EgfSeries([Fraction(1, n + 1) for n in range(size + 1)])
+        prefix = _bernoulli_prefix = series_reciprocal(g)
+    return EgfSeries(prefix.coeffs[: order + 1])

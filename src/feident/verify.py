@@ -559,13 +559,18 @@ def audit_all(grid: dict | None = None) -> list[VerificationReport]:
     per-report ``error`` verdicts instead of aborting the sweep."""
     if grid is None:
         grid = DEFAULT_GRID
-    reports = []
+    if not isinstance(grid, dict):
+        raise ValueError("grid must be an object mapping identity ids to parameter axes")
     for identity, config in grid.items():
         if identity not in _DISPATCH:
             raise ValueError(f"unknown identity in grid: {identity!r}")
-        for combo in _expand(identity, config):
-            reports.append(_run_case(identity, combo))
-    return reports
+        if not isinstance(config, dict):
+            raise ValueError(f"grid entry for {identity!r} must be an object of axes")
+    # Expand the whole grid first, so a malformed axis anywhere is reported
+    # before any check runs.
+    cases = [(identity, combo) for identity, config in grid.items()
+             for combo in _expand(identity, config)]
+    return [_run_case(identity, combo) for identity, combo in cases]
 
 
 def summarize(reports) -> dict:

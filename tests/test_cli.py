@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from feident.cli import run
+import feident
+from feident.cli import main, run
 from feident.exact import parse_rational
 
 FE_NUMBERS_CSV = "n,value\n0,1\n1,1\n2,3\n3,13\n4,75\n"
@@ -240,6 +245,37 @@ class TestAuditCommand:
         code, _, _ = run_capture(capsys, ["audit", "--grid", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [1, 2],
+            {"theorem1": 5},
+            {"bernoulli_product": {"m": 1, "n": [1]}},
+        ],
+        ids=["top-level-not-object", "identity-not-object", "axis-not-list"],
+    )
+    def test_malformed_grid_shape_exits_two(self, capsys, tmp_path, grid):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid), encoding="utf-8")
+        code, out, err = run_capture(capsys, ["audit", "--grid", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("feident: error: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_malformed_axis_reported_before_any_check(self, capsys, tmp_path):
+        grid = {
+            "bernoulli_product": {"m": [1], "n": [1]},
+            "theorem3": {"variant": ["corrected"], "n": [0], "N": "2", "u": ["2"]},
+        }
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid), encoding="utf-8")
+        code, out, err = run_capture(capsys, ["audit", "--grid", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "'N'" in err
+
     def test_csv_format(self, capsys, tmp_path):
         grid = {"bernoulli_product": {"m": [1], "n": [1]}}
         path = tmp_path / "grid.json"
@@ -262,3 +298,32 @@ class TestUsage:
     def test_unknown_flag_exits_two(self, capsys):
         code, _, _ = run_capture(capsys, ["table", "stirling", "--n-max", "2", "--bogus"])
         assert code == 2
+
+
+class TestModuleEntryPoint:
+    """``python -m feident.cli`` behaves exactly like the ``main`` entry point."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "fe-numbers", "--u", "1/3", "--n-max", "6"],
+            ["verify", "theorem3", "--n", "0", "--N", "2", "--u", "2", "--variant", "as-printed"],
+            ["table", "fe-numbers", "--u", "1", "--n-max", "2"],
+        ],
+        ids=["pass", "fail", "usage"],
+    )
+    def test_matches_main(self, capsys, monkeypatch, argv):
+        src = str(Path(feident.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "feident.cli"] + argv,
+            capture_output=True, env=env, timeout=60,
+        )
+        monkeypatch.setattr(sys, "argv", ["feident"] + argv)
+        with pytest.raises(SystemExit) as exc:
+            main()
+        captured = capsys.readouterr()
+        assert proc.returncode == exc.value.code
+        assert proc.stdout.decode() == captured.out
+        assert proc.stderr.decode() == captured.err

@@ -1,5 +1,6 @@
 """Tests for the rational/combinatorics layer."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -144,6 +145,18 @@ class TestCompositions:
         )
         assert count == 2 ** (total - 1)
 
+    def test_many_parts_order_and_count(self):
+        # deeper than the interpreter's recursion limit
+        num_parts = 1500
+        total = num_parts + 1
+        seq = list(compositions(total, num_parts))
+        assert len(seq) == math.comb(total - 1, num_parts - 1)
+        assert seq == sorted(seq)
+        assert len(set(seq)) == len(seq)
+        assert all(sum(parts) == total and min(parts) == 1 for parts in seq)
+        assert seq[0] == (1,) * (num_parts - 1) + (2,)
+        assert seq[-1] == (2,) + (1,) * (num_parts - 1)
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             list(compositions(0, 1))
@@ -164,6 +177,25 @@ class TestWeakCompositions:
         for parts in seq:
             assert sum(parts) == total
             assert all(p >= 0 for p in parts)
+
+    @pytest.mark.parametrize("total,num_parts", [(0, 1), (4, 1), (0, 5), (3, 4), (6, 3)])
+    def test_matches_filtered_product(self, total, num_parts):
+        # itertools.product walks tuples in lexicographic order
+        want = [
+            p for p in itertools.product(range(total + 1), repeat=num_parts)
+            if sum(p) == total
+        ]
+        assert list(weak_compositions(total, num_parts)) == want
+
+    def test_many_parts_order_and_count(self):
+        # deeper than the interpreter's recursion limit
+        total, num_parts = 1, 1500
+        seq = list(weak_compositions(total, num_parts))
+        assert len(seq) == math.comb(total + num_parts - 1, num_parts - 1)
+        assert seq == sorted(seq)
+        assert len(set(seq)) == len(seq)
+        assert seq[0] == (0,) * (num_parts - 1) + (total,)
+        assert seq[-1] == (total,) + (0,) * (num_parts - 1)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
