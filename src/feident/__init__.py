@@ -5,55 +5,23 @@ keeps two independent routes to each quantity (closed form vs truncated
 generating function) and ships a verification harness that compares them,
 including an audit mode distinguishing commonly typeset identity forms
 from their sign-corrected variants.
+
+The top level exports the documented API; everything else is importable
+from its submodule (``feident.exact``, ``feident.series``, ...).
 """
 
-from .exact import (
-    binomial,
-    compositions,
-    format_rational,
-    multinomial,
-    parse_rational,
-    rat,
-    weak_compositions,
-)
 from .frobenius import (
     VARIANTS,
-    bernoulli_number,
-    bernoulli_polynomial,
-    euler_polynomial,
     fe_higher_number_formula,
     fe_higher_number_oracle,
-    fe_higher_numbers,
-    fe_higher_polynomial,
     fe_number,
     fe_polynomial,
 )
 from .poly import Polynomial
-from .series import (
-    EgfSeries,
-    bernoulli_oracle,
-    exp_minus_constant,
-    exp_xt,
-    frobenius_oracle,
-    series_add,
-    series_derivative,
-    series_mul,
-    series_pow,
-    series_reciprocal,
-    series_scale,
-    series_sub,
-    series_truncate,
-    unit,
-)
-from .stirling import StirlingTriangle, coeff_closed_form, triangle_recurrence
+from .stirling import coeff_closed_form, triangle_recurrence
 from .verify import (
-    DEFAULT_GRID,
-    IDENTITIES,
-    Mismatch,
-    VerificationReport,
     audit_all,
     audit_document,
-    summarize,
     verify_bernoulli_product,
     verify_carlitz,
     verify_carlitz_reciprocal,

@@ -10,6 +10,11 @@ Tables default to CSV, verification and audits to JSON.  Rationals are
 always serialized as "p/q" strings, never as floating point.  Exit status
 is 0 when every verdict passes, 1 when any verification fails, and 2 on
 usage or parameter errors.
+
+A checker's signature is its schema (see :mod:`feident.verify`): each
+parameter is a ``verify`` flag of the same name (``T`` is ``--trunc``),
+required unless it has a default; flags an identity does not take are
+rejected.
 """
 
 from __future__ import annotations
@@ -24,34 +29,16 @@ from .exact import format_rational, parse_rational
 from .frobenius import bernoulli_number, fe_higher_numbers, fe_number, fe_polynomial
 from .stirling import triangle_recurrence
 from .verify import (
+    CHECKERS,
     DEFAULT_GRID,
     IDENTITIES,
     audit_all,
     audit_document,
-    verify_bernoulli_product,
-    verify_carlitz,
-    verify_carlitz_reciprocal,
-    verify_corollary2,
-    verify_corollary4,
-    verify_corollary5,
-    verify_product_multinomial,
-    verify_theorem1,
-    verify_theorem3,
+    parameters,
+    takes_integer,
 )
 
 __all__ = ["main", "run"]
-
-_RUNNERS = {
-    "theorem1": verify_theorem1,
-    "corollary2": verify_corollary2,
-    "theorem3": verify_theorem3,
-    "corollary4": verify_corollary4,
-    "corollary5": verify_corollary5,
-    "eq60_multinomial": verify_product_multinomial,
-    "carlitz_product": verify_carlitz,
-    "carlitz_reciprocal": verify_carlitz_reciprocal,
-    "bernoulli_product": verify_bernoulli_product,
-}
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -60,6 +47,39 @@ EXIT_USAGE = 2
 _TABLE_SUBJECTS = ("fe-numbers", "fe-polynomials", "fe-higher", "stirling", "bernoulli")
 
 _CLI_VARIANTS = {"as-printed": "as_printed", "corrected": "corrected"}
+
+# Flag names that differ from their checker parameter's name.
+_FLAG_NAMES = {"T": "trunc"}
+
+
+def _flag(name: str) -> str:
+    return "--" + _FLAG_NAMES.get(name, name)
+
+
+def _verify_parameters() -> list:
+    """Every checker parameter but ``variant``, once, in registry order;
+    those with a default come last, as in a signature."""
+    seen = {}
+    for identity in IDENTITIES:
+        for name, param in parameters(identity).items():
+            if name != "variant":
+                seen.setdefault(name, param)
+    return sorted(seen.values(), key=lambda param: param.default is not param.empty)
+
+
+def _join_negative_rationals(argv) -> list:
+    """Pass ``--u -5/7`` on as ``--u=-5/7``: argparse reads a token that
+    starts with ``-`` as an option unless it is a plain negative number.
+    The rational flags are the checkers' rational parameters (table's
+    ``--u`` among them)."""
+    flags = {_flag(p.name) for p in _verify_parameters() if not takes_integer(p)}
+    out = []
+    for token in argv:
+        if out and out[-1] in flags and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,14 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="verify one identity at given parameters")
     verify.add_argument("identity", choices=IDENTITIES)
-    verify.add_argument("--n", type=int)
-    verify.add_argument("--N", type=int)
-    verify.add_argument("--m", type=int)
-    verify.add_argument("--u", type=parse_rational)
-    verify.add_argument("--alpha", type=parse_rational)
-    verify.add_argument("--beta", type=parse_rational)
-    verify.add_argument("--x", type=parse_rational)
-    verify.add_argument("--trunc", type=int, default=16, help="series truncation order")
+    for param in _verify_parameters():
+        kind = int if takes_integer(param) else parse_rational
+        verify.add_argument(_flag(param.name), dest=param.name, type=kind)
     verify.add_argument("--variant", choices=sorted(_CLI_VARIANTS))
     verify.add_argument("--format", choices=("csv", "json"), default="json")
     verify.add_argument("--out", help="write output to this path instead of stdout")
@@ -99,63 +114,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require(args, names):
-    for name in names:
-        if getattr(args, name) is None:
-            raise ValueError(f"identity {args.identity!r} requires --{name}")
-
-
 def _verify_kwargs(args) -> dict:
-    """Map parsed flags to the checker's keyword arguments."""
+    """Map parsed flags to the checker's keyword arguments, as its
+    signature says: required, defaulted, or not taken at all."""
     identity = args.identity
-    variant = None
-    if args.variant is not None:
-        variant = _CLI_VARIANTS[args.variant]
-    needs_variant = identity in (
-        "theorem1",
-        "corollary2",
-        "theorem3",
-        "corollary4",
-        "corollary5",
-        "carlitz_product",
-    )
-    if not needs_variant and variant is not None:
+    params = parameters(identity)
+    if args.variant is not None and "variant" not in params:
         raise ValueError(f"identity {identity!r} has no as-printed/corrected variant")
-    if needs_variant and variant is None:
-        variant = "corrected"
-
-    if identity == "theorem1":
-        _require(args, ("N", "u"))
-        return {"N": args.N, "u": args.u, "T": args.trunc, "variant": variant}
-    if identity == "corollary2":
-        _require(args, ("N", "u", "x"))
-        return {"N": args.N, "u": args.u, "x": args.x, "T": args.trunc, "variant": variant}
-    if identity in ("theorem3", "corollary4", "corollary5"):
-        _require(args, ("n", "N", "u"))
-        return {"n": args.n, "N": args.N, "u": args.u, "variant": variant}
-    if identity == "eq60_multinomial":
-        _require(args, ("n", "N", "u"))
-        return {"n": args.n, "N": args.N, "u": args.u}
-    if identity == "carlitz_product":
-        _require(args, ("m", "n", "alpha", "beta"))
-        return {
-            "m": args.m,
-            "n": args.n,
-            "alpha": args.alpha,
-            "beta": args.beta,
-            "variant": variant,
-        }
-    if identity == "carlitz_reciprocal":
-        _require(args, ("m", "n", "alpha"))
-        return {"m": args.m, "n": args.n, "alpha": args.alpha}
-    if identity == "bernoulli_product":
-        _require(args, ("m", "n"))
-        return {"m": args.m, "n": args.n}
-    raise ValueError(f"unknown identity {identity!r}")
+    for param in _verify_parameters():
+        if param.name not in params and getattr(args, param.name) is not None:
+            raise ValueError(f"identity {identity!r} does not take {_flag(param.name)}")
+    kwargs = {}
+    for name, param in params.items():
+        value = getattr(args, name)
+        if value is not None:
+            kwargs[name] = _CLI_VARIANTS[value] if name == "variant" else value
+        elif param.default is param.empty:
+            raise ValueError(f"identity {identity!r} requires {_flag(name)}")
+    return kwargs
 
 
 # ---------------------------------------------------------------------------
 # Table rendering
+
+def _value_rows(values) -> list:
+    return [{"n": n, "value": format_rational(value)} for n, value in enumerate(values)]
+
 
 def _table_document(args) -> dict:
     subject = args.subject
@@ -166,17 +150,11 @@ def _table_document(args) -> dict:
     if subject == "fe-numbers":
         if args.u is None:
             raise ValueError("fe-numbers requires --u")
-        rows = [
-            {"n": n, "value": format_rational(fe_number(n, args.u))}
-            for n in range(n_max + 1)
-        ]
+        rows = _value_rows(fe_number(n, args.u) for n in range(n_max + 1))
         return {"table": subject, "params": {"u": format_rational(args.u)}, "rows": rows}
 
     if subject == "bernoulli":
-        rows = [
-            {"n": n, "value": format_rational(bernoulli_number(n))}
-            for n in range(n_max + 1)
-        ]
+        rows = _value_rows(bernoulli_number(n) for n in range(n_max + 1))
         return {"table": subject, "params": {}, "rows": rows}
 
     if subject == "fe-higher":
@@ -184,8 +162,7 @@ def _table_document(args) -> dict:
             raise ValueError("fe-higher requires --u and --N")
         if args.N < 1:
             raise ValueError("--N must be >= 1")
-        values = fe_higher_numbers(n_max, args.N, args.u)
-        rows = [{"n": n, "value": format_rational(values[n])} for n in range(n_max + 1)]
+        rows = _value_rows(fe_higher_numbers(n_max, args.N, args.u)[: n_max + 1])
         return {
             "table": subject,
             "params": {"u": format_rational(args.u), "N": str(args.N)},
@@ -276,9 +253,11 @@ def _exit_code(reports) -> int:
 
 
 def run(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_rationals(argv))
     except SystemExit as exc:
         # argparse has already printed usage/help; fold into the status contract
         return int(exc.code) if exc.code else 0
@@ -292,7 +271,7 @@ def run(argv=None) -> int:
 
         if args.command == "verify":
             kwargs = _verify_kwargs(args)
-            report = _RUNNERS[args.identity](**kwargs)
+            report = CHECKERS[args.identity](**kwargs)
             if args.format == "json":
                 text = _json_text(report.to_dict())
             else:

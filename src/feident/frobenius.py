@@ -61,6 +61,11 @@ __all__ = [
 VARIANTS = ("as_printed", "corrected")
 
 
+def _check_at_least(name: str, value: int, low: int) -> None:
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+
+
 def _check_u(u: Fraction, forbid_zero: bool = False) -> Fraction:
     u = Fraction(u)
     if u == 1:
@@ -118,15 +123,13 @@ _table = lru_cache(maxsize=_TABLE_BOUND)(_NumberTable)
 
 def fe_number(n: int, u: Fraction) -> Fraction:
     """n-th Frobenius-Euler number H_n(u), by recurrence."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_at_least("n", n, 0)
     return _table(_check_u(u)).upto(n)[n]
 
 
 def fe_polynomial(n: int, u: Fraction) -> Polynomial:
     """H_n(x|u) = sum_l C(n,l) x^(n-l) H_l(u); monic of degree n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_at_least("n", n, 0)
     numbers = _table(_check_u(u)).upto(n)
     return Polynomial([binomial(n, d) * numbers[n - d] for d in range(n + 1)])
 
@@ -134,10 +137,8 @@ def fe_polynomial(n: int, u: Fraction) -> Polynomial:
 def fe_higher_numbers(n_max: int, order: int, u: Fraction) -> tuple[Fraction, ...]:
     """H_0^(N)(u)..H_{n_max}^(N)(u) as coefficients of the N-th power of
     the order-1 generating function."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    _check_at_least("n_max", n_max, 0)
+    _check_at_least("order", order, 1)
     u = _check_u(u)
     return series_pow(frobenius_oracle(u, n_max), order).coeffs
 
@@ -158,10 +159,8 @@ def fe_higher_number_formula(
     with factor (u-1)/u for ``corrected`` and (1-u)/u for ``as_printed``.
     Shares nothing with the series route beyond basic arithmetic.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    _check_at_least("n", n, 0)
+    _check_at_least("order", order, 1)
     u = _check_u(u, forbid_zero=True)
     _check_variant(variant)
     factor = (1 - u) / u if variant == "as_printed" else (u - 1) / u
@@ -176,8 +175,7 @@ def fe_higher_number_formula(
 def fe_higher_polynomial(n: int, order: int, u: Fraction) -> Polynomial:
     """H_n^(N)(x|u) = sum_l C(n,l) x^(n-l) H_l^(N)(u), from the series
     route's higher-order numbers."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_at_least("n", n, 0)
     numbers = fe_higher_numbers(n, order, u)
     return Polynomial([binomial(n, d) * numbers[n - d] for d in range(n + 1)])
 
@@ -189,14 +187,12 @@ def euler_polynomial(n: int) -> Polynomial:
 
 def bernoulli_number(n: int) -> Fraction:
     """B_n from t/(e^t - 1); B_1 = -1/2 in this convention."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_at_least("n", n, 0)
     return bernoulli_oracle(n)[n]
 
 
 def bernoulli_polynomial(n: int) -> Polynomial:
     """B_n(x) = sum_l C(n,l) x^(n-l) B_l."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_at_least("n", n, 0)
     numbers = bernoulli_oracle(n).coeffs
     return Polynomial([binomial(n, d) * numbers[n - d] for d in range(n + 1)])

@@ -10,10 +10,18 @@ one actually holds, with exact mismatch values.
 
 Reports are deterministic functions of (identity, params, variant), and a
 report passes exactly when its mismatch list is empty.
+
+``CHECKERS`` maps identity ids to checkers, in audit order.  A checker's
+signature is its schema: the parameters other than ``variant`` are the
+report's, in order (``int``-annotated ones integers, the rest rationals,
+those with a default optional), and a ``variant`` parameter means the
+identity has as-printed/corrected forms.  Grid axes and CLI flags are
+read from it.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,6 +36,9 @@ from .exact import (
 )
 from .frobenius import (
     VARIANTS,
+    _check_at_least,
+    _check_u,
+    _check_variant,
     bernoulli_number,
     bernoulli_polynomial,
     fe_higher_number_formula,
@@ -54,8 +65,12 @@ from .stirling import triangle_recurrence
 __all__ = [
     "Mismatch",
     "VerificationReport",
+    "CHECKERS",
     "IDENTITIES",
     "DEFAULT_GRID",
+    "parameters",
+    "takes_integer",
+    "grid_axes",
     "verify_theorem1",
     "verify_corollary2",
     "verify_theorem3",
@@ -139,21 +154,6 @@ def _scalar_mismatches(lhs: Fraction, rhs: Fraction) -> list[Mismatch]:
     return []
 
 
-def _check_variant(variant: str) -> str:
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    return variant
-
-
-def _check_u(u, forbid_zero: bool = False) -> Fraction:
-    u = Fraction(u)
-    if u == 1:
-        raise ValueError("u = 1 is outside the parameter domain")
-    if forbid_zero and u == 0:
-        raise ValueError("u = 0 is outside the parameter domain (division by u)")
-    return u
-
-
 def _derivative_side(base: EgfSeries, weights, target: int, factor=None) -> EgfSeries:
     """sum_k weights[k] * base^(k-th derivative), truncated to ``target``;
     each derivative is multiplied by ``factor`` first when given."""
@@ -171,6 +171,30 @@ def _derivative_side(base: EgfSeries, weights, target: int, factor=None) -> EgfS
     return acc
 
 
+def _derivative_expansion(identity, N, u, x, T, variant) -> VerificationReport:
+    """The expansion of F^N checked by theorem1; with ``x`` given, every
+    series also carries the factor e^{xt} (corollary2)."""
+    _check_at_least("N", N, 1)
+    u = _check_u(u, forbid_zero=True)
+    if x is not None:
+        x = Fraction(x)
+    _check_variant(variant)
+    if T < N:
+        raise ValueError("truncation order T must be >= N")
+    F = series_reciprocal(exp_minus_constant(u, T))
+    E = None if x is None else exp_xt(x, T)
+    sign = 1 if variant == "as_printed" else (-1) ** (N - 1)
+    scale = math.factorial(N - 1) * sign * u ** (N - 1)
+    target = T - (N - 1)
+    power = series_pow(F, N)
+    if E is not None:
+        power = series_mul(power, E)
+    lhs = series_truncate(series_scale(power, scale), target)
+    rhs = _derivative_side(F, triangle_recurrence(N).row(N), target, factor=E)
+    pairs = [("N", N), ("u", u)] + ([] if x is None else [("x", x)]) + [("T", T)]
+    return _finish(identity, variant, _params(*pairs), _series_mismatches(lhs, rhs))
+
+
 def verify_theorem1(N: int, u, T: int = 16, variant: str = "corrected") -> VerificationReport:
     """Derivative expansion of powers of F = 1/(e^t - u):
 
@@ -179,42 +203,14 @@ def verify_theorem1(N: int, u, T: int = 16, variant: str = "corrected") -> Verif
     compared coefficientwise to order T-(N-1), with s = +1 for
     ``as_printed`` and s = (-1)^(N-1) for ``corrected``.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    u = _check_u(u, forbid_zero=True)
-    _check_variant(variant)
-    if T < N:
-        raise ValueError("truncation order T must be >= N")
-    F = series_reciprocal(exp_minus_constant(u, T))
-    sign = 1 if variant == "as_printed" else (-1) ** (N - 1)
-    scale = math.factorial(N - 1) * sign * u ** (N - 1)
-    target = T - (N - 1)
-    lhs = series_truncate(series_scale(series_pow(F, N), scale), target)
-    rhs = _derivative_side(F, triangle_recurrence(N).row(N), target)
-    params = _params(("N", N), ("u", u), ("T", T))
-    return _finish("theorem1", variant, params, _series_mismatches(lhs, rhs))
+    return _derivative_expansion("theorem1", N, u, None, T, variant)
 
 
 def verify_corollary2(
     N: int, u, x, T: int = 16, variant: str = "corrected"
 ) -> VerificationReport:
     """Same expansion with every series carrying the extra factor e^{xt}."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    u = _check_u(u, forbid_zero=True)
-    x = Fraction(x)
-    _check_variant(variant)
-    if T < N:
-        raise ValueError("truncation order T must be >= N")
-    F = series_reciprocal(exp_minus_constant(u, T))
-    E = exp_xt(x, T)
-    sign = 1 if variant == "as_printed" else (-1) ** (N - 1)
-    scale = math.factorial(N - 1) * sign * u ** (N - 1)
-    target = T - (N - 1)
-    lhs = series_truncate(series_scale(series_mul(series_pow(F, N), E), scale), target)
-    rhs = _derivative_side(F, triangle_recurrence(N).row(N), target, factor=E)
-    params = _params(("N", N), ("u", u), ("x", x), ("T", T))
-    return _finish("corollary2", variant, params, _series_mismatches(lhs, rhs))
+    return _derivative_expansion("corollary2", N, u, x, T, variant)
 
 
 def verify_theorem3(n: int, N: int, u, variant: str = "corrected") -> VerificationReport:
@@ -229,10 +225,8 @@ def verify_theorem3(n: int, N: int, u, variant: str = "corrected") -> Verificati
 def verify_corollary4(n: int, N: int, u, variant: str = "corrected") -> VerificationReport:
     """Sum of products over all N-tuples of indices (direct enumeration,
     no series code) against the coefficient-triangle formula."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_at_least("n", n, 0)
+    _check_at_least("N", N, 1)
     u = _check_u(u, forbid_zero=True)
     _check_variant(variant)
     lhs = Fraction(0)
@@ -249,10 +243,8 @@ def verify_corollary4(n: int, N: int, u, variant: str = "corrected") -> Verifica
 def verify_corollary5(n: int, N: int, u, variant: str = "corrected") -> VerificationReport:
     """Higher-order polynomial H_n^(N)(x|u) against the triangle formula
     applied degreewise, compared coefficient by coefficient."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_at_least("n", n, 0)
+    _check_at_least("N", N, 1)
     u = _check_u(u, forbid_zero=True)
     _check_variant(variant)
     lhs = fe_higher_polynomial(n, N, u)
@@ -271,10 +263,8 @@ def verify_corollary5(n: int, N: int, u, variant: str = "corrected") -> Verifica
 def verify_product_multinomial(n: int, N: int, u) -> VerificationReport:
     """H_n^(N)(x|u) against the multinomial expansion over all index
     tuples (l_1, ..., l_N, m) summing to n; no variant, no u-power factor."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_at_least("n", n, 0)
+    _check_at_least("N", N, 1)
     u = _check_u(u)
     lhs = fe_higher_polynomial(n, N, u)
     coeffs = []
@@ -380,8 +370,7 @@ def verify_bernoulli_product(m: int, n: int) -> VerificationReport:
     """
     if m < 0 or n < 0:
         raise ValueError("m and n must be >= 0")
-    if m + n < 2:
-        raise ValueError("m + n must be >= 2")
+    _check_at_least("m + n", m + n, 2)
     lhs = bernoulli_polynomial(m) * bernoulli_polynomial(n)
     rhs = Polynomial.zero()
     for r in range(max(m, n) // 2 + 1):
@@ -407,7 +396,7 @@ def verify_bernoulli_product(m: int, n: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # Grid-driven auditing
 
-_DISPATCH = {
+CHECKERS = {
     "theorem1": verify_theorem1,
     "corollary2": verify_corollary2,
     "theorem3": verify_theorem3,
@@ -419,36 +408,30 @@ _DISPATCH = {
     "bernoulli_product": verify_bernoulli_product,
 }
 
-IDENTITIES = tuple(_DISPATCH)
+IDENTITIES = tuple(CHECKERS)
 
-# Iteration order of grid axes per identity; "alpha_beta" pairs alpha with
-# beta so the audit can walk chosen pairs instead of a full cross product.
-_GRID_KEYS = {
-    "theorem1": ("variant", "N", "u", "T"),
-    "corollary2": ("variant", "N", "u", "x", "T"),
-    "theorem3": ("variant", "n", "N", "u"),
-    "corollary4": ("variant", "n", "N", "u"),
-    "corollary5": ("variant", "n", "N", "u"),
-    "eq60_multinomial": ("n", "N", "u"),
-    "carlitz_product": ("variant", "m", "n", "alpha_beta"),
-    "carlitz_reciprocal": ("m", "n", "alpha"),
-    "bernoulli_product": ("m", "n"),
-}
 
-_PARAM_ORDER = {
-    "theorem1": ("N", "u", "T"),
-    "corollary2": ("N", "u", "x", "T"),
-    "theorem3": ("n", "N", "u"),
-    "corollary4": ("n", "N", "u"),
-    "corollary5": ("n", "N", "u"),
-    "eq60_multinomial": ("n", "N", "u"),
-    "carlitz_product": ("m", "n", "alpha", "beta"),
-    "carlitz_reciprocal": ("m", "n", "alpha"),
-    "bernoulli_product": ("m", "n"),
-}
+def parameters(identity: str):
+    """The checker's parameters, ``variant`` included, in signature order."""
+    return inspect.signature(CHECKERS[identity]).parameters
 
-_INT_KEYS = frozenset({"n", "N", "m", "T"})
-_RATIONAL_KEYS = frozenset({"u", "x", "alpha", "beta"})
+
+def takes_integer(param: inspect.Parameter) -> bool:
+    """Parameters annotated ``int`` take integers; the others rationals."""
+    return param.annotation == "int"
+
+
+def grid_axes(identity: str) -> tuple[str, ...]:
+    """Iteration order of the identity's grid axes: ``variant`` first when
+    the checker takes one, then its parameters, with ``alpha`` and ``beta``
+    walked as chosen ``alpha_beta`` pairs instead of a full cross product."""
+    params = parameters(identity)
+    names = [name for name in params if name != "variant"]
+    if "alpha" in names and "beta" in names:
+        names.remove("beta")
+        names[names.index("alpha")] = "alpha_beta"
+    return (("variant",) if "variant" in params else ()) + tuple(names)
+
 
 DEFAULT_GRID = {
     "theorem1": {
@@ -505,24 +488,23 @@ DEFAULT_GRID = {
 }
 
 
-def _convert(key: str, value):
-    if key == "variant":
+def _convert(param: inspect.Parameter, value):
+    if param.name == "variant":
         return _check_variant(value)
-    if key in _INT_KEYS:
+    if takes_integer(param):
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"grid value for {key!r} must be an integer: {value!r}")
+            raise ValueError(f"grid value for {param.name!r} must be an integer: {value!r}")
         return value
-    if key in _RATIONAL_KEYS:
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
-            return parse_rational(value)
-        raise ValueError(f"grid value for {key!r} must be an int or 'p/q' string")
-    raise ValueError(f"unknown grid key {key!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        return parse_rational(value)
+    raise ValueError(f"grid value for {param.name!r} must be an int or 'p/q' string")
 
 
 def _expand(identity: str, config: dict):
-    keys = _GRID_KEYS[identity]
+    params = parameters(identity)
+    keys = grid_axes(identity)
     for key in keys:
         if key not in config:
             raise ValueError(f"grid for {identity!r} is missing key {key!r}")
@@ -537,19 +519,19 @@ def _expand(identity: str, config: dict):
             if key == "alpha_beta":
                 if not isinstance(value, (list, tuple)) or len(value) != 2:
                     raise ValueError("alpha_beta entries must be [alpha, beta] pairs")
-                combo["alpha"] = _convert("alpha", value[0])
-                combo["beta"] = _convert("beta", value[1])
+                combo["alpha"] = _convert(params["alpha"], value[0])
+                combo["beta"] = _convert(params["beta"], value[1])
             else:
-                combo[key] = _convert(key, value)
+                combo[key] = _convert(params[key], value)
         yield combo
 
 
 def _run_case(identity: str, combo: dict) -> VerificationReport:
     try:
-        return _DISPATCH[identity](**combo)
+        return CHECKERS[identity](**combo)
     except ValueError as exc:
         variant = combo.get("variant", "not_applicable")
-        params = _params(*[(k, combo[k]) for k in _PARAM_ORDER[identity]])
+        params = _params(*[(k, combo[k]) for k in parameters(identity) if k != "variant"])
         return VerificationReport(identity, variant, params, "error", (), str(exc))
 
 
@@ -562,7 +544,7 @@ def audit_all(grid: dict | None = None) -> list[VerificationReport]:
     if not isinstance(grid, dict):
         raise ValueError("grid must be an object mapping identity ids to parameter axes")
     for identity, config in grid.items():
-        if identity not in _DISPATCH:
+        if identity not in CHECKERS:
             raise ValueError(f"unknown identity in grid: {identity!r}")
         if not isinstance(config, dict):
             raise ValueError(f"grid entry for {identity!r} must be an object of axes")

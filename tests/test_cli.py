@@ -187,6 +187,14 @@ class TestVerifyCommand:
         assert code == 2
         assert "variant" in err
 
+    def test_flag_not_taken_exits_two(self, capsys):
+        code, out, err = run_capture(
+            capsys,
+            ["verify", "theorem3", "--n", "1", "--N", "2", "--u", "2", "--x", "9", "--trunc", "3"],
+        )
+        assert (code, out) == (2, "")
+        assert err == "feident: error: identity 'theorem3' does not take --x\n"
+
     def test_invalid_rational_flag_exits_two(self, capsys):
         code, _, _ = run_capture(capsys, ["verify", "theorem1", "--N", "2", "--u", "1/0"])
         assert code == 2
@@ -194,6 +202,42 @@ class TestVerifyCommand:
     def test_unknown_identity_exits_two(self, capsys):
         code, _, _ = run_capture(capsys, ["verify", "theorem99", "--n", "1"])
         assert code == 2
+
+
+class TestNegativeRationalFlags:
+    """``--u -5/7`` reads like ``--u=-5/7`` for every rational flag."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "fe-numbers", "--u", "-5/7", "--n-max", "6"],
+            ["table", "fe-higher", "--u", "-1/3", "--N", "2", "--n-max", "5"],
+            ["table", "fe-polynomials", "--u", "-5/7", "--n-max", "4", "--format", "json"],
+            ["verify", "theorem1", "--N", "3", "--u", "-5/7", "--trunc", "8"],
+            ["verify", "corollary2", "--N", "2", "--u", "-5/7", "--x", "-1/2"],
+            ["verify", "theorem3", "--n", "2", "--N", "2", "--u", "-2", "--variant", "as-printed"],
+            ["verify", "carlitz_product", "--m", "1", "--n", "2", "--alpha", "-2",
+             "--beta", "-1/3"],
+            ["verify", "carlitz_reciprocal", "--m", "1", "--n", "1", "--alpha", "-5/7"],
+        ],
+    )
+    def test_separate_value_matches_joined(self, capsys, argv):
+        joined = []
+        for token in argv:
+            if token.startswith("-") and not token.startswith("--"):
+                joined[-1] += "=" + token
+            else:
+                joined.append(token)
+        assert joined != argv
+        separate = run_capture(capsys, argv)
+        assert separate[0] in (0, 1)
+        assert separate[2] == ""
+        assert separate == run_capture(capsys, joined)
+
+    def test_non_rational_value_still_exits_two(self, capsys):
+        code, out, err = run_capture(capsys, ["table", "fe-numbers", "--u", "-x", "--n-max", "2"])
+        assert (code, out) == (2, "")
+        assert "--u" in err
 
 
 class TestAuditCommand:

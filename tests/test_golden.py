@@ -6,6 +6,13 @@ code or the rendering that alters a single character shows up here.  They
 were recorded before the fraction-free prefix-table kernel replaced the
 Fraction recurrence, so they also pin that the two agree.
 
+``PATH_CASES`` pin the error and edge paths of ``verify`` and ``audit``
+the same way, with stderr kept verbatim: missing and unusable flags,
+out-of-domain values, the default truncation order, malformed grid files
+and audits whose grids yield ``error`` reports.  They were recorded
+before the identity registry replaced the hand-written per-identity
+tables in ``verify`` and ``cli``.
+
 To regenerate after an intended output change, run from the repository
 root
 
@@ -17,6 +24,7 @@ and paste the printed ``CASES`` entries over the ones below.
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -43,6 +51,177 @@ CASES = [
 ]
 
 
+GRID = "<grid>"
+
+_ERROR_GRID = {
+    "theorem1": {"variant": ["corrected"], "N": [1, 3], "u": ["1", "0", "2"], "T": [2, 12]},
+    "corollary2": {"variant": ["as_printed"], "N": [0, 2], "u": ["0", "2"], "x": [1], "T": [8]},
+    "theorem3": {"variant": ["corrected"], "n": [-1, 2], "N": [2], "u": ["1", "1/3"]},
+    "corollary4": {"variant": ["corrected"], "n": [-1], "N": [0, 2], "u": ["2"]},
+    "corollary5": {"variant": ["corrected"], "n": [2], "N": [0, 2], "u": [0]},
+    "eq60_multinomial": {"n": [-1, 2], "N": [0, 2], "u": ["1"]},
+    "carlitz_product": {"variant": ["corrected", "as_printed"], "m": [1], "n": [-1, 1],
+                        "alpha_beta": [["2", "1/2"], ["1", "3"], ["2", "3"]]},
+    "carlitz_reciprocal": {"m": [1], "n": [1], "alpha": ["0", "1", "-2"]},
+    "bernoulli_product": {"m": [0, 1], "n": [-1, 0, 1]},
+}
+
+# (id, argv, grid written to GRID or None)
+PATHS = [
+    ("verify theorem1 missing --N", ["verify", "theorem1", "--u", "2"], None),
+    ("verify corollary2 missing --x", ["verify", "corollary2", "--N", "2", "--u", "2"], None),
+    ("verify carlitz_product missing --beta",
+     ["verify", "carlitz_product", "--m", "1", "--n", "1", "--alpha", "2"], None),
+    ("verify bernoulli_product missing --m", ["verify", "bernoulli_product", "--n", "2"], None),
+    ("verify carlitz_reciprocal --variant",
+     ["verify", "carlitz_reciprocal", "--m", "1", "--n", "1", "--alpha", "2",
+      "--variant", "corrected"], None),
+    ("verify eq60_multinomial --variant, missing --u",
+     ["verify", "eq60_multinomial", "--n", "2", "--variant", "as-printed"], None),
+    ("verify theorem3 u=1", ["verify", "theorem3", "--n", "1", "--N", "2", "--u", "1"], None),
+    ("verify theorem1 u=0", ["verify", "theorem1", "--N", "2", "--u", "0"], None),
+    ("verify theorem1 N=0", ["verify", "theorem1", "--N", "0", "--u", "2"], None),
+    ("verify corollary4 n=-1", ["verify", "corollary4", "--n", "-1", "--N", "2", "--u", "2"],
+     None),
+    ("verify corollary5 N=0", ["verify", "corollary5", "--n", "1", "--N", "0", "--u", "2"],
+     None),
+    ("verify theorem1 trunc<N",
+     ["verify", "theorem1", "--N", "5", "--u", "2", "--trunc", "3"], None),
+    ("verify carlitz_product alpha*beta=1",
+     ["verify", "carlitz_product", "--m", "1", "--n", "1", "--alpha", "2", "--beta", "1/2"],
+     None),
+    ("verify carlitz_reciprocal alpha=0",
+     ["verify", "carlitz_reciprocal", "--m", "1", "--n", "1", "--alpha", "0"], None),
+    ("verify bernoulli_product m+n<2",
+     ["verify", "bernoulli_product", "--m", "1", "--n", "0"], None),
+    ("verify theorem1 trunc omitted",
+     ["verify", "theorem1", "--N", "3", "--u", "1/3", "--variant", "as-printed"], None),
+    ("verify corollary2 trunc omitted",
+     ["verify", "corollary2", "--N", "2", "--u", "2", "--x", "1/2"], None),
+    ("verify theorem1 trunc 16", ["verify", "theorem1", "--N", "3", "--u", "1/3",
+                                  "--variant", "as-printed", "--trunc", "16"], None),
+    ("verify theorem3", ["verify", "theorem3", "--n", "3", "--N", "2", "--u", "2",
+                         "--variant", "as-printed"], None),
+    ("verify corollary4", ["verify", "corollary4", "--n", "3", "--N", "3", "--u", "1/3"], None),
+    ("verify corollary5 csv", ["verify", "corollary5", "--n", "2", "--N", "2", "--u", "2",
+                               "--variant", "as-printed", "--format", "csv"], None),
+    ("verify eq60_multinomial", ["verify", "eq60_multinomial", "--n", "3", "--N", "2",
+                                 "--u", "1/3"], None),
+    ("verify carlitz_product", ["verify", "carlitz_product", "--m", "2", "--n", "1",
+                                "--alpha", "1/2", "--beta", "3"], None),
+    ("verify carlitz_reciprocal csv", ["verify", "carlitz_reciprocal", "--m", "2", "--n", "1",
+                                       "--alpha", "2", "--format", "csv"], None),
+    ("verify bernoulli_product", ["verify", "bernoulli_product", "--m", "3", "--n", "2"], None),
+    ("grid missing axis", ["audit", "--grid", GRID],
+     {"theorem1": {"variant": ["corrected"], "N": [1], "u": ["2"]}}),
+    ("grid unknown axis", ["audit", "--grid", GRID],
+     {"bernoulli_product": {"m": [1], "n": [1], "k": [1]}}),
+    ("grid beta without alpha_beta", ["audit", "--grid", GRID],
+     {"carlitz_product": {"variant": ["corrected"], "m": [1], "n": [1],
+                          "alpha": ["2"], "beta": ["3"]}}),
+    ("grid non-integer n", ["audit", "--grid", GRID],
+     {"theorem3": {"variant": ["corrected"], "n": ["1"], "N": [1], "u": ["2"]}}),
+    ("grid boolean N", ["audit", "--grid", GRID],
+     {"eq60_multinomial": {"n": [1], "N": [True], "u": ["2"]}}),
+    ("grid float u", ["audit", "--grid", GRID],
+     {"eq60_multinomial": {"n": [1], "N": [1], "u": [0.5]}}),
+    ("grid bad rational", ["audit", "--grid", GRID],
+     {"carlitz_reciprocal": {"m": [1], "n": [1], "alpha": ["1/0"]}}),
+    ("grid unknown variant", ["audit", "--grid", GRID],
+     {"theorem3": {"variant": ["as-printed"], "n": [1], "N": [1], "u": ["2"]}}),
+    ("grid alpha_beta not a pair", ["audit", "--grid", GRID],
+     {"carlitz_product": {"variant": ["corrected"], "m": [1], "n": [1],
+                          "alpha_beta": [["2", "3", "4"]]}}),
+    ("grid alpha_beta scalar", ["audit", "--grid", GRID],
+     {"carlitz_product": {"variant": ["corrected"], "m": [1], "n": [1], "alpha_beta": ["2"]}}),
+    ("grid unknown identity", ["audit", "--grid", GRID], {"theorem2": {}}),
+    ("audit error reports json", ["audit", "--grid", GRID], _ERROR_GRID),
+    ("audit error reports csv", ["audit", "--grid", GRID, "--format", "csv"], _ERROR_GRID),
+]
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+# id -> (exit status, SHA-256 of stdout, stderr)
+PATH_RESULTS = {
+    'verify theorem1 missing --N':
+        (2, EMPTY, "feident: error: identity 'theorem1' requires --N\n"),
+    'verify corollary2 missing --x':
+        (2, EMPTY, "feident: error: identity 'corollary2' requires --x\n"),
+    'verify carlitz_product missing --beta':
+        (2, EMPTY, "feident: error: identity 'carlitz_product' requires --beta\n"),
+    'verify bernoulli_product missing --m':
+        (2, EMPTY, "feident: error: identity 'bernoulli_product' requires --m\n"),
+    'verify carlitz_reciprocal --variant':
+        (2, EMPTY, "feident: error: identity 'carlitz_reciprocal' has no as-printed/corrected variant\n"),
+    'verify eq60_multinomial --variant, missing --u':
+        (2, EMPTY, "feident: error: identity 'eq60_multinomial' has no as-printed/corrected variant\n"),
+    'verify theorem3 u=1':
+        (2, EMPTY, 'feident: error: u = 1 is outside the parameter domain\n'),
+    'verify theorem1 u=0':
+        (2, EMPTY, 'feident: error: u = 0 is outside the parameter domain (division by u)\n'),
+    'verify theorem1 N=0':
+        (2, EMPTY, 'feident: error: N must be >= 1\n'),
+    'verify corollary4 n=-1':
+        (2, EMPTY, 'feident: error: n must be >= 0\n'),
+    'verify corollary5 N=0':
+        (2, EMPTY, 'feident: error: N must be >= 1\n'),
+    'verify theorem1 trunc<N':
+        (2, EMPTY, 'feident: error: truncation order T must be >= N\n'),
+    'verify carlitz_product alpha*beta=1':
+        (2, EMPTY, 'feident: error: alpha*beta = 1 needs the reciprocal-parameter identity\n'),
+    'verify carlitz_reciprocal alpha=0':
+        (2, EMPTY, 'feident: error: alpha = 0 has no reciprocal\n'),
+    'verify bernoulli_product m+n<2':
+        (2, EMPTY, 'feident: error: m + n must be >= 2\n'),
+    'verify theorem1 trunc omitted':
+        (0, '51c6d7c6cf01989de600899e9d245c1255f67e36321e8ecdf712832f0eaa3519', ''),
+    'verify corollary2 trunc omitted':
+        (0, '6ef98bed811156ed54b196d99b72aca84a90271e2abadbf1935d41177c3b6918', ''),
+    'verify theorem1 trunc 16':
+        (0, '51c6d7c6cf01989de600899e9d245c1255f67e36321e8ecdf712832f0eaa3519', ''),
+    'verify theorem3':
+        (1, '65f4fe67464ce1f8f2194d39c383af0adbfc03dc1ab11b26e3d7157c4f6c24fc', ''),
+    'verify corollary4':
+        (0, '8b54c39d6a9dc07a93c97b8d5e2cca8f77227a6d82462faefb78f3b4ebfa5f0a', ''),
+    'verify corollary5 csv':
+        (1, '498351b5900b6ced34011204bf40fbde755c84b19def513ad6752c21912b6ecf', ''),
+    'verify eq60_multinomial':
+        (0, '47992301c988a1e9640f070930451d635e0ff346134db279a6b7a4607ec63db3', ''),
+    'verify carlitz_product':
+        (0, '7ad889fc9ab734965cc0fb00baba86e52d652d3db6498a531fa21c44161d1c97', ''),
+    'verify carlitz_reciprocal csv':
+        (0, 'fd87dbe05f8f069e42e3673d8233b6f6f74e38572dc5764a0dee6928f410ea5c', ''),
+    'verify bernoulli_product':
+        (0, '43c128871bce140c81557741755b59560af1a561cc603f48e106f74de69f52dd', ''),
+    'grid missing axis':
+        (2, EMPTY, "feident: error: grid for 'theorem1' is missing key 'T'\n"),
+    'grid unknown axis':
+        (2, EMPTY, "feident: error: grid for 'bernoulli_product' has unknown key 'k'\n"),
+    'grid beta without alpha_beta':
+        (2, EMPTY, "feident: error: grid for 'carlitz_product' is missing key 'alpha_beta'\n"),
+    'grid non-integer n':
+        (2, EMPTY, "feident: error: grid value for 'n' must be an integer: '1'\n"),
+    'grid boolean N':
+        (2, EMPTY, "feident: error: grid value for 'N' must be an integer: True\n"),
+    'grid float u':
+        (2, EMPTY, "feident: error: grid value for 'u' must be an int or 'p/q' string\n"),
+    'grid bad rational':
+        (2, EMPTY, "feident: error: zero denominator: '1/0'\n"),
+    'grid unknown variant':
+        (2, EMPTY, "feident: error: unknown variant 'as-printed'; expected one of ('as_printed', 'corrected')\n"),
+    'grid alpha_beta not a pair':
+        (2, EMPTY, 'feident: error: alpha_beta entries must be [alpha, beta] pairs\n'),
+    'grid alpha_beta scalar':
+        (2, EMPTY, 'feident: error: alpha_beta entries must be [alpha, beta] pairs\n'),
+    'grid unknown identity':
+        (2, EMPTY, "feident: error: unknown identity in grid: 'theorem2'\n"),
+    'audit error reports json':
+        (1, '563d4b60342ca220a09fa874502f282b2448dc71cf8daf168f38c2c3ef55c4bc', ''),
+    'audit error reports csv':
+        (1, '5b7d281861543cd4458164609ea7041ca427f1ef35ef0f7ee332359ebd72b112', ''),
+}
+
+
 def run_digest(argv) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -50,12 +229,35 @@ def run_digest(argv) -> tuple[int, str]:
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
+def run_path(argv, grid, grid_path) -> tuple[int, str, str]:
+    if grid is not None:
+        grid_path.write_text(json.dumps(grid), encoding="utf-8")
+        argv = [str(grid_path) if a == GRID else a for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, digest = run_digest(argv)
+    return code, digest, err.getvalue()
+
+
 @pytest.mark.parametrize("argv,code,digest", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
 def test_output_bytes(argv, code, digest):
     assert run_digest(argv) == (code, digest)
 
 
+@pytest.mark.parametrize("name,argv,grid", PATHS, ids=[c[0] for c in PATHS])
+def test_path_bytes(tmp_path, name, argv, grid):
+    assert run_path(argv, grid, tmp_path / "grid.json") == PATH_RESULTS[name]
+
+
 if __name__ == "__main__":
+    import pathlib
+    import tempfile
+
     for name, argv, _, _ in CASES:
         code, digest = run_digest(argv)
         print(f"    ({name!r}, {argv!r}, {code},\n     {digest!r}),")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv, grid in PATHS:
+            code, digest, err = run_path(argv, grid, pathlib.Path(tmp) / "grid.json")
+            digest = "EMPTY" if digest == EMPTY else repr(digest)
+            print(f"    {name!r}:\n        ({code}, {digest}, {err!r}),")

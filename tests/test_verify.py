@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from feident.frobenius import euler_polynomial, fe_polynomial
 from feident.poly import Polynomial
+from feident.series import series_mul
 from feident.verify import (
     DEFAULT_GRID,
     IDENTITIES,
@@ -56,6 +57,21 @@ class TestTheorem1:
     def test_truncation_must_cover_order(self):
         with pytest.raises(ValueError):
             verify_theorem1(5, Fraction(2), 3)
+
+    def test_no_exponential_factor(self, monkeypatch):
+        import feident.verify as verify
+
+        calls = []
+
+        def counting_mul(a, b):
+            calls.append(1)
+            return series_mul(a, b)
+
+        monkeypatch.setattr(verify, "series_mul", counting_mul)
+        assert verify_theorem1(3, Fraction(1, 3), 10).verdict == "pass"
+        assert calls == []
+        assert verify_corollary2(3, Fraction(1, 3), Fraction(1, 2), 10).verdict == "pass"
+        assert calls
 
 
 class TestCorollary2:
