@@ -18,6 +18,7 @@ __all__ = [
     "rat",
     "parse_rational",
     "format_rational",
+    "common_denominator",
     "binomial",
     "multinomial",
     "compositions",
@@ -56,6 +57,14 @@ def format_rational(value: Fraction | int) -> str:
     """Inverse of :func:`parse_rational`; ``Fraction`` already prints in
     canonical "p/q" form."""
     return str(Fraction(value))
+
+
+def common_denominator(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """``(numerators, d)`` with ``d`` the lcm of the denominators of
+    ``values`` and ``values[i] == numerators[i] / d``; ``d`` is 1 for no
+    values."""
+    d = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def binomial(n: int, k: int) -> int:

@@ -5,12 +5,19 @@ the zero polynomial is a single zero coefficient.  Instances are immutable
 and support mixed arithmetic with ``int`` and ``Fraction`` scalars, which
 is what lets the generating-function code treat a polynomial-valued
 coefficient exactly like a rational one.
+
+The product of two polynomials is convolved in integers: each factor is
+put over one common denominator and each output coefficient becomes one
+reduced Fraction, with one gcd per coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Union
+
+from .exact import common_denominator
 
 __all__ = ["Polynomial"]
 
@@ -29,7 +36,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = (0,)):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else _as_fraction(c) for c in coeffs]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         if not cs:
@@ -116,12 +123,17 @@ class Polynomial:
             return Polynomial(tuple(c * other for c in self.coeffs))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+        a, da = common_denominator(self.coeffs)
+        b, db = common_denominator(other.coeffs)
+        b.reverse()
+        top = len(b) - 1
+        d = da * db
+        out = []
+        for m in range(len(a) + top):
+            lo, hi = max(0, m - top), min(m, len(a) - 1) + 1
+            # b[top - m + i] is the coefficient of x^(m-i) in other
+            s = sum(map(mul, a[lo:hi], b[top - m + lo: top - m + hi]))
+            out.append(Fraction(s, d))
         return Polynomial(out)
 
     __rmul__ = __mul__

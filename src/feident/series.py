@@ -5,9 +5,18 @@ sum_{n<=T} h_n t^n / n!.  Storing the t^n/n! coefficient (rather than the
 plain t^n one) makes differentiation a pure index shift and keeps every
 convolution weight an integer binomial, so all arithmetic stays exact.
 
-Coefficients are Fractions by default; Polynomial coefficients work
-through the same code paths (only :func:`series_reciprocal` genuinely
-needs rational scalars, since it divides by the constant coefficient).
+Coefficients are Fractions by default.  Rational operands of
+:func:`series_mul` and :func:`series_reciprocal` are convolved in
+integers: each operand is put over one common denominator, the binomial
+weights come row by row from Pascal's rule, and each output coefficient
+becomes one reduced Fraction, so there is one gcd per output coefficient
+instead of several Fraction operations per term.  The reciprocal keeps the
+outputs found so far as numerators over the lcm of their reduced
+denominators, so its intermediates grow with the true denominators, not
+with powers of the constant term.
+Polynomial coefficients (a symbolic x) take a plain ring loop, which runs
+only when some coefficient is not a Fraction; the reciprocal then still
+needs a rational constant coefficient, since it divides by it.
 
 Mixed-order operands are truncated to the shorter order, never padded:
 callers size their inputs deliberately.
@@ -25,9 +34,11 @@ truncation, so served values do not depend on what was asked before.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from math import gcd
+from operator import add, mul
+from typing import Iterable, Iterator
 
-from .exact import binomial
+from .exact import binomial, common_denominator
 
 __all__ = [
     "EgfSeries",
@@ -114,14 +125,42 @@ def series_scale(a: EgfSeries, c) -> EgfSeries:
     return EgfSeries([c * h for h in a.coeffs])
 
 
+def _rational(coeffs) -> bool:
+    return all(type(c) is Fraction for c in coeffs)
+
+
+def _binomial_rows(t: int) -> Iterator[list[int]]:
+    """Rows C(n, 0..n) for n = 0..t, each by Pascal's rule from the last
+    (cheaper than math.comb once the entries are big)."""
+    row = [1]
+    yield row
+    for _ in range(t):
+        row = [1, *map(add, row, row[1:]), 1]
+        yield row
+
+
 def series_mul(a: EgfSeries, b: EgfSeries) -> EgfSeries:
-    """Product of two EGFs: c_n = sum_k C(n,k) a_k b_{n-k}."""
+    """Product of two EGFs: c_n = sum_k C(n,k) a_k b_{n-k}.
+
+    Rational operands are convolved in integers over one common
+    denominator each; other coefficients (Polynomials) take the ring loop.
+    """
     t = min(a.order, b.order)
+    xs, ys = a.coeffs[: t + 1], b.coeffs[: t + 1]
+    if _rational(xs) and _rational(ys):
+        xn, dx = common_denominator(xs)
+        yn, dy = common_denominator(ys)
+        yn.reverse()
+        d = dx * dy
+        return EgfSeries([
+            Fraction(sum(map(mul, row, map(mul, xn[: n + 1], yn[t - n:]))), d)
+            for n, row in enumerate(_binomial_rows(t))
+        ])
     out = []
     for n in range(t + 1):
-        acc = a.coeffs[0] * b.coeffs[n]
+        acc = xs[0] * ys[n]
         for k in range(1, n + 1):
-            acc = acc + binomial(n, k) * (a.coeffs[k] * b.coeffs[n - k])
+            acc = acc + binomial(n, k) * (xs[k] * ys[n - k])
         out.append(acc)
     return EgfSeries(out)
 
@@ -138,17 +177,42 @@ def series_reciprocal(a: EgfSeries) -> EgfSeries:
 
     b_0 = 1/a_0 and b_n = -(1/a_0) sum_{k<n} C(n,k) a_{n-k} b_k.
     Requires a nonzero (rational) constant coefficient.
+
+    Rational coefficients run in integers: a_i = A_i / D, and the outputs
+    so far are kept as numerators over L, the lcm of their reduced
+    denominators, rescaled whenever L grows, so b_n = -S / (A_0 L) with S
+    the integer sum; one gcd per output.
     """
     a0 = a.coeffs[0]
     if a0 == 0:
         raise ValueError("series with zero constant coefficient is not invertible")
-    inv0 = Fraction(1) / a0
-    out = [inv0]
-    for n in range(1, a.order + 1):
-        acc = a.coeffs[n] * out[0]
-        for k in range(1, n):
-            acc = acc + binomial(n, k) * (a.coeffs[n - k] * out[k])
-        out.append(-inv0 * acc)
+    if not _rational(a.coeffs):
+        inv0 = Fraction(1) / a0
+        out = [inv0]
+        for n in range(1, a.order + 1):
+            acc = a.coeffs[n] * out[0]
+            for k in range(1, n):
+                acc = acc + binomial(n, k) * (a.coeffs[n - k] * out[k])
+            out.append(-inv0 * acc)
+        return EgfSeries(out)
+    an, d = common_denominator(a.coeffs)
+    an.reverse()
+    t = a.order
+    out = [Fraction(d, an[t])]
+    lcm, nums = out[0].denominator, [out[0].numerator]
+    rows = _binomial_rows(t)
+    next(rows)
+    for n, row in enumerate(rows, 1):
+        # an[t - n + k] is A_{n-k}
+        s = sum(map(mul, row, map(mul, an[t - n: t], nums)))
+        b = Fraction(-s, an[t] * lcm)
+        out.append(b)
+        den = b.denominator
+        if lcm % den:
+            grow = den // gcd(lcm, den)
+            lcm *= grow
+            nums = [v * grow for v in nums]
+        nums.append(b.numerator * (lcm // den))
     return EgfSeries(out)
 
 

@@ -216,6 +216,8 @@ def verify_corollary2(
 def verify_theorem3(n: int, N: int, u, variant: str = "corrected") -> VerificationReport:
     """Higher-order number H_n^(N)(u): series route against the
     coefficient-triangle formula."""
+    _check_at_least("n", n, 0)
+    _check_at_least("N", N, 1)
     lhs = fe_higher_number_oracle(n, N, _check_u(u, forbid_zero=True))
     rhs = fe_higher_number_formula(n, N, u, variant)
     params = _params(("n", n), ("N", N), ("u", Fraction(u)))
@@ -499,7 +501,7 @@ def _convert(param: inspect.Parameter, value):
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
-    raise ValueError(f"grid value for {param.name!r} must be an int or 'p/q' string")
+    raise ValueError(f"grid value for {param.name!r} must be an int or 'p/q' string: {value!r}")
 
 
 def _expand(identity: str, config: dict):

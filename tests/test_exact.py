@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from feident.exact import (
     binomial,
+    common_denominator,
     compositions,
     format_rational,
     multinomial,
@@ -69,6 +70,20 @@ class TestRationalText:
     @given(rationals)
     def test_round_trip(self, q):
         assert parse_rational(format_rational(q)) == q
+
+
+class TestCommonDenominator:
+    def test_examples(self):
+        values = [Fraction(1, 6), Fraction(-3, 4), 5, Fraction(0)]
+        assert common_denominator(values) == ([2, -9, 60, 0], 12)
+        assert common_denominator([]) == ([], 1)
+
+    @given(st.lists(rationals, max_size=8))
+    def test_numerators_over_the_lcm(self, values):
+        numerators, d = common_denominator(values)
+        assert d == math.lcm(*[v.denominator for v in values])
+        assert all(type(n) is int for n in numerators)
+        assert [Fraction(n, d) for n in numerators] == values
 
 
 class TestBinomial:

@@ -204,7 +204,7 @@ PATH_RESULTS = {
     'grid boolean N':
         (2, EMPTY, "feident: error: grid value for 'N' must be an integer: True\n"),
     'grid float u':
-        (2, EMPTY, "feident: error: grid value for 'u' must be an int or 'p/q' string\n"),
+        (2, EMPTY, "feident: error: grid value for 'u' must be an int or 'p/q' string: 0.5\n"),
     'grid bad rational':
         (2, EMPTY, "feident: error: zero denominator: '1/0'\n"),
     'grid unknown variant':
@@ -216,9 +216,9 @@ PATH_RESULTS = {
     'grid unknown identity':
         (2, EMPTY, "feident: error: unknown identity in grid: 'theorem2'\n"),
     'audit error reports json':
-        (1, '563d4b60342ca220a09fa874502f282b2448dc71cf8daf168f38c2c3ef55c4bc', ''),
+        (1, '6b6837f89c0ad41fb37c82477321c2b4948e9c5861f441f1aaf454b0ad2cc17c', ''),
     'audit error reports csv':
-        (1, '5b7d281861543cd4458164609ea7041ca427f1ef35ef0f7ee332359ebd72b112', ''),
+        (1, '8a669e439789524a85114e3e28d9284d5f8f73ed6e7ffce046df8a9dde131796', ''),
 }
 
 

@@ -1,5 +1,6 @@
 """Properties of the number kernel: the fraction-free prefix tables behind
-H_n(u), square-and-multiply series powers, and the shared Bernoulli prefix."""
+H_n(u), square-and-multiply series powers, the shared Bernoulli prefix,
+and the integer convolutions behind series and polynomial products."""
 
 import math
 import random
@@ -25,6 +26,7 @@ from feident.poly import Polynomial
 from feident.series import (
     EgfSeries,
     bernoulli_oracle,
+    exp_xt,
     series_mul,
     series_pow,
     series_reciprocal,
@@ -182,6 +184,120 @@ class TestBernoulliPrefix:
             want = Fraction(int(b.p), int(b.q))
             # SymPy has B_1 = +1/2; this package uses t/(e^t - 1), B_1 = -1/2
             assert bernoulli_number(n) == (-want if n == 1 else want), n
+
+
+def fraction_series_mul(a, b):
+    """c_n = sum_k C(n,k) a_k b_{n-k}, one Fraction operation at a time."""
+    t = min(len(a), len(b)) - 1
+    return [sum((math.comb(n, k) * (a[k] * b[n - k]) for k in range(n + 1)), Fraction(0))
+            for n in range(t + 1)]
+
+
+def fraction_series_reciprocal(a):
+    """b_0 = 1/a_0, b_n = -(1/a_0) sum_{k<n} C(n,k) a_{n-k} b_k in Fractions."""
+    inv0 = Fraction(1) / a[0]
+    out = [inv0]
+    for n in range(1, len(a)):
+        acc = sum((math.comb(n, k) * (a[n - k] * out[k]) for k in range(n)), Fraction(0))
+        out.append(-inv0 * acc)
+    return out
+
+
+def fraction_poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+HEIGHT = 10**6
+# zero, int-valued and mixed-denominator coefficients of height up to 10^6
+scalar = st.one_of(
+    st.just(0),
+    st.integers(-HEIGHT, HEIGHT),
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-HEIGHT, HEIGHT), st.integers(1, HEIGHT)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+)
+scalars = st.lists(scalar, min_size=1, max_size=12)
+
+
+def exact_fractions(values):
+    return all(type(v) is Fraction for v in values)
+
+
+class TestIntegerConvolution:
+    @given(scalars, scalars)
+    @settings(deadline=None, max_examples=150)
+    def test_series_mul(self, xs, ys):
+        product = series_mul(EgfSeries(xs), EgfSeries(ys))
+        want = fraction_series_mul([Fraction(x) for x in xs], [Fraction(y) for y in ys])
+        assert list(product.coeffs) == want
+        assert product.order == min(len(xs), len(ys)) - 1
+        assert exact_fractions(product.coeffs)
+
+    @given(scalars)
+    @settings(deadline=None, max_examples=150)
+    def test_series_reciprocal(self, xs):
+        if xs[0] == 0:
+            xs = [1] + xs[1:]
+        inverse = series_reciprocal(EgfSeries(xs))
+        assert list(inverse.coeffs) == fraction_series_reciprocal([Fraction(x) for x in xs])
+        assert exact_fractions(inverse.coeffs)
+
+    @given(scalars, scalars)
+    @settings(deadline=None, max_examples=150)
+    def test_polynomial_mul(self, xs, ys):
+        product = Polynomial(xs) * Polynomial(ys)
+        assert product == Polynomial(fraction_poly_mul([Fraction(x) for x in xs],
+                                                       [Fraction(y) for y in ys]))
+        assert exact_fractions(product.coeffs)
+
+    def test_order_zero(self):
+        assert series_mul(EgfSeries([Fraction(-3, 4)]), EgfSeries([6, 1, 2])) == EgfSeries(
+            [Fraction(-9, 2)])
+        assert series_reciprocal(EgfSeries([Fraction(-3, 4)])) == EgfSeries([Fraction(-4, 3)])
+        assert Polynomial([Fraction(2, 3)]) * Polynomial([0]) == Polynomial.zero()
+
+    def test_large_order_against_fraction_loops(self):
+        rng = random.Random(5)
+        xs = [Fraction(rng.randint(-HEIGHT, HEIGHT), rng.randint(1, HEIGHT)) for _ in range(41)]
+        ys = [Fraction(rng.randint(-HEIGHT, HEIGHT), rng.randint(1, 50)) for _ in range(60)]
+        assert list(series_mul(EgfSeries(xs), EgfSeries(ys)).coeffs) == fraction_series_mul(xs, ys)
+        assert list(series_reciprocal(EgfSeries(ys)).coeffs) == fraction_series_reciprocal(ys)
+        assert list((Polynomial(xs) * Polynomial(ys)).coeffs) == fraction_poly_mul(xs, ys)
+
+    @given(st.lists(small_poly, min_size=1, max_size=5), st.lists(coeff, min_size=1, max_size=5),
+           coeff)
+    @settings(deadline=None, max_examples=40)
+    def test_polynomial_coefficients_take_the_ring_path(self, ps, xs, x0):
+        """Evaluating the coefficients at x0 commutes with the product and
+        the reciprocal, for Polynomial-valued and mixed Polynomial/Fraction
+        operands alike."""
+
+        def at(s):
+            return [c(x0) if isinstance(c, Polynomial) else c for c in s]
+
+        for a in (EgfSeries(ps), EgfSeries(ps[:1] + xs[1:])):
+            assert at(series_mul(a, EgfSeries(ps))) == fraction_series_mul(at(a), at(ps))
+        unit_first = EgfSeries([Fraction(-2, 3)] + ps[1:])
+        assert at(series_reciprocal(unit_first)) == fraction_series_reciprocal(at(unit_first))
+
+    def test_symbolic_x(self):
+        e = series_mul(exp_xt(Polynomial.x(), 4), exp_xt(Polynomial([0, 2]), 4))
+        assert e == exp_xt(Polynomial([0, 3]), 4)
+
+    def test_polynomial_keeps_fraction_coefficients(self):
+        c = Fraction(-7, 3)
+        assert Polynomial([1, c]).coeffs[1] is c
+
+
+@pytest.mark.parametrize("n", [200, 300, 400])
+def test_bernoulli_against_sympy_at_large_n(n):
+    sympy = pytest.importorskip("sympy")
+    b = sympy.bernoulli(n)
+    assert bernoulli_number(n) == Fraction(int(b.p), int(b.q))
 
 
 def test_concurrent_readers_see_correct_values():

@@ -111,6 +111,12 @@ class TestTheorem3:
         with pytest.raises(ValueError):
             verify_theorem3(1, 2, Fraction(0))
 
+    def test_errors_name_the_checker_parameters(self):
+        with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+            verify_theorem3(-1, 2, Fraction(2))
+        with pytest.raises(ValueError, match=r"^N must be >= 1$"):
+            verify_theorem3(1, 0, Fraction(2))
+
 
 class TestCorollary4:
     def test_trivial(self):
