@@ -67,6 +67,15 @@ def _verify_parameters() -> list:
     return sorted(seen.values(), key=lambda param: param.default is not param.empty)
 
 
+def _flag_help(param) -> str:
+    """What the flag takes, its default if any, and the identities taking it."""
+    kind = "integer" if takes_integer(param) else "rational p/q"
+    if param.default is not param.empty:
+        kind += f", default {param.default}"
+    takers = [identity for identity in IDENTITIES if param.name in parameters(identity)]
+    return f"{kind}; {', '.join(takers)}"
+
+
 def _join_negative_rationals(argv) -> list:
     """Pass ``--u -5/7`` on as ``--u=-5/7``: argparse reads a token that
     starts with ``-`` as an option unless it is a plain negative number.
@@ -101,7 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("identity", choices=IDENTITIES)
     for param in _verify_parameters():
         kind = int if takes_integer(param) else parse_rational
-        verify.add_argument(_flag(param.name), dest=param.name, type=kind)
+        verify.add_argument(
+            _flag(param.name), dest=param.name, type=kind, help=_flag_help(param)
+        )
     verify.add_argument("--variant", choices=sorted(_CLI_VARIANTS))
     verify.add_argument("--format", choices=("csv", "json"), default="json")
     verify.add_argument("--out", help="write output to this path instead of stdout")
@@ -282,7 +293,10 @@ def run(argv=None) -> int:
         if args.command == "audit":
             if args.grid is not None:
                 with open(args.grid, "r", encoding="utf-8") as fh:
-                    grid = json.load(fh)
+                    try:
+                        grid = json.load(fh)
+                    except RecursionError:
+                        raise ValueError("grid file is nested too deeply") from None
             else:
                 grid = DEFAULT_GRID
             reports = audit_all(grid)

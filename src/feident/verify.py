@@ -11,16 +11,19 @@ one actually holds, with exact mismatch values.
 Reports are deterministic functions of (identity, params, variant), and a
 report passes exactly when its mismatch list is empty.
 
-``CHECKERS`` maps identity ids to checkers, in audit order.  A checker's
+``CHECKERS`` maps identity ids to checkers, in audit order; each checker
+is registered where it is defined, with ``@_identity(id)``.  A checker's
 signature is its schema: the parameters other than ``variant`` are the
 report's, in order (``int``-annotated ones integers, the rest rationals,
 those with a default optional), and a ``variant`` parameter means the
 identity has as-printed/corrected forms.  Grid axes and CLI flags are
-read from it.
+read from it.  A checker body returns only its mismatch list; the
+registry binds the call, checks ``variant`` and builds the report.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 import math
@@ -100,9 +103,14 @@ class VerificationReport:
     identity: str
     variant: str
     params: dict
-    verdict: str
     mismatches: tuple[Mismatch, ...] = ()
     error: str | None = None
+
+    @property
+    def verdict(self) -> str:
+        if self.error is not None:
+            return "error"
+        return "fail" if self.mismatches else "pass"
 
     def to_dict(self) -> dict:
         doc = {
@@ -119,16 +127,50 @@ class VerificationReport:
         return doc
 
 
-def _params(*pairs) -> dict:
-    out = {}
-    for key, value in pairs:
-        out[key] = format_rational(value) if isinstance(value, Fraction) else str(value)
-    return out
+CHECKERS = {}
 
 
-def _finish(identity, variant, params, mismatches) -> VerificationReport:
-    verdict = "pass" if not mismatches else "fail"
-    return VerificationReport(identity, variant, params, verdict, tuple(mismatches))
+def parameters(identity: str):
+    """The checker's parameters, ``variant`` included, in signature order."""
+    return inspect.signature(CHECKERS[identity]).parameters
+
+
+def takes_integer(param: inspect.Parameter) -> bool:
+    """Parameters annotated ``int`` take integers; the others rationals."""
+    return param.annotation == "int"
+
+
+def _report(identity: str, params, arguments: dict, mismatches=(), error=None):
+    """The report of a checker taking ``params``: integers as written,
+    rationals in "p/q" form, in signature order."""
+    values = {
+        name: (str if takes_integer(param) else format_rational)(arguments[name])
+        for name, param in params.items() if name != "variant"
+    }
+    variant = arguments.get("variant", "not_applicable")
+    return VerificationReport(identity, variant, values, tuple(mismatches), error)
+
+
+def _identity(identity: str):
+    """Register the body below as ``CHECKERS[identity]`` (see the module doc)."""
+
+    def register(body):
+        signature = inspect.signature(body)
+
+        @functools.wraps(body)
+        def checker(*args, **kwargs) -> VerificationReport:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            if "variant" in bound.arguments:
+                _check_variant(bound.arguments["variant"])
+            mismatches = body(**bound.arguments)
+            return _report(identity, signature.parameters, bound.arguments, mismatches)
+
+        checker.__signature__ = signature.replace(return_annotation="VerificationReport")
+        CHECKERS[identity] = checker
+        return checker
+
+    return register
 
 
 def _series_mismatches(lhs: EgfSeries, rhs: EgfSeries) -> list[Mismatch]:
@@ -171,14 +213,13 @@ def _derivative_side(base: EgfSeries, weights, target: int, factor=None) -> EgfS
     return acc
 
 
-def _derivative_expansion(identity, N, u, x, T, variant) -> VerificationReport:
+def _derivative_expansion(N, u, x, T, variant) -> list[Mismatch]:
     """The expansion of F^N checked by theorem1; with ``x`` given, every
     series also carries the factor e^{xt} (corollary2)."""
     _check_at_least("N", N, 1)
     u = _check_u(u, forbid_zero=True)
     if x is not None:
         x = Fraction(x)
-    _check_variant(variant)
     if T < N:
         raise ValueError("truncation order T must be >= N")
     F = series_reciprocal(exp_minus_constant(u, T))
@@ -191,11 +232,11 @@ def _derivative_expansion(identity, N, u, x, T, variant) -> VerificationReport:
         power = series_mul(power, E)
     lhs = series_truncate(series_scale(power, scale), target)
     rhs = _derivative_side(F, triangle_recurrence(N).row(N), target, factor=E)
-    pairs = [("N", N), ("u", u)] + ([] if x is None else [("x", x)]) + [("T", T)]
-    return _finish(identity, variant, _params(*pairs), _series_mismatches(lhs, rhs))
+    return _series_mismatches(lhs, rhs)
 
 
-def verify_theorem1(N: int, u, T: int = 16, variant: str = "corrected") -> VerificationReport:
+@_identity("theorem1")
+def verify_theorem1(N: int, u, T: int = 16, variant: str = "corrected") -> list[Mismatch]:
     """Derivative expansion of powers of F = 1/(e^t - u):
 
         (N-1)! * s * u^(N-1) * F^N  =  sum_{k<N} a_k(N) F^(k)
@@ -203,52 +244,57 @@ def verify_theorem1(N: int, u, T: int = 16, variant: str = "corrected") -> Verif
     compared coefficientwise to order T-(N-1), with s = +1 for
     ``as_printed`` and s = (-1)^(N-1) for ``corrected``.
     """
-    return _derivative_expansion("theorem1", N, u, None, T, variant)
+    return _derivative_expansion(N, u, None, T, variant)
 
 
-def verify_corollary2(
-    N: int, u, x, T: int = 16, variant: str = "corrected"
-) -> VerificationReport:
+@_identity("corollary2")
+def verify_corollary2(N: int, u, x, T: int = 16, variant: str = "corrected") -> list[Mismatch]:
     """Same expansion with every series carrying the extra factor e^{xt}."""
-    return _derivative_expansion("corollary2", N, u, x, T, variant)
+    return _derivative_expansion(N, u, x, T, variant)
 
 
-def verify_theorem3(n: int, N: int, u, variant: str = "corrected") -> VerificationReport:
+@_identity("theorem3")
+def verify_theorem3(n: int, N: int, u, variant: str = "corrected") -> list[Mismatch]:
     """Higher-order number H_n^(N)(u): series route against the
     coefficient-triangle formula."""
     _check_at_least("n", n, 0)
     _check_at_least("N", N, 1)
     lhs = fe_higher_number_oracle(n, N, _check_u(u, forbid_zero=True))
     rhs = fe_higher_number_formula(n, N, u, variant)
-    params = _params(("n", n), ("N", N), ("u", Fraction(u)))
-    return _finish("theorem3", variant, params, _scalar_mismatches(lhs, rhs))
+    return _scalar_mismatches(lhs, rhs)
 
 
-def verify_corollary4(n: int, N: int, u, variant: str = "corrected") -> VerificationReport:
+def _composition_sum(k: int, N: int, numbers) -> Fraction:
+    """Sum over the weak compositions l of k into N parts of
+    multinomial(k; l) * numbers[l_1] * ... * numbers[l_N]."""
+    total = Fraction(0)
+    for parts in weak_compositions(k, N):
+        prod = Fraction(multinomial(k, parts))
+        for l in parts:
+            prod *= numbers[l]
+        total += prod
+    return total
+
+
+@_identity("corollary4")
+def verify_corollary4(n: int, N: int, u, variant: str = "corrected") -> list[Mismatch]:
     """Sum of products over all N-tuples of indices (direct enumeration,
     no series code) against the coefficient-triangle formula."""
     _check_at_least("n", n, 0)
     _check_at_least("N", N, 1)
     u = _check_u(u, forbid_zero=True)
-    _check_variant(variant)
-    lhs = Fraction(0)
-    for parts in weak_compositions(n, N):
-        prod = Fraction(multinomial(n, parts))
-        for l in parts:
-            prod *= fe_number(l, u)
-        lhs += prod
+    lhs = _composition_sum(n, N, [fe_number(l, u) for l in range(n + 1)])
     rhs = fe_higher_number_formula(n, N, u, variant)
-    params = _params(("n", n), ("N", N), ("u", u))
-    return _finish("corollary4", variant, params, _scalar_mismatches(lhs, rhs))
+    return _scalar_mismatches(lhs, rhs)
 
 
-def verify_corollary5(n: int, N: int, u, variant: str = "corrected") -> VerificationReport:
+@_identity("corollary5")
+def verify_corollary5(n: int, N: int, u, variant: str = "corrected") -> list[Mismatch]:
     """Higher-order polynomial H_n^(N)(x|u) against the triangle formula
     applied degreewise, compared coefficient by coefficient."""
     _check_at_least("n", n, 0)
     _check_at_least("N", N, 1)
     u = _check_u(u, forbid_zero=True)
-    _check_variant(variant)
     lhs = fe_higher_polynomial(n, N, u)
     factor = (1 - u) / u if variant == "as_printed" else (u - 1) / u
     acc = Polynomial.zero()
@@ -258,36 +304,28 @@ def verify_corollary5(n: int, N: int, u, variant: str = "corrected") -> Verifica
         )
         acc = acc + weight * shifted
     rhs = factor ** (N - 1) * acc / math.factorial(N - 1)
-    params = _params(("n", n), ("N", N), ("u", u))
-    return _finish("corollary5", variant, params, _poly_mismatches(lhs, rhs))
+    return _poly_mismatches(lhs, rhs)
 
 
-def verify_product_multinomial(n: int, N: int, u) -> VerificationReport:
+@_identity("eq60_multinomial")
+def verify_product_multinomial(n: int, N: int, u) -> list[Mismatch]:
     """H_n^(N)(x|u) against the multinomial expansion over all index
-    tuples (l_1, ..., l_N, m) summing to n; no variant, no u-power factor."""
+    tuples (l_1, ..., l_N, m) summing to n; no variant, no u-power factor.
+    As multinomial(n; l, m) = C(n, m) * multinomial(n-m; l), the
+    coefficient of x^m is C(n, m) times the composition sum of n-m."""
     _check_at_least("n", n, 0)
     _check_at_least("N", N, 1)
     u = _check_u(u)
     lhs = fe_higher_polynomial(n, N, u)
-    coeffs = []
-    for m in range(n + 1):
-        acc = Fraction(0)
-        for parts in weak_compositions(n - m, N):
-            prod = Fraction(multinomial(n, parts + (m,)))
-            for l in parts:
-                prod *= fe_number(l, u)
-            acc += prod
-        coeffs.append(acc)
-    rhs = Polynomial(coeffs)
-    params = _params(("n", n), ("N", N), ("u", u))
-    return _finish(
-        "eq60_multinomial", "not_applicable", params, _poly_mismatches(lhs, rhs)
+    numbers = [fe_number(l, u) for l in range(n + 1)]
+    rhs = Polynomial(
+        [binomial(n, m) * _composition_sum(n - m, N, numbers) for m in range(n + 1)]
     )
+    return _poly_mismatches(lhs, rhs)
 
 
-def verify_carlitz(
-    m: int, n: int, alpha, beta, variant: str = "corrected"
-) -> VerificationReport:
+@_identity("carlitz_product")
+def verify_carlitz(m: int, n: int, alpha, beta, variant: str = "corrected") -> list[Mismatch]:
     """Product of two Frobenius-Euler polynomials with distinct parameters
     against its three-term expansion in parameter alpha*beta.
 
@@ -303,7 +341,6 @@ def verify_carlitz(
         raise ValueError("alpha = 1 or beta = 1 is outside the parameter domain")
     if alpha * beta == 1:
         raise ValueError("alpha*beta = 1 needs the reciprocal-parameter identity")
-    _check_variant(variant)
     ab = alpha * beta
     c_plain = (1 - alpha) * (1 - beta) / (1 - ab)
     c_alpha = alpha * (1 - beta) / (1 - ab)
@@ -321,11 +358,11 @@ def verify_carlitz(
         rhs = rhs + c_beta * binomial(n, s) * fe_number(s, beta) * fe_polynomial(
             m + n - s, ab
         )
-    params = _params(("m", m), ("n", n), ("alpha", alpha), ("beta", beta))
-    return _finish("carlitz_product", variant, params, _poly_mismatches(lhs, rhs))
+    return _poly_mismatches(lhs, rhs)
 
 
-def verify_carlitz_reciprocal(m: int, n: int, alpha) -> VerificationReport:
+@_identity("carlitz_reciprocal")
+def verify_carlitz_reciprocal(m: int, n: int, alpha) -> list[Mismatch]:
     """Product of Frobenius-Euler polynomials with reciprocal parameters
     (beta = 1/alpha) against the Bernoulli-polynomial expansion.
 
@@ -355,13 +392,11 @@ def verify_carlitz_reciprocal(m: int, n: int, alpha) -> VerificationReport:
         math.factorial(m + n + 1),
     )
     rhs = rhs + tail * (1 - alpha) * fe_number(m + n + 1, alpha)
-    params = _params(("m", m), ("n", n), ("alpha", alpha))
-    return _finish(
-        "carlitz_reciprocal", "not_applicable", params, _poly_mismatches(lhs, rhs)
-    )
+    return _poly_mismatches(lhs, rhs)
 
 
-def verify_bernoulli_product(m: int, n: int) -> VerificationReport:
+@_identity("bernoulli_product")
+def verify_bernoulli_product(m: int, n: int) -> list[Mismatch]:
     """Product of two Bernoulli polynomials against its expansion in
     Bernoulli numbers and polynomials.
 
@@ -389,38 +424,13 @@ def verify_bernoulli_product(m: int, n: int) -> VerificationReport:
         math.factorial(m + n),
     )
     rhs = rhs + tail * bernoulli_number(m + n)
-    params = _params(("m", m), ("n", n))
-    return _finish(
-        "bernoulli_product", "not_applicable", params, _poly_mismatches(lhs, rhs)
-    )
+    return _poly_mismatches(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
 # Grid-driven auditing
 
-CHECKERS = {
-    "theorem1": verify_theorem1,
-    "corollary2": verify_corollary2,
-    "theorem3": verify_theorem3,
-    "corollary4": verify_corollary4,
-    "corollary5": verify_corollary5,
-    "eq60_multinomial": verify_product_multinomial,
-    "carlitz_product": verify_carlitz,
-    "carlitz_reciprocal": verify_carlitz_reciprocal,
-    "bernoulli_product": verify_bernoulli_product,
-}
-
 IDENTITIES = tuple(CHECKERS)
-
-
-def parameters(identity: str):
-    """The checker's parameters, ``variant`` included, in signature order."""
-    return inspect.signature(CHECKERS[identity]).parameters
-
-
-def takes_integer(param: inspect.Parameter) -> bool:
-    """Parameters annotated ``int`` take integers; the others rationals."""
-    return param.annotation == "int"
 
 
 def grid_axes(identity: str) -> tuple[str, ...]:
@@ -532,9 +542,7 @@ def _run_case(identity: str, combo: dict) -> VerificationReport:
     try:
         return CHECKERS[identity](**combo)
     except ValueError as exc:
-        variant = combo.get("variant", "not_applicable")
-        params = _params(*[(k, combo[k]) for k in parameters(identity) if k != "variant"])
-        return VerificationReport(identity, variant, params, "error", (), str(exc))
+        return _report(identity, parameters(identity), combo, error=str(exc))
 
 
 def audit_all(grid: dict | None = None) -> list[VerificationReport]:
@@ -559,19 +567,11 @@ def audit_all(grid: dict | None = None) -> list[VerificationReport]:
 
 def summarize(reports) -> dict:
     """Pass/fail/error counts, overall and per (identity, variant)."""
-    summary = {
-        "total": len(reports),
-        "pass": 0,
-        "fail": 0,
-        "error": 0,
-        "by_identity": {},
-    }
+    summary = {"total": len(reports), "pass": 0, "fail": 0, "error": 0, "by_identity": {}}
     for report in reports:
         summary[report.verdict] += 1
         per_variant = summary["by_identity"].setdefault(report.identity, {})
-        counts = per_variant.setdefault(
-            report.variant, {"pass": 0, "fail": 0, "error": 0}
-        )
+        counts = per_variant.setdefault(report.variant, {"pass": 0, "fail": 0, "error": 0})
         counts[report.verdict] += 1
     return summary
 

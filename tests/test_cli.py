@@ -289,6 +289,13 @@ class TestAuditCommand:
         code, _, _ = run_capture(capsys, ["audit", "--grid", str(path)])
         assert code == 2
 
+    def test_deeply_nested_grid_file_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        code, out, err = run_capture(capsys, ["audit", "--grid", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "feident: error: grid file is nested too deeply\n"
+
     @pytest.mark.parametrize(
         "grid",
         [
