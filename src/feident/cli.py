@@ -264,8 +264,17 @@ def _exit_code(reports) -> int:
 
 
 def run(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    """Exit status of the CLI on ``argv`` (default ``sys.argv[1:]``); the
+    int-to-str digit limit is lifted for the call, so values print at any size."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(sys.argv[1:] if argv is None else argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_join_negative_rationals(argv))

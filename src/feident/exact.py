@@ -16,6 +16,7 @@ from typing import Iterator, Sequence
 
 __all__ = [
     "rat",
+    "as_fraction",
     "parse_rational",
     "format_rational",
     "common_denominator",
@@ -34,6 +35,15 @@ def rat(numer: int, denom: int = 1) -> Fraction:
     if denom == 0:
         raise ValueError("zero denominator")
     return Fraction(numer, denom)
+
+
+def as_fraction(value) -> Fraction:
+    """An int or a Fraction as a Fraction; any other type raises TypeError."""
+    if isinstance(value, float):
+        raise TypeError("float coefficients are not allowed; use Fraction")
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"coefficients must be int or Fraction, not {type(value).__name__}")
+    return Fraction(value)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -1,10 +1,10 @@
 """Dense univariate polynomials over exact rationals.
 
-Coefficients are stored in ascending degree order with no trailing zeros;
-the zero polynomial is a single zero coefficient.  Instances are immutable
-and support mixed arithmetic with ``int`` and ``Fraction`` scalars, which
-is what lets the generating-function code treat a polynomial-valued
-coefficient exactly like a rational one.
+Coefficients are Fractions (ints are converted; a float or any other type
+raises TypeError), stored in ascending degree order with no trailing
+zeros; the zero polynomial is a single zero coefficient.  Instances are
+immutable and support mixed arithmetic with ``int`` and ``Fraction``
+scalars.  A Polynomial is never a series coefficient.
 
 The product of two polynomials is convolved in integers: each factor is
 put over one common denominator and each output coefficient becomes one
@@ -17,17 +17,11 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Union
 
-from .exact import common_denominator
+from .exact import as_fraction, common_denominator
 
 __all__ = ["Polynomial"]
 
 Scalar = Union[int, Fraction]
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("float coefficients are not allowed; use Fraction")
-    return Fraction(value)
 
 
 class Polynomial:
@@ -36,7 +30,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = (0,)):
-        cs = [c if type(c) is Fraction else _as_fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else as_fraction(c) for c in coeffs]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         if not cs:

@@ -1,11 +1,12 @@
-"""Truncated exponential-generating-function arithmetic.
+"""Truncated exponential-generating-function arithmetic over Fractions.
 
 An :class:`EgfSeries` of order T stores the coefficients h_0..h_T of
 sum_{n<=T} h_n t^n / n!.  Storing the t^n/n! coefficient (rather than the
 plain t^n one) makes differentiation a pure index shift and keeps every
 convolution weight an integer binomial, so all arithmetic stays exact.
 
-Coefficients are Fractions by default.  Rational operands of
+Coefficients are Fractions, and only Fractions: ints are converted, and
+anything else (a float, a Polynomial) raises TypeError.  Operands of
 :func:`series_mul` and :func:`series_reciprocal` are convolved in
 integers: each operand is put over one common denominator, the binomial
 weights come row by row from Pascal's rule, and each output coefficient
@@ -14,17 +15,13 @@ instead of several Fraction operations per term.  The reciprocal keeps the
 outputs found so far as numerators over the lcm of their reduced
 denominators, so its intermediates grow with the true denominators, not
 with powers of the constant term.
-Polynomial coefficients (a symbolic x) take a plain ring loop, which runs
-only when some coefficient is not a Fraction; the reciprocal then still
-needs a rational constant coefficient, since it divides by it.
 
 Mixed-order operands are truncated to the shorter order, never padded:
 callers size their inputs deliberately.
 
 :func:`series_pow` squares and multiplies, so the N-th power takes about
-2*log2(N) products instead of N-1 (5 at N = 20); it needs only a
-commutative ring, so Polynomial coefficients and a zero constant term
-work.  :func:`bernoulli_oracle` serves truncations of one module-level
+2*log2(N) products instead of N-1 (5 at N = 20); a zero constant term
+works.  :func:`bernoulli_oracle` serves truncations of one module-level
 prefix B_0..B_K: asking for an order above K recomputes the prefix once,
 to max(order, 2K), so the prefix stays within twice the largest order
 asked for.  A truncated reciprocal equals the reciprocal of the
@@ -38,7 +35,7 @@ from math import gcd
 from operator import add, mul
 from typing import Iterable, Iterator
 
-from .exact import binomial, common_denominator
+from .exact import as_fraction, common_denominator
 
 __all__ = [
     "EgfSeries",
@@ -58,21 +55,13 @@ __all__ = [
 ]
 
 
-def _as_scalar(value):
-    if isinstance(value, float):
-        raise TypeError("float coefficients are not allowed; use Fraction")
-    if isinstance(value, int):
-        return Fraction(value)
-    return value
-
-
 class EgfSeries:
     """Immutable truncated EGF; ``coeffs[n]`` is the coefficient of t^n/n!."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable):
-        cs = tuple(_as_scalar(c) for c in coeffs)
+        cs = tuple(c if type(c) is Fraction else as_fraction(c) for c in coeffs)
         if not cs:
             raise ValueError("a series needs at least its constant coefficient")
         object.__setattr__(self, "coeffs", cs)
@@ -121,12 +110,8 @@ def series_sub(a: EgfSeries, b: EgfSeries) -> EgfSeries:
 
 
 def series_scale(a: EgfSeries, c) -> EgfSeries:
-    c = _as_scalar(c)
+    c = as_fraction(c)
     return EgfSeries([c * h for h in a.coeffs])
-
-
-def _rational(coeffs) -> bool:
-    return all(type(c) is Fraction for c in coeffs)
 
 
 def _binomial_rows(t: int) -> Iterator[list[int]]:
@@ -140,29 +125,17 @@ def _binomial_rows(t: int) -> Iterator[list[int]]:
 
 
 def series_mul(a: EgfSeries, b: EgfSeries) -> EgfSeries:
-    """Product of two EGFs: c_n = sum_k C(n,k) a_k b_{n-k}.
-
-    Rational operands are convolved in integers over one common
-    denominator each; other coefficients (Polynomials) take the ring loop.
-    """
+    """Product of two EGFs: c_n = sum_k C(n,k) a_k b_{n-k}, convolved in
+    integers over one common denominator per operand."""
     t = min(a.order, b.order)
-    xs, ys = a.coeffs[: t + 1], b.coeffs[: t + 1]
-    if _rational(xs) and _rational(ys):
-        xn, dx = common_denominator(xs)
-        yn, dy = common_denominator(ys)
-        yn.reverse()
-        d = dx * dy
-        return EgfSeries([
-            Fraction(sum(map(mul, row, map(mul, xn[: n + 1], yn[t - n:]))), d)
-            for n, row in enumerate(_binomial_rows(t))
-        ])
-    out = []
-    for n in range(t + 1):
-        acc = xs[0] * ys[n]
-        for k in range(1, n + 1):
-            acc = acc + binomial(n, k) * (xs[k] * ys[n - k])
-        out.append(acc)
-    return EgfSeries(out)
+    xn, dx = common_denominator(a.coeffs[: t + 1])
+    yn, dy = common_denominator(b.coeffs[: t + 1])
+    yn.reverse()
+    d = dx * dy
+    return EgfSeries([
+        Fraction(sum(map(mul, row, map(mul, xn[: n + 1], yn[t - n:]))), d)
+        for n, row in enumerate(_binomial_rows(t))
+    ])
 
 
 def series_derivative(a: EgfSeries) -> EgfSeries:
@@ -176,25 +149,15 @@ def series_reciprocal(a: EgfSeries) -> EgfSeries:
     """Multiplicative inverse to full order.
 
     b_0 = 1/a_0 and b_n = -(1/a_0) sum_{k<n} C(n,k) a_{n-k} b_k.
-    Requires a nonzero (rational) constant coefficient.
+    Requires a nonzero constant coefficient.
 
-    Rational coefficients run in integers: a_i = A_i / D, and the outputs
-    so far are kept as numerators over L, the lcm of their reduced
-    denominators, rescaled whenever L grows, so b_n = -S / (A_0 L) with S
-    the integer sum; one gcd per output.
+    The sums run in integers: a_i = A_i / D, and the outputs so far are
+    kept as numerators over L, the lcm of their reduced denominators,
+    rescaled whenever L grows, so b_n = -S / (A_0 L) with S the integer
+    sum; one gcd per output.
     """
-    a0 = a.coeffs[0]
-    if a0 == 0:
+    if a.coeffs[0] == 0:
         raise ValueError("series with zero constant coefficient is not invertible")
-    if not _rational(a.coeffs):
-        inv0 = Fraction(1) / a0
-        out = [inv0]
-        for n in range(1, a.order + 1):
-            acc = a.coeffs[n] * out[0]
-            for k in range(1, n):
-                acc = acc + binomial(n, k) * (a.coeffs[n - k] * out[k])
-            out.append(-inv0 * acc)
-        return EgfSeries(out)
     an, d = common_denominator(a.coeffs)
     an.reverse()
     t = a.order
@@ -237,15 +200,14 @@ def series_truncate(a: EgfSeries, order: int) -> EgfSeries:
 
 
 def exp_xt(x, order: int) -> EgfSeries:
-    """e^{xt} truncated: coefficient n is x^n.  x may be a Fraction or a
-    Polynomial (to carry x symbolically)."""
-    x = _as_scalar(x)
+    """e^{xt} truncated: coefficient n is x^n, for an int or Fraction x."""
+    x = as_fraction(x)
     return EgfSeries([x**n for n in range(order + 1)])
 
 
 def exp_minus_constant(c, order: int) -> EgfSeries:
     """e^t - c as an EGF: coefficients (1 - c, 1, 1, ...)."""
-    c = _as_scalar(c)
+    c = as_fraction(c)
     return EgfSeries([Fraction(1) - c] + [Fraction(1)] * order)
 
 

@@ -337,6 +337,62 @@ class TestAuditCommand:
         assert rows[1][:4] == ["bernoulli_product", "not_applicable", "m=1;n=1", "pass"]
 
 
+@pytest.fixture
+def low_digit_limit():
+    """The lowest int-to-str digit limit CPython allows, restored after."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+class TestDigitLimit:
+    """The CLI prints exact values of any size under the caller's digit
+    limit, and gives the caller that limit back; the library never
+    changes it."""
+
+    def test_table_matches_an_unlimited_run(self, capsys, low_digit_limit):
+        argv = ["table", "fe-numbers", "--u", "1/3", "--n-max", "400"]
+        code, out, err = run_capture(capsys, argv)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == 640
+        assert max(len(line) for line in out.splitlines()) > 640
+        sys.set_int_max_str_digits(0)
+        assert run_capture(capsys, argv) == (0, out, "")
+
+    def test_failing_verify_exits_one(self, capsys, low_digit_limit):
+        code, out, err = run_capture(capsys, [
+            "verify", "theorem3", "--n", "400", "--N", "2", "--u", "1/3",
+            "--variant", "as-printed",
+        ])
+        assert (code, err) == (1, "")
+        assert json.loads(out)["verdict"] == "fail"
+        assert sys.get_int_max_str_digits() == 640
+
+    def test_failing_audit_case_is_fail_not_error(self, capsys, tmp_path, low_digit_limit):
+        path = tmp_path / "grid.json"
+        grid = {"theorem3": {"variant": ["as_printed"], "n": [400], "N": [2], "u": ["1/3"]}}
+        path.write_text(json.dumps(grid), encoding="utf-8")
+        code, out, _ = run_capture(capsys, ["audit", "--grid", str(path)])
+        assert code == 1
+        assert [r["verdict"] for r in json.loads(out)["reports"]] == ["fail"]
+        assert sys.get_int_max_str_digits() == 640
+
+    @pytest.mark.parametrize(
+        "argv", [["table", "fe-numbers", "--u", "1", "--n-max", "2"], ["table", "--bogus"]],
+        ids=["parameter-error", "usage-error"],
+    )
+    def test_limit_restored_after_an_error(self, capsys, low_digit_limit, argv):
+        assert run_capture(capsys, argv)[0] == 2
+        assert sys.get_int_max_str_digits() == 640
+
+    def test_only_the_cli_changes_the_limit(self):
+        package = Path(feident.__file__).parent
+        setters = [p.name for p in sorted(package.glob("*.py"))
+                   if "set_int_max_str_digits" in p.read_text(encoding="utf-8")]
+        assert setters == ["cli.py"]
+
+
 class TestUsage:
     def test_no_command_exits_two(self, capsys):
         code, _, _ = run_capture(capsys, [])

@@ -122,12 +122,17 @@ class TestFePolynomial:
 
     @pytest.mark.parametrize("u", [Fraction(2), Fraction(1, 3)])
     def test_matches_symbolic_series_route(self, u):
-        """Second route: coefficient n of (1-u)/(e^t-u) * e^{xt} with x
-        carried as a polynomial."""
+        """Second route: coefficient n of (1-u)/(e^t-u) * e^{xt}, at t+1
+        distinct rational x.  A polynomial of degree <= t is fixed by its
+        values at t+1 points, so this pins every H_n(x|u) with n <= t."""
         t = 6
-        series = series_mul(frobenius_oracle(u, t), exp_xt(Polynomial.x(), t))
-        for n in range(t + 1):
-            assert series[n] == fe_polynomial(n, u)
+        points = [Fraction(k, 3) for k in range(-3, t - 2)]
+        assert len(set(points)) == t + 1
+        oracle = frobenius_oracle(u, t)
+        for x in points:
+            series = series_mul(oracle, exp_xt(x, t))
+            for n in range(t + 1):
+                assert series[n] == fe_polynomial(n, u)(x)
 
     def test_euler_polynomials(self):
         for n in range(13):
@@ -136,6 +141,15 @@ class TestFePolynomial:
         assert euler_polynomial(1) == Polynomial([Fraction(-1, 2), 1])
         for n in range(17):
             assert euler_polynomial(n).coefficient(0) == EULER_VALUES[n]
+
+
+def test_euler_polynomials_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(31):
+        ascending = sympy.Poly(sympy.euler(n, x), x).all_coeffs()[::-1]
+        want = tuple(Fraction(int(c.p), int(c.q)) for c in ascending)
+        assert euler_polynomial(n).coeffs == want, n
 
 
 class TestHigherOrderNumbers:

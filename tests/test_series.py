@@ -207,10 +207,30 @@ class TestExpXt:
     def test_half(self):
         assert exp_xt(Fraction(1, 2), 3)[3] == Fraction(1, 8)
 
-    def test_symbolic_x(self):
-        s = exp_xt(Polynomial.x(), 3)
-        assert s[3] == Polynomial([0, 0, 0, 1])
-        assert s[0] == Polynomial.one()
+
+class TestFractionOnly:
+    """Coefficients are Fractions only: a Polynomial is refused wherever a
+    coefficient enters a series, and floats keep their message."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: EgfSeries([Polynomial.x()]),
+            lambda: exp_xt(Polynomial.x(), 3),
+            lambda: series_scale(EgfSeries([1, 2]), Polynomial.one()),
+            lambda: exp_minus_constant(Polynomial.x(), 2),
+        ],
+        ids=["EgfSeries", "exp_xt", "series_scale", "exp_minus_constant"],
+    )
+    def test_polynomial_coefficient_raises(self, build):
+        with pytest.raises(TypeError, match="must be int or Fraction, not Polynomial"):
+            build()
+
+    @pytest.mark.parametrize("cls", [EgfSeries, Polynomial], ids=lambda c: c.__name__)
+    def test_float_refused_with_the_same_message(self, cls):
+        with pytest.raises(TypeError) as info:
+            cls([Fraction(1), 0.5])
+        assert str(info.value) == "float coefficients are not allowed; use Fraction"
 
 
 class TestOracles:

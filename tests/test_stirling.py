@@ -101,6 +101,15 @@ def test_matches_rising_factorial_coefficients():
             assert tri.row(n)[k] == rising.coefficient(k + 1)
 
 
+def test_rows_are_unsigned_stirling_numbers_of_the_first_kind_per_sympy():
+    pytest.importorskip("sympy")
+    from sympy.functions.combinatorial.numbers import stirling
+
+    for n in range(1, 41):
+        want = tuple(int(stirling(n, k + 1, kind=1)) for k in range(n))
+        assert triangle_recurrence(n).row(n) == want, n
+
+
 def test_triangle_is_frozen():
     tri = triangle_recurrence(2)
     assert isinstance(tri, StirlingTriangle)
