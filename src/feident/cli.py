@@ -232,18 +232,13 @@ def _reports_csv(reports) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["identity", "variant", "params", "verdict", "at", "lhs", "rhs"])
     for report in reports:
-        packed = ";".join(f"{k}={v}" for k, v in report.params.items())
-        if report.mismatches:
-            for mm in report.mismatches:
-                writer.writerow(
-                    [report.identity, report.variant, packed, report.verdict,
-                     mm.at, mm.lhs, mm.rhs]
-                )
-        else:
-            note = report.error if report.error is not None else ""
-            writer.writerow(
-                [report.identity, report.variant, packed, report.verdict, note, "", ""]
-            )
+        doc = report.to_dict()
+        packed = ";".join(f"{k}={v}" for k, v in doc["params"].items())
+        head = [doc["identity"], doc["variant"], packed, doc["verdict"]]
+        for mm in doc["mismatches"]:
+            writer.writerow(head + [mm["at"], mm["lhs"], mm["rhs"]])
+        if not doc["mismatches"]:
+            writer.writerow(head + [doc.get("error", ""), "", ""])
     return out.getvalue()
 
 

@@ -17,6 +17,7 @@ from typing import Iterator, Sequence
 __all__ = [
     "rat",
     "as_fraction",
+    "exact_parameter",
     "parse_rational",
     "format_rational",
     "common_denominator",
@@ -43,6 +44,14 @@ def as_fraction(value) -> Fraction:
         raise TypeError("float coefficients are not allowed; use Fraction")
     if not isinstance(value, (int, Fraction)):
         raise TypeError(f"coefficients must be int or Fraction, not {type(value).__name__}")
+    return Fraction(value)
+
+
+def exact_parameter(value) -> Fraction:
+    """An int, Fraction or "p/q" string as ``Fraction()`` reads it; a float
+    raises TypeError, as its binary value is not the rational meant."""
+    if isinstance(value, float):
+        raise TypeError("float parameters are not allowed; use Fraction or a 'p/q' string")
     return Fraction(value)
 
 

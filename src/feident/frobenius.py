@@ -40,7 +40,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import binomial
+from .exact import exact_parameter
 from .poly import Polynomial
 from .series import bernoulli_oracle, frobenius_oracle, series_pow
 from .stirling import triangle_recurrence
@@ -67,7 +67,7 @@ def _check_at_least(name: str, value: int, low: int) -> None:
 
 
 def _check_u(u: Fraction, forbid_zero: bool = False) -> Fraction:
-    u = Fraction(u)
+    u = exact_parameter(u)
     if u == 1:
         raise ValueError("u = 1 is outside the parameter domain")
     if forbid_zero and u == 0:
@@ -130,8 +130,7 @@ def fe_number(n: int, u: Fraction) -> Fraction:
 def fe_polynomial(n: int, u: Fraction) -> Polynomial:
     """H_n(x|u) = sum_l C(n,l) x^(n-l) H_l(u); monic of degree n."""
     _check_at_least("n", n, 0)
-    numbers = _table(_check_u(u)).upto(n)
-    return Polynomial([binomial(n, d) * numbers[n - d] for d in range(n + 1)])
+    return Polynomial.appell(_table(_check_u(u)).upto(n)[: n + 1])
 
 
 def fe_higher_numbers(n_max: int, order: int, u: Fraction) -> tuple[Fraction, ...]:
@@ -176,8 +175,7 @@ def fe_higher_polynomial(n: int, order: int, u: Fraction) -> Polynomial:
     """H_n^(N)(x|u) = sum_l C(n,l) x^(n-l) H_l^(N)(u), from the series
     route's higher-order numbers."""
     _check_at_least("n", n, 0)
-    numbers = fe_higher_numbers(n, order, u)
-    return Polynomial([binomial(n, d) * numbers[n - d] for d in range(n + 1)])
+    return Polynomial.appell(fe_higher_numbers(n, order, u))
 
 
 def euler_polynomial(n: int) -> Polynomial:
@@ -194,5 +192,4 @@ def bernoulli_number(n: int) -> Fraction:
 def bernoulli_polynomial(n: int) -> Polynomial:
     """B_n(x) = sum_l C(n,l) x^(n-l) B_l."""
     _check_at_least("n", n, 0)
-    numbers = bernoulli_oracle(n).coeffs
-    return Polynomial([binomial(n, d) * numbers[n - d] for d in range(n + 1)])
+    return Polynomial.appell(bernoulli_oracle(n).coeffs)

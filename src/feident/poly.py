@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
-from .exact import as_fraction, common_denominator
+from .exact import as_fraction, binomial, common_denominator
 
 __all__ = ["Polynomial"]
 
@@ -55,6 +55,13 @@ class Polynomial:
     @classmethod
     def constant(cls, value: Scalar) -> "Polynomial":
         return cls((value,))
+
+    @classmethod
+    def appell(cls, numbers: Sequence[Scalar]) -> "Polynomial":
+        """sum_d C(n,d) numbers[n-d] x^d with n = len(numbers) - 1: the
+        Appell polynomial of the numbers, as H_n(x|u) is that of the H_l(u)."""
+        n = len(numbers) - 1
+        return cls([binomial(n, d) * numbers[n - d] for d in range(n + 1)])
 
     @property
     def degree(self) -> int:

@@ -35,7 +35,7 @@ from math import gcd
 from operator import add, mul
 from typing import Iterable, Iterator
 
-from .exact import as_fraction, common_denominator
+from .exact import as_fraction, common_denominator, exact_parameter
 
 __all__ = [
     "EgfSeries",
@@ -214,7 +214,7 @@ def exp_minus_constant(c, order: int) -> EgfSeries:
 def frobenius_oracle(u: Fraction, order: int) -> EgfSeries:
     """Frobenius-Euler numbers H_0(u)..H_T(u) straight from the generating
     function (1-u)/(e^t - u), independent of any recurrence."""
-    u = Fraction(u)
+    u = exact_parameter(u)
     if u == 1:
         raise ValueError("u = 1 is outside the parameter domain")
     return series_scale(series_reciprocal(exp_minus_constant(u, order)), 1 - u)

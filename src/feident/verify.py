@@ -9,7 +9,9 @@ repaired form (``corrected``) can be evaluated; the report records which
 one actually holds, with exact mismatch values.
 
 Reports are deterministic functions of (identity, params, variant), and a
-report passes exactly when its mismatch list is empty.
+report passes exactly when its mismatch list is empty.  A ``Mismatch``
+holds both values exact; only ``VerificationReport.to_dict`` formats them,
+so a failing check is ``fail`` however many digits its values have.
 
 ``CHECKERS`` maps identity ids to checkers, in audit order; each checker
 is registered where it is defined, with ``@_identity(id)``.  A checker's
@@ -32,6 +34,7 @@ from fractions import Fraction
 
 from .exact import (
     binomial,
+    exact_parameter,
     format_rational,
     multinomial,
     parse_rational,
@@ -94,8 +97,8 @@ class Mismatch:
     """One disagreeing coefficient: where, and the two exact values."""
 
     at: str
-    lhs: str
-    rhs: str
+    lhs: Fraction
+    rhs: Fraction
 
 
 @dataclass(frozen=True)
@@ -119,7 +122,8 @@ class VerificationReport:
             "params": dict(self.params),
             "verdict": self.verdict,
             "mismatches": [
-                {"at": m.at, "lhs": m.lhs, "rhs": m.rhs} for m in self.mismatches
+                {"at": m.at, "lhs": format_rational(m.lhs), "rhs": format_rational(m.rhs)}
+                for m in self.mismatches
             ],
         }
         if self.error is not None:
@@ -173,27 +177,15 @@ def _identity(identity: str):
     return register
 
 
-def _series_mismatches(lhs: EgfSeries, rhs: EgfSeries) -> list[Mismatch]:
-    out = []
-    for n, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
-        if a != b:
-            out.append(Mismatch(f"t^{n}", format_rational(a), format_rational(b)))
-    return out
-
-
-def _poly_mismatches(lhs: Polynomial, rhs: Polynomial) -> list[Mismatch]:
-    out = []
-    for d in range(max(lhs.degree, rhs.degree) + 1):
-        a, b = lhs.coefficient(d), rhs.coefficient(d)
-        if a != b:
-            out.append(Mismatch(f"x^{d}", format_rational(a), format_rational(b)))
-    return out
+def _mismatches(var: str, lhs, rhs) -> list[Mismatch]:
+    """The coefficients of ``var``^i where the two sequences differ, the
+    shorter one padded with zeros."""
+    pairs = itertools.zip_longest(lhs, rhs, fillvalue=Fraction(0))
+    return [Mismatch(f"{var}^{i}", a, b) for i, (a, b) in enumerate(pairs) if a != b]
 
 
 def _scalar_mismatches(lhs: Fraction, rhs: Fraction) -> list[Mismatch]:
-    if lhs != rhs:
-        return [Mismatch("value", format_rational(lhs), format_rational(rhs))]
-    return []
+    return [Mismatch("value", lhs, rhs)] if lhs != rhs else []
 
 
 def _derivative_side(base: EgfSeries, weights, target: int, factor=None) -> EgfSeries:
@@ -219,7 +211,7 @@ def _derivative_expansion(N, u, x, T, variant) -> list[Mismatch]:
     _check_at_least("N", N, 1)
     u = _check_u(u, forbid_zero=True)
     if x is not None:
-        x = Fraction(x)
+        x = exact_parameter(x)
     if T < N:
         raise ValueError("truncation order T must be >= N")
     F = series_reciprocal(exp_minus_constant(u, T))
@@ -232,7 +224,7 @@ def _derivative_expansion(N, u, x, T, variant) -> list[Mismatch]:
         power = series_mul(power, E)
     lhs = series_truncate(series_scale(power, scale), target)
     rhs = _derivative_side(F, triangle_recurrence(N).row(N), target, factor=E)
-    return _series_mismatches(lhs, rhs)
+    return _mismatches("t", lhs.coeffs, rhs.coeffs)
 
 
 @_identity("theorem1")
@@ -290,21 +282,16 @@ def verify_corollary4(n: int, N: int, u, variant: str = "corrected") -> list[Mis
 
 @_identity("corollary5")
 def verify_corollary5(n: int, N: int, u, variant: str = "corrected") -> list[Mismatch]:
-    """Higher-order polynomial H_n^(N)(x|u) against the triangle formula
-    applied degreewise, compared coefficient by coefficient."""
+    """Higher-order polynomial H_n^(N)(x|u) against the Appell form of the
+    triangle formula's numbers, compared coefficient by coefficient."""
     _check_at_least("n", n, 0)
     _check_at_least("N", N, 1)
     u = _check_u(u, forbid_zero=True)
     lhs = fe_higher_polynomial(n, N, u)
-    factor = (1 - u) / u if variant == "as_printed" else (u - 1) / u
-    acc = Polynomial.zero()
-    for k, weight in enumerate(triangle_recurrence(N).row(N)):
-        shifted = Polynomial(
-            [binomial(n, d) * fe_number(n - d + k, u) for d in range(n + 1)]
-        )
-        acc = acc + weight * shifted
-    rhs = factor ** (N - 1) * acc / math.factorial(N - 1)
-    return _poly_mismatches(lhs, rhs)
+    rhs = Polynomial.appell(
+        [fe_higher_number_formula(k, N, u, variant) for k in range(n + 1)]
+    )
+    return _mismatches("x", lhs.coeffs, rhs.coeffs)
 
 
 @_identity("eq60_multinomial")
@@ -318,10 +305,8 @@ def verify_product_multinomial(n: int, N: int, u) -> list[Mismatch]:
     u = _check_u(u)
     lhs = fe_higher_polynomial(n, N, u)
     numbers = [fe_number(l, u) for l in range(n + 1)]
-    rhs = Polynomial(
-        [binomial(n, m) * _composition_sum(n - m, N, numbers) for m in range(n + 1)]
-    )
-    return _poly_mismatches(lhs, rhs)
+    rhs = Polynomial.appell([_composition_sum(k, N, numbers) for k in range(n + 1)])
+    return _mismatches("x", lhs.coeffs, rhs.coeffs)
 
 
 @_identity("carlitz_product")
@@ -335,8 +320,8 @@ def verify_carlitz(m: int, n: int, alpha, beta, variant: str = "corrected") -> l
     """
     if m < 0 or n < 0:
         raise ValueError("m and n must be >= 0")
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
+    alpha = exact_parameter(alpha)
+    beta = exact_parameter(beta)
     if alpha == 1 or beta == 1:
         raise ValueError("alpha = 1 or beta = 1 is outside the parameter domain")
     if alpha * beta == 1:
@@ -358,7 +343,7 @@ def verify_carlitz(m: int, n: int, alpha, beta, variant: str = "corrected") -> l
         rhs = rhs + c_beta * binomial(n, s) * fe_number(s, beta) * fe_polynomial(
             m + n - s, ab
         )
-    return _poly_mismatches(lhs, rhs)
+    return _mismatches("x", lhs.coeffs, rhs.coeffs)
 
 
 @_identity("carlitz_reciprocal")
@@ -371,7 +356,7 @@ def verify_carlitz_reciprocal(m: int, n: int, alpha) -> list[Mismatch]:
     """
     if m < 0 or n < 0:
         raise ValueError("m and n must be >= 0")
-    alpha = Fraction(alpha)
+    alpha = exact_parameter(alpha)
     if alpha == 0:
         raise ValueError("alpha = 0 has no reciprocal")
     if alpha == 1:
@@ -392,7 +377,7 @@ def verify_carlitz_reciprocal(m: int, n: int, alpha) -> list[Mismatch]:
         math.factorial(m + n + 1),
     )
     rhs = rhs + tail * (1 - alpha) * fe_number(m + n + 1, alpha)
-    return _poly_mismatches(lhs, rhs)
+    return _mismatches("x", lhs.coeffs, rhs.coeffs)
 
 
 @_identity("bernoulli_product")
@@ -424,7 +409,7 @@ def verify_bernoulli_product(m: int, n: int) -> list[Mismatch]:
         math.factorial(m + n),
     )
     rhs = rhs + tail * bernoulli_number(m + n)
-    return _poly_mismatches(lhs, rhs)
+    return _mismatches("x", lhs.coeffs, rhs.coeffs)
 
 
 # ---------------------------------------------------------------------------

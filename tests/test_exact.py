@@ -12,6 +12,7 @@ from feident.exact import (
     binomial,
     common_denominator,
     compositions,
+    exact_parameter,
     format_rational,
     multinomial,
     parse_rational,
@@ -70,6 +71,22 @@ class TestRationalText:
     @given(rationals)
     def test_round_trip(self, q):
         assert parse_rational(format_rational(q)) == q
+
+
+class TestExactParameter:
+    @pytest.mark.parametrize(
+        "value,expected",
+        [(2, Fraction(2)), (Fraction(-1, 3), Fraction(-1, 3)), ("2/6", Fraction(1, 3)),
+         ("-5/7", Fraction(-5, 7))],
+    )
+    def test_reads_like_fraction(self, value, expected):
+        q = exact_parameter(value)
+        assert (type(q), q) == (Fraction, expected)
+
+    @pytest.mark.parametrize("value", [0.5, 0.1, float("nan")])
+    def test_float_raises(self, value):
+        with pytest.raises(TypeError, match="float parameters are not allowed"):
+            exact_parameter(value)
 
 
 class TestCommonDenominator:

@@ -97,6 +97,12 @@ class TestFeNumber:
         with pytest.raises(ValueError):
             fe_number(-1, Fraction(2))
 
+    @pytest.mark.parametrize("call", [fe_number, fe_polynomial], ids=lambda f: f.__name__)
+    def test_float_u_refused(self, call):
+        # 0.1 is not 1/10 in binary; the value would be H_3 at the float's value
+        with pytest.raises(TypeError, match="float parameters are not allowed"):
+            call(3, 0.1)
+
     @pytest.mark.parametrize("u", U_SAMPLES)
     def test_recurrence_matches_series_oracle(self, u):
         oracle = frobenius_oracle(u, 16)

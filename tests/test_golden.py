@@ -48,6 +48,8 @@ CASES = [
      "750cf55de9a9d6ae5f16fa39906f52e37feb07eb711dd23d76b006655c6365ec"),
     ("audit", ["audit"], 1,
      "f1f68eac8efcfe7a8407e0f97529742de58ac200f3b9ab5d0a966a493693b8c9"),
+    ("audit csv", ["audit", "--format", "csv"], 1,
+     "99ecabf7ed6a8a15f4cd31031026b2d6021d9b4042c16e4da0e74f357da524df"),
 ]
 
 

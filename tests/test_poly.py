@@ -30,6 +30,20 @@ def test_constructors():
     assert Polynomial.constant(Fraction(3, 2)) == Polynomial([Fraction(3, 2)])
 
 
+def test_appell():
+    # sum_d C(2,d) numbers[2-d] x^d
+    assert Polynomial.appell([1, 1, 3]) == Polynomial([3, 2, 1])
+    assert Polynomial.appell([Fraction(5, 2)]) == Polynomial.constant(Fraction(5, 2))
+    assert Polynomial.appell([1] * 6) == Polynomial([1, 1]) ** 5
+
+
+@given(st.lists(coeff, min_size=1, max_size=7))
+def test_appell_at_zero_is_the_last_number(numbers):
+    p = Polynomial.appell(numbers)
+    assert p(0) == numbers[-1]
+    assert p.coefficient(len(numbers) - 1) == numbers[0]
+
+
 def test_degree_and_coefficient():
     p = Polynomial([1, 0, Fraction(5, 2)])
     assert p.degree == 2

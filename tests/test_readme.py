@@ -1,22 +1,31 @@
 """The python example under "## Library" in README.md runs as written, and
 every line of it whose trailing comment is a Python expression has the
-value of that expression, so the README cannot drift from the API."""
+value of that expression; the JSON example under "## Report format" is
+the report it describes.  So the README cannot drift from the API."""
 
 import ast
 import io
+import json
 import re
 import tokenize
 from pathlib import Path
 
+from feident.verify import verify_theorem3
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def library_example() -> str:
+def code_block(heading: str, language: str) -> str:
+    """The first ``language`` block in the README section under ``heading``."""
     text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    block = re.search(r"```python\n(.*?)```", section, re.S)
-    assert block is not None, 'README "## Library" has no python block'
+    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(rf"```{language}\n(.*?)```", section, re.S)
+    assert block is not None, f'README "## {heading}" has no {language} block'
     return block.group(1)
+
+
+def library_example() -> str:
+    return code_block("Library", "python")
 
 
 def trailing_comments(source: str) -> dict:
@@ -54,3 +63,8 @@ def test_library_example_shows_true_values():
     # The example shows at least three values; a parser that finds none
     # would otherwise pass without checking anything.
     assert len(checked) >= 3, checked
+
+
+def test_report_format_example_is_a_real_report():
+    example = json.loads(code_block("Report format", "json"))
+    assert example == verify_theorem3(0, 2, 2, "as_printed").to_dict()

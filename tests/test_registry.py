@@ -165,7 +165,7 @@ def test_variant_is_checked_before_the_other_parameters():
         verify.verify_bernoulli_product(1, 2, "corrected")
 
 
-@pytest.mark.parametrize("mismatches", [(), (Mismatch("t^0", "1", "2"),)])
+@pytest.mark.parametrize("mismatches", [(), (Mismatch("t^0", Fraction(1), Fraction(2)),)])
 @pytest.mark.parametrize("error", [None, "m and n must be >= 0"])
 def test_verdict_follows_error_and_mismatches(mismatches, error):
     report = VerificationReport("theorem1", "corrected", {}, mismatches, error)

@@ -255,6 +255,10 @@ class TestOracles:
         with pytest.raises(ValueError):
             frobenius_oracle(Fraction(1), 4)
 
+    def test_float_u_refused(self):
+        with pytest.raises(TypeError, match="float parameters are not allowed"):
+            frobenius_oracle(0.5, 4)
+
     def test_bernoulli_prefix(self):
         s = bernoulli_oracle(4)
         assert s.coeffs == (1, Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30))

@@ -1,18 +1,24 @@
 """Tests for the two-route verification harness and its reports."""
 
+import contextlib
+import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from feident.cli import run
 from feident.frobenius import euler_polynomial, fe_polynomial
 from feident.poly import Polynomial
 from feident.series import series_mul
 from feident.verify import (
     DEFAULT_GRID,
     IDENTITIES,
+    Mismatch,
+    _mismatches,
     audit_all,
     audit_document,
     summarize,
@@ -47,7 +53,7 @@ class TestTheorem1:
         report = verify_theorem1(2, Fraction(2), 10, "as_printed")
         assert report.verdict == "fail"
         first = report.mismatches[0]
-        assert (first.at, first.lhs, first.rhs) == ("t^0", "2", "-2")
+        assert (first.at, first.lhs, first.rhs) == ("t^0", 2, -2)
 
     @pytest.mark.parametrize("u", [Fraction(0), Fraction(1)])
     def test_parameter_domain(self, u):
@@ -105,7 +111,7 @@ class TestTheorem3:
         assert report.verdict == "fail"
         assert report.mismatches == tuple(report.mismatches)
         first = report.mismatches[0]
-        assert (first.at, first.lhs, first.rhs) == ("value", "1", "-1")
+        assert (first.at, first.lhs, first.rhs) == ("value", 1, -1)
 
     def test_parameter_errors_propagate(self):
         with pytest.raises(ValueError):
@@ -128,7 +134,7 @@ class TestCorollary4:
     def test_as_printed_fails(self):
         report = verify_corollary4(1, 2, Fraction(2), "as_printed")
         assert report.verdict == "fail"
-        assert report.mismatches[0].lhs == "2"
+        assert report.mismatches[0].lhs == 2
 
 
 class TestCorollary5:
@@ -166,7 +172,7 @@ class TestCarlitzProduct:
         report = verify_carlitz(0, 0, Fraction(2), Fraction(3), "as_printed")
         assert report.verdict == "fail"
         first = report.mismatches[0]
-        assert (first.at, first.lhs, first.rhs) == ("x^0", "1", "8/5")
+        assert (first.at, first.lhs, first.rhs) == ("x^0", 1, Fraction(8, 5))
 
     def test_corrected_general(self):
         report = verify_carlitz(2, 3, Fraction(2), Fraction(3), "corrected")
@@ -276,6 +282,69 @@ class TestReports:
     def test_pass_iff_no_mismatches(self):
         for report in audit_all({"theorem3": DEFAULT_GRID["theorem3"]}):
             assert_self_consistent(report)
+
+    def test_mismatches_hold_exact_values_and_to_dict_formats_them(self):
+        report = verify_carlitz(0, 0, Fraction(2), Fraction(3), "as_printed")
+        first = report.mismatches[0]
+        assert (type(first.lhs), type(first.rhs)) == (Fraction, Fraction)
+        assert report.to_dict()["mismatches"][0] == {"at": "x^0", "lhs": "1", "rhs": "8/5"}
+
+    def test_shorter_side_is_padded_with_zeros(self):
+        lhs, rhs = Polynomial([1, 0, 3]).coeffs, Polynomial([1, 2]).coeffs
+        assert _mismatches("x", lhs, rhs) == [
+            Mismatch("x^1", 0, 2), Mismatch("x^2", 3, 0)
+        ]
+        assert _mismatches("t", rhs, lhs)[-1] == Mismatch("t^2", 0, 3)
+
+
+class TestFloatParameters:
+    """A float is refused wherever a rational parameter enters, instead of
+    being read at its binary value."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: verify_theorem1(2, 0.5),
+            lambda: verify_corollary2(1, 2, 0.5),
+            lambda: verify_theorem3(2, 2, 0.5),
+            lambda: verify_carlitz(1, 1, 0.5, 3),
+            lambda: verify_carlitz(1, 1, 3, 0.5),
+            lambda: verify_carlitz_reciprocal(1, 1, 0.5),
+        ],
+        ids=["theorem1-u", "corollary2-x", "theorem3-u", "carlitz-alpha", "carlitz-beta",
+             "carlitz_reciprocal-alpha"],
+    )
+    def test_float_raises(self, call):
+        with pytest.raises(TypeError, match="float parameters are not allowed"):
+            call()
+
+
+class TestLibraryDigitLimit:
+    """A failing check is ``fail`` under any int-to-str digit limit; only
+    formatting its values needs a limit that fits them."""
+
+    CASE = (400, 2, Fraction(1, 3), "as_printed")
+    GRID = {"theorem3": {"variant": ["as_printed"], "n": [400], "N": [2], "u": ["1/3"]}}
+    ARGV = ["verify", "theorem3", "--n", "400", "--N", "2", "--u", "1/3",
+            "--variant", "as-printed"]
+
+    def test_fail_at_the_lowest_limit(self):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            report = verify_theorem3(*self.CASE)
+            assert report.verdict == "fail"
+            assert [r.verdict for r in audit_all(self.GRID)] == ["fail"]
+            with pytest.raises(ValueError, match="integer string conversion"):
+                report.to_dict()
+            sys.set_int_max_str_digits(0)
+            text = json.dumps(report.to_dict(), indent=2) + "\n"
+        finally:
+            sys.set_int_max_str_digits(before)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(self.ARGV) == 1
+        assert out.getvalue() == text
 
 
 class TestAudit:
