@@ -7,7 +7,11 @@ Three commands:
     audit  [--grid FILE]
 
 Tables default to CSV, verification and audits to JSON.  Rationals are
-always serialized as "p/q" strings, never as floating point.  Exit status
+always serialized as "p/q" strings, never as floating point.  A CSV table
+is written row by row, so its whole text is never held; its fields are
+ints, "p/q" strings and fixed headers, which never need quoting.  Report
+CSV goes through ``csv.writer``, as error messages may hold commas and
+quotes, and JSON is one ``json.dumps`` text.  Exit status
 is 0 when every verdict passes, 1 when any verification fails, and 2 on
 usage or parameter errors.
 
@@ -24,6 +28,7 @@ import csv
 import io
 import json
 import sys
+from typing import Iterable, Iterator
 
 from .exact import format_rational, parse_rational
 from .frobenius import bernoulli_number, fe_higher_numbers, fe_number, fe_polynomial
@@ -185,9 +190,8 @@ def _table_document(args) -> dict:
             raise ValueError("fe-polynomials requires --u")
         rows = []
         for n in range(n_max + 1):
-            poly = fe_polynomial(n, args.u)
-            coeffs = [format_rational(poly.coefficient(d)) for d in range(n_max + 1)]
-            rows.append({"n": n, "coeffs": coeffs})
+            coeffs = [format_rational(c) for c in fe_polynomial(n, args.u).coeffs]
+            rows.append({"n": n, "coeffs": coeffs + ["0"] * (n_max + 1 - len(coeffs))})
         return {"table": subject, "params": {"u": format_rational(args.u)}, "rows": rows}
 
     if subject == "stirling":
@@ -203,25 +207,24 @@ def _table_document(args) -> dict:
     raise ValueError(f"unknown table subject {subject!r}")
 
 
-def _table_csv(doc: dict) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+def _table_csv(doc: dict) -> Iterator[str]:
+    """The table as CSV, one chunk per table row (per triangle row for
+    ``stirling``).  Every field is an int, a "p/q" string or a fixed
+    header, so none needs quoting and no ``csv.writer`` is needed."""
     subject = doc["table"]
     if subject == "stirling":
-        writer.writerow(["N", "k", "a_k"])
+        yield "N,k,a_k\n"
         for i, row in enumerate(doc["rows"], start=1):
-            for k, value in enumerate(row):
-                writer.writerow([i, k, value])
+            yield "".join(f"{i},{k},{value}\n" for k, value in enumerate(row))
     elif subject == "fe-polynomials":
         width = len(doc["rows"][0]["coeffs"]) if doc["rows"] else 0
-        writer.writerow(["n"] + [f"x^{d}" for d in range(width)])
+        yield ",".join(["n"] + [f"x^{d}" for d in range(width)]) + "\n"
         for row in doc["rows"]:
-            writer.writerow([row["n"]] + row["coeffs"])
+            yield f"{row['n']},{','.join(row['coeffs'])}\n"
     else:
-        writer.writerow(["n", "value"])
+        yield "n,value\n"
         for row in doc["rows"]:
-            writer.writerow([row["n"], row["value"]])
-    return out.getvalue()
+            yield f"{row['n']},{row['value']}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +245,14 @@ def _reports_csv(reports) -> str:
     return out.getvalue()
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(chunks: Iterable[str], out_path: str | None) -> None:
+    """Write the chunks in order to stdout or to ``out_path``, never
+    holding more than one of them."""
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _json_text(doc) -> str:
@@ -280,8 +285,8 @@ def _run(argv) -> int:
     try:
         if args.command == "table":
             doc = _table_document(args)
-            text = _json_text(doc) if args.format == "json" else _table_csv(doc)
-            _emit(text, args.out)
+            chunks = [_json_text(doc)] if args.format == "json" else _table_csv(doc)
+            _emit(chunks, args.out)
             return EXIT_PASS
 
         if args.command == "verify":
@@ -291,7 +296,7 @@ def _run(argv) -> int:
                 text = _json_text(report.to_dict())
             else:
                 text = _reports_csv([report])
-            _emit(text, args.out)
+            _emit([text], args.out)
             return _exit_code([report])
 
         if args.command == "audit":
@@ -308,7 +313,7 @@ def _run(argv) -> int:
                 text = _json_text(audit_document(reports))
             else:
                 text = _reports_csv(reports)
-            _emit(text, args.out)
+            _emit([text], args.out)
             return _exit_code(reports)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"feident: error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "rat",
@@ -21,6 +21,7 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "common_denominator",
+    "linear_combination",
     "binomial",
     "multinomial",
     "compositions",
@@ -73,8 +74,10 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Inverse of :func:`parse_rational`; ``Fraction`` already prints in
-    canonical "p/q" form."""
+    """Inverse of :func:`parse_rational`; ``Fraction`` and ``int`` already
+    print in canonical "p/q" form (``bool`` does not, so it is converted)."""
+    if type(value) is Fraction or type(value) is int:
+        return str(value)
     return str(Fraction(value))
 
 
@@ -84,6 +87,34 @@ def common_denominator(values: Sequence[Fraction | int]) -> tuple[list[int], int
     values."""
     d = math.lcm(*[v.denominator for v in values])
     return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def linear_combination(
+    terms: Iterable[tuple[Fraction | int, Sequence[Fraction | int]]]
+) -> list[Fraction]:
+    """Entry i of sum scalar * sequence over the ``(scalar, sequence)``
+    pairs, as long as the longest sequence (shorter ones count as padded
+    with zeros); ``[]`` for no terms.
+
+    Terms with a zero scalar are skipped.  The others are put over one
+    lcm and summed in integers, so each entry becomes one reduced
+    Fraction, with one gcd, instead of a Fraction product and sum per term.
+    """
+    width, scaled = 0, []
+    for scalar, seq in terms:
+        width = max(width, len(seq))
+        if type(scalar) is not Fraction:
+            scalar = as_fraction(scalar)
+        if scalar:
+            nums, d = common_denominator(seq)
+            scaled.append((scalar.numerator, scalar.denominator * d, nums))
+    lcm = math.lcm(*[den for _, den, _ in scaled])
+    total = [0] * width
+    for num, den, nums in scaled:
+        weight = num * (lcm // den)
+        for i, v in enumerate(nums):
+            total[i] += weight * v
+    return [Fraction(t, lcm) for t in total]
 
 
 def binomial(n: int, k: int) -> int:

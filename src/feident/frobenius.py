@@ -40,7 +40,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import exact_parameter
+from .exact import exact_parameter, linear_combination
 from .poly import Polynomial
 from .series import bernoulli_oracle, frobenius_oracle, series_pow
 from .stirling import triangle_recurrence
@@ -158,17 +158,27 @@ def fe_higher_number_formula(
     with factor (u-1)/u for ``corrected`` and (1-u)/u for ``as_printed``.
     Shares nothing with the series route beyond basic arithmetic.
     """
-    _check_at_least("n", n, 0)
+    return _formula_numbers(n, order, u, variant, first=n)[0]
+
+
+def _formula_numbers(
+    n_max: int, order: int, u: Fraction, variant: str, first: int = 0
+) -> list[Fraction]:
+    """H_first^(N)(u)..H_{n_max}^(N)(u) by :func:`fe_higher_number_formula`,
+    with the triangle row and the prefactor built once: entry n is
+    sum_k prefactor * a_k(N) * H_{n+k}(u), one integer linear combination
+    of shifted slices of the number table."""
+    _check_at_least("n", n_max, 0)
     _check_at_least("order", order, 1)
     u = _check_u(u, forbid_zero=True)
     _check_variant(variant)
     factor = (1 - u) / u if variant == "as_printed" else (u - 1) / u
+    prefactor = factor ** (order - 1) / math.factorial(order - 1)
     row = triangle_recurrence(order).row(order)
-    numbers = _table(u).upto(n + len(row) - 1)
-    acc = Fraction(0)
-    for k, weight in enumerate(row):
-        acc += weight * numbers[n + k]
-    return factor ** (order - 1) * acc / math.factorial(order - 1)
+    numbers = _table(u).upto(n_max + len(row) - 1)
+    return linear_combination(
+        (prefactor * weight, numbers[first + k: n_max + k + 1]) for k, weight in enumerate(row)
+    )
 
 
 def fe_higher_polynomial(n: int, order: int, u: Fraction) -> Polynomial:

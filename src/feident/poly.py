@@ -8,7 +8,12 @@ scalars.  A Polynomial is never a series coefficient.
 
 The product of two polynomials is convolved in integers: each factor is
 put over one common denominator and each output coefficient becomes one
-reduced Fraction, with one gcd per coefficient.
+reduced Fraction, with one gcd per coefficient.  ``Polynomial.combination``
+sums scalar multiples of polynomials the same way, through
+:func:`feident.exact.linear_combination`: every term over one lcm, one
+integer sum and one reduced Fraction per coefficient.  A product by a
+scalar is a one-term combination, and ``Polynomial.appell`` makes one
+Fraction per coefficient from an integer product.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .exact import as_fraction, binomial, common_denominator
+from .exact import as_fraction, binomial, common_denominator, linear_combination
 
 __all__ = ["Polynomial"]
 
@@ -61,7 +66,17 @@ class Polynomial:
         """sum_d C(n,d) numbers[n-d] x^d with n = len(numbers) - 1: the
         Appell polynomial of the numbers, as H_n(x|u) is that of the H_l(u)."""
         n = len(numbers) - 1
-        return cls([binomial(n, d) * numbers[n - d] for d in range(n + 1)])
+        xs = [x if type(x) is Fraction else as_fraction(x) for x in reversed(numbers)]
+        # one Fraction (one gcd) per coefficient, not an int * Fraction product
+        return cls([Fraction(binomial(n, d) * x.numerator, x.denominator)
+                    for d, x in enumerate(xs)])
+
+    @classmethod
+    def combination(cls, terms: Iterable[tuple[Scalar, "Polynomial"]]) -> "Polynomial":
+        """sum scalar * poly over the ``(scalar, poly)`` pairs, summed in
+        integers over one common denominator (see
+        :func:`feident.exact.linear_combination`); zero for no terms."""
+        return cls(linear_combination((c, p.coeffs) for c, p in terms))
 
     @property
     def degree(self) -> int:
@@ -121,7 +136,7 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            return Polynomial(tuple(c * other for c in self.coeffs))
+            return Polynomial.combination([(other, self)])
         if not isinstance(other, Polynomial):
             return NotImplemented
         a, da = common_denominator(self.coeffs)

@@ -8,6 +8,14 @@ coefficient typo, both the commonly typeset form (``as_printed``) and the
 repaired form (``corrected``) can be evaluated; the report records which
 one actually holds, with exact mismatch values.
 
+The checkers' sums run on integers.  The composition sum of corollary4
+and eq60_multinomial puts the numbers over one common denominator d, sums
+multinomial(k; l) * prod nums[l_i] in integers and makes one Fraction
+over d^N.  The weighted sums of polynomials (the Carlitz and Bernoulli
+products) and of the derivatives of F (theorem1, corollary2) are each one
+call of :func:`feident.exact.linear_combination`, which puts every term
+over one lcm and makes one reduced Fraction per coefficient.
+
 Reports are deterministic functions of (identity, params, variant), and a
 report passes exactly when its mismatch list is empty.  A ``Mismatch``
 holds both values exact; only ``VerificationReport.to_dict`` formats them,
@@ -34,8 +42,10 @@ from fractions import Fraction
 
 from .exact import (
     binomial,
+    common_denominator,
     exact_parameter,
     format_rational,
+    linear_combination,
     multinomial,
     parse_rational,
     weak_compositions,
@@ -45,6 +55,7 @@ from .frobenius import (
     _check_at_least,
     _check_u,
     _check_variant,
+    _formula_numbers,
     bernoulli_number,
     bernoulli_polynomial,
     fe_higher_number_formula,
@@ -58,8 +69,6 @@ from .series import (
     EgfSeries,
     exp_minus_constant,
     exp_xt,
-    series_add,
-    series_derivative,
     series_mul,
     series_pow,
     series_reciprocal,
@@ -190,19 +199,15 @@ def _scalar_mismatches(lhs: Fraction, rhs: Fraction) -> list[Mismatch]:
 
 def _derivative_side(base: EgfSeries, weights, target: int, factor=None) -> EgfSeries:
     """sum_k weights[k] * base^(k-th derivative), truncated to ``target``;
-    each derivative is multiplied by ``factor`` first when given."""
+    each derivative is multiplied by ``factor`` first when given.  The k-th
+    derivative of an EGF is its shift by k, and the weighted sum is one
+    integer linear combination."""
 
-    def term(series):
-        if factor is not None:
-            series = series_mul(series, factor)
-        return series_truncate(series, target)
+    def term(k):
+        coeffs = base.coeffs[k: k + target + 1]
+        return coeffs if factor is None else series_mul(EgfSeries(coeffs), factor).coeffs
 
-    acc = series_scale(term(base), weights[0])
-    current = base
-    for w in weights[1:]:
-        current = series_derivative(current)
-        acc = series_add(acc, series_scale(term(current), w))
-    return acc
+    return EgfSeries(linear_combination((w, term(k)) for k, w in enumerate(weights)))
 
 
 def _derivative_expansion(N, u, x, T, variant) -> list[Mismatch]:
@@ -219,10 +224,10 @@ def _derivative_expansion(N, u, x, T, variant) -> list[Mismatch]:
     sign = 1 if variant == "as_printed" else (-1) ** (N - 1)
     scale = math.factorial(N - 1) * sign * u ** (N - 1)
     target = T - (N - 1)
-    power = series_pow(F, N)
+    power = series_pow(series_truncate(F, target), N)
     if E is not None:
         power = series_mul(power, E)
-    lhs = series_truncate(series_scale(power, scale), target)
+    lhs = series_scale(power, scale)
     rhs = _derivative_side(F, triangle_recurrence(N).row(N), target, factor=E)
     return _mismatches("t", lhs.coeffs, rhs.coeffs)
 
@@ -258,14 +263,19 @@ def verify_theorem3(n: int, N: int, u, variant: str = "corrected") -> list[Misma
 
 def _composition_sum(k: int, N: int, numbers) -> Fraction:
     """Sum over the weak compositions l of k into N parts of
-    multinomial(k; l) * numbers[l_1] * ... * numbers[l_N]."""
-    total = Fraction(0)
+    multinomial(k; l) * numbers[l_1] * ... * numbers[l_N].
+
+    With numbers[0..k] over one common denominator d, every product has
+    the denominator d^N, so the sum runs on integer numerators and makes
+    one Fraction."""
+    nums, d = common_denominator(numbers[: k + 1])
+    total = 0
     for parts in weak_compositions(k, N):
-        prod = Fraction(multinomial(k, parts))
+        prod = multinomial(k, parts)
         for l in parts:
-            prod *= numbers[l]
+            prod *= nums[l]
         total += prod
-    return total
+    return Fraction(total, d**N)
 
 
 @_identity("corollary4")
@@ -288,9 +298,7 @@ def verify_corollary5(n: int, N: int, u, variant: str = "corrected") -> list[Mis
     _check_at_least("N", N, 1)
     u = _check_u(u, forbid_zero=True)
     lhs = fe_higher_polynomial(n, N, u)
-    rhs = Polynomial.appell(
-        [fe_higher_number_formula(k, N, u, variant) for k in range(n + 1)]
-    )
+    rhs = Polynomial.appell(_formula_numbers(n, N, u, variant))
     return _mismatches("x", lhs.coeffs, rhs.coeffs)
 
 
@@ -334,15 +342,13 @@ def verify_carlitz(m: int, n: int, alpha, beta, variant: str = "corrected") -> l
     else:
         c_beta = beta * (1 - alpha) / (1 - ab)
     lhs = fe_polynomial(m, alpha) * fe_polynomial(n, beta)
-    rhs = c_plain * fe_polynomial(m + n, ab)
-    for r in range(m + 1):
-        rhs = rhs + c_alpha * binomial(m, r) * fe_number(r, alpha) * fe_polynomial(
-            m + n - r, ab
-        )
-    for s in range(n + 1):
-        rhs = rhs + c_beta * binomial(n, s) * fe_number(s, beta) * fe_polynomial(
-            m + n - s, ab
-        )
+    rhs = Polynomial.combination(
+        [(c_plain, fe_polynomial(m + n, ab))]
+        + [(c_alpha * binomial(m, r) * fe_number(r, alpha), fe_polynomial(m + n - r, ab))
+           for r in range(m + 1)]
+        + [(c_beta * binomial(n, s) * fe_number(s, beta), fe_polynomial(m + n - s, ab))
+           for s in range(n + 1)]
+    )
     return _mismatches("x", lhs.coeffs, rhs.coeffs)
 
 
@@ -363,20 +369,17 @@ def verify_carlitz_reciprocal(m: int, n: int, alpha) -> list[Mismatch]:
         raise ValueError("alpha = 1 is outside the parameter domain")
     beta = 1 / alpha
     lhs = fe_polynomial(m, alpha) * fe_polynomial(n, beta)
-    rhs = Polynomial.zero()
-    for r in range(1, m + 1):
-        rhs = rhs - (1 - alpha) * binomial(m, r) * fe_number(r, alpha) * (
-            bernoulli_polynomial(m + n - r + 1) / (m + n - r + 1)
-        )
-    for s in range(1, n + 1):
-        rhs = rhs - (1 - beta) * binomial(n, s) * fe_number(s, beta) * (
-            bernoulli_polynomial(m + n - s + 1) / (m + n - s + 1)
-        )
     tail = Fraction(
         (-1) ** (n + 1) * math.factorial(m) * math.factorial(n),
         math.factorial(m + n + 1),
     )
-    rhs = rhs + tail * (1 - alpha) * fe_number(m + n + 1, alpha)
+    rhs = Polynomial.combination(
+        [((alpha - 1) * binomial(m, r) * fe_number(r, alpha) / (m + n - r + 1),
+          bernoulli_polynomial(m + n - r + 1)) for r in range(1, m + 1)]
+        + [((beta - 1) * binomial(n, s) * fe_number(s, beta) / (m + n - s + 1),
+            bernoulli_polynomial(m + n - s + 1)) for s in range(1, n + 1)]
+        + [(tail * (1 - alpha) * fe_number(m + n + 1, alpha), Polynomial.one())]
+    )
     return _mismatches("x", lhs.coeffs, rhs.coeffs)
 
 
@@ -394,21 +397,21 @@ def verify_bernoulli_product(m: int, n: int) -> list[Mismatch]:
         raise ValueError("m and n must be >= 0")
     _check_at_least("m + n", m + n, 2)
     lhs = bernoulli_polynomial(m) * bernoulli_polynomial(n)
-    rhs = Polynomial.zero()
+    terms = []
     for r in range(max(m, n) // 2 + 1):
         if m + n - 2 * r == 0:
             continue
         weight = binomial(m, 2 * r) * n + binomial(n, 2 * r) * m
         if weight == 0:
             continue
-        rhs = rhs + weight * bernoulli_number(2 * r) * (
-            bernoulli_polynomial(m + n - 2 * r) / (m + n - 2 * r)
-        )
+        terms.append((weight * bernoulli_number(2 * r) / (m + n - 2 * r),
+                      bernoulli_polynomial(m + n - 2 * r)))
     tail = Fraction(
         (-1) ** (m + 1) * math.factorial(m) * math.factorial(n),
         math.factorial(m + n),
     )
-    rhs = rhs + tail * bernoulli_number(m + n)
+    terms.append((tail * bernoulli_number(m + n), Polynomial.one()))
+    rhs = Polynomial.combination(terms)
     return _mismatches("x", lhs.coeffs, rhs.coeffs)
 
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,74 @@ class TestTable:
         code, _, err = run_capture(capsys, ["table", "fe-numbers", "--u", "1", "--n-max", "2"])
         assert code == 2
         assert "u = 1" in err
+
+
+def table_argv(subject, n_max):
+    extra = {"fe-numbers": ["--u=-5/7"], "fe-polynomials": ["--u=-5/7"],
+             "fe-higher": ["--u=-5/7", "--N", "3"]}.get(subject, [])
+    return ["table", subject, *extra, "--n-max", str(n_max)]
+
+
+def csv_writer_rendering(doc) -> str:
+    """The table's CSV as ``csv.writer`` writes it, from its JSON document."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    if doc["table"] == "stirling":
+        writer.writerow(["N", "k", "a_k"])
+        for i, row in enumerate(doc["rows"], start=1):
+            writer.writerows([i, k, value] for k, value in enumerate(row))
+    elif doc["table"] == "fe-polynomials":
+        writer.writerow(["n"] + [f"x^{d}" for d in range(len(doc["rows"][0]["coeffs"]))])
+        writer.writerows([row["n"]] + row["coeffs"] for row in doc["rows"])
+    else:
+        writer.writerow(["n", "value"])
+        writer.writerows([row["n"], row["value"]] for row in doc["rows"])
+    return out.getvalue()
+
+
+class TestTableRendering:
+    """Tables are written row by row without ``csv.writer``; the bytes must
+    be what ``csv.writer`` would have written."""
+
+    @pytest.mark.parametrize("n_max", [0, 1, 40])
+    @pytest.mark.parametrize(
+        "subject", ["fe-numbers", "fe-polynomials", "fe-higher", "stirling", "bernoulli"]
+    )
+    def test_csv_matches_csv_writer(self, capsys, subject, n_max):
+        argv = table_argv(subject, n_max)
+        code, out, err = run_capture(capsys, argv)
+        json_code, doc, _ = run_capture(capsys, argv + ["--format", "json"])
+        assert code == json_code
+        if subject == "stirling" and n_max == 0:
+            assert (code, out) == (2, "")
+            assert "--n-max >= 1" in err
+        else:
+            assert code == 0
+            assert out == csv_writer_rendering(json.loads(doc))
+
+    @pytest.mark.parametrize(
+        "subject", ["fe-numbers", "fe-polynomials", "fe-higher", "stirling", "bernoulli"]
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_file_bytes_equal_stdout_bytes(self, capsys, tmp_path, subject, fmt):
+        argv = table_argv(subject, 12) + ["--format", fmt]
+        _, out, _ = run_capture(capsys, argv)
+        path = tmp_path / "table.out"
+        assert run_capture(capsys, argv + ["--out", str(path)]) == (0, "", "")
+        assert path.read_bytes() == out.encode("utf-8")
+
+    def test_stirling_is_streamed(self, tmp_path):
+        """The whole text is never held: the peak of traced allocations
+        stays below the size of the file written."""
+        path = tmp_path / "stirling.csv"
+        tracemalloc.start()
+        try:
+            code = run(["table", "stirling", "--n-max", "200", "--out", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < path.stat().st_size
 
 
 class TestVerifyCommand:

@@ -14,6 +14,7 @@ from feident.exact import (
     compositions,
     exact_parameter,
     format_rational,
+    linear_combination,
     multinomial,
     parse_rational,
     rat,
@@ -67,6 +68,11 @@ class TestRationalText:
         assert format_rational(Fraction(-1, 3)) == "-1/3"
         assert format_rational(Fraction(2)) == "2"
         assert format_rational(5) == "5"
+        assert format_rational(-5) == "-5"
+
+    @pytest.mark.parametrize("value,text", [(True, "1"), (False, "0")])
+    def test_format_bool_as_its_integer(self, value, text):
+        assert format_rational(value) == text
 
     @given(rationals)
     def test_round_trip(self, q):
@@ -101,6 +107,39 @@ class TestCommonDenominator:
         assert d == math.lcm(*[v.denominator for v in values])
         assert all(type(n) is int for n in numerators)
         assert [Fraction(n, d) for n in numerators] == values
+
+
+def fraction_combination(terms) -> list:
+    """sum scalar * sequence, entry by entry, in plain Fraction arithmetic."""
+    width = max((len(seq) for _, seq in terms), default=0)
+    out = [Fraction(0)] * width
+    for scalar, seq in terms:
+        for i, value in enumerate(seq):
+            out[i] += scalar * value
+    return out
+
+
+class TestLinearCombination:
+    def test_examples(self):
+        terms = [(Fraction(1, 2), [Fraction(1, 3), 2]), (-3, [Fraction(1, 6)]),
+                 (0, [1, 2, 3, 4])]
+        assert linear_combination(terms) == [Fraction(-1, 3), 1, 0, 0]
+        assert linear_combination([]) == []
+
+    @given(st.lists(st.tuples(rationals, st.lists(rationals, max_size=6)), max_size=6))
+    def test_matches_fraction_arithmetic(self, terms):
+        # zero and negative scalars, mixed denominators, unequal lengths, no terms
+        out = linear_combination(terms)
+        assert all(type(c) is Fraction for c in out)
+        assert out == fraction_combination(terms)
+
+    def test_accepts_any_sequence(self):
+        assert linear_combination(((2, (Fraction(1, 4),)),)) == [Fraction(1, 2)]
+        assert linear_combination(iter([(1, range(3))])) == [0, 1, 2]
+
+    def test_float_scalar_raises(self):
+        with pytest.raises(TypeError, match="float"):
+            linear_combination([(0.5, [1])])
 
 
 class TestBinomial:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from feident.frobenius import (
+    _formula_numbers,
     bernoulli_number,
     bernoulli_polynomial,
     euler_polynomial,
@@ -19,6 +20,7 @@ from feident.frobenius import (
 )
 from feident.poly import Polynomial
 from feident.series import exp_xt, frobenius_oracle, series_mul
+from feident.stirling import triangle_recurrence
 
 U_SAMPLES = [Fraction(2), Fraction(-1), Fraction(1, 3), Fraction(-5, 7)]
 
@@ -207,6 +209,22 @@ class TestHigherOrderFormula:
                     assert fe_higher_number_formula(
                         n, order, u, "corrected"
                     ) == fe_higher_number_oracle(n, order, u)
+
+    @pytest.mark.parametrize("variant", ["as_printed", "corrected"])
+    @pytest.mark.parametrize("order", [1, 2, 5])
+    @pytest.mark.parametrize("u", U_SAMPLES)
+    def test_formula_numbers_match_a_fraction_loop(self, u, order, variant):
+        factor = (1 - u) / u if variant == "as_printed" else (u - 1) / u
+        row = triangle_recurrence(order).row(order)
+        expected = []
+        for n in range(9):
+            acc = Fraction(0)
+            for k, weight in enumerate(row):
+                acc += weight * fe_number(n + k, u)
+            expected.append(factor ** (order - 1) * acc / math.factorial(order - 1))
+        assert _formula_numbers(8, order, u, variant) == expected
+        assert _formula_numbers(8, order, u, variant, first=3) == expected[3:]
+        assert [fe_higher_number_formula(n, order, u, variant) for n in range(9)] == expected
 
     def test_u_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,9 @@ The digests pin the exact bytes (and exit status) of a few large tables
 and of the default audit, so any change to the number kernel, the series
 code or the rendering that alters a single character shows up here.  They
 were recorded before the fraction-free prefix-table kernel replaced the
-Fraction recurrence, so they also pin that the two agree.
+Fraction recurrence, so they also pin that the two agree.  The ``stirling``
+digests were recorded while tables were still rendered by ``csv.writer``,
+so they pin that the row-by-row writer gives the same bytes.
 
 ``PATH_CASES`` pin the error and edge paths of ``verify`` and ``audit``
 the same way, with stderr kept verbatim: missing and unusable flags,
@@ -46,6 +48,10 @@ CASES = [
      "7610f95865ffced1ab944b2cb4dbab9f1d913f5670a4bd91c21f836e3fc1c1b9"),
     ("bernoulli", ["table", "bernoulli", "--n-max", "150"], 0,
      "750cf55de9a9d6ae5f16fa39906f52e37feb07eb711dd23d76b006655c6365ec"),
+    ("stirling", ["table", "stirling", "--n-max", "120"], 0,
+     "e3b909137de94dcd3e58c24fcba31adbf2040912fb7e876d86a9d76356cf9fc5"),
+    ("stirling json", ["table", "stirling", "--n-max", "40", "--format", "json"], 0,
+     "3c5ba3b34cfcaca8568a4b2136809e4aa7b98fc63ea2f95ad47a4c704fa68b74"),
     ("audit", ["audit"], 1,
      "f1f68eac8efcfe7a8407e0f97529742de58ac200f3b9ab5d0a966a493693b8c9"),
     ("audit csv", ["audit", "--format", "csv"], 1,

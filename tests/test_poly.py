@@ -44,6 +44,28 @@ def test_appell_at_zero_is_the_last_number(numbers):
     assert p.coefficient(len(numbers) - 1) == numbers[0]
 
 
+def test_appell_refuses_floats():
+    with pytest.raises(TypeError):
+        Polynomial.appell([1, 0.5])
+
+
+def test_combination_examples():
+    p, q = Polynomial([1, Fraction(1, 2)]), Polynomial([0, 0, 3])
+    assert Polynomial.combination([(2, p), (Fraction(-1, 3), q)]) == Polynomial([2, 1, -1])
+    assert Polynomial.combination([(1, q), (-1, q)]) == Polynomial.zero()
+    assert Polynomial.combination([(0, q)]) == Polynomial.zero()
+    assert Polynomial.combination([]) == Polynomial.zero()
+
+
+@given(st.lists(st.tuples(coeff, polys), max_size=6))
+def test_combination_matches_the_scalar_loop(terms):
+    # zero and negative scalars, mixed denominators, unequal degrees, no terms
+    expected = Polynomial.zero()
+    for scalar, poly in terms:
+        expected = expected + scalar * poly
+    assert Polynomial.combination(terms) == expected
+
+
 def test_degree_and_coefficient():
     p = Polynomial([1, 0, Fraction(5, 2)])
     assert p.degree == 2

@@ -12,12 +12,14 @@ the series-power fault reaches only the series route to higher-order
 numbers, which corollary5 and eq60_multinomial read through
 ``fe_higher_polynomial`` and theorem3 through ``fe_higher_number_oracle``.
 theorem1 and corollary2 raise their own series to powers in ``verify``,
-so they do not read ``frobenius.series_pow``.
+so they do not read ``frobenius.series_pow``.  The multinomial fault (one
+more at k = 3) reaches only the composition sum, which corollary4 and
+eq60_multinomial read on their direct-enumeration side.
 """
 
 from fractions import Fraction
 
-from feident import frobenius
+from feident import frobenius, verify
 from feident.series import EgfSeries
 from feident.verify import audit_all
 
@@ -68,3 +70,13 @@ def test_series_pow_fault(monkeypatch):
 
     monkeypatch.setattr(frobenius, "series_pow", faulty)
     assert failing_identities() == {"corollary5", "eq60_multinomial", "theorem3"}
+
+
+def test_multinomial_fault(monkeypatch):
+    multinomial = verify.multinomial
+
+    def faulty(n, parts):
+        return multinomial(n, parts) + (n == 3)
+
+    monkeypatch.setattr(verify, "multinomial", faulty)
+    assert failing_identities() == {"corollary4", "eq60_multinomial"}

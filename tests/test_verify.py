@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from feident import frobenius
 from feident.cli import run
+from feident.exact import multinomial, weak_compositions
 from feident.frobenius import euler_polynomial, fe_polynomial
 from feident.poly import Polynomial
 from feident.series import series_mul
@@ -18,6 +20,7 @@ from feident.verify import (
     DEFAULT_GRID,
     IDENTITIES,
     Mismatch,
+    _composition_sum,
     _mismatches,
     audit_all,
     audit_document,
@@ -137,6 +140,35 @@ class TestCorollary4:
         assert report.mismatches[0].lhs == 2
 
 
+class TestCompositionSum:
+    """The integer composition sum against a Fraction loop over the same
+    compositions."""
+
+    @staticmethod
+    def fraction_sum(k, N, numbers):
+        total = Fraction(0)
+        for parts in weak_compositions(k, N):
+            prod = Fraction(multinomial(k, parts))
+            for l in parts:
+                prod *= numbers[l]
+            total += prod
+        return total
+
+    @given(st.data(), st.integers(0, 5), st.integers(1, 4))
+    def test_matches_fraction_loop(self, data, k, N):
+        # mixed denominators, zero and negative values, numbers past k unread
+        numbers = data.draw(st.lists(rationals, min_size=k + 1, max_size=k + 3))
+        total = _composition_sum(k, N, numbers)
+        assert type(total) is Fraction
+        assert total == self.fraction_sum(k, N, numbers)
+
+    def test_examples(self):
+        # k = 0: the empty product of N zeroth numbers
+        assert _composition_sum(0, 3, [Fraction(1, 2)]) == Fraction(1, 8)
+        # (a + b)^2 with a = numbers[1] * t, b = numbers[0]: 2 * h0 * h1
+        assert _composition_sum(1, 2, [Fraction(1, 3), Fraction(-3, 4)]) == Fraction(-1, 2)
+
+
 class TestCorollary5:
     def test_trivial(self):
         assert verify_corollary5(0, 2, Fraction(2)).verdict == "pass"
@@ -148,6 +180,18 @@ class TestCorollary5:
         report = verify_corollary5(1, 2, Fraction(2), "as_printed")
         assert report.verdict == "fail"
         assert report.mismatches[0].at == "x^0"
+
+    def test_builds_the_triangle_once(self, monkeypatch):
+        calls = []
+        triangle = frobenius.triangle_recurrence
+
+        def counted(n_max):
+            calls.append(n_max)
+            return triangle(n_max)
+
+        monkeypatch.setattr(frobenius, "triangle_recurrence", counted)
+        assert verify_corollary5(6, 3, Fraction(1, 3)).verdict == "pass"
+        assert calls == [3]
 
 
 class TestEq60:
