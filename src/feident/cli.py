@@ -19,29 +19,25 @@ A checker's signature is its schema (see :mod:`feident.verify`): each
 parameter is a ``verify`` flag of the same name (``T`` is ``--trunc``),
 required unless it has a default; flags an identity does not take are
 rejected.
+
+Each command imports only what it runs.  ``table`` loads the number
+kernel, and never :mod:`feident.verify` or ``csv``.  The checker
+registry loads only for ``verify`` and ``audit``, and the ``verify``
+flags, identity choices and their help are built from it only for
+``verify``.  ``json`` loads for JSON output and grid files, ``csv`` for
+report CSV.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
 from typing import Iterable, Iterator
 
 from .exact import format_rational, parse_rational
 from .frobenius import bernoulli_number, fe_higher_numbers, fe_number, fe_polynomial
 from .stirling import triangle_recurrence
-from .verify import (
-    CHECKERS,
-    DEFAULT_GRID,
-    IDENTITIES,
-    audit_all,
-    audit_document,
-    parameters,
-    takes_integer,
-)
 
 __all__ = ["main", "run"]
 
@@ -64,6 +60,8 @@ def _flag(name: str) -> str:
 def _verify_parameters() -> list:
     """Every checker parameter but ``variant``, once, in registry order;
     those with a default come last, as in a signature."""
+    from .verify import IDENTITIES, parameters
+
     seen = {}
     for identity in IDENTITIES:
         for name, param in parameters(identity).items():
@@ -72,21 +70,46 @@ def _verify_parameters() -> list:
     return sorted(seen.values(), key=lambda param: param.default is not param.empty)
 
 
-def _flag_help(param) -> str:
-    """What the flag takes, its default if any, and the identities taking it."""
-    kind = "integer" if takes_integer(param) else "rational p/q"
-    if param.default is not param.empty:
-        kind += f", default {param.default}"
-    takers = [identity for identity in IDENTITIES if param.name in parameters(identity)]
-    return f"{kind}; {', '.join(takers)}"
+def _value_flags(command: str | None) -> list:
+    """``(flag, dest, type, help)`` of each parameter flag of ``command``,
+    in order: ``table``'s are fixed, ``verify``'s are the checker
+    parameters, read from the registry.  The parser and
+    :func:`_join_negative_rationals` both read them here."""
+    if command == "table":
+        return [
+            ("--u", "u", parse_rational, "rational parameter u as p/q"),
+            ("--N", "N", int, "order for fe-higher"),
+        ]
+    if command != "verify":
+        return []
+    from .verify import IDENTITIES, parameters, takes_integer
+
+    flags = []
+    for param in _verify_parameters():
+        kind = "integer" if takes_integer(param) else "rational p/q"
+        if param.default is not param.empty:
+            kind += f", default {param.default}"
+        takers = [identity for identity in IDENTITIES if param.name in parameters(identity)]
+        flags.append((
+            _flag(param.name),
+            param.name,
+            int if takes_integer(param) else parse_rational,
+            f"{kind}; {', '.join(takers)}",
+        ))
+    return flags
 
 
-def _join_negative_rationals(argv) -> list:
+def _command(argv) -> str | None:
+    """The command word: the first token that is not an option (the top
+    level takes no option with a value)."""
+    return next((token for token in argv if token[:1] != "-"), None)
+
+
+def _join_negative_rationals(argv, command: str | None) -> list:
     """Pass ``--u -5/7`` on as ``--u=-5/7``: argparse reads a token that
     starts with ``-`` as an option unless it is a plain negative number.
-    The rational flags are the checkers' rational parameters (table's
-    ``--u`` among them)."""
-    flags = {_flag(p.name) for p in _verify_parameters() if not takes_integer(p)}
+    The rational flags are those ``command`` takes."""
+    flags = {flag for flag, _, kind, _ in _value_flags(command) if kind is parse_rational}
     out = []
     for token in argv:
         if out and out[-1] in flags and token[:1] == "-" and token[1:2].isdigit():
@@ -96,7 +119,11 @@ def _join_negative_rationals(argv) -> list:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The CLI parser.  Subparsers parse independently and the top-level
+    help lists only command names, so the registry-derived ``verify``
+    arguments (identity choices, parameter flags, their help) are added
+    only when ``command`` is ``"verify"``."""
     parser = argparse.ArgumentParser(
         prog="feident",
         description="Exact Frobenius-Euler tables and identity verification.",
@@ -105,19 +132,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser("table", help="emit a number, polynomial, or triangle table")
     table.add_argument("subject", choices=_TABLE_SUBJECTS)
-    table.add_argument("--u", type=parse_rational, help="rational parameter u as p/q")
-    table.add_argument("--N", type=int, help="order for fe-higher")
+    for flag, dest, kind, text in _value_flags("table"):
+        table.add_argument(flag, dest=dest, type=kind, help=text)
     table.add_argument("--n-max", type=int, required=True, help="largest index, inclusive")
     table.add_argument("--format", choices=("csv", "json"), default="csv")
     table.add_argument("--out", help="write output to this path instead of stdout")
 
     verify = sub.add_parser("verify", help="verify one identity at given parameters")
-    verify.add_argument("identity", choices=IDENTITIES)
-    for param in _verify_parameters():
-        kind = int if takes_integer(param) else parse_rational
-        verify.add_argument(
-            _flag(param.name), dest=param.name, type=kind, help=_flag_help(param)
-        )
+    if command == "verify":
+        from .verify import IDENTITIES
+
+        verify.add_argument("identity", choices=IDENTITIES)
+        for flag, dest, kind, text in _value_flags("verify"):
+            verify.add_argument(flag, dest=dest, type=kind, help=text)
     verify.add_argument("--variant", choices=sorted(_CLI_VARIANTS))
     verify.add_argument("--format", choices=("csv", "json"), default="json")
     verify.add_argument("--out", help="write output to this path instead of stdout")
@@ -133,6 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _verify_kwargs(args) -> dict:
     """Map parsed flags to the checker's keyword arguments, as its
     signature says: required, defaulted, or not taken at all."""
+    from .verify import parameters
+
     identity = args.identity
     params = parameters(identity)
     if args.variant is not None and "variant" not in params:
@@ -231,6 +260,8 @@ def _table_csv(doc: dict) -> Iterator[str]:
 # Report rendering
 
 def _reports_csv(reports) -> str:
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["identity", "variant", "params", "verdict", "at", "lhs", "rhs"])
@@ -256,6 +287,8 @@ def _emit(chunks: Iterable[str], out_path: str | None) -> None:
 
 
 def _json_text(doc) -> str:
+    import json
+
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -275,9 +308,10 @@ def run(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = build_parser()
+    command = _command(argv)
+    parser = build_parser(command)
     try:
-        args = parser.parse_args(_join_negative_rationals(argv))
+        args = parser.parse_args(_join_negative_rationals(argv, command))
     except SystemExit as exc:
         # argparse has already printed usage/help; fold into the status contract
         return int(exc.code) if exc.code else 0
@@ -290,6 +324,8 @@ def _run(argv) -> int:
             return EXIT_PASS
 
         if args.command == "verify":
+            from .verify import CHECKERS
+
             kwargs = _verify_kwargs(args)
             report = CHECKERS[args.identity](**kwargs)
             if args.format == "json":
@@ -300,7 +336,11 @@ def _run(argv) -> int:
             return _exit_code([report])
 
         if args.command == "audit":
+            from .verify import DEFAULT_GRID, audit_all, audit_document
+
             if args.grid is not None:
+                import json
+
                 with open(args.grid, "r", encoding="utf-8") as fh:
                     try:
                         grid = json.load(fh)
@@ -315,7 +355,7 @@ def _run(argv) -> int:
                 text = _reports_csv(reports)
             _emit([text], args.out)
             return _exit_code(reports)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"feident: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

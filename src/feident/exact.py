@@ -129,18 +129,20 @@ def binomial(n: int, k: int) -> int:
 def multinomial(n: int, parts: Sequence[int]) -> int:
     """Multinomial coefficient n!/(parts[0]! * parts[1]! * ...).
 
-    The parts must be nonnegative and sum to n.
+    The parts must be nonnegative and sum to n.  Computed in one pass as
+    the product of C(s_i, parts[i]) over the running sums s_i.
     """
     if n < 0:
         raise ValueError("multinomial needs n >= 0")
-    if any(p < 0 for p in parts):
-        raise ValueError("multinomial parts must be nonnegative")
-    if sum(parts) != n:
-        raise ValueError(f"parts {tuple(parts)} do not sum to {n}")
-    denom = 1
+    result, total = 1, 0
     for p in parts:
-        denom *= math.factorial(p)
-    return math.factorial(n) // denom
+        if p < 0:
+            raise ValueError("multinomial parts must be nonnegative")
+        total += p
+        result *= math.comb(total, p)
+    if total != n:
+        raise ValueError(f"parts {tuple(parts)} do not sum to {n}")
+    return result
 
 
 def compositions(total: int, num_parts: int) -> Iterator[tuple[int, ...]]:

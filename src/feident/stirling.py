@@ -17,7 +17,6 @@ implementation.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import compositions
@@ -25,11 +24,31 @@ from .exact import compositions
 __all__ = ["StirlingTriangle", "triangle_recurrence", "coeff_closed_form"]
 
 
-@dataclass(frozen=True)
 class StirlingTriangle:
-    """Rows 1..n_max of the triangle; ``rows[N-1][k]`` is a_k(N)."""
+    """Rows 1..n_max of the triangle; ``rows[N-1][k]`` is a_k(N).  An
+    immutable value: equal when the rows are, and hashable."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not StirlingTriangle:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self):
+        return hash(self.rows)
+
+    def __repr__(self):
+        return f"StirlingTriangle(rows={self.rows!r})"
 
     @property
     def n_max(self) -> int:

@@ -187,6 +187,25 @@ class TestMultinomial:
         with pytest.raises(ValueError):
             multinomial(1, [2, -1])
 
+    @given(st.lists(st.integers(min_value=0, max_value=40), max_size=8))
+    def test_matches_factorial_formula(self, parts):
+        n = sum(parts)
+        denom = math.prod(math.factorial(p) for p in parts)
+        assert multinomial(n, parts) == math.factorial(n) // denom
+
+    @pytest.mark.parametrize(
+        "n,parts,message",
+        [
+            (-1, [-1], "multinomial needs n >= 0"),
+            (1, [3, -1, -1], "multinomial parts must be nonnegative"),
+            (4, [2, 1], "parts (2, 1) do not sum to 4"),
+        ],
+    )
+    def test_error_messages_in_order(self, n, parts, message):
+        with pytest.raises(ValueError) as info:
+            multinomial(n, parts)
+        assert str(info.value) == message
+
 
 class TestCompositions:
     def test_exhaustive_small(self):

@@ -14,25 +14,58 @@ numbers, which corollary5 and eq60_multinomial read through
 theorem1 and corollary2 raise their own series to powers in ``verify``,
 so they do not read ``frobenius.series_pow``.  The multinomial fault (one
 more at k = 3) reaches only the composition sum, which corollary4 and
-eq60_multinomial read on their direct-enumeration side.
+eq60_multinomial read on their direct-enumeration side, and so does the
+weak-composition fault (the first composition of 3 dropped).
+
+The kernel faults below are patched in every module that binds the
+kernel by name, as a caller sees it:
+
+- ``series_mul`` reaches the powers of F (theorem1, and through
+  ``series_pow`` the series route of theorem3, corollary5 and eq60) and
+  the e^{xt} factor of corollary2;
+- ``series_reciprocal`` reaches F itself, so the same identities, and the
+  Bernoulli oracle behind the Bernoulli polynomials of carlitz_reciprocal
+  and bernoulli_product;
+- ``triangle_recurrence`` (a_1(N) + 1 for N >= 2) reaches every
+  triangle-formula side: theorem1, corollary2, theorem3, corollary4 and
+  corollary5;
+- ``Polynomial.__mul__`` reaches only the polynomial products of the
+  Carlitz and Bernoulli identities.
+
+These sets do not depend on how the package loads: the checkers that
+``feident`` exports on first access are the objects of ``feident.verify``.
 """
 
 from fractions import Fraction
 
-from feident import frobenius, verify
+from feident import cli, exact, frobenius, series, stirling, verify
+from feident.poly import Polynomial
 from feident.series import EgfSeries
+from feident.stirling import StirlingTriangle
 from feident.verify import audit_all
 
 
 def failing_identities() -> set:
     """Identities with a failing non-``as_printed`` report in the default
-    audit, run on fresh number tables."""
+    audit, run on fresh number tables and a fresh Bernoulli prefix."""
+    unfilled = EgfSeries([Fraction(1)])
     frobenius._table.cache_clear()
+    series._bernoulli_prefix = unfilled
     try:
         reports = audit_all()
     finally:
         frobenius._table.cache_clear()
+        series._bernoulli_prefix = unfilled
     return {r.identity for r in reports if r.variant != "as_printed" and r.verdict != "pass"}
+
+
+def patch_callers(monkeypatch, name: str, fault, modules) -> None:
+    """Bind ``fault`` as ``name`` in each of ``modules``, the defining one
+    first; every module must hold the kernel itself under that name."""
+    kernel = getattr(modules[0], name)
+    for module in modules:
+        assert getattr(module, name) is kernel, module.__name__
+        monkeypatch.setattr(module, name, fault)
 
 
 def plus_one_at_three(values: tuple) -> tuple:
@@ -80,3 +113,83 @@ def test_multinomial_fault(monkeypatch):
 
     monkeypatch.setattr(verify, "multinomial", faulty)
     assert failing_identities() == {"corollary4", "eq60_multinomial"}
+
+
+def test_series_mul_fault(monkeypatch):
+    series_mul = series.series_mul
+
+    def faulty(a, b):
+        return EgfSeries(plus_one_at_three(series_mul(a, b).coeffs))
+
+    patch_callers(monkeypatch, "series_mul", faulty, [series, verify])
+    assert failing_identities() == {
+        "corollary2",
+        "corollary5",
+        "eq60_multinomial",
+        "theorem1",
+        "theorem3",
+    }
+
+
+def test_series_reciprocal_fault(monkeypatch):
+    series_reciprocal = series.series_reciprocal
+
+    def faulty(a):
+        return EgfSeries(plus_one_at_three(series_reciprocal(a).coeffs))
+
+    patch_callers(monkeypatch, "series_reciprocal", faulty, [series, verify])
+    assert failing_identities() == {
+        "bernoulli_product",
+        "carlitz_reciprocal",
+        "corollary2",
+        "corollary5",
+        "eq60_multinomial",
+        "theorem1",
+        "theorem3",
+    }
+
+
+def test_triangle_recurrence_fault(monkeypatch):
+    triangle_recurrence = stirling.triangle_recurrence
+
+    def faulty(n_max):
+        rows = triangle_recurrence(n_max).rows
+        return StirlingTriangle(
+            tuple(row[:1] + (row[1] + 1,) + row[2:] if len(row) > 1 else row for row in rows)
+        )
+
+    patch_callers(
+        monkeypatch, "triangle_recurrence", faulty, [stirling, frobenius, verify, cli]
+    )
+    assert failing_identities() == {
+        "corollary2",
+        "corollary4",
+        "corollary5",
+        "theorem1",
+        "theorem3",
+    }
+
+
+def test_polynomial_mul_fault(monkeypatch):
+    mul = Polynomial.__mul__
+
+    def faulty(self, other):
+        return Polynomial(plus_one_at_three(mul(self, other).coeffs))
+
+    monkeypatch.setattr(Polynomial, "__mul__", faulty)
+    monkeypatch.setattr(Polynomial, "__rmul__", faulty)
+    assert failing_identities() == {"bernoulli_product", "carlitz_product", "carlitz_reciprocal"}
+
+
+def test_weak_compositions_fault(monkeypatch):
+    weak_compositions = exact.weak_compositions
+
+    def faulty(total, num_parts):
+        items = weak_compositions(total, num_parts)
+        if total == 3:
+            next(items)
+        return items
+
+    patch_callers(monkeypatch, "weak_compositions", faulty, [exact, verify])
+    assert failing_identities() == {"corollary4", "eq60_multinomial"}
+
