@@ -45,6 +45,9 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.coeffs,)
+
     @classmethod
     def zero(cls) -> "Polynomial":
         return cls((0,))
@@ -108,7 +111,8 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # a constant equals its scalar, so it hashes like it
+        return hash(self.coeffs[0] if len(self.coeffs) == 1 else self.coeffs)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(tuple(-c for c in self.coeffs))

@@ -69,6 +69,9 @@ class EgfSeries:
     def __setattr__(self, name, value):
         raise AttributeError("EgfSeries is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.coeffs,)
+
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1

@@ -18,37 +18,18 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import compositions
 
 __all__ = ["StirlingTriangle", "triangle_recurrence", "coeff_closed_form"]
 
 
-class StirlingTriangle:
+class StirlingTriangle(NamedTuple):
     """Rows 1..n_max of the triangle; ``rows[N-1][k]`` is a_k(N).  An
     immutable value: equal when the rows are, and hashable."""
 
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not StirlingTriangle:
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"StirlingTriangle(rows={self.rows!r})"
+    rows: tuple[tuple[int, ...], ...]
 
     @property
     def n_max(self) -> int:
@@ -67,12 +48,8 @@ def triangle_recurrence(n_max: int) -> StirlingTriangle:
     rows = [(1,)]
     for n in range(1, n_max):
         prev = rows[-1]
-        row = []
-        for k in range(n + 1):
-            above = prev[k] if k < n else 0
-            left = prev[k - 1] if k >= 1 else 0
-            row.append(n * above + left)
-        rows.append(tuple(row))
+        # a_k(N+1) = N a_k(N) + a_{k-1}(N), with a_N(N) = a_{-1}(N) = 0
+        rows.append(tuple(n * above + left for above, left in zip(prev + (0,), (0,) + prev)))
     return StirlingTriangle(tuple(rows))
 
 

@@ -37,8 +37,8 @@ import functools
 import inspect
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import (
     binomial,
@@ -101,8 +101,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     """One disagreeing coefficient: where, and the two exact values."""
 
     at: str
@@ -110,8 +109,7 @@ class Mismatch:
     rhs: Fraction
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     identity: str
     variant: str
     params: dict

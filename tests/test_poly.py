@@ -136,6 +136,15 @@ def test_equality_with_scalars():
     assert Polynomial([0, 1]) != 0
 
 
+@pytest.mark.parametrize("scalar", [3, 0, -7, Fraction(1, 2), Fraction(-5, 7)])
+def test_constant_hashes_like_its_scalar(scalar):
+    p = Polynomial([scalar])
+    assert p == scalar
+    assert hash(p) == hash(scalar)
+    assert len({p, scalar}) == 1
+    assert {scalar: "v"}.get(p) == "v"
+
+
 @given(polys, polys, polys)
 def test_ring_laws(p, q, r):
     assert (p + q) + r == p + (q + r)

@@ -30,7 +30,10 @@ kernel by name, as a caller sees it:
   triangle-formula side: theorem1, corollary2, theorem3, corollary4 and
   corollary5;
 - ``Polynomial.__mul__`` reaches only the polynomial products of the
-  Carlitz and Bernoulli identities.
+  Carlitz and Bernoulli identities;
+- ``bernoulli_oracle`` (B_3 + 1) reaches only the Bernoulli numbers and
+  polynomials, which carlitz_reciprocal and bernoulli_product read on
+  their expansion side.
 
 These sets do not depend on how the package loads: the checkers that
 ``feident`` exports on first access are the objects of ``feident.verify``.
@@ -179,6 +182,16 @@ def test_polynomial_mul_fault(monkeypatch):
     monkeypatch.setattr(Polynomial, "__mul__", faulty)
     monkeypatch.setattr(Polynomial, "__rmul__", faulty)
     assert failing_identities() == {"bernoulli_product", "carlitz_product", "carlitz_reciprocal"}
+
+
+def test_bernoulli_oracle_fault(monkeypatch):
+    bernoulli_oracle = series.bernoulli_oracle
+
+    def faulty(order):
+        return EgfSeries(plus_one_at_three(bernoulli_oracle(order).coeffs))
+
+    patch_callers(monkeypatch, "bernoulli_oracle", faulty, [series, frobenius])
+    assert failing_identities() == {"bernoulli_product", "carlitz_reciprocal"}
 
 
 def test_weak_compositions_fault(monkeypatch):

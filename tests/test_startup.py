@@ -4,8 +4,9 @@ Every test here runs a fresh interpreter and compares the modules it ends
 with against those a bare ``python -c pass`` has loaded in the same
 environment, so modules that site customisation loads do not count.  The
 table commands need only the number kernel: not the identity checker
-(``feident.verify``, which brings ``inspect`` and ``dataclasses``), and
-not ``json`` or ``csv`` unless the output is JSON.
+(``feident.verify``, which brings ``inspect``), and not ``json`` or
+``csv`` unless the output is JSON.  No command loads ``dataclasses``: the
+reports are NamedTuples.
 """
 
 import functools
@@ -104,6 +105,7 @@ def test_verify_runs_in_a_fresh_process():
     argv = ["verify", "theorem3", "--n", "3", "--N", "2", "--u", "-5/7", "--format", "csv"]
     new, printed = fresh(run_code(argv))
     assert "feident.verify" in new
+    assert "dataclasses" not in new
     assert printed.splitlines()[1] == "theorem3,corrected,n=3;N=2;u=-5/7,pass,,,"
 
 
@@ -115,6 +117,7 @@ def test_audit_runs_in_a_fresh_process(tmp_path):
     )
     new, printed = fresh(run_code(["audit", "--grid", str(grid)]))
     assert {"feident.verify", "json"} <= new
+    assert "dataclasses" not in new
     assert '"pass": 2' in printed
 
 
