@@ -15,10 +15,11 @@ quotes, and JSON is one ``json.dumps`` text.  Exit status
 is 0 when every verdict passes, 1 when any verification fails, and 2 on
 usage or parameter errors.
 
-A checker's signature is its schema (see :mod:`feident.verify`): each
-parameter is a ``verify`` flag of the same name (``T`` is ``--trunc``),
-required unless it has a default; flags an identity does not take are
-rejected.
+The checker registry's schema (see :mod:`feident.verify`) gives the
+``verify`` flags: each ``Param`` is a flag of the same name (``T`` is
+``--trunc``), taking an integer when ``param.integer`` and a "p/q"
+rational otherwise, and required when ``param.default`` is ``REQUIRED``;
+flags an identity does not take are rejected.
 
 Each command imports only what it runs.  ``table`` loads the number
 kernel, and never :mod:`feident.verify` or ``csv``.  The checker
@@ -60,14 +61,14 @@ def _flag(name: str) -> str:
 def _verify_parameters() -> list:
     """Every checker parameter but ``variant``, once, in registry order;
     those with a default come last, as in a signature."""
-    from .verify import IDENTITIES, parameters
+    from .verify import IDENTITIES, REQUIRED, parameters
 
     seen = {}
     for identity in IDENTITIES:
         for name, param in parameters(identity).items():
             if name != "variant":
                 seen.setdefault(name, param)
-    return sorted(seen.values(), key=lambda param: param.default is not param.empty)
+    return sorted(seen.values(), key=lambda param: param.default is not REQUIRED)
 
 
 def _value_flags(command: str | None) -> list:
@@ -82,18 +83,18 @@ def _value_flags(command: str | None) -> list:
         ]
     if command != "verify":
         return []
-    from .verify import IDENTITIES, parameters, takes_integer
+    from .verify import IDENTITIES, REQUIRED, parameters
 
     flags = []
     for param in _verify_parameters():
-        kind = "integer" if takes_integer(param) else "rational p/q"
-        if param.default is not param.empty:
+        kind = "integer" if param.integer else "rational p/q"
+        if param.default is not REQUIRED:
             kind += f", default {param.default}"
         takers = [identity for identity in IDENTITIES if param.name in parameters(identity)]
         flags.append((
             _flag(param.name),
             param.name,
-            int if takes_integer(param) else parse_rational,
+            int if param.integer else parse_rational,
             f"{kind}; {', '.join(takers)}",
         ))
     return flags
@@ -159,8 +160,8 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
 
 def _verify_kwargs(args) -> dict:
     """Map parsed flags to the checker's keyword arguments, as its
-    signature says: required, defaulted, or not taken at all."""
-    from .verify import parameters
+    schema says: required, defaulted, or not taken at all."""
+    from .verify import REQUIRED, parameters
 
     identity = args.identity
     params = parameters(identity)
@@ -174,7 +175,7 @@ def _verify_kwargs(args) -> dict:
         value = getattr(args, name)
         if value is not None:
             kwargs[name] = _CLI_VARIANTS[value] if name == "variant" else value
-        elif param.default is param.empty:
+        elif param.default is REQUIRED:
             raise ValueError(f"identity {identity!r} requires {_flag(name)}")
     return kwargs
 

@@ -50,7 +50,10 @@ def as_fraction(value) -> Fraction:
 
 def exact_parameter(value) -> Fraction:
     """An int, Fraction or "p/q" string as ``Fraction()`` reads it; a float
-    raises TypeError, as its binary value is not the rational meant."""
+    raises TypeError, as its binary value is not the rational meant.  A
+    ``Fraction`` (not a subclass) is returned as it is."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("float parameters are not allowed; use Fraction or a 'p/q' string")
     return Fraction(value)

@@ -39,12 +39,8 @@ from .exact import as_fraction, common_denominator, exact_parameter
 
 __all__ = [
     "EgfSeries",
-    "unit",
-    "series_add",
-    "series_sub",
     "series_scale",
     "series_mul",
-    "series_derivative",
     "series_reciprocal",
     "series_pow",
     "series_truncate",
@@ -97,21 +93,6 @@ class EgfSeries:
         return f"EgfSeries([{', '.join(str(c) for c in self.coeffs)}])"
 
 
-def unit(order: int) -> EgfSeries:
-    """The multiplicative unit 1 = (1, 0, ..., 0)."""
-    return EgfSeries([Fraction(1)] + [Fraction(0)] * order)
-
-
-def series_add(a: EgfSeries, b: EgfSeries) -> EgfSeries:
-    n = min(a.order, b.order)
-    return EgfSeries([a.coeffs[i] + b.coeffs[i] for i in range(n + 1)])
-
-
-def series_sub(a: EgfSeries, b: EgfSeries) -> EgfSeries:
-    n = min(a.order, b.order)
-    return EgfSeries([a.coeffs[i] - b.coeffs[i] for i in range(n + 1)])
-
-
 def series_scale(a: EgfSeries, c) -> EgfSeries:
     c = as_fraction(c)
     return EgfSeries([c * h for h in a.coeffs])
@@ -139,13 +120,6 @@ def series_mul(a: EgfSeries, b: EgfSeries) -> EgfSeries:
         Fraction(sum(map(mul, row, map(mul, xn[: n + 1], yn[t - n:]))), d)
         for n, row in enumerate(_binomial_rows(t))
     ])
-
-
-def series_derivative(a: EgfSeries) -> EgfSeries:
-    """d/dt drops the order by one; in EGF form it is the shift h_n -> h_{n+1}."""
-    if a.order < 1:
-        raise ValueError("cannot differentiate an order-0 series")
-    return EgfSeries(a.coeffs[1:])
 
 
 def series_reciprocal(a: EgfSeries) -> EgfSeries:

@@ -22,22 +22,28 @@ holds both values exact; only ``VerificationReport.to_dict`` formats them,
 so a failing check is ``fail`` however many digits its values have.
 
 ``CHECKERS`` maps identity ids to checkers, in audit order; each checker
-is registered where it is defined, with ``@_identity(id)``.  A checker's
-signature is its schema: the parameters other than ``variant`` are the
-report's, in order (``int``-annotated ones integers, the rest rationals,
-those with a default optional), and a ``variant`` parameter means the
-identity has as-printed/corrected forms.  Grid axes and CLI flags are
-read from it.  A checker body returns only its mismatch list; the
-registry binds the call, checks ``variant`` and builds the report.
+is registered where it is defined, with ``@_identity(id)``.  Registration
+reads the body's parameters once, from its ``__code__``, ``__defaults__``
+and ``__annotations__``, into a schema: one ``Param(name, integer,
+default)`` per parameter, in order, where ``integer`` says the parameter
+is annotated ``int`` (the others take rationals) and ``default`` is
+``REQUIRED`` when there is none.  A body may not take ``*args``,
+``**kwargs``, keyword-only or positional-only parameters.  The
+parameters other than ``variant`` are the report's, and a ``variant``
+parameter means the identity has as-printed/corrected forms.  Grid axes
+and CLI flags are read from the schema (:func:`parameters`).  A checker
+body returns only its mismatch list; the registry binds the call
+against the schema (a ``TypeError`` for a bad call, before anything is
+checked), checks ``variant`` and builds the report.
 """
 
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
 import math
 from fractions import Fraction
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .exact import (
@@ -83,8 +89,9 @@ __all__ = [
     "CHECKERS",
     "IDENTITIES",
     "DEFAULT_GRID",
+    "Param",
+    "REQUIRED",
     "parameters",
-    "takes_integer",
     "grid_axes",
     "verify_theorem1",
     "verify_corollary2",
@@ -138,25 +145,89 @@ class VerificationReport(NamedTuple):
         return doc
 
 
+class _Required:
+    """The default of a parameter that has none."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "REQUIRED"
+
+    def __reduce__(self) -> str:
+        return "REQUIRED"
+
+
+REQUIRED = _Required()
+
+
+class Param(NamedTuple):
+    """One checker parameter: ``integer`` when annotated ``int`` (the
+    others take rationals), and its default or ``REQUIRED``."""
+
+    name: str
+    integer: bool
+    default: object = REQUIRED
+
+
 CHECKERS = {}
+
+# identity -> {name: Param}, in the body's parameter order.
+_SCHEMAS = {}
+
+# Code flags of a body that takes *args or **kwargs.
+_CO_VARARGS, _CO_VARKEYWORDS = 0x04, 0x08
 
 
 def parameters(identity: str):
-    """The checker's parameters, ``variant`` included, in signature order."""
-    return inspect.signature(CHECKERS[identity]).parameters
+    """The checker's ``{name: Param}``, ``variant`` included, in order."""
+    return MappingProxyType(_SCHEMAS[identity])
 
 
-def takes_integer(param: inspect.Parameter) -> bool:
-    """Parameters annotated ``int`` take integers; the others rationals."""
-    return param.annotation == "int"
+def _schema(body) -> dict:
+    """``{name: Param}`` of ``body``'s parameters, read from its code
+    object; a body with any but plain positional-or-keyword parameters
+    raises TypeError."""
+    code = body.__code__
+    if (code.co_flags & (_CO_VARARGS | _CO_VARKEYWORDS) or code.co_kwonlyargcount
+            or code.co_posonlyargcount):
+        raise TypeError(f"checker {body.__name__} may take only positional-or-keyword parameters")
+    names = code.co_varnames[: code.co_argcount]
+    defaults = body.__defaults__ or ()
+    required = len(names) - len(defaults)
+    annotations = body.__annotations__
+    return {
+        name: Param(name, annotations.get(name) == "int",
+                    defaults[i - required] if i >= required else REQUIRED)
+        for i, name in enumerate(names)
+    }
 
 
-def _report(identity: str, params, arguments: dict, mismatches=(), error=None):
-    """The report of a checker taking ``params``: integers as written,
-    rationals in "p/q" form, in signature order."""
+def _bind(schema: dict, args: tuple, kwargs: dict) -> dict:
+    """Every parameter's value in a call with ``args`` and ``kwargs``,
+    defaults filled in; a call the body could not take raises TypeError."""
+    if len(args) > len(schema):
+        raise TypeError("too many positional arguments")
+    arguments = dict(zip(schema, args))
+    for name, value in kwargs.items():
+        if name not in schema:
+            raise TypeError(f"got an unexpected keyword argument {name!r}")
+        if name in arguments:
+            raise TypeError(f"multiple values for argument {name!r}")
+        arguments[name] = value
+    for name, param in schema.items():
+        if name not in arguments:
+            if param.default is REQUIRED:
+                raise TypeError(f"missing a required argument: {name!r}")
+            arguments[name] = param.default
+    return arguments
+
+
+def _report(identity: str, arguments: dict, mismatches=(), error=None):
+    """The report of ``identity`` called with ``arguments``: integers as
+    written, rationals in "p/q" form, in parameter order."""
     values = {
-        name: (str if takes_integer(param) else format_rational)(arguments[name])
-        for name, param in params.items() if name != "variant"
+        name: (str if param.integer else format_rational)(arguments[name])
+        for name, param in _SCHEMAS[identity].items() if name != "variant"
     }
     variant = arguments.get("variant", "not_applicable")
     return VerificationReport(identity, variant, values, tuple(mismatches), error)
@@ -166,18 +237,16 @@ def _identity(identity: str):
     """Register the body below as ``CHECKERS[identity]`` (see the module doc)."""
 
     def register(body):
-        signature = inspect.signature(body)
+        schema = _SCHEMAS[identity] = _schema(body)
+        has_variant = "variant" in schema
 
         @functools.wraps(body)
         def checker(*args, **kwargs) -> VerificationReport:
-            bound = signature.bind(*args, **kwargs)
-            bound.apply_defaults()
-            if "variant" in bound.arguments:
-                _check_variant(bound.arguments["variant"])
-            mismatches = body(**bound.arguments)
-            return _report(identity, signature.parameters, bound.arguments, mismatches)
+            arguments = _bind(schema, args, kwargs)
+            if has_variant:
+                _check_variant(arguments["variant"])
+            return _report(identity, arguments, body(**arguments))
 
-        checker.__signature__ = signature.replace(return_annotation="VerificationReport")
         CHECKERS[identity] = checker
         return checker
 
@@ -423,7 +492,7 @@ def grid_axes(identity: str) -> tuple[str, ...]:
     """Iteration order of the identity's grid axes: ``variant`` first when
     the checker takes one, then its parameters, with ``alpha`` and ``beta``
     walked as chosen ``alpha_beta`` pairs instead of a full cross product."""
-    params = parameters(identity)
+    params = _SCHEMAS[identity]
     names = [name for name in params if name != "variant"]
     if "alpha" in names and "beta" in names:
         names.remove("beta")
@@ -486,22 +555,31 @@ DEFAULT_GRID = {
 }
 
 
-def _convert(param: inspect.Parameter, value):
+def _convert(param: Param, value):
     if param.name == "variant":
         return _check_variant(value)
-    if takes_integer(param):
+    if param.integer:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"grid value for {param.name!r} must be an integer: {value!r}")
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
     raise ValueError(f"grid value for {param.name!r} must be an int or 'p/q' string: {value!r}")
 
 
+def _convert_pair(params, value) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError("alpha_beta entries must be [alpha, beta] pairs")
+    return _convert(params["alpha"], value[0]), _convert(params["beta"], value[1])
+
+
 def _expand(identity: str, config: dict):
-    params = parameters(identity)
+    """The parameter dicts of ``identity``'s grid, in product order.  Every
+    value of every axis is converted first, so a malformed value raises
+    even when another axis is empty."""
+    params = _SCHEMAS[identity]
     keys = grid_axes(identity)
     for key in keys:
         if key not in config:
@@ -511,16 +589,15 @@ def _expand(identity: str, config: dict):
     extra = set(config) - set(keys)
     if extra:
         raise ValueError(f"grid for {identity!r} has unknown key {sorted(extra)[0]!r}")
-    for values in itertools.product(*(config[k] for k in keys)):
-        combo = {}
-        for key, value in zip(keys, values):
-            if key == "alpha_beta":
-                if not isinstance(value, (list, tuple)) or len(value) != 2:
-                    raise ValueError("alpha_beta entries must be [alpha, beta] pairs")
-                combo["alpha"] = _convert(params["alpha"], value[0])
-                combo["beta"] = _convert(params["beta"], value[1])
-            else:
-                combo[key] = _convert(params[key], value)
+    axes = [
+        [_convert_pair(params, v) for v in config[key]] if key == "alpha_beta"
+        else [_convert(params[key], v) for v in config[key]]
+        for key in keys
+    ]
+    for values in itertools.product(*axes):
+        combo = dict(zip(keys, values))
+        if "alpha_beta" in combo:
+            combo["alpha"], combo["beta"] = combo.pop("alpha_beta")
         yield combo
 
 
@@ -528,7 +605,7 @@ def _run_case(identity: str, combo: dict) -> VerificationReport:
     try:
         return CHECKERS[identity](**combo)
     except ValueError as exc:
-        return _report(identity, parameters(identity), combo, error=str(exc))
+        return _report(identity, combo, error=str(exc))
 
 
 def audit_all(grid: dict | None = None) -> list[VerificationReport]:

@@ -89,6 +89,17 @@ class TestExactParameter:
         q = exact_parameter(value)
         assert (type(q), q) == (Fraction, expected)
 
+    def test_fraction_comes_back_as_the_same_object(self):
+        q = Fraction(-5, 7)
+        assert exact_parameter(q) is q
+
+    def test_fraction_subclass_becomes_a_fraction(self):
+        class Sub(Fraction):
+            pass
+
+        q = exact_parameter(Sub(2, 6))
+        assert (type(q), q) == (Fraction, Fraction(1, 3))
+
     @pytest.mark.parametrize("value", [0.5, 0.1, float("nan")])
     def test_float_raises(self, value):
         with pytest.raises(TypeError, match="float parameters are not allowed"):

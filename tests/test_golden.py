@@ -13,7 +13,10 @@ the same way, with stderr kept verbatim: missing and unusable flags,
 out-of-domain values, the default truncation order, malformed grid files
 and audits whose grids yield ``error`` reports.  They were recorded
 before the identity registry replaced the hand-written per-identity
-tables in ``verify`` and ``cli``.
+tables in ``verify`` and ``cli``, except the two grids that every grid
+value is checked on: a malformed value beside an empty axis, and a JSON
+``true`` on a rational axis.  Before each axis was converted on its own,
+they exited 0 (an empty audit) and 1 (an ``error`` report at u = 1).
 
 To regenerate after an intended output change, run from the repository
 root
@@ -143,6 +146,10 @@ PATHS = [
     ("grid alpha_beta scalar", ["audit", "--grid", GRID],
      {"carlitz_product": {"variant": ["corrected"], "m": [1], "n": [1], "alpha_beta": ["2"]}}),
     ("grid unknown identity", ["audit", "--grid", GRID], {"theorem2": {}}),
+    ("grid bad rational beside an empty axis", ["audit", "--grid", GRID],
+     {"theorem3": {"variant": ["corrected"], "n": [], "N": [1], "u": ["2.5"]}}),
+    ("grid boolean u", ["audit", "--grid", GRID],
+     {"eq60_multinomial": {"n": [1], "N": [1], "u": [True]}}),
     ("audit error reports json", ["audit", "--grid", GRID], _ERROR_GRID),
     ("audit error reports csv", ["audit", "--grid", GRID, "--format", "csv"], _ERROR_GRID),
 ]
@@ -223,6 +230,10 @@ PATH_RESULTS = {
         (2, EMPTY, 'feident: error: alpha_beta entries must be [alpha, beta] pairs\n'),
     'grid unknown identity':
         (2, EMPTY, "feident: error: unknown identity in grid: 'theorem2'\n"),
+    'grid bad rational beside an empty axis':
+        (2, EMPTY, "feident: error: not a rational in p/q form: '2.5'\n"),
+    'grid boolean u':
+        (2, EMPTY, "feident: error: grid value for 'u' must be an int or 'p/q' string: True\n"),
     'audit error reports json':
         (1, '6b6837f89c0ad41fb37c82477321c2b4948e9c5861f441f1aaf454b0ad2cc17c', ''),
     'audit error reports csv':

@@ -1,9 +1,11 @@
-"""The identity registry: each checker's signature is its schema.
+"""The identity registry: each checker's parameters are its schema.
 
 The audit grid axes, the report parameters and the ``verify`` flags are
-all read from the signatures of the checkers in ``CHECKERS``; these tests
-pin that the built-in grid, the CLI and the reports agree with them, and
-that the registered checker is the module's public function.
+all read from the ``Param`` schema that registration reads from each
+checker body; these tests pin each schema, that the built-in grid, the
+CLI and the reports agree with it, that the registry binds calls as
+Python would, and that the registered checker is the module's public
+function.
 """
 
 import contextlib
@@ -21,12 +23,14 @@ from feident.verify import (
     CHECKERS,
     DEFAULT_GRID,
     IDENTITIES,
+    REQUIRED,
     Mismatch,
+    Param,
     VerificationReport,
+    _identity,
     audit_all,
     grid_axes,
     parameters,
-    takes_integer,
 )
 
 # Public function name of each identity's checker; per-layer tracing and
@@ -96,7 +100,7 @@ def test_report_params_follow_the_signature(identity):
 def test_verify_rejects_every_flag_the_identity_does_not_take(identity):
     args = ["verify", identity]
     for name in checker_params(identity):
-        args += [flag(name), "2" if takes_integer(parameters(identity)[name]) else "1/3"]
+        args += [flag(name), "2" if parameters(identity)[name].integer else "1/3"]
     code, _, err = run_capture(args)
     assert code in (0, 1) and err == ""
     others = {flag(name) for other in IDENTITIES for name in checker_params(other)}
@@ -114,14 +118,111 @@ def test_registered_checker_is_the_public_function(identity):
     assert getattr(feident, CHECKER_NAMES[identity]) is checker
 
 
+VARIANT = ("variant", False, "corrected")
+
+# Each identity's (name, integer, default) schema, in parameter order.
+SCHEMAS = {
+    "theorem1": [("N", True, REQUIRED), ("u", False, REQUIRED), ("T", True, 16), VARIANT],
+    "corollary2": [("N", True, REQUIRED), ("u", False, REQUIRED), ("x", False, REQUIRED),
+                   ("T", True, 16), VARIANT],
+    "theorem3": [("n", True, REQUIRED), ("N", True, REQUIRED), ("u", False, REQUIRED),
+                 VARIANT],
+    "corollary4": [("n", True, REQUIRED), ("N", True, REQUIRED), ("u", False, REQUIRED),
+                   VARIANT],
+    "corollary5": [("n", True, REQUIRED), ("N", True, REQUIRED), ("u", False, REQUIRED),
+                   VARIANT],
+    "eq60_multinomial": [("n", True, REQUIRED), ("N", True, REQUIRED),
+                         ("u", False, REQUIRED)],
+    "carlitz_product": [("m", True, REQUIRED), ("n", True, REQUIRED),
+                        ("alpha", False, REQUIRED), ("beta", False, REQUIRED), VARIANT],
+    "carlitz_reciprocal": [("m", True, REQUIRED), ("n", True, REQUIRED),
+                           ("alpha", False, REQUIRED)],
+    "bernoulli_product": [("m", True, REQUIRED), ("n", True, REQUIRED)],
+}
+
+
+@pytest.mark.parametrize("identity", IDENTITIES)
+def test_checker_schema(identity):
+    schema = parameters(identity)
+    assert list(schema.values()) == SCHEMAS[identity]
+    assert all(type(param) is Param and schema[param.name] is param
+               for param in schema.values())
+
+
 @pytest.mark.parametrize("identity", IDENTITIES)
 def test_checker_signature_is_the_body_signature(identity):
+    """``help()`` shows the body's signature: the registry keeps the
+    schema as data, and ``functools.wraps`` points at the body."""
     checker = CHECKERS[identity]
     signature = inspect.signature(checker)
-    body = inspect.signature(checker.__wrapped__)
-    assert signature.parameters == body.parameters
-    assert signature.return_annotation == "VerificationReport"
-    assert body.return_annotation == "list[Mismatch]"
+    assert signature == inspect.signature(checker.__wrapped__)
+    assert list(signature.parameters) == list(parameters(identity))
+    assert signature.return_annotation == "list[Mismatch]"
+
+
+def test_schema_is_read_only():
+    with pytest.raises(TypeError):
+        parameters("theorem1")["T"] = Param("T", True, 8)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        lambda n, *rest: [],
+        lambda n, **rest: [],
+        lambda n, *, u: [],
+        lambda n, /, u: [],
+    ],
+    ids=["args", "kwargs", "keyword-only", "positional-only"],
+)
+def test_registration_refuses_other_parameter_kinds(body, monkeypatch):
+    monkeypatch.setattr(verify, "CHECKERS", {})
+    monkeypatch.setattr(verify, "_SCHEMAS", {})
+    with pytest.raises(TypeError, match="may take only positional-or-keyword parameters"):
+        _identity("theorem1")(body)
+    assert verify.CHECKERS == verify._SCHEMAS == {}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: verify.verify_theorem3(-1, 2, 1, "nope", "extra"),
+        lambda: verify.verify_theorem3(-1, 2, 1, "nope", k=1),
+        lambda: verify.verify_theorem3(-1, 2, "nope", u=1),
+        lambda: verify.verify_theorem3(n=-1, N=2, variant="nope"),
+        lambda: verify.verify_theorem3(-1, u=1, variant="nope"),
+        lambda: verify.verify_bernoulli_product(-1),
+    ],
+    ids=["too-many-positional", "unknown-keyword", "given-twice", "missing-u",
+         "missing-N", "missing-n"],
+)
+def test_bad_calls_raise_type_error_before_any_value_error(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_bad_call_messages():
+    with pytest.raises(TypeError, match="too many positional arguments"):
+        verify.verify_bernoulli_product(1, 2, 3)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'k'"):
+        verify.verify_bernoulli_product(1, 2, k=3)
+    with pytest.raises(TypeError, match="multiple values for argument 'm'"):
+        verify.verify_bernoulli_product(1, 2, m=3)
+    with pytest.raises(TypeError, match="missing a required argument: 'n'"):
+        verify.verify_bernoulli_product(1)
+
+
+def test_defaults_are_filled_in_for_every_call_form():
+    u = Fraction(1, 3)
+    reports = [
+        verify.verify_theorem1(2, u),
+        verify.verify_theorem1(N=2, u=u),
+        verify.verify_theorem1(2, u=u, variant="corrected"),
+        verify.verify_theorem1(2, u, 16, "corrected"),
+    ]
+    assert all(r == reports[0] for r in reports)
+    assert reports[0].params == {"N": "2", "u": "1/3", "T": "16"}
+    assert reports[0].variant == "corrected"
 
 
 @pytest.mark.parametrize(
@@ -184,5 +285,5 @@ def test_verify_help_names_the_identities_taking_each_flag(monkeypatch):
         kind, _, takers = helps[flag(name)].partition("; ")
         assert takers.split(", ") == [i for i in IDENTITIES if name in parameters(i)]
         param = next(parameters(i)[name] for i in IDENTITIES if name in parameters(i))
-        assert kind.startswith("integer" if takes_integer(param) else "rational p/q")
+        assert kind.startswith("integer" if param.integer else "rational p/q")
     assert helps["--trunc"] == "integer, default 16; theorem1, corollary2"

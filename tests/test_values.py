@@ -10,7 +10,7 @@ import pytest
 from feident.poly import Polynomial
 from feident.series import EgfSeries
 from feident.stirling import triangle_recurrence
-from feident.verify import Mismatch, VerificationReport
+from feident.verify import REQUIRED, Mismatch, Param, VerificationReport
 
 MISMATCH = Mismatch("x^1", Fraction(1, 3), Fraction(-2, 3))
 
@@ -20,6 +20,8 @@ VALUES = [
     triangle_recurrence(5),
     MISMATCH,
     VerificationReport("theorem3", "as_printed", {"n": "2", "N": "2", "u": "2"}, (MISMATCH,)),
+    Param("T", True, 16),
+    Param("u", False, REQUIRED),
 ]
 
 
@@ -33,3 +35,13 @@ def test_round_trip(value, round_trip):
     result = round_trip(value)
     assert type(result) is type(value)
     assert result == value
+
+
+@pytest.mark.parametrize(
+    "round_trip",
+    [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_required_stays_the_one_sentinel(round_trip):
+    assert round_trip(REQUIRED) is REQUIRED
+    assert repr(REQUIRED) == "REQUIRED"

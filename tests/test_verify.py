@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -409,6 +410,20 @@ class TestAudit:
         }
         with pytest.raises(ValueError):
             audit_all(grid)
+
+    @pytest.mark.parametrize(
+        "axes, message",
+        [
+            ({"n": [], "N": [1], "u": ["2.5"]}, "not a rational in p/q form: '2.5'"),
+            ({"n": [1], "N": [], "u": [False]}, "must be an int or 'p/q' string: False"),
+            ({"n": [1], "N": [1], "u": [True]}, "must be an int or 'p/q' string: True"),
+            ({"n": [True], "N": [], "u": ["2"]}, "must be an integer: True"),
+        ],
+        ids=["rational-beside-empty", "false-beside-empty", "true-u", "integer-beside-empty"],
+    )
+    def test_every_grid_value_is_checked(self, axes, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            audit_all({"theorem3": {"variant": ["corrected"], **axes}})
 
     def test_parameter_errors_become_error_reports(self):
         grid = {
