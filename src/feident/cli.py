@@ -37,7 +37,7 @@ import sys
 from typing import Iterable, Iterator
 
 from .exact import format_rational, parse_rational
-from .frobenius import bernoulli_number, fe_higher_numbers, fe_number, fe_polynomial
+from .frobenius import VARIANTS, bernoulli_number, fe_higher_numbers, fe_number, fe_polynomial
 from .stirling import triangle_recurrence
 
 __all__ = ["main", "run"]
@@ -48,7 +48,7 @@ EXIT_USAGE = 2
 
 _TABLE_SUBJECTS = ("fe-numbers", "fe-polynomials", "fe-higher", "stirling", "bernoulli")
 
-_CLI_VARIANTS = {"as-printed": "as_printed", "corrected": "corrected"}
+_CLI_VARIANTS = {variant.replace("_", "-"): variant for variant in VARIANTS}
 
 # Flag names that differ from their checker parameter's name.
 _FLAG_NAMES = {"T": "trunc"}
@@ -224,17 +224,15 @@ def _table_document(args) -> dict:
             rows.append({"n": n, "coeffs": coeffs + ["0"] * (n_max + 1 - len(coeffs))})
         return {"table": subject, "params": {"u": format_rational(args.u)}, "rows": rows}
 
-    if subject == "stirling":
-        if n_max < 1:
-            raise ValueError("stirling table needs --n-max >= 1")
-        triangle = triangle_recurrence(n_max)
-        return {
-            "table": subject,
-            "n_max": n_max,
-            "rows": [list(row) for row in triangle.rows],
-        }
-
-    raise ValueError(f"unknown table subject {subject!r}")
+    # stirling, the last of argparse's choices
+    if n_max < 1:
+        raise ValueError("stirling table needs --n-max >= 1")
+    triangle = triangle_recurrence(n_max)
+    return {
+        "table": subject,
+        "n_max": n_max,
+        "rows": [list(row) for row in triangle.rows],
+    }
 
 
 def _table_csv(doc: dict) -> Iterator[str]:
@@ -247,7 +245,7 @@ def _table_csv(doc: dict) -> Iterator[str]:
         for i, row in enumerate(doc["rows"], start=1):
             yield "".join(f"{i},{k},{value}\n" for k, value in enumerate(row))
     elif subject == "fe-polynomials":
-        width = len(doc["rows"][0]["coeffs"]) if doc["rows"] else 0
+        width = len(doc["rows"][0]["coeffs"])
         yield ",".join(["n"] + [f"x^{d}" for d in range(width)]) + "\n"
         for row in doc["rows"]:
             yield f"{row['n']},{','.join(row['coeffs'])}\n"
@@ -293,6 +291,19 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _read_grid(path: str | None):
+    """The grid in the JSON file at ``path``, or None (the default grid)."""
+    if path is None:
+        return None
+    import json
+
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("grid file is nested too deeply") from None
+
+
 def _exit_code(reports) -> int:
     return EXIT_PASS if all(r.verdict == "pass" for r in reports) else EXIT_FAIL
 
@@ -327,40 +338,19 @@ def _run(argv) -> int:
         if args.command == "verify":
             from .verify import CHECKERS
 
-            kwargs = _verify_kwargs(args)
-            report = CHECKERS[args.identity](**kwargs)
-            if args.format == "json":
-                text = _json_text(report.to_dict())
-            else:
-                text = _reports_csv([report])
-            _emit([text], args.out)
-            return _exit_code([report])
+            reports = [CHECKERS[args.identity](**_verify_kwargs(args))]
+            document = reports[0].to_dict
+        else:
+            from .verify import audit_all, audit_document
 
-        if args.command == "audit":
-            from .verify import DEFAULT_GRID, audit_all, audit_document
-
-            if args.grid is not None:
-                import json
-
-                with open(args.grid, "r", encoding="utf-8") as fh:
-                    try:
-                        grid = json.load(fh)
-                    except RecursionError:
-                        raise ValueError("grid file is nested too deeply") from None
-            else:
-                grid = DEFAULT_GRID
-            reports = audit_all(grid)
-            if args.format == "json":
-                text = _json_text(audit_document(reports))
-            else:
-                text = _reports_csv(reports)
-            _emit([text], args.out)
-            return _exit_code(reports)
+            reports = audit_all(_read_grid(args.grid))
+            document = lambda: audit_document(reports)
+        text = _json_text(document()) if args.format == "json" else _reports_csv(reports)
+        _emit([text], args.out)
+        return _exit_code(reports)
     except (ValueError, OSError) as exc:
         print(f"feident: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    return EXIT_USAGE
 
 
 def main() -> None:

@@ -11,9 +11,11 @@ put over one common denominator and each output coefficient becomes one
 reduced Fraction, with one gcd per coefficient.  ``Polynomial.combination``
 sums scalar multiples of polynomials the same way, through
 :func:`feident.exact.linear_combination`: every term over one lcm, one
-integer sum and one reduced Fraction per coefficient.  A product by a
-scalar is a one-term combination, and ``Polynomial.appell`` makes one
-Fraction per coefficient from an integer product.
+integer sum and one reduced Fraction per coefficient.  Every linear
+operator is one combination: a product by a scalar has one term, ``-p``
+one, and ``p + q``, ``p - q`` (either operand a scalar) two.  A float
+operand or evaluation point raises TypeError.  ``Polynomial.appell``
+makes one Fraction per coefficient from an integer product.
 """
 
 from __future__ import annotations
@@ -95,6 +97,8 @@ class Polynomial:
         return self.coeffs[d]
 
     def __call__(self, value: Scalar) -> Fraction:
+        if isinstance(value, float):
+            raise TypeError("float points are not allowed; use Fraction")
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * value + c
@@ -115,28 +119,27 @@ class Polynomial:
         return hash(self.coeffs[0] if len(self.coeffs) == 1 else self.coeffs)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return Polynomial.combination([(-1, self)])
 
-    def __add__(self, other) -> "Polynomial":
+    def _linear(self, a: int, other, b: int) -> "Polynomial":
+        """a * self + b * other, for ``other`` a Polynomial or an int or
+        Fraction scalar; NotImplemented for anything else."""
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other)
-        if not isinstance(other, Polynomial):
+        elif not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        return Polynomial.combination([(a, self), (b, other)])
+
+    def __add__(self, other) -> "Polynomial":
+        return self._linear(1, other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Polynomial":
-        return self + (-other if isinstance(other, Polynomial) else -Fraction(other))
+        return self._linear(1, other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
-        return (-self) + other
+        return self._linear(-1, other, 1)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):

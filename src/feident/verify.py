@@ -12,9 +12,10 @@ The checkers' sums run on integers.  The composition sum of corollary4
 and eq60_multinomial puts the numbers over one common denominator d, sums
 multinomial(k; l) * prod nums[l_i] in integers and makes one Fraction
 over d^N.  The weighted sums of polynomials (the Carlitz and Bernoulli
-products) and of the derivatives of F (theorem1, corollary2) are each one
-call of :func:`feident.exact.linear_combination`, which puts every term
-over one lcm and makes one reduced Fraction per coefficient.
+products) and of the derivatives of F (theorem1) are each one call of
+:func:`feident.exact.linear_combination`, which puts every term over one
+lcm and makes one reduced Fraction per coefficient.  corollary2 is
+theorem1 with both sides multiplied by e^{xt} once.
 
 Reports are deterministic functions of (identity, params, variant), and a
 report passes exactly when its mismatch list is empty.  A ``Mismatch``
@@ -33,8 +34,10 @@ parameters other than ``variant`` are the report's, and a ``variant``
 parameter means the identity has as-printed/corrected forms.  Grid axes
 and CLI flags are read from the schema (:func:`parameters`).  A checker
 body returns only its mismatch list; the registry binds the call
-against the schema (a ``TypeError`` for a bad call, before anything is
-checked), checks ``variant`` and builds the report.
+against the schema, checks ``variant`` and builds the report.  Binding
+raises ``TypeError``, before anything is checked, for a call the body
+could not take, for an integer parameter that is a ``bool`` or not an
+``int``, and for a ``bool`` rational parameter.
 """
 
 from __future__ import annotations
@@ -204,7 +207,9 @@ def _schema(body) -> dict:
 
 def _bind(schema: dict, args: tuple, kwargs: dict) -> dict:
     """Every parameter's value in a call with ``args`` and ``kwargs``,
-    defaults filled in; a call the body could not take raises TypeError."""
+    defaults filled in; a call the body could not take, a non-``int`` or
+    ``bool`` integer parameter, or a ``bool`` rational parameter raises
+    TypeError."""
     if len(args) > len(schema):
         raise TypeError("too many positional arguments")
     arguments = dict(zip(schema, args))
@@ -219,6 +224,12 @@ def _bind(schema: dict, args: tuple, kwargs: dict) -> dict:
             if param.default is REQUIRED:
                 raise TypeError(f"missing a required argument: {name!r}")
             arguments[name] = param.default
+    for name, param in schema.items():
+        value = arguments[name]
+        if param.integer and (isinstance(value, bool) or not isinstance(value, int)):
+            raise TypeError(f"argument {name!r} must be an int, not {type(value).__name__}")
+        if not param.integer and name != "variant" and isinstance(value, bool):
+            raise TypeError(f"argument {name!r} must be a rational, not bool")
     return arguments
 
 
@@ -264,39 +275,31 @@ def _scalar_mismatches(lhs: Fraction, rhs: Fraction) -> list[Mismatch]:
     return [Mismatch("value", lhs, rhs)] if lhs != rhs else []
 
 
-def _derivative_side(base: EgfSeries, weights, target: int, factor=None) -> EgfSeries:
-    """sum_k weights[k] * base^(k-th derivative), truncated to ``target``;
-    each derivative is multiplied by ``factor`` first when given.  The k-th
-    derivative of an EGF is its shift by k, and the weighted sum is one
-    integer linear combination."""
-
-    def term(k):
-        coeffs = base.coeffs[k: k + target + 1]
-        return coeffs if factor is None else series_mul(EgfSeries(coeffs), factor).coeffs
-
-    return EgfSeries(linear_combination((w, term(k)) for k, w in enumerate(weights)))
+def _derivative_side(base: EgfSeries, weights, target: int) -> EgfSeries:
+    """sum_k weights[k] * base^(k-th derivative), truncated to ``target``.
+    The k-th derivative of an EGF is its shift by k, and the weighted sum
+    is one integer linear combination."""
+    return EgfSeries(linear_combination(
+        (w, base.coeffs[k: k + target + 1]) for k, w in enumerate(weights)
+    ))
 
 
-def _derivative_expansion(N, u, x, T, variant) -> list[Mismatch]:
-    """The expansion of F^N checked by theorem1; with ``x`` given, every
-    series also carries the factor e^{xt} (corollary2)."""
+def _derivative_expansion(N, u, T, variant) -> tuple[EgfSeries, EgfSeries]:
+    """The two sides of theorem1's expansion of F^N, to order T-(N-1).
+    corollary2 multiplies each side by e^{xt} once: by linearity,
+    sum_k a_k (F^(k) e^{xt}) = (sum_k a_k F^(k)) e^{xt}, coefficient by
+    coefficient and exactly."""
     _check_at_least("N", N, 1)
     u = _check_u(u, forbid_zero=True)
-    if x is not None:
-        x = exact_parameter(x)
     if T < N:
         raise ValueError("truncation order T must be >= N")
     F = series_reciprocal(exp_minus_constant(u, T))
-    E = None if x is None else exp_xt(x, T)
     sign = 1 if variant == "as_printed" else (-1) ** (N - 1)
     scale = math.factorial(N - 1) * sign * u ** (N - 1)
     target = T - (N - 1)
-    power = series_pow(series_truncate(F, target), N)
-    if E is not None:
-        power = series_mul(power, E)
-    lhs = series_scale(power, scale)
-    rhs = _derivative_side(F, triangle_recurrence(N).row(N), target, factor=E)
-    return _mismatches("t", lhs.coeffs, rhs.coeffs)
+    lhs = series_scale(series_pow(series_truncate(F, target), N), scale)
+    rhs = _derivative_side(F, triangle_recurrence(N).row(N), target)
+    return lhs, rhs
 
 
 @_identity("theorem1")
@@ -308,13 +311,18 @@ def verify_theorem1(N: int, u, T: int = 16, variant: str = "corrected") -> list[
     compared coefficientwise to order T-(N-1), with s = +1 for
     ``as_printed`` and s = (-1)^(N-1) for ``corrected``.
     """
-    return _derivative_expansion(N, u, None, T, variant)
+    lhs, rhs = _derivative_expansion(N, u, T, variant)
+    return _mismatches("t", lhs.coeffs, rhs.coeffs)
 
 
 @_identity("corollary2")
 def verify_corollary2(N: int, u, x, T: int = 16, variant: str = "corrected") -> list[Mismatch]:
-    """Same expansion with every series carrying the extra factor e^{xt}."""
-    return _derivative_expansion(N, u, x, T, variant)
+    """Same expansion with every series carrying the extra factor e^{xt}:
+    theorem1's two sides, each multiplied by e^{xt} once."""
+    x = exact_parameter(x)
+    lhs, rhs = _derivative_expansion(N, u, T, variant)
+    E = exp_xt(x, lhs.order)
+    return _mismatches("t", series_mul(lhs, E).coeffs, series_mul(rhs, E).coeffs)
 
 
 @_identity("theorem3")
@@ -393,8 +401,7 @@ def verify_carlitz(m: int, n: int, alpha, beta, variant: str = "corrected") -> l
     ``as_printed`` form and the symmetric beta(1-alpha)/(1-alpha*beta) in
     the ``corrected`` form.
     """
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be >= 0")
+    _check_at_least("m and n", min(m, n), 0)
     alpha = exact_parameter(alpha)
     beta = exact_parameter(beta)
     if alpha == 1 or beta == 1:
@@ -427,8 +434,7 @@ def verify_carlitz_reciprocal(m: int, n: int, alpha) -> list[Mismatch]:
     This display is audited, not presumed: the harness computes both
     sides and records the verdict either way.
     """
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be >= 0")
+    _check_at_least("m and n", min(m, n), 0)
     alpha = exact_parameter(alpha)
     if alpha == 0:
         raise ValueError("alpha = 0 has no reciprocal")
@@ -460,14 +466,11 @@ def verify_bernoulli_product(m: int, n: int) -> list[Mismatch]:
     weight is zero are skipped before the 1/(m+n-2r) division, which is
     what makes the 2r = m+n edge harmless.
     """
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be >= 0")
+    _check_at_least("m and n", min(m, n), 0)
     _check_at_least("m + n", m + n, 2)
     lhs = bernoulli_polynomial(m) * bernoulli_polynomial(n)
     terms = []
     for r in range(max(m, n) // 2 + 1):
-        if m + n - 2 * r == 0:
-            continue
         weight = binomial(m, 2 * r) * n + binomial(n, 2 * r) * m
         if weight == 0:
             continue

@@ -79,6 +79,7 @@ def test_evaluation_horner():
     p = Polynomial([1, -2, 3])  # 1 - 2x + 3x^2
     assert p(Fraction(1, 2)) == 1 - 1 + Fraction(3, 4)
     assert p(0) == 1
+    assert type(p(3)) is Fraction and type(p(Fraction(1, 2))) is Fraction
 
 
 def test_arithmetic():
@@ -121,6 +122,40 @@ def test_cancellation_drops_degree():
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
         Polynomial([0.5])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: p - 0.5,
+        lambda p: p - "1/2",
+        lambda p: 0.5 - p,
+        lambda p: p(0.5),
+        lambda p: p + 0.5,
+        lambda p: 0.5 + p,
+        lambda p: p + "1/2",
+    ],
+    ids=["sub-float", "sub-str", "rsub-float", "call-float", "add-float", "radd-float",
+         "add-str"],
+)
+def test_inexact_operands_rejected(call):
+    with pytest.raises(TypeError):
+        call(Polynomial([1, 2]))
+
+
+@given(polys, polys, coeff)
+def test_sums_are_coefficientwise(p, q, c):
+    width = max(len(p.coeffs), len(q.coeffs))
+    a = [p.coefficient(d) for d in range(width)]
+    b = [q.coefficient(d) for d in range(width)]
+    assert p + q == Polynomial([x + y for x, y in zip(a, b)])
+    assert p - q == Polynomial([x - y for x, y in zip(a, b)])
+    assert -p == Polynomial([-x for x in p.coeffs])
+    shifted = [p.coeffs[0] + c, *p.coeffs[1:]]
+    assert p + c == c + p == Polynomial(shifted)
+    assert p - c == Polynomial([p.coeffs[0] - c, *p.coeffs[1:]])
+    assert c - p == Polynomial([c - p.coeffs[0], *(-x for x in p.coeffs[1:])])
+    assert all(type(x) is Fraction for x in (p + q).coeffs + (c - p).coeffs)
 
 
 def test_immutable_and_hashable():

@@ -212,6 +212,65 @@ def test_bad_call_messages():
         verify.verify_bernoulli_product(1)
 
 
+# One valid call of each identity, by keyword.
+VALID_CALLS = {
+    "theorem1": {"N": 2, "u": 2, "T": 6},
+    "corollary2": {"N": 2, "u": 2, "x": 0, "T": 6},
+    "theorem3": {"n": 2, "N": 2, "u": 2},
+    "corollary4": {"n": 2, "N": 2, "u": 2},
+    "corollary5": {"n": 2, "N": 2, "u": 2},
+    "eq60_multinomial": {"n": 2, "N": 2, "u": 2},
+    "carlitz_product": {"m": 1, "n": 1, "alpha": 2, "beta": 3},
+    "carlitz_reciprocal": {"m": 1, "n": 1, "alpha": 2},
+    "bernoulli_product": {"m": 1, "n": 2},
+}
+
+
+def test_valid_calls_cover_every_parameter():
+    for identity, kwargs in VALID_CALLS.items():
+        assert list(kwargs) == checker_params(identity)
+        assert CHECKERS[identity](**kwargs).verdict == "pass"
+
+
+@pytest.mark.parametrize("bad", [True, 3.0, "3"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize(
+    "identity, name",
+    [(identity, name) for identity in IDENTITIES
+     for name, param in parameters(identity).items() if param.integer],
+)
+def test_integer_parameters_must_be_ints(identity, name, bad):
+    kwargs = dict(VALID_CALLS[identity], **{name: bad})
+    message = f"argument '{name}' must be an int, not {type(bad).__name__}"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        CHECKERS[identity](**kwargs)
+    args = [kwargs[p] for p in checker_params(identity)]
+    with pytest.raises(TypeError, match=re.escape(message)):
+        CHECKERS[identity](*args)
+
+
+@pytest.mark.parametrize("bad", [True, False])
+@pytest.mark.parametrize(
+    "identity, name",
+    [(identity, name) for identity in IDENTITIES
+     for name, param in parameters(identity).items()
+     if not param.integer and name != "variant"],
+)
+def test_rational_parameters_refuse_bools(identity, name, bad):
+    kwargs = dict(VALID_CALLS[identity], **{name: bad})
+    with pytest.raises(TypeError, match=f"argument '{name}' must be a rational, not bool"):
+        CHECKERS[identity](**kwargs)
+
+
+def test_type_errors_come_before_value_errors():
+    # n = True beside N = 0, u = 1 and an unknown variant, each a ValueError
+    with pytest.raises(TypeError, match="argument 'n' must be an int, not bool"):
+        verify.verify_theorem3(True, 0, 1, "bogus")
+    with pytest.raises(TypeError, match="argument 'T' must be an int, not float"):
+        verify.verify_theorem1(0, 1, 12.0)
+    with pytest.raises(TypeError, match="argument 'alpha' must be a rational, not bool"):
+        verify.verify_carlitz(-1, 0, True, 1)
+
+
 def test_defaults_are_filled_in_for_every_call_form():
     u = Fraction(1, 3)
     reports = [

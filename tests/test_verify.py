@@ -82,6 +82,11 @@ class TestTheorem1:
         assert calls == []
         assert verify_corollary2(3, Fraction(1, 3), Fraction(1, 2), 10).verdict == "pass"
         assert calls
+        # each side of theorem1 is multiplied by e^{xt} once, whatever N is
+        for N in (1, 3, 5):
+            calls.clear()
+            assert verify_corollary2(N, Fraction(1, 3), Fraction(1, 2), 10).verdict == "pass"
+            assert len(calls) == 2
 
 
 class TestCorollary2:
@@ -92,6 +97,7 @@ class TestCorollary2:
         with_x = verify_corollary2(N, u, Fraction(0), T, variant)
         without = verify_theorem1(N, u, T, variant)
         assert with_x.verdict == without.verdict
+        assert with_x.mismatches == without.mismatches
 
     def test_corrected_passes(self):
         report = verify_corollary2(3, Fraction(1, 3), Fraction(2), 12, "corrected")
