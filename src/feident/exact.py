@@ -1,10 +1,19 @@
-"""Exact rational scalars and combinatorial counting primitives.
+"""Exact rational scalars, coefficient vectors and combinatorial counting
+primitives.
 
 Every quantity in this package is an exact ``fractions.Fraction`` (or an
 arbitrary-precision ``int`` where integrality is guaranteed); nothing is
-ever rounded.  This module also owns the text format used for rationals
-on the command line and in JSON: ``"p/q"`` with an optional leading
-``-``, the denominator omitted when it is 1 (``"2"``, ``"-1/3"``).
+ever rounded.  ``as_fraction`` and ``exact_parameter`` are the coercions:
+both refuse a ``float`` and a ``bool``.  This module also owns the text
+format used for rationals on the command line and in JSON: ``"p/q"`` with
+an optional leading ``-``, the denominator omitted when it is 1 (``"2"``,
+``"-1/3"``).
+
+:class:`Coefficients` is the storage shared by series and polynomials:
+a tuple of Fractions, integer numerators over one positive denominator,
+or both.  Kernels read and return the integer form, so a chain of them
+makes no Fraction; :func:`to_fractions` is the one place an integer form
+becomes Fractions, when a value's ``coeffs`` is first read.
 """
 
 from __future__ import annotations
@@ -21,6 +30,11 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "common_denominator",
+    "to_fractions",
+    "lowest_terms",
+    "integer_form",
+    "Coefficients",
+    "combine",
     "linear_combination",
     "binomial",
     "multinomial",
@@ -40,22 +54,25 @@ def rat(numer: int, denom: int = 1) -> Fraction:
 
 
 def as_fraction(value) -> Fraction:
-    """An int or a Fraction as a Fraction; any other type raises TypeError."""
+    """An int or a Fraction as a Fraction; any other type, ``bool``
+    included, raises TypeError."""
     if isinstance(value, float):
         raise TypeError("float coefficients are not allowed; use Fraction")
-    if not isinstance(value, (int, Fraction)):
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise TypeError(f"coefficients must be int or Fraction, not {type(value).__name__}")
     return Fraction(value)
 
 
 def exact_parameter(value) -> Fraction:
     """An int, Fraction or "p/q" string as ``Fraction()`` reads it; a float
-    raises TypeError, as its binary value is not the rational meant.  A
-    ``Fraction`` (not a subclass) is returned as it is."""
+    raises TypeError, as its binary value is not the rational meant, and so
+    does a bool.  A ``Fraction`` (not a subclass) is returned as it is."""
     if type(value) is Fraction:
         return value
     if isinstance(value, float):
         raise TypeError("float parameters are not allowed; use Fraction or a 'p/q' string")
+    if isinstance(value, bool):
+        raise TypeError("bool parameters are not allowed; use int or Fraction")
     return Fraction(value)
 
 
@@ -92,24 +109,93 @@ def common_denominator(values: Sequence[Fraction | int]) -> tuple[list[int], int
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def linear_combination(
-    terms: Iterable[tuple[Fraction | int, Sequence[Fraction | int]]]
-) -> list[Fraction]:
-    """Entry i of sum scalar * sequence over the ``(scalar, sequence)``
-    pairs, as long as the longest sequence (shorter ones count as padded
-    with zeros); ``[]`` for no terms.
+def to_fractions(numerators: Sequence[int], d: int) -> tuple[Fraction, ...]:
+    """``numerators[i] / d`` for each i, one reduced Fraction each."""
+    return tuple([Fraction(v, d) for v in numerators])
+
+
+def lowest_terms(numerators: list[int], d: int) -> tuple[list[int], int]:
+    """``(numerators, d)`` divided by their gcd, so that d is the lcm of
+    the reduced denominators of the numerators[i] / d."""
+    g = math.gcd(d, *numerators)
+    if g == 1:
+        return numerators, d
+    return [v // g for v in numerators], d // g
+
+
+def integer_form(values) -> tuple[list[int], int]:
+    """``values`` over one positive denominator: a :class:`Coefficients`
+    value's own integer form, else :func:`common_denominator` of the
+    sequence."""
+    if isinstance(values, Coefficients):
+        return values.integer_form
+    return common_denominator(values)
+
+
+class Coefficients:
+    """Immutable coefficients c_0..c_k, held as a tuple of Fractions
+    (``coeffs``), as ``(numerators, d)`` with d > 0 and
+    c_i = numerators[i] / d (``integer_form``), or both.  Each form is made
+    from the other the first time it is read and kept; the numerator list
+    is shared, so no caller may mutate it.  A form is published by one slot
+    assignment, so threads that race at worst make it twice.  Pickling,
+    equality and hashing read the Fractions, whichever form was held."""
+
+    __slots__ = ("_fracs", "_ints")
+
+    def _hold(self, fracs, ints):
+        object.__setattr__(self, "_fracs", fracs)
+        object.__setattr__(self, "_ints", ints)
+        return self
+
+    @classmethod
+    def _of(cls, fracs=None, ints=None):
+        """A value holding the given forms as they are, unchecked."""
+        return object.__new__(cls)._hold(fracs, ints)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.coeffs,)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        if self._fracs is None:
+            object.__setattr__(self, "_fracs", self._fractions())
+        return self._fracs
+
+    @property
+    def integer_form(self) -> tuple[list[int], int]:
+        if self._ints is None:
+            object.__setattr__(self, "_ints", self._integers())
+        return self._ints
+
+    def _fractions(self) -> tuple[Fraction, ...]:
+        return to_fractions(*self._ints)
+
+    def _integers(self) -> tuple[list[int], int]:
+        return common_denominator(self._fracs)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}([{', '.join(str(c) for c in self.coeffs)}])"
+
+
+def combine(
+    terms: Iterable[tuple[Fraction | int, tuple[Sequence[int], int]]]
+) -> tuple[list[int], int]:
+    """``(totals, lcm)``: entry i of sum scalar * numerators / d over the
+    ``(scalar, (numerators, d))`` pairs, as long as the longest numerator
+    list (shorter ones count as padded with zeros).
 
     Terms with a zero scalar are skipped.  The others are put over one
-    lcm and summed in integers, so each entry becomes one reduced
-    Fraction, with one gcd, instead of a Fraction product and sum per term.
-    """
+    lcm and summed in integers; nothing is reduced."""
     width, scaled = 0, []
-    for scalar, seq in terms:
-        width = max(width, len(seq))
+    for scalar, (nums, d) in terms:
+        width = max(width, len(nums))
         if type(scalar) is not Fraction:
             scalar = as_fraction(scalar)
         if scalar:
-            nums, d = common_denominator(seq)
             scaled.append((scalar.numerator, scalar.denominator * d, nums))
     lcm = math.lcm(*[den for _, den, _ in scaled])
     total = [0] * width
@@ -117,7 +203,21 @@ def linear_combination(
         weight = num * (lcm // den)
         for i, v in enumerate(nums):
             total[i] += weight * v
-    return [Fraction(t, lcm) for t in total]
+    return total, lcm
+
+
+def linear_combination(
+    terms: Iterable[tuple[Fraction | int, Sequence[Fraction | int]]]
+) -> list[Fraction]:
+    """Entry i of sum scalar * sequence over the ``(scalar, sequence)``
+    pairs, as long as the longest sequence (shorter ones count as padded
+    with zeros); ``[]`` for no terms.  A sequence may be a
+    :class:`Coefficients` value, whose integer form is read.
+
+    Summed by :func:`combine`, so each entry becomes one reduced Fraction,
+    with one gcd, instead of a Fraction product and sum per term.
+    """
+    return list(to_fractions(*combine((s, integer_form(seq)) for s, seq in terms)))
 
 
 def binomial(n: int, k: int) -> int:

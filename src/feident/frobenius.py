@@ -40,9 +40,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import exact_parameter, linear_combination
+from .exact import combine, common_denominator, exact_parameter
 from .poly import Polynomial
-from .series import bernoulli_oracle, frobenius_oracle, series_pow
+from .series import EgfSeries, bernoulli_oracle, frobenius_oracle, series_pow
 from .stirling import triangle_recurrence
 
 __all__ = [
@@ -136,10 +136,14 @@ def fe_polynomial(n: int, u: Fraction) -> Polynomial:
 def fe_higher_numbers(n_max: int, order: int, u: Fraction) -> tuple[Fraction, ...]:
     """H_0^(N)(u)..H_{n_max}^(N)(u) as coefficients of the N-th power of
     the order-1 generating function."""
+    return _higher_series(n_max, order, u).coeffs
+
+
+def _higher_series(n_max: int, order: int, u: Fraction) -> EgfSeries:
+    """The N-th power of the order-1 EGF to order n_max, in integer form."""
     _check_at_least("n_max", n_max, 0)
     _check_at_least("order", order, 1)
-    u = _check_u(u)
-    return series_pow(frobenius_oracle(u, n_max), order).coeffs
+    return series_pow(frobenius_oracle(_check_u(u), n_max), order)
 
 
 def fe_higher_number_oracle(n: int, order: int, u: Fraction) -> Fraction:
@@ -163,11 +167,12 @@ def fe_higher_number_formula(
 
 def _formula_numbers(
     n_max: int, order: int, u: Fraction, variant: str, first: int = 0
-) -> list[Fraction]:
+) -> EgfSeries:
     """H_first^(N)(u)..H_{n_max}^(N)(u) by :func:`fe_higher_number_formula`,
-    with the triangle row and the prefactor built once: entry n is
-    sum_k prefactor * a_k(N) * H_{n+k}(u), one integer linear combination
-    of shifted slices of the number table."""
+    in integer form, with the triangle row and the prefactor built once:
+    entry n is sum_k prefactor * a_k(N) * H_{n+k}(u).  The window of the
+    number table that the sum reads is put over one denominator once, and
+    the sum is one integer combination of its shifted slices."""
     _check_at_least("n", n_max, 0)
     _check_at_least("order", order, 1)
     u = _check_u(u, forbid_zero=True)
@@ -175,17 +180,19 @@ def _formula_numbers(
     factor = (1 - u) / u if variant == "as_printed" else (u - 1) / u
     prefactor = factor ** (order - 1) / math.factorial(order - 1)
     row = triangle_recurrence(order).row(order)
-    numbers = _table(u).upto(n_max + len(row) - 1)
-    return linear_combination(
-        (prefactor * weight, numbers[first + k: n_max + k + 1]) for k, weight in enumerate(row)
-    )
+    end = n_max + len(row)
+    window, d = common_denominator(_table(u).upto(end - 1)[first:end])
+    width = n_max + 1 - first
+    return EgfSeries._of(ints=combine(
+        (prefactor * weight, (window[k: k + width], d)) for k, weight in enumerate(row)
+    ))
 
 
 def fe_higher_polynomial(n: int, order: int, u: Fraction) -> Polynomial:
     """H_n^(N)(x|u) = sum_l C(n,l) x^(n-l) H_l^(N)(u), from the series
     route's higher-order numbers."""
     _check_at_least("n", n, 0)
-    return Polynomial.appell(fe_higher_numbers(n, order, u))
+    return Polynomial.appell(_higher_series(n, order, u))
 
 
 def euler_polynomial(n: int) -> Polynomial:

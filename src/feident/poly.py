@@ -1,21 +1,24 @@
 """Dense univariate polynomials over exact rationals.
 
-Coefficients are Fractions (ints are converted; a float or any other type
-raises TypeError), stored in ascending degree order with no trailing
-zeros; the zero polynomial is a single zero coefficient.  Instances are
-immutable and support mixed arithmetic with ``int`` and ``Fraction``
-scalars.  A Polynomial is never a series coefficient.
+Coefficients are Fractions (ints are converted; a float, a bool or any
+other type raises TypeError), stored in ascending degree order with no
+trailing zeros; the zero polynomial is a single zero coefficient.
+Instances are immutable and support mixed arithmetic with ``int`` and
+``Fraction`` scalars.  A Polynomial is never a series coefficient.
 
-The product of two polynomials is convolved in integers: each factor is
-put over one common denominator and each output coefficient becomes one
-reduced Fraction, with one gcd per coefficient.  ``Polynomial.combination``
-sums scalar multiples of polynomials the same way, through
-:func:`feident.exact.linear_combination`: every term over one lcm, one
-integer sum and one reduced Fraction per coefficient.  Every linear
-operator is one combination: a product by a scalar has one term, ``-p``
-one, and ``p + q``, ``p - q`` (either operand a scalar) two.  A float
-operand or evaluation point raises TypeError.  ``Polynomial.appell``
-makes one Fraction per coefficient from an integer product.
+A Polynomial keeps its coefficients as Fractions, as integer numerators
+over one positive denominator, or both (:class:`feident.exact.Coefficients`),
+and makes the other form when first read.  The product of two polynomials
+is convolved on the integer forms and put in lowest terms.
+``Polynomial.combination`` sums scalar multiples of polynomials through
+:func:`feident.exact.combine`: every term over one lcm and one integer sum,
+in integer form.  Every linear operator is one combination: a product by a
+scalar has one term, ``-p`` one, and ``p + q``, ``p - q`` (either operand a
+scalar) two.  A float or bool operand or evaluation point raises TypeError.
+``Polynomial.appell`` keeps the numbers it is given: its Fraction form is
+one ``Fraction(C(n,d) * numerator, denominator)`` per coefficient, and its
+integer form comes from the numbers over one denominator; numbers that
+are already a series give the integer form at once.
 """
 
 from __future__ import annotations
@@ -24,31 +27,40 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .exact import as_fraction, binomial, common_denominator, linear_combination
+from .exact import (Coefficients, as_fraction, binomial, combine, common_denominator,
+                    lowest_terms)
 
 __all__ = ["Polynomial"]
 
 Scalar = Union[int, Fraction]
 
 
-class Polynomial:
+def _trimmed(values: list, zero) -> list:
+    """``values`` without trailing zeros; ``[zero]`` for the zero polynomial."""
+    while len(values) > 1 and not values[-1]:
+        values.pop()
+    return values or [zero]
+
+
+def _appell_ints(nums: list[int], d: int) -> tuple[list[int], int]:
+    """Integer form of the Appell polynomial of the numbers nums[l] / d."""
+    n = len(nums) - 1
+    return _trimmed([binomial(n, k) * v for k, v in enumerate(reversed(nums))], 0), d
+
+
+class Polynomial(Coefficients):
     """Immutable dense polynomial; ``coeffs[d]`` is the coefficient of x^d."""
 
-    __slots__ = ("coeffs",)
+    # The numbers an Appell polynomial was made from, until a form is read.
+    __slots__ = ("_numbers",)
 
     def __init__(self, coeffs: Iterable[Scalar] = (0,)):
         cs = [c if type(c) is Fraction else as_fraction(c) for c in coeffs]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            cs = [Fraction(0)]
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self._hold(tuple(_trimmed(cs, Fraction(0))), None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.coeffs,)
+    @classmethod
+    def _from_ints(cls, nums: list[int], d: int) -> "Polynomial":
+        return cls._of(ints=(_trimmed(nums, 0), d))
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -69,19 +81,38 @@ class Polynomial:
     @classmethod
     def appell(cls, numbers: Sequence[Scalar]) -> "Polynomial":
         """sum_d C(n,d) numbers[n-d] x^d with n = len(numbers) - 1: the
-        Appell polynomial of the numbers, as H_n(x|u) is that of the H_l(u)."""
-        n = len(numbers) - 1
-        xs = [x if type(x) is Fraction else as_fraction(x) for x in reversed(numbers)]
+        Appell polynomial of the numbers, as H_n(x|u) is that of the H_l(u).
+        Numbers held as a :class:`~feident.exact.Coefficients` value give
+        the integer form at once; other numbers are kept, and each form is
+        made from them when first read."""
+        if isinstance(numbers, Coefficients):
+            return cls._from_ints(*_appell_ints(*numbers.integer_form))
+        p = cls._of()
+        xs = [x if type(x) is Fraction else as_fraction(x) for x in numbers]
+        object.__setattr__(p, "_numbers", xs)
+        return p
+
+    def _fractions(self) -> tuple[Fraction, ...]:
+        xs = getattr(self, "_numbers", None)
+        if xs is None:
+            return super()._fractions()
+        n = len(xs) - 1
         # one Fraction (one gcd) per coefficient, not an int * Fraction product
-        return cls([Fraction(binomial(n, d) * x.numerator, x.denominator)
-                    for d, x in enumerate(xs)])
+        return tuple(_trimmed([Fraction(binomial(n, d) * x.numerator, x.denominator)
+                               for d, x in enumerate(reversed(xs))], Fraction(0)))
+
+    def _integers(self) -> tuple[list[int], int]:
+        xs = getattr(self, "_numbers", None)
+        if xs is None:
+            return super()._integers()
+        return _appell_ints(*common_denominator(xs))
 
     @classmethod
     def combination(cls, terms: Iterable[tuple[Scalar, "Polynomial"]]) -> "Polynomial":
         """sum scalar * poly over the ``(scalar, poly)`` pairs, summed in
         integers over one common denominator (see
-        :func:`feident.exact.linear_combination`); zero for no terms."""
-        return cls(linear_combination((c, p.coeffs) for c, p in terms))
+        :func:`feident.exact.combine`); zero for no terms."""
+        return cls._from_ints(*combine((c, p.integer_form) for c, p in terms))
 
     @property
     def degree(self) -> int:
@@ -97,8 +128,7 @@ class Polynomial:
         return self.coeffs[d]
 
     def __call__(self, value: Scalar) -> Fraction:
-        if isinstance(value, float):
-            raise TypeError("float points are not allowed; use Fraction")
+        value = as_fraction(value)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * value + c
@@ -146,18 +176,16 @@ class Polynomial:
             return Polynomial.combination([(other, self)])
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, da = common_denominator(self.coeffs)
-        b, db = common_denominator(other.coeffs)
-        b.reverse()
+        a, da = self.integer_form
+        b, db = other.integer_form
+        b = b[::-1]
         top = len(b) - 1
-        d = da * db
         out = []
         for m in range(len(a) + top):
             lo, hi = max(0, m - top), min(m, len(a) - 1) + 1
             # b[top - m + i] is the coefficient of x^(m-i) in other
-            s = sum(map(mul, a[lo:hi], b[top - m + lo: top - m + hi]))
-            out.append(Fraction(s, d))
-        return Polynomial(out)
+            out.append(sum(map(mul, a[lo:hi], b[top - m + lo: top - m + hi])))
+        return Polynomial._from_ints(*lowest_terms(out, da * db))
 
     __rmul__ = __mul__
 
@@ -175,6 +203,3 @@ class Polynomial:
         for _ in range(exponent):
             out = out * self
         return out
-
-    def __repr__(self) -> str:
-        return f"Polynomial([{', '.join(str(c) for c in self.coeffs)}])"

@@ -6,15 +6,18 @@ plain t^n one) makes differentiation a pure index shift and keeps every
 convolution weight an integer binomial, so all arithmetic stays exact.
 
 Coefficients are Fractions, and only Fractions: ints are converted, and
-anything else (a float, a Polynomial) raises TypeError.  Operands of
-:func:`series_mul` and :func:`series_reciprocal` are convolved in
-integers: each operand is put over one common denominator, the binomial
-weights come row by row from Pascal's rule, and each output coefficient
-becomes one reduced Fraction, so there is one gcd per output coefficient
-instead of several Fraction operations per term.  The reciprocal keeps the
-outputs found so far as numerators over the lcm of their reduced
-denominators, so its intermediates grow with the true denominators, not
-with powers of the constant term.
+anything else (a float, a Polynomial) raises TypeError.  A series keeps
+them as Fractions, as integer numerators over one positive denominator,
+or both (:class:`feident.exact.Coefficients`).  The kernels read and
+return the integer form, so a chain such as F -> F^N -> scale makes no
+Fraction until ``coeffs`` is read: a product convolves the numerators,
+with binomial weights row by row from Pascal's rule, and puts the result
+in lowest terms; a scale multiplies numerators and denominator; a
+truncation slices whichever forms exist.  The reciprocal makes each
+output Fraction for its own bookkeeping, keeping the outputs so far as
+numerators over the lcm of their reduced denominators, so its
+intermediates grow with the true denominators, not with powers of the
+constant term; it returns both forms.
 
 Mixed-order operands are truncated to the shorter order, never padded:
 callers size their inputs deliberately.
@@ -35,7 +38,7 @@ from math import gcd
 from operator import add, mul
 from typing import Iterable, Iterator
 
-from .exact import as_fraction, common_denominator, exact_parameter
+from .exact import Coefficients, as_fraction, exact_parameter, lowest_terms
 
 __all__ = [
     "EgfSeries",
@@ -51,32 +54,26 @@ __all__ = [
 ]
 
 
-class EgfSeries:
+class EgfSeries(Coefficients):
     """Immutable truncated EGF; ``coeffs[n]`` is the coefficient of t^n/n!."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable):
         cs = tuple(c if type(c) is Fraction else as_fraction(c) for c in coeffs)
         if not cs:
             raise ValueError("a series needs at least its constant coefficient")
-        object.__setattr__(self, "coeffs", cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EgfSeries is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.coeffs,)
+        self._hold(cs, None)
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self) - 1
 
     def __getitem__(self, n: int):
         return self.coeffs[n]
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return len(self._fracs if self._fracs is not None else self._ints[0])
 
     def __iter__(self):
         return iter(self.coeffs)
@@ -89,13 +86,11 @@ class EgfSeries:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __repr__(self) -> str:
-        return f"EgfSeries([{', '.join(str(c) for c in self.coeffs)}])"
-
 
 def series_scale(a: EgfSeries, c) -> EgfSeries:
     c = as_fraction(c)
-    return EgfSeries([c * h for h in a.coeffs])
+    nums, d = a.integer_form
+    return EgfSeries._of(ints=([c.numerator * v for v in nums], c.denominator * d))
 
 
 def _binomial_rows(t: int) -> Iterator[list[int]]:
@@ -109,21 +104,21 @@ def _binomial_rows(t: int) -> Iterator[list[int]]:
 
 
 def series_mul(a: EgfSeries, b: EgfSeries) -> EgfSeries:
-    """Product of two EGFs: c_n = sum_k C(n,k) a_k b_{n-k}, convolved in
-    integers over one common denominator per operand."""
+    """Product of two EGFs: c_n = sum_k C(n,k) a_k b_{n-k}, convolved on
+    the operands' integer forms and put in lowest terms, so that the
+    denominators of a chain of products (a power) do not compound."""
     t = min(a.order, b.order)
-    xn, dx = common_denominator(a.coeffs[: t + 1])
-    yn, dy = common_denominator(b.coeffs[: t + 1])
-    yn.reverse()
-    d = dx * dy
-    return EgfSeries([
-        Fraction(sum(map(mul, row, map(mul, xn[: n + 1], yn[t - n:]))), d)
+    xn, dx = a.integer_form
+    yn, dy = b.integer_form
+    yr = yn[t::-1]
+    return EgfSeries._of(ints=lowest_terms([
+        sum(map(mul, row, map(mul, xn[: n + 1], yr[t - n:])))
         for n, row in enumerate(_binomial_rows(t))
-    ])
+    ], dx * dy))
 
 
 def series_reciprocal(a: EgfSeries) -> EgfSeries:
-    """Multiplicative inverse to full order.
+    """Multiplicative inverse to full order, in both forms.
 
     b_0 = 1/a_0 and b_n = -(1/a_0) sum_{k<n} C(n,k) a_{n-k} b_k.
     Requires a nonzero constant coefficient.
@@ -131,12 +126,13 @@ def series_reciprocal(a: EgfSeries) -> EgfSeries:
     The sums run in integers: a_i = A_i / D, and the outputs so far are
     kept as numerators over L, the lcm of their reduced denominators,
     rescaled whenever L grows, so b_n = -S / (A_0 L) with S the integer
-    sum; one gcd per output.
+    sum; one gcd per output.  Those numerators over L are the result's
+    integer form, and the reduced outputs its Fractions.
     """
-    if a.coeffs[0] == 0:
+    an, d = a.integer_form
+    if an[0] == 0:
         raise ValueError("series with zero constant coefficient is not invertible")
-    an, d = common_denominator(a.coeffs)
-    an.reverse()
+    an = an[::-1]
     t = a.order
     out = [Fraction(d, an[t])]
     lcm, nums = out[0].denominator, [out[0].numerator]
@@ -153,7 +149,7 @@ def series_reciprocal(a: EgfSeries) -> EgfSeries:
             lcm *= grow
             nums = [v * grow for v in nums]
         nums.append(b.numerator * (lcm // den))
-    return EgfSeries(out)
+    return EgfSeries._of(tuple(out), (nums, lcm))
 
 
 def series_pow(a: EgfSeries, exponent: int) -> EgfSeries:
@@ -171,21 +167,28 @@ def series_pow(a: EgfSeries, exponent: int) -> EgfSeries:
 
 
 def series_truncate(a: EgfSeries, order: int) -> EgfSeries:
+    """The first order + 1 coefficients, sliced from whichever forms ``a``
+    holds."""
     if order < 0 or order > a.order:
         raise ValueError(f"cannot truncate order-{a.order} series to order {order}")
-    return EgfSeries(a.coeffs[: order + 1])
+    fracs, ints = a._fracs, a._ints
+    return EgfSeries._of(fracs and fracs[: order + 1], ints and (ints[0][: order + 1], ints[1]))
 
 
 def exp_xt(x, order: int) -> EgfSeries:
     """e^{xt} truncated: coefficient n is x^n, for an int or Fraction x."""
     x = as_fraction(x)
-    return EgfSeries([x**n for n in range(order + 1)])
+    if order < 0:
+        raise ValueError("a series needs at least its constant coefficient")
+    p, q = x.numerator, x.denominator
+    return EgfSeries._of(ints=([p**n * q ** (order - n) for n in range(order + 1)], q**order))
 
 
 def exp_minus_constant(c, order: int) -> EgfSeries:
     """e^t - c as an EGF: coefficients (1 - c, 1, 1, ...)."""
     c = as_fraction(c)
-    return EgfSeries([Fraction(1) - c] + [Fraction(1)] * order)
+    q = c.denominator
+    return EgfSeries._of(ints=([q - c.numerator] + [q] * order, q))
 
 
 def frobenius_oracle(u: Fraction, order: int) -> EgfSeries:
@@ -210,4 +213,4 @@ def bernoulli_oracle(order: int) -> EgfSeries:
         size = max(order, 2 * prefix.order)
         g = EgfSeries([Fraction(1, n + 1) for n in range(size + 1)])
         prefix = _bernoulli_prefix = series_reciprocal(g)
-    return EgfSeries(prefix.coeffs[: order + 1])
+    return series_truncate(prefix, order)

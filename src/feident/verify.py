@@ -12,10 +12,13 @@ The checkers' sums run on integers.  The composition sum of corollary4
 and eq60_multinomial puts the numbers over one common denominator d, sums
 multinomial(k; l) * prod nums[l_i] in integers and makes one Fraction
 over d^N.  The weighted sums of polynomials (the Carlitz and Bernoulli
-products) and of the derivatives of F (theorem1) are each one call of
-:func:`feident.exact.linear_combination`, which puts every term over one
-lcm and makes one reduced Fraction per coefficient.  corollary2 is
-theorem1 with both sides multiplied by e^{xt} once.
+products) and of the derivatives of F (theorem1) are each one integer
+combination (:func:`feident.exact.combine`) of their terms' integer
+forms; the derivative side reads shifted slices of F's numerators.
+corollary2 is theorem1 with both sides multiplied by e^{xt} once.  Each
+checker compares its two sides in integer form, a_i * d_b == b_i * d_a,
+and makes Fractions only for the coefficients that differ, so a passing
+check of series or polynomials makes none from its sides.
 
 Reports are deterministic functions of (identity, params, variant), and a
 report passes exactly when its mismatch list is empty.  A ``Mismatch``
@@ -51,10 +54,11 @@ from typing import NamedTuple
 
 from .exact import (
     binomial,
+    combine,
     common_denominator,
     exact_parameter,
     format_rational,
-    linear_combination,
+    integer_form,
     multinomial,
     parse_rational,
     weak_compositions,
@@ -265,10 +269,14 @@ def _identity(identity: str):
 
 
 def _mismatches(var: str, lhs, rhs) -> list[Mismatch]:
-    """The coefficients of ``var``^i where the two sequences differ, the
-    shorter one padded with zeros."""
-    pairs = itertools.zip_longest(lhs, rhs, fillvalue=Fraction(0))
-    return [Mismatch(f"{var}^{i}", a, b) for i, (a, b) in enumerate(pairs) if a != b]
+    """The coefficients of ``var``^i where the two sides differ, the shorter
+    one padded with zeros.  Each side is a series, a polynomial or a
+    sequence, compared in integer form (a_i * d_b == b_i * d_a); Fractions
+    are made only for the coefficients that differ."""
+    (a, da), (b, db) = integer_form(lhs), integer_form(rhs)
+    return [Mismatch(f"{var}^{i}", Fraction(x, da), Fraction(y, db))
+            for i, (x, y) in enumerate(itertools.zip_longest(a, b, fillvalue=0))
+            if x * db != y * da]
 
 
 def _scalar_mismatches(lhs: Fraction, rhs: Fraction) -> list[Mismatch]:
@@ -278,9 +286,10 @@ def _scalar_mismatches(lhs: Fraction, rhs: Fraction) -> list[Mismatch]:
 def _derivative_side(base: EgfSeries, weights, target: int) -> EgfSeries:
     """sum_k weights[k] * base^(k-th derivative), truncated to ``target``.
     The k-th derivative of an EGF is its shift by k, and the weighted sum
-    is one integer linear combination."""
-    return EgfSeries(linear_combination(
-        (w, base.coeffs[k: k + target + 1]) for k, w in enumerate(weights)
+    is one integer combination of shifted slices of base's integer form."""
+    nums, d = base.integer_form
+    return EgfSeries._of(ints=combine(
+        (w, (nums[k: k + target + 1], d)) for k, w in enumerate(weights)
     ))
 
 
@@ -312,7 +321,7 @@ def verify_theorem1(N: int, u, T: int = 16, variant: str = "corrected") -> list[
     ``as_printed`` and s = (-1)^(N-1) for ``corrected``.
     """
     lhs, rhs = _derivative_expansion(N, u, T, variant)
-    return _mismatches("t", lhs.coeffs, rhs.coeffs)
+    return _mismatches("t", lhs, rhs)
 
 
 @_identity("corollary2")
@@ -322,7 +331,7 @@ def verify_corollary2(N: int, u, x, T: int = 16, variant: str = "corrected") -> 
     x = exact_parameter(x)
     lhs, rhs = _derivative_expansion(N, u, T, variant)
     E = exp_xt(x, lhs.order)
-    return _mismatches("t", series_mul(lhs, E).coeffs, series_mul(rhs, E).coeffs)
+    return _mismatches("t", series_mul(lhs, E), series_mul(rhs, E))
 
 
 @_identity("theorem3")
@@ -374,7 +383,7 @@ def verify_corollary5(n: int, N: int, u, variant: str = "corrected") -> list[Mis
     u = _check_u(u, forbid_zero=True)
     lhs = fe_higher_polynomial(n, N, u)
     rhs = Polynomial.appell(_formula_numbers(n, N, u, variant))
-    return _mismatches("x", lhs.coeffs, rhs.coeffs)
+    return _mismatches("x", lhs, rhs)
 
 
 @_identity("eq60_multinomial")
@@ -389,7 +398,7 @@ def verify_product_multinomial(n: int, N: int, u) -> list[Mismatch]:
     lhs = fe_higher_polynomial(n, N, u)
     numbers = [fe_number(l, u) for l in range(n + 1)]
     rhs = Polynomial.appell([_composition_sum(k, N, numbers) for k in range(n + 1)])
-    return _mismatches("x", lhs.coeffs, rhs.coeffs)
+    return _mismatches("x", lhs, rhs)
 
 
 @_identity("carlitz_product")
@@ -423,7 +432,7 @@ def verify_carlitz(m: int, n: int, alpha, beta, variant: str = "corrected") -> l
         + [(c_beta * binomial(n, s) * fe_number(s, beta), fe_polynomial(m + n - s, ab))
            for s in range(n + 1)]
     )
-    return _mismatches("x", lhs.coeffs, rhs.coeffs)
+    return _mismatches("x", lhs, rhs)
 
 
 @_identity("carlitz_reciprocal")
@@ -453,7 +462,7 @@ def verify_carlitz_reciprocal(m: int, n: int, alpha) -> list[Mismatch]:
             bernoulli_polynomial(m + n - s + 1)) for s in range(1, n + 1)]
         + [(tail * (1 - alpha) * fe_number(m + n + 1, alpha), Polynomial.one())]
     )
-    return _mismatches("x", lhs.coeffs, rhs.coeffs)
+    return _mismatches("x", lhs, rhs)
 
 
 @_identity("bernoulli_product")
@@ -482,7 +491,7 @@ def verify_bernoulli_product(m: int, n: int) -> list[Mismatch]:
     )
     terms.append((tail * bernoulli_number(m + n), Polynomial.one()))
     rhs = Polynomial.combination(terms)
-    return _mismatches("x", lhs.coeffs, rhs.coeffs)
+    return _mismatches("x", lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

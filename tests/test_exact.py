@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from feident.exact import (
+    as_fraction,
     binomial,
     common_denominator,
     compositions,
@@ -104,6 +105,22 @@ class TestExactParameter:
     def test_float_raises(self, value):
         with pytest.raises(TypeError, match="float parameters are not allowed"):
             exact_parameter(value)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_raises(self, value):
+        with pytest.raises(TypeError, match="bool parameters are not allowed"):
+            exact_parameter(value)
+
+
+class TestAsFraction:
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_raises(self, value):
+        with pytest.raises(TypeError, match="must be int or Fraction, not bool"):
+            as_fraction(value)
+
+    def test_int_and_fraction_read_as_fractions(self):
+        assert (type(as_fraction(3)), as_fraction(3)) == (Fraction, Fraction(3))
+        assert as_fraction(Fraction(-2, 6)) == Fraction(-1, 3)
 
 
 class TestCommonDenominator:

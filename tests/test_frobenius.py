@@ -105,6 +105,12 @@ class TestFeNumber:
         with pytest.raises(TypeError, match="float parameters are not allowed"):
             call(3, 0.1)
 
+    @pytest.mark.parametrize("call", [fe_number, fe_polynomial], ids=lambda f: f.__name__)
+    def test_bool_u_refused(self, call):
+        # False would read as u = 0, where H_3(0) = -1
+        with pytest.raises(TypeError, match="bool parameters are not allowed"):
+            call(3, False)
+
     @pytest.mark.parametrize("u", U_SAMPLES)
     def test_recurrence_matches_series_oracle(self, u):
         oracle = frobenius_oracle(u, 16)
@@ -222,8 +228,8 @@ class TestHigherOrderFormula:
             for k, weight in enumerate(row):
                 acc += weight * fe_number(n + k, u)
             expected.append(factor ** (order - 1) * acc / math.factorial(order - 1))
-        assert _formula_numbers(8, order, u, variant) == expected
-        assert _formula_numbers(8, order, u, variant, first=3) == expected[3:]
+        assert list(_formula_numbers(8, order, u, variant)) == expected
+        assert list(_formula_numbers(8, order, u, variant, first=3)) == expected[3:]
         assert [fe_higher_number_formula(n, order, u, variant) for n in range(9)] == expected
 
     def test_u_zero_rejected(self):

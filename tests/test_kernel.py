@@ -107,6 +107,24 @@ class TestPrefixTables:
     def test_series_does_not_import_the_kernel(self):
         assert "frobenius import" not in Path(series.__file__).read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize(
+        "u", [Fraction(2), Fraction(1, 3), Fraction(-5, 7), Fraction(-1)], ids=str
+    )
+    def test_matches_the_derivative_polynomials_of_the_ode(self, fresh_tables, u):
+        """A third route, from the paper's ODE F' = -F - uF^2 for
+        F = 1/(e^t - u): F^(n) = P_n(F), and with u = p/q, s = q - p the
+        scaled coefficients E_{n,j} of P_n obey E_{0,1} = 1,
+        E_{n+1,j} = -j s E_{n,j} - (j-1) p E_{n,j-1}, and
+        H_n(u) = sum_j E_{n,j} / s^n.  It shares no code with the table."""
+        p, s = u.numerator, u.denominator - u.numerator
+        row, sums = [0, 1], [1]  # row[j] = E_{n,j}
+        for _ in range(200):
+            row = [0] + [-j * s * row[j] - (j - 1) * p * row[j - 1]
+                         for j in range(1, len(row))] + [-(len(row) - 1) * p * row[-1]]
+            sums.append(sum(row))
+        assert frobenius._NumberTable(u).upto(200)[:201] == tuple(
+            Fraction(total, s**n) for n, total in enumerate(sums))
+
 
 coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 

@@ -143,6 +143,29 @@ def test_inexact_operands_rejected(call):
         call(Polynomial([1, 2]))
 
 
+@pytest.mark.parametrize(
+    "call,kind",
+    [
+        (lambda: Polynomial([True, 2]), "bool"),
+        (lambda: Polynomial([1, 2]) + True, "bool"),
+        (lambda: True - Polynomial([1, 2]), "bool"),
+        (lambda: Polynomial([1, 2]) * False, "bool"),
+        (lambda: Polynomial.appell([True, 2]), "bool"),
+        (lambda: Polynomial([1, 2])(True), "bool"),
+        (lambda: Polynomial([1, 2])(1j), "complex"),
+        (lambda: Polynomial([1, 2])("1/2"), "str"),
+    ],
+    ids=["coefficient", "add", "rsub", "mul", "appell", "call-bool", "call-complex",
+         "call-str"],
+)
+def test_bool_and_non_rational_values_refused(call, kind):
+    """A bool is not read as 0 or 1, and an evaluation point is converted
+    like a coefficient: Polynomial([True, 2]) + True is not Polynomial([2, 2])
+    and p(1j) is not the complex 1+2j."""
+    with pytest.raises(TypeError, match=f"must be int or Fraction, not {kind}"):
+        call()
+
+
 @given(polys, polys, coeff)
 def test_sums_are_coefficientwise(p, q, c):
     width = max(len(p.coeffs), len(q.coeffs))

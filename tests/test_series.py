@@ -241,6 +241,17 @@ class TestOracles:
         with pytest.raises(TypeError, match="float parameters are not allowed"):
             frobenius_oracle(0.5, 4)
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: exp_xt(True, 3), lambda: exp_minus_constant(False, 3),
+         lambda: series_scale(EgfSeries([1, 2]), True), lambda: EgfSeries([1, True])],
+        ids=["exp_xt", "exp_minus_constant", "series_scale", "EgfSeries"],
+    )
+    def test_bool_refused(self, build):
+        # True would read as 1, so exp_xt(True, 3) would be the series of e^t
+        with pytest.raises(TypeError, match="must be int or Fraction, not bool"):
+            build()
+
     def test_bernoulli_prefix(self):
         s = bernoulli_oracle(4)
         assert s.coeffs == (1, Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30))
