@@ -4,7 +4,8 @@ primitives.
 Every quantity in this package is an exact ``fractions.Fraction`` (or an
 arbitrary-precision ``int`` where integrality is guaranteed); nothing is
 ever rounded.  ``as_fraction`` and ``exact_parameter`` are the coercions:
-both refuse a ``float`` and a ``bool``.  This module also owns the text
+both refuse a ``float`` and a ``bool``, and so does ``check_at_least``,
+the check of every index and exponent.  This module also owns the text
 format used for rationals on the command line and in JSON: ``"p/q"`` with
 an optional leading ``-``, the denominator omitted when it is 1 (``"2"``,
 ``"-1/3"``).
@@ -27,6 +28,7 @@ __all__ = [
     "rat",
     "as_fraction",
     "exact_parameter",
+    "check_at_least",
     "parse_rational",
     "format_rational",
     "common_denominator",
@@ -74,6 +76,16 @@ def exact_parameter(value) -> Fraction:
     if isinstance(value, bool):
         raise TypeError("bool parameters are not allowed; use int or Fraction")
     return Fraction(value)
+
+
+def check_at_least(name: str, value: int, low: int) -> None:
+    """Refuse an index or exponent ``value`` (named ``name``) that is not an
+    ``int`` (TypeError; a ``bool`` is not one) or is below ``low``
+    (ValueError)."""
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise TypeError(f"argument {name!r} must be an int, not {type(value).__name__}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
 
 
 def parse_rational(text: str) -> Fraction:

@@ -1,30 +1,41 @@
 """Frobenius-Euler numbers and polynomials of all orders, plus their
 Bernoulli and Euler companions.
 
-The order-1 numbers H_n(u) are the EGF coefficients of (1-u)/(e^t - u);
-they satisfy H_0 = 1 and, for n > 0,
-
-    H_n(u) = (sum_{l<n} C(n,l) H_l(u)) / (u - 1).
+The order-1 numbers H_n(u) are the EGF coefficients of
+H(t) = (1-u)/(e^t - u).  Since (e^t - u) H(t) = 1 - u, H_0 = 1 and, for
+n > 0, sum_{l<=n} C(n,l) H_l = u H_n.  In the Euler-Seidel matrix of the
+sequence (a^0_n = H_n, a^k_n = a^(k-1)_n + a^(k-1)_(n+1)) the first row
+is a^n_0 = sum_l C(n,l) H_l, so this says a^n_0 = u H_n.  Walking from
+the anti-diagonal d_i = a^(k-i)_i (i = 0..k) to the next one, a^(k+1)_0
+is u H_(k+1) and each entry below it is the one above minus d_i, down to
+a^0_(k+1) = H_(k+1); hence H_(k+1) = sum(d) / (u-1) (Seidel 1877; Dumont,
+"Matrices d'Euler-Seidel", 1981).
 
 By Carlitz, H_n(u) = A_n(u) / (u-1)^n with A_n the Eulerian polynomial,
-so for u = p/q and r = p - q the denominator of H_n(u) divides r^n.  The
-recurrence therefore runs fraction-free: H_n(u) = M_n / r^n with M_0 = 1
-and
+so for u = p/q and r = p - q the denominator of H_n(u) divides r^n.  With
+the diagonal scaled by q r^k the recurrence runs in integers:
+H_k = M_k / r^k with M_0 = 1, D_0 = (q) and
 
-    M_n = q * sum_{l<n} C(n,l) M_l r^(n-1-l),
+    M_(k+1) = sum(D_k),
+    D_(k+1) = running differences of (p M_(k+1), r D_k[0], ..., r D_k[k]),
 
-all in integers, with one gcd per value (when it becomes a Fraction)
-instead of one per addition.  (The series expansion is kept in
+and the last entry of D_k is q M_k.  Each step is a sum, a product by the
+small r and a running difference: three C-level passes over the
+diagonal, with no binomial and no gcd.  (The series expansion is kept in
 :mod:`feident.series` as an independent oracle; this kernel never calls
 it.)  Order-N numbers are the coefficients of the N-th power of the
 order-1 EGF.
 
-Each u gets one prefix table holding M_0..M_k and H_0..H_k, grown on
-demand to the largest index asked for.  At most ``_TABLE_BOUND`` (256)
-tables are kept, least recently used first out, so a long-lived process
-that walks many distinct u holds a bounded number of tables; each one
-holds what its largest index needed.  A table only ever publishes whole
-new prefixes, so concurrent readers see correct values.
+Each u gets one table holding M_0..M_k and D_k, grown one step at a time
+to exactly the largest index asked for (never doubled: the CLI reads
+H_0..H_n in ascending order, and the kernel's cost grows as k^3 bits).
+``fe_polynomial`` and the formula window read the prefix in integer form,
+numerators M_l r^(n-l) over |r|^n, and make no Fraction.  ``fe_number``
+makes the Fractions H_0..H_n only up to the largest index it has read,
+and keeps them.  At most ``_TABLE_BOUND`` (256) tables are kept, least
+recently used first out, so a long-lived process that walks many
+distinct u holds a bounded number of tables.  A table only ever publishes
+whole new states, so concurrent readers see correct values.
 
 The closed formula for higher-order numbers in terms of the coefficient
 triangle comes in two variants: ``corrected`` carries the prefactor
@@ -39,8 +50,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, chain, repeat
+from operator import mul, sub
 
-from .exact import combine, common_denominator, exact_parameter
+from .exact import check_at_least, combine, exact_parameter
 from .poly import Polynomial
 from .series import EgfSeries, bernoulli_oracle, frobenius_oracle, series_pow
 from .stirling import triangle_recurrence
@@ -59,11 +72,6 @@ __all__ = [
 ]
 
 VARIANTS = ("as_printed", "corrected")
-
-
-def _check_at_least(name: str, value: int, low: int) -> None:
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}")
 
 
 def _check_u(u: Fraction, forbid_zero: bool = False) -> Fraction:
@@ -85,37 +93,62 @@ def _check_variant(variant: str) -> str:
 _TABLE_BOUND = 256
 
 
-class _NumberTable:
-    """H_0(u)..H_k(u) for one u = p/q, grown by prefix on demand."""
+def _seidel_step(p: int, r: int, diagonal: list[int]) -> tuple[int, list[int]]:
+    """M_(k+1) and D_(k+1) from D_k, for u = p/q and r = p - q."""
+    m = sum(diagonal)
+    return m, list(accumulate(chain((p * m,), map(mul, diagonal, repeat(r))), sub))
 
-    __slots__ = ("_q", "_r", "_prefix")
+
+class _NumberTable:
+    """H_0(u)..H_k(u) for one u = p/q as M_0..M_k over r^0..r^k, grown by
+    one Euler-Seidel step at a time on demand."""
+
+    __slots__ = ("_p", "_r", "_state", "_fractions")
 
     def __init__(self, u: Fraction):
-        self._q = u.denominator
+        self._p = u.numerator
         self._r = u.numerator - u.denominator
-        # (M_0..M_k, H_0..H_k); replaced whole, never mutated, so threads
-        # extending one table at once may redo work but never read a
-        # half-built prefix.
-        self._prefix = ((1,), (Fraction(1),))
+        # (M_0..M_k, D_k) and H_0..H_j; each replaced whole, never mutated,
+        # so threads extending one table at once may redo work but never
+        # read a half-built prefix.
+        self._state = ((1,), [u.denominator])
+        self._fractions = (Fraction(1),)
+
+    def _numerators(self, n: int) -> tuple[int, ...]:
+        """M_0..M_k for some k >= n."""
+        ms, diagonal = self._state
+        if n < len(ms):
+            return ms
+        p, r = self._p, self._r
+        grown = list(ms)
+        for _ in range(len(ms), n + 1):
+            m, diagonal = _seidel_step(p, r, diagonal)
+            grown.append(m)
+        self._state = (tuple(grown), diagonal)
+        return self._state[0]
+
+    def integer_form(self, first: int, end: int) -> tuple[list[int], int]:
+        """H_first..H_(end-1) as numerators over |r|^(end-1)."""
+        top, r = end - 1, self._r
+        # sign * r^(top-l) for l = first..top, the sign making r^top positive
+        scales = list(accumulate(repeat(r, top - first), mul,
+                                 initial=-1 if r < 0 and top % 2 else 1))
+        scales.reverse()
+        return list(map(mul, self._numerators(top)[first:end], scales)), abs(r) ** top
 
     def upto(self, n: int) -> tuple[Fraction, ...]:
-        """H_0(u)..H_k(u) for some k >= n."""
-        ms, hs = self._prefix
+        """H_0(u)..H_k(u) for some k >= n, as Fractions."""
+        hs = self._fractions
         if n < len(hs):
             return hs
-        q, r = self._q, self._r
-        ms, hs = list(ms), list(hs)
-        r_pow = r ** (len(ms) - 1)
-        for k in range(len(ms), n + 1):
-            acc, c = 0, 1  # c = C(k, l)
-            for l in range(k):
-                acc = acc * r + c * ms[l]
-                c = c * (k - l) // (l + 1)
-            ms.append(q * acc)
+        k, r = len(hs), self._r
+        r_pow = r ** k
+        new = []
+        for m in self._numerators(n)[k: n + 1]:
+            new.append(Fraction(m, r_pow))
             r_pow *= r
-            hs.append(Fraction(ms[k], r_pow))
-        self._prefix = (tuple(ms), tuple(hs))
-        return self._prefix[1]
+        self._fractions = hs = hs + tuple(new)
+        return hs
 
 
 _table = lru_cache(maxsize=_TABLE_BOUND)(_NumberTable)
@@ -123,14 +156,14 @@ _table = lru_cache(maxsize=_TABLE_BOUND)(_NumberTable)
 
 def fe_number(n: int, u: Fraction) -> Fraction:
     """n-th Frobenius-Euler number H_n(u), by recurrence."""
-    _check_at_least("n", n, 0)
+    check_at_least("n", n, 0)
     return _table(_check_u(u)).upto(n)[n]
 
 
 def fe_polynomial(n: int, u: Fraction) -> Polynomial:
     """H_n(x|u) = sum_l C(n,l) x^(n-l) H_l(u); monic of degree n."""
-    _check_at_least("n", n, 0)
-    return Polynomial.appell(_table(_check_u(u)).upto(n)[: n + 1])
+    check_at_least("n", n, 0)
+    return Polynomial.appell(EgfSeries._of(ints=_table(_check_u(u)).integer_form(0, n + 1)))
 
 
 def fe_higher_numbers(n_max: int, order: int, u: Fraction) -> tuple[Fraction, ...]:
@@ -141,14 +174,15 @@ def fe_higher_numbers(n_max: int, order: int, u: Fraction) -> tuple[Fraction, ..
 
 def _higher_series(n_max: int, order: int, u: Fraction) -> EgfSeries:
     """The N-th power of the order-1 EGF to order n_max, in integer form."""
-    _check_at_least("n_max", n_max, 0)
-    _check_at_least("order", order, 1)
+    check_at_least("n_max", n_max, 0)
+    check_at_least("order", order, 1)
     return series_pow(frobenius_oracle(_check_u(u), n_max), order)
 
 
 def fe_higher_number_oracle(n: int, order: int, u: Fraction) -> Fraction:
     """H_n^(N)(u) through the series route (the oracle side of the
     two-route checks)."""
+    check_at_least("n", n, 0)
     return fe_higher_numbers(n, order, u)[n]
 
 
@@ -171,17 +205,17 @@ def _formula_numbers(
     """H_first^(N)(u)..H_{n_max}^(N)(u) by :func:`fe_higher_number_formula`,
     in integer form, with the triangle row and the prefactor built once:
     entry n is sum_k prefactor * a_k(N) * H_{n+k}(u).  The window of the
-    number table that the sum reads is put over one denominator once, and
-    the sum is one integer combination of its shifted slices."""
-    _check_at_least("n", n_max, 0)
-    _check_at_least("order", order, 1)
+    number table that the sum reads comes in integer form, and the sum is
+    one integer combination of its shifted slices."""
+    check_at_least("n", n_max, 0)
+    check_at_least("order", order, 1)
     u = _check_u(u, forbid_zero=True)
     _check_variant(variant)
     factor = (1 - u) / u if variant == "as_printed" else (u - 1) / u
     prefactor = factor ** (order - 1) / math.factorial(order - 1)
     row = triangle_recurrence(order).row(order)
     end = n_max + len(row)
-    window, d = common_denominator(_table(u).upto(end - 1)[first:end])
+    window, d = _table(u).integer_form(first, end)
     width = n_max + 1 - first
     return EgfSeries._of(ints=combine(
         (prefactor * weight, (window[k: k + width], d)) for k, weight in enumerate(row)
@@ -191,7 +225,7 @@ def _formula_numbers(
 def fe_higher_polynomial(n: int, order: int, u: Fraction) -> Polynomial:
     """H_n^(N)(x|u) = sum_l C(n,l) x^(n-l) H_l^(N)(u), from the series
     route's higher-order numbers."""
-    _check_at_least("n", n, 0)
+    check_at_least("n", n, 0)
     return Polynomial.appell(_higher_series(n, order, u))
 
 
@@ -202,11 +236,11 @@ def euler_polynomial(n: int) -> Polynomial:
 
 def bernoulli_number(n: int) -> Fraction:
     """B_n from t/(e^t - 1); B_1 = -1/2 in this convention."""
-    _check_at_least("n", n, 0)
+    check_at_least("n", n, 0)
     return bernoulli_oracle(n)[n]
 
 
 def bernoulli_polynomial(n: int) -> Polynomial:
     """B_n(x) = sum_l C(n,l) x^(n-l) B_l."""
-    _check_at_least("n", n, 0)
+    check_at_least("n", n, 0)
     return Polynomial.appell(bernoulli_oracle(n).coeffs)

@@ -14,7 +14,8 @@ is convolved on the integer forms and put in lowest terms.
 :func:`feident.exact.combine`: every term over one lcm and one integer sum,
 in integer form.  Every linear operator is one combination: a product by a
 scalar has one term, ``-p`` one, and ``p + q``, ``p - q`` (either operand a
-scalar) two.  A float or bool operand or evaluation point raises TypeError.
+scalar) two.  A float or bool operand, evaluation point or exponent raises
+TypeError.
 ``Polynomial.appell`` keeps the numbers it is given: its Fraction form is
 one ``Fraction(C(n,d) * numerator, denominator)`` per coefficient, and its
 integer form comes from the numbers over one denominator; numbers that
@@ -27,8 +28,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .exact import (Coefficients, as_fraction, binomial, combine, common_denominator,
-                    lowest_terms)
+from .exact import (Coefficients, as_fraction, binomial, check_at_least, combine,
+                    common_denominator, lowest_terms)
 
 __all__ = ["Polynomial"]
 
@@ -197,8 +198,7 @@ class Polynomial(Coefficients):
         return self * (Fraction(1) / Fraction(other))
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial power needs a nonnegative integer")
+        check_at_least("exponent", exponent, 0)
         out = Polynomial.one()
         for _ in range(exponent):
             out = out * self

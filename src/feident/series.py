@@ -38,7 +38,7 @@ from math import gcd
 from operator import add, mul
 from typing import Iterable, Iterator
 
-from .exact import Coefficients, as_fraction, exact_parameter, lowest_terms
+from .exact import Coefficients, as_fraction, check_at_least, exact_parameter, lowest_terms
 
 __all__ = [
     "EgfSeries",
@@ -154,8 +154,7 @@ def series_reciprocal(a: EgfSeries) -> EgfSeries:
 
 def series_pow(a: EgfSeries, exponent: int) -> EgfSeries:
     """exponent-fold product of a with itself; exponent >= 1."""
-    if exponent < 1:
-        raise ValueError("series power needs exponent >= 1")
+    check_at_least("exponent", exponent, 1)
     out = None
     while True:
         if exponent & 1:

@@ -54,6 +54,7 @@ from typing import NamedTuple
 
 from .exact import (
     binomial,
+    check_at_least,
     combine,
     common_denominator,
     exact_parameter,
@@ -65,7 +66,6 @@ from .exact import (
 )
 from .frobenius import (
     VARIANTS,
-    _check_at_least,
     _check_u,
     _check_variant,
     _formula_numbers,
@@ -298,7 +298,7 @@ def _derivative_expansion(N, u, T, variant) -> tuple[EgfSeries, EgfSeries]:
     corollary2 multiplies each side by e^{xt} once: by linearity,
     sum_k a_k (F^(k) e^{xt}) = (sum_k a_k F^(k)) e^{xt}, coefficient by
     coefficient and exactly."""
-    _check_at_least("N", N, 1)
+    check_at_least("N", N, 1)
     u = _check_u(u, forbid_zero=True)
     if T < N:
         raise ValueError("truncation order T must be >= N")
@@ -338,8 +338,8 @@ def verify_corollary2(N: int, u, x, T: int = 16, variant: str = "corrected") -> 
 def verify_theorem3(n: int, N: int, u, variant: str = "corrected") -> list[Mismatch]:
     """Higher-order number H_n^(N)(u): series route against the
     coefficient-triangle formula."""
-    _check_at_least("n", n, 0)
-    _check_at_least("N", N, 1)
+    check_at_least("n", n, 0)
+    check_at_least("N", N, 1)
     lhs = fe_higher_number_oracle(n, N, _check_u(u, forbid_zero=True))
     rhs = fe_higher_number_formula(n, N, u, variant)
     return _scalar_mismatches(lhs, rhs)
@@ -366,8 +366,8 @@ def _composition_sum(k: int, N: int, numbers) -> Fraction:
 def verify_corollary4(n: int, N: int, u, variant: str = "corrected") -> list[Mismatch]:
     """Sum of products over all N-tuples of indices (direct enumeration,
     no series code) against the coefficient-triangle formula."""
-    _check_at_least("n", n, 0)
-    _check_at_least("N", N, 1)
+    check_at_least("n", n, 0)
+    check_at_least("N", N, 1)
     u = _check_u(u, forbid_zero=True)
     lhs = _composition_sum(n, N, [fe_number(l, u) for l in range(n + 1)])
     rhs = fe_higher_number_formula(n, N, u, variant)
@@ -378,8 +378,8 @@ def verify_corollary4(n: int, N: int, u, variant: str = "corrected") -> list[Mis
 def verify_corollary5(n: int, N: int, u, variant: str = "corrected") -> list[Mismatch]:
     """Higher-order polynomial H_n^(N)(x|u) against the Appell form of the
     triangle formula's numbers, compared coefficient by coefficient."""
-    _check_at_least("n", n, 0)
-    _check_at_least("N", N, 1)
+    check_at_least("n", n, 0)
+    check_at_least("N", N, 1)
     u = _check_u(u, forbid_zero=True)
     lhs = fe_higher_polynomial(n, N, u)
     rhs = Polynomial.appell(_formula_numbers(n, N, u, variant))
@@ -392,8 +392,8 @@ def verify_product_multinomial(n: int, N: int, u) -> list[Mismatch]:
     tuples (l_1, ..., l_N, m) summing to n; no variant, no u-power factor.
     As multinomial(n; l, m) = C(n, m) * multinomial(n-m; l), the
     coefficient of x^m is C(n, m) times the composition sum of n-m."""
-    _check_at_least("n", n, 0)
-    _check_at_least("N", N, 1)
+    check_at_least("n", n, 0)
+    check_at_least("N", N, 1)
     u = _check_u(u)
     lhs = fe_higher_polynomial(n, N, u)
     numbers = [fe_number(l, u) for l in range(n + 1)]
@@ -410,7 +410,7 @@ def verify_carlitz(m: int, n: int, alpha, beta, variant: str = "corrected") -> l
     ``as_printed`` form and the symmetric beta(1-alpha)/(1-alpha*beta) in
     the ``corrected`` form.
     """
-    _check_at_least("m and n", min(m, n), 0)
+    check_at_least("m and n", min(m, n), 0)
     alpha = exact_parameter(alpha)
     beta = exact_parameter(beta)
     if alpha == 1 or beta == 1:
@@ -443,7 +443,7 @@ def verify_carlitz_reciprocal(m: int, n: int, alpha) -> list[Mismatch]:
     This display is audited, not presumed: the harness computes both
     sides and records the verdict either way.
     """
-    _check_at_least("m and n", min(m, n), 0)
+    check_at_least("m and n", min(m, n), 0)
     alpha = exact_parameter(alpha)
     if alpha == 0:
         raise ValueError("alpha = 0 has no reciprocal")
@@ -475,8 +475,8 @@ def verify_bernoulli_product(m: int, n: int) -> list[Mismatch]:
     weight is zero are skipped before the 1/(m+n-2r) division, which is
     what makes the 2r = m+n edge harmless.
     """
-    _check_at_least("m and n", min(m, n), 0)
-    _check_at_least("m + n", m + n, 2)
+    check_at_least("m and n", min(m, n), 0)
+    check_at_least("m + n", m + n, 2)
     lhs = bernoulli_polynomial(m) * bernoulli_polynomial(n)
     terms = []
     for r in range(max(m, n) // 2 + 1):

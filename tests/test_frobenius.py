@@ -19,7 +19,7 @@ from feident.frobenius import (
     fe_polynomial,
 )
 from feident.poly import Polynomial
-from feident.series import exp_xt, frobenius_oracle, series_mul
+from feident.series import exp_xt, frobenius_oracle, series_mul, series_pow
 from feident.stirling import triangle_recurrence
 
 U_SAMPLES = [Fraction(2), Fraction(-1), Fraction(1, 3), Fraction(-5, 7)]
@@ -279,3 +279,32 @@ class TestBernoulli:
             p = bernoulli_polynomial(n)
             for x in [Fraction(0), Fraction(1, 2), Fraction(-2, 3), Fraction(3)]:
                 assert p(x + 1) - p(x) == n * x ** (n - 1)
+
+
+# (public function, the call with one index or exponent bound to its
+# argument, the name of that parameter)
+INDEX_CALLS = [
+    ("fe_number", lambda i: fe_number(i, Fraction(2)), "n"),
+    ("fe_polynomial", lambda i: fe_polynomial(i, Fraction(2)), "n"),
+    ("fe_higher_numbers", lambda i: fe_higher_numbers(3, i, Fraction(2)), "order"),
+    ("fe_higher_number_oracle", lambda i: fe_higher_number_oracle(i, 2, Fraction(2)), "n"),
+    ("fe_higher_number_formula", lambda i: fe_higher_number_formula(2, i, Fraction(2)), "order"),
+    ("fe_higher_polynomial", lambda i: fe_higher_polynomial(i, 2, Fraction(2)), "n"),
+    ("euler_polynomial", euler_polynomial, "n"),
+    ("bernoulli_number", bernoulli_number, "n"),
+    ("bernoulli_polynomial", bernoulli_polynomial, "n"),
+    ("series_pow", lambda i: series_pow(exp_xt(1, 3), i), "exponent"),
+    ("Polynomial.__pow__", lambda i: Polynomial([1, 1]) ** i, "exponent"),
+]
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0], ids=repr)
+@pytest.mark.parametrize("call,name", [c[1:] for c in INDEX_CALLS],
+                         ids=[c[0] for c in INDEX_CALLS])
+def test_index_must_be_an_int(call, name, bad):
+    """A bool is not read as 1 or 0 (True once gave H_1, the order-1
+    numbers and B_1), and a float fails with the parameter's name."""
+    message = f"^argument {name!r} must be an int, not {type(bad).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        call(bad)
+    assert call(2) is not None

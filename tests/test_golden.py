@@ -6,7 +6,10 @@ code or the rendering that alters a single character shows up here.  They
 were recorded before the fraction-free prefix-table kernel replaced the
 Fraction recurrence, so they also pin that the two agree.  The ``stirling``
 digests were recorded while tables were still rendered by ``csv.writer``,
-so they pin that the row-by-row writer gives the same bytes.
+so they pin that the row-by-row writer gives the same bytes.  The two
+large ``fe-numbers`` digests (n = 600 in CSV, u = 9/4 in JSON) were
+recorded on the binomial-sum kernel, before the Euler-Seidel recurrence
+replaced it, so they pin that the two kernels agree far out.
 
 ``PATH_CASES`` pin the error and edge paths of ``verify`` and ``audit``
 the same way, with stderr kept verbatim: missing and unusable flags,
@@ -55,6 +58,11 @@ CASES = [
      "e3b909137de94dcd3e58c24fcba31adbf2040912fb7e876d86a9d76356cf9fc5"),
     ("stirling json", ["table", "stirling", "--n-max", "40", "--format", "json"], 0,
      "3c5ba3b34cfcaca8568a4b2136809e4aa7b98fc63ea2f95ad47a4c704fa68b74"),
+    ("fe-numbers u=-5/7 n=600", ["table", "fe-numbers", "--u=-5/7", "--n-max", "600"], 0,
+     "8a1a039fffb9fc6aa6037efa5b51fe53692d0f5f92d739c95b7b48b6dcb486b6"),
+    ("fe-numbers u=9/4 json", ["table", "fe-numbers", "--u", "9/4", "--n-max", "300",
+                               "--format", "json"], 0,
+     "7aeca54f149cd2dd8a258a9e71499458d43fdb5c6929fa5f9dcbebd48bf22c78"),
     ("audit", ["audit"], 1,
      "f1f68eac8efcfe7a8407e0f97529742de58ac200f3b9ab5d0a966a493693b8c9"),
     ("audit csv", ["audit", "--format", "csv"], 1,

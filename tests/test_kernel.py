@@ -23,6 +23,7 @@ from feident.frobenius import (
     fe_polynomial,
 )
 from feident.poly import Polynomial
+from feident.stirling import triangle_recurrence
 from feident.series import (
     EgfSeries,
     bernoulli_oracle,
@@ -124,6 +125,54 @@ class TestPrefixTables:
             sums.append(sum(row))
         assert frobenius._NumberTable(u).upto(200)[:201] == tuple(
             Fraction(total, s**n) for n, total in enumerate(sums))
+
+
+GROWTH_US = [Fraction(0), Fraction(-1), Fraction(2), Fraction(1, 3), Fraction(-5, 7)]
+growth_u = st.one_of(
+    st.sampled_from(GROWTH_US),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(lambda u: u != 1),
+)
+# (kind, index, window width or order)
+table_read = st.tuples(st.sampled_from(["number", "polynomial", "window"]),
+                       st.integers(0, 50), st.integers(1, 5))
+
+
+class TestGrowthOrder:
+    """Reads in any order see the values of a table built once to the
+    largest index, in either form."""
+
+    @given(growth_u, st.lists(table_read, min_size=1, max_size=10))
+    @settings(deadline=None, max_examples=120)
+    def test_interleaved_reads(self, u, reads):
+        frobenius._table.cache_clear()
+        top = max(n + extra for _, n, extra in reads)
+        once = frobenius._NumberTable(u)
+        r = u.numerator - u.denominator
+        want = [Fraction(m, r**k) for k, m in enumerate(once._numerators(top)[: top + 1])]
+        largest_number = 0
+        for kind, n, extra in reads:
+            if kind == "number":
+                assert fe_number(n, u) == want[n]
+                largest_number = max(largest_number, n)
+            elif kind == "polynomial":
+                poly = fe_polynomial(n, u)
+                assert poly.integer_form[1] > 0
+                assert poly == Polynomial.appell(want[: n + 1])
+            else:
+                nums, d = frobenius._table(u).integer_form(n, n + extra)
+                assert d == abs(r) ** (n + extra - 1)
+                assert [Fraction(v, d) for v in nums] == want[n: n + extra]
+                if u != 0:
+                    # the formula of order ``extra`` at n reads H_n..H_(n+extra-1)
+                    row = triangle_recurrence(extra).row(extra)
+                    factor = ((u - 1) / u) ** (extra - 1) / math.factorial(extra - 1)
+                    assert fe_higher_number_formula(n, extra, u) == factor * sum(
+                        a * want[n + k] for k, a in enumerate(row))
+        table = frobenius._table(u)
+        ms, diagonal = table._state
+        assert ms == once._numerators(top)[: len(ms)]
+        assert diagonal[-1] == u.denominator * ms[-1]
+        assert len(table._fractions) == largest_number + 1
 
 
 coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)

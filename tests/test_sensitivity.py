@@ -6,8 +6,9 @@ two-route rule is what this pins: if a refactor moved one side of a check
 onto the other side's code, a fault in that code would cancel out and the
 identity would drop out of the failing set.
 
-The number-table fault reaches every check that reads the order-1 prefix
-table (the triangle formula, direct enumeration, polynomials of order 1);
+The number-table fault (M_3 one r^3 larger as the Euler-Seidel step makes
+it, so H_3 + 1) reaches every check that reads the order-1 prefix table
+(the triangle formula, direct enumeration, polynomials of order 1);
 the series-power fault reaches only the series route to higher-order
 numbers, which corollary5 and eq60_multinomial read through
 ``fe_higher_polynomial`` and theorem3 through ``fe_higher_number_oracle``.
@@ -82,12 +83,22 @@ def test_unfaulted_audit_passes_every_corrected_report():
 
 
 def test_number_table_fault(monkeypatch):
-    h3 = frobenius._NumberTable(Fraction(2)).upto(3)[3]
-    upto = frobenius._NumberTable.upto
-    monkeypatch.setattr(
-        frobenius._NumberTable, "upto", lambda self, n: plus_one_at_three(upto(self, n))
-    )
-    assert frobenius._NumberTable(Fraction(2)).upto(3)[3] == h3 + 1
+    """M_3 gains r^3 as the Euler-Seidel step makes it, so H_3 = M_3 / r^3
+    is one larger in every read of the table: the Fractions of
+    ``fe_number`` and the integer form behind ``fe_polynomial`` and the
+    formula window.  The diagonal is left as it is, so no other H_k moves."""
+    u = Fraction(2)
+    want = plus_one_at_three(frobenius._NumberTable(u).upto(5)[:6])
+    step = frobenius._seidel_step
+
+    def faulty(p, r, diagonal):
+        m, next_diagonal = step(p, r, diagonal)
+        return (m + r**3 if len(diagonal) == 3 else m), next_diagonal
+
+    monkeypatch.setattr(frobenius, "_seidel_step", faulty)
+    assert frobenius._NumberTable(u).upto(5)[:6] == want
+    nums, d = frobenius._NumberTable(u).integer_form(0, 6)
+    assert tuple(Fraction(v, d) for v in nums) == want
     assert failing_identities() == {
         "carlitz_product",
         "carlitz_reciprocal",
