@@ -36,7 +36,7 @@ import io
 import sys
 from typing import Iterable, Iterator
 
-from .exact import format_rational, parse_rational
+from .exact import format_rational, parse_rational, to_fractions
 from .frobenius import VARIANTS, bernoulli_number, fe_higher_numbers, fe_number, fe_polynomial
 from .stirling import triangle_recurrence
 
@@ -220,7 +220,10 @@ def _table_document(args) -> dict:
             raise ValueError("fe-polynomials requires --u")
         rows = []
         for n in range(n_max + 1):
-            coeffs = [format_rational(c) for c in fe_polynomial(n, args.u).coeffs]
+            # from the integer form, so the table's kept polynomial gains no
+            # second, Fraction form
+            poly = fe_polynomial(n, args.u)
+            coeffs = [format_rational(c) for c in to_fractions(*poly.integer_form)]
             rows.append({"n": n, "coeffs": coeffs + ["0"] * (n_max + 1 - len(coeffs))})
         return {"table": subject, "params": {"u": format_rational(args.u)}, "rows": rows}
 

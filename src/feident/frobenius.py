@@ -24,18 +24,32 @@ small r and a running difference: three C-level passes over the
 diagonal, with no binomial and no gcd.  (The series expansion is kept in
 :mod:`feident.series` as an independent oracle; this kernel never calls
 it.)  Order-N numbers are the coefficients of the N-th power of the
-order-1 EGF.
+order-1 EGF, computed by the series route.
 
-Each u gets one table holding M_0..M_k and D_k, grown one step at a time
-to exactly the largest index asked for (never doubled: the CLI reads
-H_0..H_n in ascending order, and the kernel's cost grows as k^3 bits).
-``fe_polynomial`` and the formula window read the prefix in integer form,
-numerators M_l r^(n-l) over |r|^n, and make no Fraction.  ``fe_number``
-makes the Fractions H_0..H_n only up to the largest index it has read,
-and keeps them.  At most ``_TABLE_BOUND`` (256) tables are kept, least
-recently used first out, so a long-lived process that walks many
-distinct u holds a bounded number of tables.  A table only ever publishes
-whole new states, so concurrent readers see correct values.
+Each u gets one table, the one per-u cache of both routes; each of its
+slots is filled only by its own route.
+- Recurrence route: M_0..M_k and D_k, grown one step at a time to
+  exactly the largest index asked for (never doubled: the CLI reads
+  H_0..H_n in ascending order, and the kernel's cost grows as k^3 bits).
+  ``fe_polynomial`` and the formula window read the prefix in integer
+  form, numerators M_l r^(n-l) over |r|^n, and make no Fraction.
+  ``fe_number`` makes the Fractions H_0..H_n only up to the largest index
+  it has read, and keeps them.  ``fe_polynomial`` keeps each H_n(x|u) it
+  builds, by n (polynomials are immutable, so callers may share them).
+- Series route: N -> F(u)^N in integer form, F = (1-u)/(e^t - u) from
+  ``frobenius_oracle`` and F itself the N = 1 entry.  A request of order
+  n is served by truncating the entry, since EGF coefficient n of a power
+  reads only coefficients up to n, so a truncated power equals the power
+  of the truncation exactly.  An entry is recomputed, to exactly n, only
+  when a larger order is asked for, as a power (``series_pow``) of a
+  truncation of the kept F; F is recomputed only when it is too short.
+At most ``_TABLE_BOUND`` (16) tables are kept, least recently used first
+out.  That covers the traffic: an audit identity block touches at most 9
+parameter values (three alpha, beta pairs and their products alpha*beta),
+a CLI process one, and a sweep op at most 3, never repeating u, so older
+tables are dead weight that only raises the process's peak memory.  A
+table only ever publishes whole new values, so concurrent readers see
+correct values.
 
 The closed formula for higher-order numbers in terms of the coefficient
 triangle comes in two variants: ``corrected`` carries the prefactor
@@ -55,7 +69,7 @@ from operator import mul, sub
 
 from .exact import check_at_least, combine, exact_parameter
 from .poly import Polynomial
-from .series import EgfSeries, bernoulli_oracle, frobenius_oracle, series_pow
+from .series import EgfSeries, bernoulli_oracle, frobenius_oracle, series_pow, series_truncate
 from .stirling import triangle_recurrence
 
 __all__ = [
@@ -90,7 +104,7 @@ def _check_variant(variant: str) -> str:
 
 
 # Most parameter values u whose prefix tables are kept at once.
-_TABLE_BOUND = 256
+_TABLE_BOUND = 16
 
 
 def _seidel_step(p: int, r: int, diagonal: list[int]) -> tuple[int, list[int]]:
@@ -100,19 +114,23 @@ def _seidel_step(p: int, r: int, diagonal: list[int]) -> tuple[int, list[int]]:
 
 
 class _NumberTable:
-    """H_0(u)..H_k(u) for one u = p/q as M_0..M_k over r^0..r^k, grown by
-    one Euler-Seidel step at a time on demand."""
+    """The cache of one u = p/q: H_0(u)..H_k(u) as M_0..M_k over r^0..r^k,
+    grown by one Euler-Seidel step at a time on demand, the polynomials
+    H_n(x|u) built from them, and the series route's powers of F(u)."""
 
-    __slots__ = ("_p", "_r", "_state", "_fractions")
+    __slots__ = ("_u", "_p", "_r", "_state", "_fractions", "_polynomials", "_powers")
 
     def __init__(self, u: Fraction):
+        self._u = u
         self._p = u.numerator
         self._r = u.numerator - u.denominator
         # (M_0..M_k, D_k) and H_0..H_j; each replaced whole, never mutated,
         # so threads extending one table at once may redo work but never
-        # read a half-built prefix.
+        # read a half-built prefix.  The dicts only gain whole values.
         self._state = ((1,), [u.denominator])
         self._fractions = (Fraction(1),)
+        self._polynomials = {}  # n -> H_n(x|u)
+        self._powers = {}  # N -> F(u)^N, F itself at N = 1
 
     def _numerators(self, n: int) -> tuple[int, ...]:
         """M_0..M_k for some k >= n."""
@@ -150,6 +168,26 @@ class _NumberTable:
         self._fractions = hs = hs + tuple(new)
         return hs
 
+    def polynomial(self, n: int) -> Polynomial:
+        """H_n(x|u), the Appell polynomial of H_0..H_n in integer form."""
+        poly = self._polynomials.get(n)
+        if poly is None:
+            poly = Polynomial.appell(EgfSeries._of(ints=self.integer_form(0, n + 1)))
+            self._polynomials[n] = poly
+        return poly
+
+    def power(self, n_max: int, order: int) -> EgfSeries:
+        """F(u)^order to order n_max, from the series route only."""
+        powers = self._powers
+        kept = powers.get(order)
+        if kept is None or kept.order < n_max:
+            f = powers.get(1)
+            if f is None or f.order < n_max:
+                f = powers[1] = frobenius_oracle(self._u, n_max)
+            kept = f if order == 1 else series_pow(series_truncate(f, n_max), order)
+            powers[order] = kept
+        return series_truncate(kept, n_max)
+
 
 _table = lru_cache(maxsize=_TABLE_BOUND)(_NumberTable)
 
@@ -163,7 +201,7 @@ def fe_number(n: int, u: Fraction) -> Fraction:
 def fe_polynomial(n: int, u: Fraction) -> Polynomial:
     """H_n(x|u) = sum_l C(n,l) x^(n-l) H_l(u); monic of degree n."""
     check_at_least("n", n, 0)
-    return Polynomial.appell(EgfSeries._of(ints=_table(_check_u(u)).integer_form(0, n + 1)))
+    return _table(_check_u(u)).polynomial(n)
 
 
 def fe_higher_numbers(n_max: int, order: int, u: Fraction) -> tuple[Fraction, ...]:
@@ -173,10 +211,11 @@ def fe_higher_numbers(n_max: int, order: int, u: Fraction) -> tuple[Fraction, ..
 
 
 def _higher_series(n_max: int, order: int, u: Fraction) -> EgfSeries:
-    """The N-th power of the order-1 EGF to order n_max, in integer form."""
+    """The N-th power of the order-1 EGF to order n_max, in integer form,
+    served from the table of u."""
     check_at_least("n_max", n_max, 0)
     check_at_least("order", order, 1)
-    return series_pow(frobenius_oracle(_check_u(u), n_max), order)
+    return _table(_check_u(u)).power(n_max, order)
 
 
 def fe_higher_number_oracle(n: int, order: int, u: Fraction) -> Fraction:
@@ -243,4 +282,4 @@ def bernoulli_number(n: int) -> Fraction:
 def bernoulli_polynomial(n: int) -> Polynomial:
     """B_n(x) = sum_l C(n,l) x^(n-l) B_l."""
     check_at_least("n", n, 0)
-    return Polynomial.appell(bernoulli_oracle(n).coeffs)
+    return Polynomial.appell(bernoulli_oracle(n))

@@ -16,10 +16,8 @@ in integer form.  Every linear operator is one combination: a product by a
 scalar has one term, ``-p`` one, and ``p + q``, ``p - q`` (either operand a
 scalar) two.  A float or bool operand, evaluation point or exponent raises
 TypeError.
-``Polynomial.appell`` keeps the numbers it is given: its Fraction form is
-one ``Fraction(C(n,d) * numerator, denominator)`` per coefficient, and its
-integer form comes from the numbers over one denominator; numbers that
-are already a series give the integer form at once.
+``Polynomial.appell`` builds the integer form from the numbers' own, for
+numbers held as a series, or from the numbers over one denominator.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .exact import (Coefficients, as_fraction, binomial, check_at_least, combine,
-                    common_denominator, lowest_terms)
+                    integer_form, lowest_terms)
 
 __all__ = ["Polynomial"]
 
@@ -52,8 +50,7 @@ def _appell_ints(nums: list[int], d: int) -> tuple[list[int], int]:
 class Polynomial(Coefficients):
     """Immutable dense polynomial; ``coeffs[d]`` is the coefficient of x^d."""
 
-    # The numbers an Appell polynomial was made from, until a form is read.
-    __slots__ = ("_numbers",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[Scalar] = (0,)):
         cs = [c if type(c) is Fraction else as_fraction(c) for c in coeffs]
@@ -84,29 +81,11 @@ class Polynomial(Coefficients):
         """sum_d C(n,d) numbers[n-d] x^d with n = len(numbers) - 1: the
         Appell polynomial of the numbers, as H_n(x|u) is that of the H_l(u).
         Numbers held as a :class:`~feident.exact.Coefficients` value give
-        the integer form at once; other numbers are kept, and each form is
-        made from them when first read."""
-        if isinstance(numbers, Coefficients):
-            return cls._from_ints(*_appell_ints(*numbers.integer_form))
-        p = cls._of()
-        xs = [x if type(x) is Fraction else as_fraction(x) for x in numbers]
-        object.__setattr__(p, "_numbers", xs)
-        return p
-
-    def _fractions(self) -> tuple[Fraction, ...]:
-        xs = getattr(self, "_numbers", None)
-        if xs is None:
-            return super()._fractions()
-        n = len(xs) - 1
-        # one Fraction (one gcd) per coefficient, not an int * Fraction product
-        return tuple(_trimmed([Fraction(binomial(n, d) * x.numerator, x.denominator)
-                               for d, x in enumerate(reversed(xs))], Fraction(0)))
-
-    def _integers(self) -> tuple[list[int], int]:
-        xs = getattr(self, "_numbers", None)
-        if xs is None:
-            return super()._integers()
-        return _appell_ints(*common_denominator(xs))
+        their integer form; others (ints or Fractions) are put over one
+        denominator."""
+        if not isinstance(numbers, Coefficients):
+            numbers = [x if type(x) is Fraction else as_fraction(x) for x in numbers]
+        return cls._from_ints(*_appell_ints(*integer_form(numbers)))
 
     @classmethod
     def combination(cls, terms: Iterable[tuple[Scalar, "Polynomial"]]) -> "Polynomial":

@@ -9,12 +9,13 @@ repaired form (``corrected``) can be evaluated; the report records which
 one actually holds, with exact mismatch values.
 
 The checkers' sums run on integers.  The composition sum of corollary4
-and eq60_multinomial puts the numbers over one common denominator d, sums
-multinomial(k; l) * prod nums[l_i] in integers and makes one Fraction
-over d^N.  The weighted sums of polynomials (the Carlitz and Bernoulli
-products) and of the derivatives of F (theorem1) are each one integer
-combination (:func:`feident.exact.combine`) of their terms' integer
-forms; the derivative side reads shifted slices of F's numerators.
+and eq60_multinomial reads H_0..H_n from the number table as integer
+numerators over one denominator d, sums multinomial(k; l) * prod nums[l_i]
+in integers and puts the sum over d^N.  The weighted sums of polynomials
+(the Carlitz and Bernoulli products) and of the derivatives of F
+(theorem1) are each one integer combination (:func:`feident.exact.combine`)
+of their terms' integer forms; the derivative side reads shifted slices
+of F's numerators.
 corollary2 is theorem1 with both sides multiplied by e^{xt} once.  Each
 checker compares its two sides in integer form, a_i * d_b == b_i * d_a,
 and makes Fractions only for the coefficients that differ, so a passing
@@ -56,7 +57,6 @@ from .exact import (
     binomial,
     check_at_least,
     combine,
-    common_denominator,
     exact_parameter,
     format_rational,
     integer_form,
@@ -69,6 +69,7 @@ from .frobenius import (
     _check_u,
     _check_variant,
     _formula_numbers,
+    _table,
     bernoulli_number,
     bernoulli_polynomial,
     fe_higher_number_formula,
@@ -345,21 +346,20 @@ def verify_theorem3(n: int, N: int, u, variant: str = "corrected") -> list[Misma
     return _scalar_mismatches(lhs, rhs)
 
 
-def _composition_sum(k: int, N: int, numbers) -> Fraction:
+def _composition_sum(k: int, N: int, nums) -> int:
     """Sum over the weak compositions l of k into N parts of
-    multinomial(k; l) * numbers[l_1] * ... * numbers[l_N].
+    multinomial(k; l) * nums[l_1] * ... * nums[l_N].
 
-    With numbers[0..k] over one common denominator d, every product has
-    the denominator d^N, so the sum runs on integer numerators and makes
-    one Fraction."""
-    nums, d = common_denominator(numbers[: k + 1])
+    With nums[0..k] integer numerators over one common denominator d (as
+    the number table serves them), every product has the denominator d^N,
+    so the sum runs on integers and its value is the result over d^N."""
     total = 0
     for parts in weak_compositions(k, N):
         prod = multinomial(k, parts)
         for l in parts:
             prod *= nums[l]
         total += prod
-    return Fraction(total, d**N)
+    return total
 
 
 @_identity("corollary4")
@@ -369,7 +369,8 @@ def verify_corollary4(n: int, N: int, u, variant: str = "corrected") -> list[Mis
     check_at_least("n", n, 0)
     check_at_least("N", N, 1)
     u = _check_u(u, forbid_zero=True)
-    lhs = _composition_sum(n, N, [fe_number(l, u) for l in range(n + 1)])
+    nums, d = _table(u).integer_form(0, n + 1)
+    lhs = Fraction(_composition_sum(n, N, nums), d**N)
     rhs = fe_higher_number_formula(n, N, u, variant)
     return _scalar_mismatches(lhs, rhs)
 
@@ -396,8 +397,9 @@ def verify_product_multinomial(n: int, N: int, u) -> list[Mismatch]:
     check_at_least("N", N, 1)
     u = _check_u(u)
     lhs = fe_higher_polynomial(n, N, u)
-    numbers = [fe_number(l, u) for l in range(n + 1)]
-    rhs = Polynomial.appell([_composition_sum(k, N, numbers) for k in range(n + 1)])
+    nums, d = _table(u).integer_form(0, n + 1)
+    sums = [_composition_sum(k, N, nums) for k in range(n + 1)]
+    rhs = Polynomial.appell(EgfSeries._of(ints=(sums, d**N)))
     return _mismatches("x", lhs, rhs)
 
 

@@ -1,11 +1,13 @@
 """Properties of the number kernel: the fraction-free prefix tables behind
-H_n(u), square-and-multiply series powers, the shared Bernoulli prefix,
-and the integer convolutions behind series and polynomial products."""
+H_n(u), the per-u caches of both routes, square-and-multiply series
+powers, the shared Bernoulli prefix, and the integer convolutions behind
+series and polynomial products."""
 
 import math
 import random
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +21,8 @@ from feident.frobenius import (
     bernoulli_number,
     euler_polynomial,
     fe_higher_number_formula,
+    fe_higher_numbers,
+    fe_higher_polynomial,
     fe_number,
     fe_polynomial,
 )
@@ -27,10 +31,12 @@ from feident.stirling import triangle_recurrence
 from feident.series import (
     EgfSeries,
     bernoulli_oracle,
+    frobenius_oracle,
     series_mul,
     series_pow,
     series_reciprocal,
 )
+from feident.verify import DEFAULT_GRID, _expand, audit_all
 
 KERNEL_US = [Fraction(1, 3), Fraction(2), Fraction(-5, 7), Fraction(-1), Fraction(0), Fraction(9, 8)]
 N_MAX = 80
@@ -173,6 +179,144 @@ class TestGrowthOrder:
         assert ms == once._numerators(top)[: len(ms)]
         assert diagonal[-1] == u.denominator * ms[-1]
         assert len(table._fractions) == largest_number + 1
+
+
+# (kind, n, N); N is unused by the order-1 reads
+served_read = st.tuples(
+    st.sampled_from(["higher_numbers", "higher_polynomial", "polynomial", "number"]),
+    st.integers(0, 16), st.integers(1, 6))
+# more parameter values than the tables kept, none of them a growth_u
+EVICTORS = [Fraction(k, 97) for k in range(1, frobenius._TABLE_BOUND + 2)]
+
+
+def fresh_power(u, n, order):
+    return series_pow(frobenius_oracle(u, n), order)
+
+
+class TestCacheServing:
+    """Each table serves both routes' values, in any order of reads and
+    after eviction, exactly as a fresh computation gives them."""
+
+    @given(growth_u, st.lists(served_read, min_size=1, max_size=12),
+           st.sampled_from(["ascending", "descending", "shuffled"]), st.booleans(), st.randoms())
+    @settings(deadline=None, max_examples=100)
+    def test_reads_match_fresh_values(self, u, reads, order, evict, rng):
+        frobenius._table.cache_clear()
+        reads.sort(key=lambda read: read[1:], reverse=order == "descending")
+        if order == "shuffled":
+            rng.shuffle(reads)
+        want = fraction_recurrence(max(n for _, n, _ in reads), u)
+        for i, (kind, n, N) in enumerate(reads):
+            if kind == "higher_numbers":
+                assert fe_higher_numbers(n, N, u) == fresh_power(u, n, N).coeffs
+            elif kind == "higher_polynomial":
+                assert fe_higher_polynomial(n, N, u) == Polynomial.appell(fresh_power(u, n, N))
+            elif kind == "polynomial":
+                assert fe_polynomial(n, u) == Polynomial.appell(want[: n + 1])
+            else:
+                assert fe_number(n, u) == want[n]
+            if evict and i % 2:
+                for v in EVICTORS:
+                    fe_number(0, v)
+                assert frobenius._table.cache_info().currsize <= frobenius._TABLE_BOUND
+        frobenius._table.cache_clear()
+
+    def test_each_route_fills_only_its_own_slots(self, fresh_tables):
+        u = Fraction(-5, 7)
+        fe_number(9, u)
+        fe_polynomial(6, u)
+        fe_higher_number_formula(4, 3, u)
+        table = frobenius._table(u)
+        assert table._powers == {} and set(table._polynomials) == {6}
+        fe_higher_polynomial(5, 3, u)
+        assert table._powers[1].order == 5 and table._powers[3].order == 5
+        assert set(table._polynomials) == {6}
+        assert fe_higher_numbers(3, 3, u) == fresh_power(u, 3, 3).coeffs
+        assert table._powers[3].order == 5
+
+    def test_powers_share_the_kept_f(self, monkeypatch, fresh_tables):
+        """F is computed once for its largest order; each power is one
+        series_pow of a truncation of it, redone only for a larger order."""
+        calls = []
+
+        def counted(name, kernel):
+            def call(*args):
+                calls.append(name)
+                return kernel(*args)
+            return call
+
+        monkeypatch.setattr(frobenius, "frobenius_oracle",
+                            counted("oracle", frobenius.frobenius_oracle))
+        monkeypatch.setattr(frobenius, "series_pow", counted("pow", frobenius.series_pow))
+        u = Fraction(1, 3)
+        fe_higher_numbers(8, 1, u)
+        for N in (2, 3, 4, 2, 3):
+            fe_higher_numbers(6, N, u)
+        fe_higher_numbers(7, 4, u)
+        assert calls == ["oracle", "pow", "pow", "pow", "pow"]
+        fe_higher_numbers(9, 2, u)
+        assert calls[5:] == ["oracle", "pow"]
+
+
+def test_audit_work_counts(monkeypatch, fresh_tables):
+    """A default audit on fresh tables computes F and its powers, and builds
+    the Appell polynomials of fe_polynomial, at most this many times.
+    Without the per-u caches it took 276, 276 and 864."""
+    counts = Counter()
+
+    def counted(name, kernel):
+        def call(*args):
+            counts[name] += 1
+            return kernel(*args)
+        return call
+
+    appell = Polynomial.appell.__func__
+    builder = frobenius.fe_polynomial.__code__
+
+    def counting_appell(cls, numbers):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not builder:
+            frame = frame.f_back
+        counts["appell"] += frame is not None
+        return appell(cls, numbers)
+
+    monkeypatch.setattr(frobenius, "frobenius_oracle", counted("oracle", frobenius.frobenius_oracle))
+    monkeypatch.setattr(frobenius, "series_pow", counted("pow", frobenius.series_pow))
+    monkeypatch.setattr(Polynomial, "appell", classmethod(counting_appell))
+    audit_all()
+    assert counts["oracle"] <= 21
+    assert counts["pow"] <= 63
+    assert counts["appell"] <= 49
+
+
+def table_parameters(combo) -> set:
+    """The parameter values whose number tables one check reads: u, or
+    alpha and beta with alpha*beta (Carlitz) or 1/alpha (reciprocal)."""
+    values = {combo[name] for name in ("u", "alpha", "beta") if name in combo}
+    if "alpha" in combo:
+        values.add(combo["alpha"] * combo["beta"] if "beta" in combo else 1 / combo["alpha"])
+    return values
+
+
+def audit_grids():
+    """The built-in grid and the benchmark's seeded audit grids."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import inputs
+    finally:
+        sys.path.pop(0)
+    return [DEFAULT_GRID] + [inputs.audit_grid(seed) for seed in (0, 1, 7, 311, 999)]
+
+
+def test_table_bound_covers_each_identity_block():
+    """Every identity block of an audit reads few enough parameter values
+    that none of its tables is evicted while the block runs."""
+    widest = 0
+    for grid in audit_grids():
+        for identity, config in grid.items():
+            values = set().union(*map(table_parameters, _expand(identity, config)))
+            widest = max(widest, len(values))
+    assert 9 <= widest <= frobenius._TABLE_BOUND
 
 
 coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)

@@ -51,7 +51,10 @@ from feident.verify import audit_all
 
 def failing_identities() -> set:
     """Identities with a failing non-``as_printed`` report in the default
-    audit, run on fresh number tables and a fresh Bernoulli prefix."""
+    audit, run on fresh number tables and a fresh Bernoulli prefix.
+    Clearing ``frobenius._table`` clears both routes' caches: the prefix
+    and polynomials of the recurrence route and the series route's
+    powers of F, so a planted fault reaches every value the audit reads."""
     unfilled = EgfSeries([Fraction(1)])
     frobenius._table.cache_clear()
     series._bernoulli_prefix = unfilled

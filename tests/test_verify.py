@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from feident import frobenius
 from feident.cli import run
-from feident.exact import multinomial, weak_compositions
+from feident.exact import common_denominator, multinomial, weak_compositions
 from feident.frobenius import euler_polynomial, fe_polynomial
 from feident.poly import Polynomial
 from feident.series import series_mul
@@ -148,8 +148,8 @@ class TestCorollary4:
 
 
 class TestCompositionSum:
-    """The integer composition sum against a Fraction loop over the same
-    compositions."""
+    """The integer composition sum, over d^N, against a Fraction loop over
+    the same compositions."""
 
     @staticmethod
     def fraction_sum(k, N, numbers):
@@ -165,15 +165,17 @@ class TestCompositionSum:
     def test_matches_fraction_loop(self, data, k, N):
         # mixed denominators, zero and negative values, numbers past k unread
         numbers = data.draw(st.lists(rationals, min_size=k + 1, max_size=k + 3))
-        total = _composition_sum(k, N, numbers)
-        assert type(total) is Fraction
-        assert total == self.fraction_sum(k, N, numbers)
+        nums, d = common_denominator(numbers)
+        total = _composition_sum(k, N, nums)
+        assert type(total) is int
+        assert Fraction(total, d**N) == self.fraction_sum(k, N, numbers)
 
     def test_examples(self):
-        # k = 0: the empty product of N zeroth numbers
-        assert _composition_sum(0, 3, [Fraction(1, 2)]) == Fraction(1, 8)
-        # (a + b)^2 with a = numbers[1] * t, b = numbers[0]: 2 * h0 * h1
-        assert _composition_sum(1, 2, [Fraction(1, 3), Fraction(-3, 4)]) == Fraction(-1, 2)
+        # k = 0: the empty product of N zeroth numbers, (1/2)^3 over 2^3
+        assert _composition_sum(0, 3, [1]) == 1
+        # (a + b)^2 with a = numbers[1] * t, b = numbers[0]: 2 * h0 * h1,
+        # with h0 = 4/12 and h1 = -9/12: -72 over 12^2, i.e. -1/2
+        assert _composition_sum(1, 2, [4, -9]) == -72
 
 
 class TestCorollary5:
