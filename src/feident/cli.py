@@ -7,13 +7,13 @@ Three commands:
     audit  [--grid FILE]
 
 Tables default to CSV, verification and audits to JSON.  Rationals are
-always serialized as "p/q" strings, never as floating point.  A CSV table
-is written row by row, so its whole text is never held; its fields are
-ints, "p/q" strings and fixed headers, which never need quoting.  Report
-CSV goes through ``csv.writer``, as error messages may hold commas and
-quotes, and JSON is one ``json.dumps`` text.  Exit status
-is 0 when every verdict passes, 1 when any verification fails, and 2 on
-usage or parameter errors.
+always "p/q" strings, never floating point.  A CSV table is written row
+by row, so its whole text is never held; its fields never need quoting.
+Report CSV goes through ``csv.writer``, as error messages may hold
+commas and quotes; report JSON is :func:`feident.verify.document_json`.
+Exit status is 0 when every verdict passes, 1 when any verification
+fails, 2 on usage or parameter errors, 130 on an interrupt, and 141 when
+the reader closes stdout early.
 
 The checker registry's schema (see :mod:`feident.verify`) gives the
 ``verify`` flags: each ``Param`` is a flag of the same name (``T`` is
@@ -25,14 +25,15 @@ Each command imports only what it runs.  ``table`` loads the number
 kernel, and never :mod:`feident.verify` or ``csv``.  The checker
 registry loads only for ``verify`` and ``audit``, and the ``verify``
 flags, identity choices and their help are built from it only for
-``verify``.  ``json`` loads for JSON output and grid files, ``csv`` for
-report CSV.
+``verify``.  ``json`` loads with the registry and for JSON tables,
+``csv`` for report CSV.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from typing import Iterable, Iterator
 
@@ -45,6 +46,8 @@ __all__ = ["main", "run"]
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT
+EXIT_CLOSED = 141  # 128 + SIGPIPE
 
 _TABLE_SUBJECTS = ("fe-numbers", "fe-polynomials", "fe-higher", "stirling", "bernoulli")
 
@@ -240,8 +243,7 @@ def _table_document(args) -> dict:
 
 def _table_csv(doc: dict) -> Iterator[str]:
     """The table as CSV, one chunk per table row (per triangle row for
-    ``stirling``).  Every field is an int, a "p/q" string or a fixed
-    header, so none needs quoting and no ``csv.writer`` is needed."""
+    ``stirling``).  Fields are ints, "p/q" strings and fixed headers."""
     subject = doc["table"]
     if subject == "stirling":
         yield "N,k,a_k\n"
@@ -283,6 +285,7 @@ def _emit(chunks: Iterable[str], out_path: str | None) -> None:
     holding more than one of them."""
     if out_path is None:
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
@@ -313,13 +316,31 @@ def _exit_code(reports) -> int:
 
 def run(argv=None) -> int:
     """Exit status of the CLI on ``argv`` (default ``sys.argv[1:]``); the
-    int-to-str digit limit is lifted for the call, so values print at any size."""
+    int-to-str digit limit is lifted for the call, so values print at any
+    size.  An interrupt prints one line and gives 130; a reader that closes
+    stdout early gives 141, quietly."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
         return _run(sys.argv[1:] if argv is None else argv)
+    except KeyboardInterrupt:
+        print("feident: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    except BrokenPipeError:
+        _discard_stdout()
+        return EXIT_CLOSED
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def _discard_stdout() -> None:
+    """Point stdout at the null device, so that what it still buffers for
+    a closed reader is not flushed to the pipe at exit."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not a descriptor, so nothing reaches the pipe
+    os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
 
 
 def _run(argv) -> int:
@@ -338,19 +359,20 @@ def _run(argv) -> int:
             _emit(chunks, args.out)
             return EXIT_PASS
 
+        from .verify import CHECKERS, audit_all, document_json
+
         if args.command == "verify":
-            from .verify import CHECKERS
-
             reports = [CHECKERS[args.identity](**_verify_kwargs(args))]
-            document = reports[0].to_dict
         else:
-            from .verify import audit_all, audit_document
-
             reports = audit_all(_read_grid(args.grid))
-            document = lambda: audit_document(reports)
-        text = _json_text(document()) if args.format == "json" else _reports_csv(reports)
+        if args.format == "json":
+            text = document_json(reports, audit=args.command == "audit")
+        else:
+            text = _reports_csv(reports)
         _emit([text], args.out)
         return _exit_code(reports)
+    except BrokenPipeError:
+        raise
     except (ValueError, OSError) as exc:
         print(f"feident: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
-    "rat",
     "as_fraction",
     "exact_parameter",
     "check_at_least",
@@ -37,7 +36,6 @@ __all__ = [
     "integer_form",
     "Coefficients",
     "combine",
-    "linear_combination",
     "binomial",
     "multinomial",
     "compositions",
@@ -45,14 +43,6 @@ __all__ = [
 ]
 
 _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
-
-
-def rat(numer: int, denom: int = 1) -> Fraction:
-    """Exact fraction numer/denom in canonical form (positive denominator,
-    gcd-reduced).  Raises ValueError on a zero denominator."""
-    if denom == 0:
-        raise ValueError("zero denominator")
-    return Fraction(numer, denom)
 
 
 def as_fraction(value) -> Fraction:
@@ -216,20 +206,6 @@ def combine(
         for i, v in enumerate(nums):
             total[i] += weight * v
     return total, lcm
-
-
-def linear_combination(
-    terms: Iterable[tuple[Fraction | int, Sequence[Fraction | int]]]
-) -> list[Fraction]:
-    """Entry i of sum scalar * sequence over the ``(scalar, sequence)``
-    pairs, as long as the longest sequence (shorter ones count as padded
-    with zeros); ``[]`` for no terms.  A sequence may be a
-    :class:`Coefficients` value, whose integer form is read.
-
-    Summed by :func:`combine`, so each entry becomes one reduced Fraction,
-    with one gcd, instead of a Fraction product and sum per term.
-    """
-    return list(to_fractions(*combine((s, integer_form(seq)) for s, seq in terms)))
 
 
 def binomial(n: int, k: int) -> int:

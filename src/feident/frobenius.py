@@ -23,32 +23,30 @@ and the last entry of D_k is q M_k.  Each step is a sum, a product by the
 small r and a running difference: three C-level passes over the
 diagonal, with no binomial and no gcd.  (The series expansion is kept in
 :mod:`feident.series` as an independent oracle; this kernel never calls
-it.)  Order-N numbers are the coefficients of the N-th power of the
-order-1 EGF, computed by the series route.
+it.)
 
-Each u gets one table, the one per-u cache of both routes; each of its
-slots is filled only by its own route.
-- Recurrence route: M_0..M_k and D_k, grown one step at a time to
-  exactly the largest index asked for (never doubled: the CLI reads
-  H_0..H_n in ascending order, and the kernel's cost grows as k^3 bits).
+Each u gets one table, the one per-u cache; each slot is filled only by
+its own route's code.
+- Recurrence: M_0..M_k and D_k, grown one step at a time to exactly the
+  largest index asked for (never doubled: the CLI reads H_0..H_n in
+  ascending order, and the kernel's cost grows as k^3 bits).
   ``fe_polynomial`` and the formula window read the prefix in integer
-  form, numerators M_l r^(n-l) over |r|^n, and make no Fraction.
-  ``fe_number`` makes the Fractions H_0..H_n only up to the largest index
-  it has read, and keeps them.  ``fe_polynomial`` keeps each H_n(x|u) it
-  builds, by n (polynomials are immutable, so callers may share them).
-- Series route: N -> F(u)^N in integer form, F = (1-u)/(e^t - u) from
-  ``frobenius_oracle`` and F itself the N = 1 entry.  A request of order
-  n is served by truncating the entry, since EGF coefficient n of a power
-  reads only coefficients up to n, so a truncated power equals the power
-  of the truncation exactly.  An entry is recomputed, to exactly n, only
-  when a larger order is asked for, as a power (``series_pow``) of a
-  truncation of the kept F; F is recomputed only when it is too short.
-At most ``_TABLE_BOUND`` (16) tables are kept, least recently used first
-out.  That covers the traffic: an audit identity block touches at most 9
-parameter values (three alpha, beta pairs and their products alpha*beta),
-a CLI process one, and a sweep op at most 3, never repeating u, so older
-tables are dead weight that only raises the process's peak memory.  A
-table only ever publishes whole new values, so concurrent readers see
+  form, numerators M_l r^(n-l) over |r|^n.  ``fe_number`` makes the
+  Fractions H_0..H_n up to the largest index it has read, and keeps
+  them.  ``fe_polynomial`` keeps each H_n(x|u) it builds, by n.
+- Triangle formula: (N, variant) -> the weights prefactor * a_k(N),
+  k < N, from one ``triangle_recurrence`` row.
+- Series: N -> F(u)^N, the EGF of the order-N numbers, in integer form;
+  F = (1-u)/(e^t - u) from ``frobenius_oracle`` is the N = 1 entry
+  (theorem1 reads F there too).  Order n is served by truncating the
+  entry, as coefficient n of a power reads only coefficients up to n.
+  An entry is recomputed, to exactly n, only for a larger order, as
+  ``series_pow`` of a truncation of the kept F, and F only when it is
+  too short.
+At most ``_TABLE_BOUND`` (16) tables are kept, least recently used
+first out: an audit identity block touches at most 9 parameter values,
+a CLI process one, and a sweep op at most 3, never repeating u.  A
+table only publishes whole new values, so concurrent readers see
 correct values.
 
 The closed formula for higher-order numbers in terms of the coefficient
@@ -116,9 +114,11 @@ def _seidel_step(p: int, r: int, diagonal: list[int]) -> tuple[int, list[int]]:
 class _NumberTable:
     """The cache of one u = p/q: H_0(u)..H_k(u) as M_0..M_k over r^0..r^k,
     grown by one Euler-Seidel step at a time on demand, the polynomials
-    H_n(x|u) built from them, and the series route's powers of F(u)."""
+    H_n(x|u) built from them, the triangle formula's weights and the
+    series route's powers of F(u)."""
 
-    __slots__ = ("_u", "_p", "_r", "_state", "_fractions", "_polynomials", "_powers")
+    __slots__ = ("_u", "_p", "_r", "_state", "_fractions", "_polynomials", "_powers",
+                 "_weights")
 
     def __init__(self, u: Fraction):
         self._u = u
@@ -131,6 +131,7 @@ class _NumberTable:
         self._fractions = (Fraction(1),)
         self._polynomials = {}  # n -> H_n(x|u)
         self._powers = {}  # N -> F(u)^N, F itself at N = 1
+        self._weights = {}  # (N, variant) -> prefactor * a_k(N), k < N
 
     def _numerators(self, n: int) -> tuple[int, ...]:
         """M_0..M_k for some k >= n."""
@@ -188,6 +189,19 @@ class _NumberTable:
             powers[order] = kept
         return series_truncate(kept, n_max)
 
+    def weights(self, order: int, variant: str) -> list[Fraction]:
+        """prefactor * a_k(order) for k < order, from the triangle route
+        only; u != 0."""
+        key = (order, variant)
+        weights = self._weights.get(key)
+        if weights is None:
+            u = self._u
+            factor = (1 - u) / u if variant == "as_printed" else (u - 1) / u
+            prefactor = factor ** (order - 1) / math.factorial(order - 1)
+            weights = [prefactor * a for a in triangle_recurrence(order).row(order)]
+            self._weights[key] = weights
+        return weights
+
 
 _table = lru_cache(maxsize=_TABLE_BOUND)(_NumberTable)
 
@@ -222,7 +236,8 @@ def fe_higher_number_oracle(n: int, order: int, u: Fraction) -> Fraction:
     """H_n^(N)(u) through the series route (the oracle side of the
     two-route checks)."""
     check_at_least("n", n, 0)
-    return fe_higher_numbers(n, order, u)[n]
+    nums, d = _higher_series(n, order, u).integer_form
+    return Fraction(nums[n], d)
 
 
 def fe_higher_number_formula(
@@ -242,22 +257,17 @@ def _formula_numbers(
     n_max: int, order: int, u: Fraction, variant: str, first: int = 0
 ) -> EgfSeries:
     """H_first^(N)(u)..H_{n_max}^(N)(u) by :func:`fe_higher_number_formula`,
-    in integer form, with the triangle row and the prefactor built once:
-    entry n is sum_k prefactor * a_k(N) * H_{n+k}(u).  The window of the
-    number table that the sum reads comes in integer form, and the sum is
-    one integer combination of its shifted slices."""
+    in integer form: entry n is sum_k w_k * H_{n+k}(u), one integer
+    combination of shifted slices of the prefix, with the weights
+    w_k = prefactor * a_k(N) kept in the table of u."""
     check_at_least("n", n_max, 0)
     check_at_least("order", order, 1)
-    u = _check_u(u, forbid_zero=True)
-    _check_variant(variant)
-    factor = (1 - u) / u if variant == "as_printed" else (u - 1) / u
-    prefactor = factor ** (order - 1) / math.factorial(order - 1)
-    row = triangle_recurrence(order).row(order)
-    end = n_max + len(row)
-    window, d = _table(u).integer_form(first, end)
+    table = _table(_check_u(u, forbid_zero=True))
+    weights = table.weights(order, _check_variant(variant))
+    window, d = table.integer_form(first, n_max + order)
     width = n_max + 1 - first
     return EgfSeries._of(ints=combine(
-        (prefactor * weight, (window[k: k + width], d)) for k, weight in enumerate(row)
+        (w, (window[k: k + width], d)) for k, w in enumerate(weights)
     ))
 
 

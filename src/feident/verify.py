@@ -15,7 +15,9 @@ in integers and puts the sum over d^N.  The weighted sums of polynomials
 (the Carlitz and Bernoulli products) and of the derivatives of F
 (theorem1) are each one integer combination (:func:`feident.exact.combine`)
 of their terms' integer forms; the derivative side reads shifted slices
-of F's numerators.
+of F's numerators.  theorem1 takes F = 1/(e^t - u) from the series slot of
+the number table of u, and the Carlitz checks look up the tables of their
+parameters once and read numbers and polynomials from them.
 corollary2 is theorem1 with both sides multiplied by e^{xt} once.  Each
 checker compares its two sides in integer form, a_i * d_b == b_i * d_a,
 and makes Fractions only for the coefficients that differ, so a passing
@@ -23,8 +25,10 @@ check of series or polynomials makes none from its sides.
 
 Reports are deterministic functions of (identity, params, variant), and a
 report passes exactly when its mismatch list is empty.  A ``Mismatch``
-holds both values exact; only ``VerificationReport.to_dict`` formats them,
-so a failing check is ``fail`` however many digits its values have.
+holds both values exact; only the report's text (``to_dict`` and
+:func:`document_json`) formats them, so a failing check is ``fail``
+however many digits its values have.  :func:`document_json` renders the
+JSON text of reports in the bytes of ``json.dumps(doc, indent=2)``.
 
 ``CHECKERS`` maps identity ids to checkers, in audit order; each checker
 is registered where it is defined, with ``@_identity(id)``.  Registration
@@ -50,6 +54,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -75,20 +80,9 @@ from .frobenius import (
     fe_higher_number_formula,
     fe_higher_number_oracle,
     fe_higher_polynomial,
-    fe_number,
-    fe_polynomial,
 )
 from .poly import Polynomial
-from .series import (
-    EgfSeries,
-    exp_minus_constant,
-    exp_xt,
-    series_mul,
-    series_pow,
-    series_reciprocal,
-    series_scale,
-    series_truncate,
-)
+from .series import EgfSeries, exp_xt, series_mul, series_pow, series_scale, series_truncate
 from .stirling import triangle_recurrence
 
 __all__ = [
@@ -113,6 +107,7 @@ __all__ = [
     "audit_all",
     "summarize",
     "audit_document",
+    "document_json",
 ]
 
 
@@ -303,7 +298,8 @@ def _derivative_expansion(N, u, T, variant) -> tuple[EgfSeries, EgfSeries]:
     u = _check_u(u, forbid_zero=True)
     if T < N:
         raise ValueError("truncation order T must be >= N")
-    F = series_reciprocal(exp_minus_constant(u, T))
+    # F = 1/(e^t - u): the series route's (1-u)/(e^t - u), kept in the table of u
+    F = series_scale(_table(u).power(T, 1), 1 / (1 - u))
     sign = 1 if variant == "as_printed" else (-1) ** (N - 1)
     scale = math.factorial(N - 1) * sign * u ** (N - 1)
     target = T - (N - 1)
@@ -426,13 +422,13 @@ def verify_carlitz(m: int, n: int, alpha, beta, variant: str = "corrected") -> l
         c_beta = beta * (1 - beta) / (1 - ab)
     else:
         c_beta = beta * (1 - alpha) / (1 - ab)
-    lhs = fe_polynomial(m, alpha) * fe_polynomial(n, beta)
+    ta, tb, tab = _table(alpha), _table(beta), _table(ab)
+    ha, hb = ta.upto(m), tb.upto(n)
+    lhs = ta.polynomial(m) * tb.polynomial(n)
     rhs = Polynomial.combination(
-        [(c_plain, fe_polynomial(m + n, ab))]
-        + [(c_alpha * binomial(m, r) * fe_number(r, alpha), fe_polynomial(m + n - r, ab))
-           for r in range(m + 1)]
-        + [(c_beta * binomial(n, s) * fe_number(s, beta), fe_polynomial(m + n - s, ab))
-           for s in range(n + 1)]
+        [(c_plain, tab.polynomial(m + n))]
+        + [(c_alpha * binomial(m, r) * ha[r], tab.polynomial(m + n - r)) for r in range(m + 1)]
+        + [(c_beta * binomial(n, s) * hb[s], tab.polynomial(m + n - s)) for s in range(n + 1)]
     )
     return _mismatches("x", lhs, rhs)
 
@@ -452,17 +448,19 @@ def verify_carlitz_reciprocal(m: int, n: int, alpha) -> list[Mismatch]:
     if alpha == 1:
         raise ValueError("alpha = 1 is outside the parameter domain")
     beta = 1 / alpha
-    lhs = fe_polynomial(m, alpha) * fe_polynomial(n, beta)
+    ta, tb = _table(alpha), _table(beta)
+    ha, hb = ta.upto(m + n + 1), tb.upto(n)
+    lhs = ta.polynomial(m) * tb.polynomial(n)
     tail = Fraction(
         (-1) ** (n + 1) * math.factorial(m) * math.factorial(n),
         math.factorial(m + n + 1),
     )
     rhs = Polynomial.combination(
-        [((alpha - 1) * binomial(m, r) * fe_number(r, alpha) / (m + n - r + 1),
+        [((alpha - 1) * binomial(m, r) * ha[r] / (m + n - r + 1),
           bernoulli_polynomial(m + n - r + 1)) for r in range(1, m + 1)]
-        + [((beta - 1) * binomial(n, s) * fe_number(s, beta) / (m + n - s + 1),
+        + [((beta - 1) * binomial(n, s) * hb[s] / (m + n - s + 1),
             bernoulli_polynomial(m + n - s + 1)) for s in range(1, n + 1)]
-        + [(tail * (1 - alpha) * fe_number(m + n + 1, alpha), Polynomial.one())]
+        + [(tail * (1 - alpha) * ha[m + n + 1], Polynomial.one())]
     )
     return _mismatches("x", lhs, rhs)
 
@@ -655,3 +653,54 @@ def summarize(reports) -> dict:
 
 def audit_document(reports) -> dict:
     return {"reports": [r.to_dict() for r in reports], "summary": summarize(reports)}
+
+
+# ---------------------------------------------------------------------------
+# JSON text
+#
+# json.dumps(doc, indent=2) runs the pure-Python encoder, as CPython's C
+# encoder takes no indent.  The report documents have a fixed layout, so
+# they are rendered here with the C string escaper and the same bytes.
+
+def _report_json(report: VerificationReport, pad: str) -> str:
+    """The text of ``report.to_dict()`` at indentation ``pad``, laid out as
+    ``json.dumps(indent=2)`` lays it out.  Formatted rationals hold only
+    digits, ``-`` and ``/``, so they need no escaping."""
+    inner = pad + "  "
+    deep = inner + "  "
+    params = f",\n{deep}".join([f"{_quote(k)}: {_quote(v)}" for k, v in report.params.items()])
+    params = f"{{\n{deep}{params}\n{inner}}}" if params else "{}"
+    mismatches = ",\n".join([
+        f'{deep}{{\n{deep}  "at": {_quote(m.at)},\n{deep}  "lhs": "{format_rational(m.lhs)}",'
+        f'\n{deep}  "rhs": "{format_rational(m.rhs)}"\n{deep}}}'
+        for m in report.mismatches
+    ])
+    mismatches = f"[\n{mismatches}\n{inner}]" if mismatches else "[]"
+    error = "" if report.error is None else f',\n{inner}"error": {_quote(report.error)}'
+    return (f'{{\n{inner}"identity": {_quote(report.identity)},\n'
+            f'{inner}"variant": {_quote(report.variant)},\n{inner}"params": {params},\n'
+            f'{inner}"verdict": "{report.verdict}",\n{inner}"mismatches": {mismatches}{error}'
+            f'\n{pad}}}')
+
+
+def _counts_json(value, pad: str) -> str:
+    """The text of a count, or of a nested dict of counts at indentation
+    ``pad``."""
+    if type(value) is int:
+        return str(value)
+    inner = pad + "  "
+    items = f",\n{inner}".join([f"{_quote(k)}: {_counts_json(v, inner)}" for k, v in value.items()])
+    return f"{{\n{inner}{items}\n{pad}}}" if items else "{}"
+
+
+def document_json(reports, audit: bool = True) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"`` for doc the audit document
+    of ``reports`` (:func:`audit_document`), or, when not ``audit``, the
+    one report in ``reports`` (its ``to_dict()``).  Report parameters
+    are strings, as the checkers make them."""
+    if not audit:
+        (report,) = reports
+        return _report_json(report, "") + "\n"
+    body = ",\n    ".join([_report_json(r, "    ") for r in reports])
+    body = f"[\n    {body}\n  ]" if body else "[]"
+    return f'{{\n  "reports": {body},\n  "summary": {_counts_json(summarize(reports), "  ")}\n}}\n'

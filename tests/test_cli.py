@@ -476,6 +476,57 @@ class TestUsage:
         assert code == 2
 
 
+def interrupted(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+class TestInterruptsAndClosedPipes:
+    """Ctrl-C gives status 130 and one line; a reader that closes stdout
+    early gives 141, with nothing on stderr.  Neither prints a traceback."""
+
+    @pytest.mark.parametrize("command", ["verify", "audit"])
+    def test_interrupted_checker_exits_130(self, capsys, monkeypatch, command):
+        from feident import verify
+
+        monkeypatch.setitem(verify.CHECKERS, "theorem3", interrupted)
+        argv = (["verify", "theorem3", "--n", "3", "--N", "2", "--u", "2"]
+                if command == "verify" else ["audit"])
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_capture(capsys, argv)
+        assert code == 130
+        assert (out, err) == ("", "feident: interrupted\n")
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_interrupted_table_exits_130(self, capsys, monkeypatch):
+        from feident import cli
+
+        monkeypatch.setattr(cli, "fe_number", interrupted)
+        code, out, err = run_capture(capsys, ["table", "fe-numbers", "--u", "2", "--n-max", "3"])
+        assert code == 130
+        assert (out, err) == ("", "feident: interrupted\n")
+
+    def test_closed_stdout_exits_quietly(self):
+        src = str(Path(feident.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        # about 780 KB of CSV, far more than a pipe holds
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "feident.cli", "table", "fe-numbers", "--u", "2",
+             "--n-max", "800"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            assert proc.stdout.readline() == b"n,value\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 141
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert err == b""
+
+
 class TestModuleEntryPoint:
     """``python -m feident.cli`` behaves exactly like the ``main`` entry point."""
 

@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 from feident.exact import (
     as_fraction,
     binomial,
+    combine,
     common_denominator,
     compositions,
     exact_parameter,
     format_rational,
-    linear_combination,
     multinomial,
     parse_rational,
-    rat,
+    to_fractions,
     weak_compositions,
 )
 
@@ -26,22 +26,27 @@ rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 nonzero_rationals = rationals.filter(lambda q: q != 0)
 
 
-class TestRat:
+class TestToFractions:
+    """The one reader of an integer form: numerators over d, one reduced
+    Fraction each."""
+
     def test_integer_embedding(self):
-        assert rat(2, 1) == Fraction(2)
-        assert rat(7) == Fraction(7)
+        out = to_fractions([2, 7], 1)
+        assert out == (Fraction(2), Fraction(7))
+        assert all(type(q) is Fraction for q in out)
 
     def test_gcd_reduction(self):
-        q = rat(4, 6)
+        (q,) = to_fractions([4], 6)
         assert (q.numerator, q.denominator) == (2, 3)
 
     def test_sign_normalization(self):
-        q = rat(1, -3)
-        assert (q.numerator, q.denominator) == (-1, 3)
+        for nums, d in (([1], -3), ([-2], 6)):
+            (q,) = to_fractions(nums, d)
+            assert (q.numerator, q.denominator) == (-1, 3)
 
     def test_zero_denominator(self):
-        with pytest.raises(ValueError):
-            rat(1, 0)
+        with pytest.raises(ZeroDivisionError):
+            to_fractions([1], 0)
 
 
 class TestRationalText:
@@ -148,26 +153,29 @@ def fraction_combination(terms) -> list:
 
 
 class TestLinearCombination:
+    """``combine`` sums scalar multiples of integer forms; ``to_fractions``
+    reads the sum."""
+
     def test_examples(self):
-        terms = [(Fraction(1, 2), [Fraction(1, 3), 2]), (-3, [Fraction(1, 6)]),
-                 (0, [1, 2, 3, 4])]
-        assert linear_combination(terms) == [Fraction(-1, 3), 1, 0, 0]
-        assert linear_combination([]) == []
+        terms = [(Fraction(1, 2), common_denominator([Fraction(1, 3), 2])),
+                 (-3, ([1], 6)), (0, ([1, 2, 3, 4], 1))]
+        assert to_fractions(*combine(terms)) == (Fraction(-1, 3), 1, 0, 0)
+        assert combine([]) == ([], 1)
 
     @given(st.lists(st.tuples(rationals, st.lists(rationals, max_size=6)), max_size=6))
     def test_matches_fraction_arithmetic(self, terms):
         # zero and negative scalars, mixed denominators, unequal lengths, no terms
-        out = linear_combination(terms)
+        out = to_fractions(*combine((c, common_denominator(seq)) for c, seq in terms))
         assert all(type(c) is Fraction for c in out)
-        assert out == fraction_combination(terms)
+        assert list(out) == fraction_combination(terms)
 
     def test_accepts_any_sequence(self):
-        assert linear_combination(((2, (Fraction(1, 4),)),)) == [Fraction(1, 2)]
-        assert linear_combination(iter([(1, range(3))])) == [0, 1, 2]
+        assert to_fractions(*combine(((2, ((1,), 4)),))) == (Fraction(1, 2),)
+        assert to_fractions(*combine(iter([(1, (range(3), 1))]))) == (0, 1, 2)
 
     def test_float_scalar_raises(self):
         with pytest.raises(TypeError, match="float"):
-            linear_combination([(0.5, [1])])
+            combine([(0.5, ([1], 1))])
 
 
 class TestBinomial:

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feident import exact, verify
-from feident.exact import common_denominator, linear_combination, to_fractions
+from feident.exact import combine, common_denominator, integer_form, to_fractions
 from feident.poly import Polynomial
 from feident.series import (
     EgfSeries,
@@ -115,10 +115,11 @@ class TestKernelsInEveryForm:
     @given(st.lists(st.tuples(scalar, coefficients), max_size=5), spare)
     @settings(deadline=None, max_examples=60)
     def test_linear_combination(self, terms, k):
-        want = linear_combination([(c, [Fraction(x) for x in xs]) for c, xs in terms])
+        want = to_fractions(*combine(
+            (c, common_denominator([Fraction(x) for x in xs])) for c, xs in terms))
         for form in range(3):
-            values = [(c, in_forms(EgfSeries, xs, k)[form]) for c, xs in terms]
-            assert linear_combination(values) == want
+            values = [(c, integer_form(in_forms(EgfSeries, xs, k)[form])) for c, xs in terms]
+            assert to_fractions(*combine(values)) == want
 
     @given(coefficients, spare)
     @settings(deadline=None, max_examples=60)

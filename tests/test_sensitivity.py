@@ -12,8 +12,8 @@ it, so H_3 + 1) reaches every check that reads the order-1 prefix table
 the series-power fault reaches only the series route to higher-order
 numbers, which corollary5 and eq60_multinomial read through
 ``fe_higher_polynomial`` and theorem3 through ``fe_higher_number_oracle``.
-theorem1 and corollary2 raise their own series to powers in ``verify``,
-so they do not read ``frobenius.series_pow``.  The multinomial fault (one
+theorem1 and corollary2 take F from the same table but raise it to powers
+in ``verify``, so they do not read ``frobenius.series_pow``.  The multinomial fault (one
 more at k = 3) reaches only the composition sum, which corollary4 and
 eq60_multinomial read on their direct-enumeration side, and so does the
 weak-composition fault (the first composition of 3 dropped).
@@ -24,9 +24,10 @@ kernel by name, as a caller sees it:
 - ``series_mul`` reaches the powers of F (theorem1, and through
   ``series_pow`` the series route of theorem3, corollary5 and eq60) and
   the e^{xt} factor of corollary2;
-- ``series_reciprocal`` reaches F itself, so the same identities, and the
-  Bernoulli oracle behind the Bernoulli polynomials of carlitz_reciprocal
-  and bernoulli_product;
+- ``series_reciprocal`` reaches F itself, which every series route reads
+  from the table of u (``frobenius_oracle``), so the same identities, and
+  the Bernoulli oracle behind the Bernoulli polynomials of
+  carlitz_reciprocal and bernoulli_product;
 - ``triangle_recurrence`` (a_1(N) + 1 for N >= 2) reaches every
   triangle-formula side: theorem1, corollary2, theorem3, corollary4 and
   corollary5;
@@ -154,7 +155,7 @@ def test_series_reciprocal_fault(monkeypatch):
     def faulty(a):
         return EgfSeries(plus_one_at_three(series_reciprocal(a).coeffs))
 
-    patch_callers(monkeypatch, "series_reciprocal", faulty, [series, verify])
+    patch_callers(monkeypatch, "series_reciprocal", faulty, [series])
     assert failing_identities() == {
         "bernoulli_product",
         "carlitz_reciprocal",

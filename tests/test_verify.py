@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feident import frobenius
@@ -21,10 +21,12 @@ from feident.verify import (
     DEFAULT_GRID,
     IDENTITIES,
     Mismatch,
+    VerificationReport,
     _composition_sum,
     _mismatches,
     audit_all,
     audit_document,
+    document_json,
     summarize,
     verify_bernoulli_product,
     verify_carlitz,
@@ -191,6 +193,8 @@ class TestCorollary5:
         assert report.mismatches[0].at == "x^0"
 
     def test_builds_the_triangle_once(self, monkeypatch):
+        """On a fresh table the weights of (N, variant) are built from one
+        triangle and kept: a second check at that u builds none."""
         calls = []
         triangle = frobenius.triangle_recurrence
 
@@ -199,8 +203,14 @@ class TestCorollary5:
             return triangle(n_max)
 
         monkeypatch.setattr(frobenius, "triangle_recurrence", counted)
-        assert verify_corollary5(6, 3, Fraction(1, 3)).verdict == "pass"
-        assert calls == [3]
+        frobenius._table.cache_clear()
+        try:
+            assert verify_corollary5(6, 3, Fraction(1, 3)).verdict == "pass"
+            assert calls == [3]
+            assert verify_corollary5(4, 3, Fraction(1, 3)).verdict == "pass"
+            assert calls == [3]
+        finally:
+            frobenius._table.cache_clear()
 
 
 class TestEq60:
@@ -348,6 +358,53 @@ class TestReports:
             Mismatch("x^1", 0, 2), Mismatch("x^2", 3, 0)
         ]
         assert _mismatches("t", rhs, lhs)[-1] == Mismatch("t^2", 0, 3)
+
+
+# Strings with quotes, backslashes, control characters, non-ASCII (a
+# two-byte character, a line separator and one outside the BMP) and the rest.
+awkward_text = st.text(
+    st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7fé\u2028\U0001f600'), st.characters()),
+    max_size=8,
+)
+reports = st.builds(
+    VerificationReport,
+    identity=awkward_text,
+    variant=awkward_text,
+    params=st.dictionaries(awkward_text, awkward_text, max_size=3),
+    mismatches=st.lists(
+        st.builds(Mismatch, awkward_text, st.fractions(), st.fractions()), max_size=3
+    ).map(tuple),
+    error=st.none() | awkward_text,
+)
+
+
+class TestDocumentJson:
+    """The report renderer's bytes are ``json.dumps(doc, indent=2)`` and a
+    newline, for the audit document and for a single report."""
+
+    @staticmethod
+    def dumps(doc) -> str:
+        return json.dumps(doc, indent=2) + "\n"
+
+    @given(st.lists(reports, max_size=4))
+    @settings(max_examples=60)
+    def test_audit_document(self, reports):
+        assert document_json(reports) == self.dumps(audit_document(reports))
+
+    @given(reports)
+    def test_single_report(self, report):
+        assert document_json([report], audit=False) == self.dumps(report.to_dict())
+
+    def test_empty_and_real_reports(self):
+        assert document_json([]) == self.dumps(audit_document([]))
+        failing = verify_theorem3(3, 2, Fraction(-5, 7), "as_printed")
+        assert failing.mismatches
+        for report in (failing, verify_theorem3(3, 2, Fraction(2))):
+            assert document_json([report], audit=False) == self.dumps(report.to_dict())
+        reports = audit_all({"theorem3": DEFAULT_GRID["theorem3"],
+                             "bernoulli_product": {"m": [0, 1], "n": [1]}})
+        assert {r.verdict for r in reports} == {"pass", "fail", "error"}
+        assert document_json(reports) == self.dumps(audit_document(reports))
 
 
 class TestFloatParameters:
