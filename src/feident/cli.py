@@ -7,26 +7,27 @@ Three commands:
     audit  [--grid FILE]
 
 Tables default to CSV, verification and audits to JSON.  Rationals are
-always "p/q" strings, never floating point.  A CSV table is written row
-by row, so its whole text is never held; its fields never need quoting.
-Report CSV goes through ``csv.writer``, as error messages may hold
-commas and quotes; report JSON is :func:`feident.verify.document_json`.
-Exit status is 0 when every verdict passes, 1 when any verification
-fails, 2 on usage or parameter errors, 130 on an interrupt, and 141 when
-the reader closes stdout early.
+always "p/q" strings, never floating point.  Report CSV goes through
+``csv.writer``, as error messages may hold commas and quotes; report
+JSON is :func:`feident.verify.document_json`.  Exit status is 0 when
+every verdict passes, 1 when any verification fails, 2 on usage or
+parameter errors, 130 on an interrupt, and 141 when the reader closes
+stdout early.
 
-The checker registry's schema (see :mod:`feident.verify`) gives the
-``verify`` flags: each ``Param`` is a flag of the same name (``T`` is
-``--trunc``), taking an integer when ``param.integer`` and a "p/q"
-rational otherwise, and required when ``param.default`` is ``REQUIRED``;
-flags an identity does not take are rejected.
+Each table subject is one ``@_subject`` entry, which the ``table`` flags,
+their checks and both renderings read.  CSV is written a row at a time as
+the entry's generator yields it, so no table's text is held whole; its
+fields never need quoting.  The checker registry's schema (see
+:mod:`feident.verify`) gives the ``verify`` flags: each ``Param`` is a
+flag of the same name (``T`` is ``--trunc``), an integer when
+``param.integer`` and a "p/q" rational otherwise, required when
+``param.default`` is ``REQUIRED``.  Both commands reject a flag that
+their subject or identity does not take.
 
-Each command imports only what it runs.  ``table`` loads the number
-kernel, and never :mod:`feident.verify` or ``csv``.  The checker
-registry loads only for ``verify`` and ``audit``, and the ``verify``
-flags, identity choices and their help are built from it only for
-``verify``.  ``json`` loads with the registry and for JSON tables,
-``csv`` for report CSV.
+Each command imports only what it runs: ``table`` the number kernel,
+never :mod:`feident.verify` or ``csv``; the checker registry loads only
+for ``verify`` and ``audit``, and only ``verify`` builds flags from it;
+``json`` loads with it and for JSON tables, ``csv`` for report CSV.
 """
 
 from __future__ import annotations
@@ -35,9 +36,11 @@ import argparse
 import io
 import os
 import sys
+from collections import namedtuple
+from itertools import chain
 from typing import Iterable, Iterator
 
-from .exact import format_rational, parse_rational, to_fractions
+from .exact import format_rational, parse_rational
 from .frobenius import VARIANTS, bernoulli_number, fe_higher_numbers, fe_number, fe_polynomial
 from .stirling import triangle_recurrence
 
@@ -48,8 +51,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERRUPTED = 130  # 128 + SIGINT
 EXIT_CLOSED = 141  # 128 + SIGPIPE
-
-_TABLE_SUBJECTS = ("fe-numbers", "fe-polynomials", "fe-higher", "stirling", "bernoulli")
 
 _CLI_VARIANTS = {variant.replace("_", "-"): variant for variant in VARIANTS}
 
@@ -76,31 +77,27 @@ def _verify_parameters() -> list:
 
 def _value_flags(command: str | None) -> list:
     """``(flag, dest, type, help)`` of each parameter flag of ``command``,
-    in order: ``table``'s are fixed, ``verify``'s are the checker
-    parameters, read from the registry.  The parser and
+    in order: ``table``'s are the table subjects' flags, ``verify``'s the
+    checker parameters, read from the registry.  The parser and
     :func:`_join_negative_rationals` both read them here."""
     if command == "table":
-        return [
-            ("--u", "u", parse_rational, "rational parameter u as p/q"),
-            ("--N", "N", int, "order for fe-higher"),
-        ]
-    if command != "verify":
-        return []
-    from .verify import IDENTITIES, REQUIRED, parameters
+        takers = [(dest, kind, "", name)
+                  for name, subject in _SUBJECTS.items() for dest, kind in subject.flags.items()]
+    elif command == "verify":
+        from .verify import IDENTITIES, REQUIRED, parameters
 
-    flags = []
-    for param in _verify_parameters():
-        kind = "integer" if param.integer else "rational p/q"
-        if param.default is not REQUIRED:
-            kind += f", default {param.default}"
-        takers = [identity for identity in IDENTITIES if param.name in parameters(identity)]
-        flags.append((
-            _flag(param.name),
-            param.name,
-            int if param.integer else parse_rational,
-            f"{kind}; {', '.join(takers)}",
-        ))
-    return flags
+        takers = [(param.name, int if param.integer else parse_rational,
+                   "" if param.default is REQUIRED else f", default {param.default}", identity)
+                  for param in _verify_parameters()
+                  for identity in IDENTITIES if param.name in parameters(identity)]
+    else:
+        return []
+    flags = {}
+    for dest, kind, default, taker in takers:
+        flags.setdefault((dest, kind, default), []).append(taker)
+    return [(_flag(dest), dest, kind,
+             f"{'integer' if kind is int else 'rational p/q'}{default}; {', '.join(names)}")
+            for (dest, kind, default), names in flags.items()]
 
 
 def _command(argv) -> str | None:
@@ -135,12 +132,10 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     table = sub.add_parser("table", help="emit a number, polynomial, or triangle table")
-    table.add_argument("subject", choices=_TABLE_SUBJECTS)
+    table.add_argument("subject", choices=_SUBJECTS)
     for flag, dest, kind, text in _value_flags("table"):
         table.add_argument(flag, dest=dest, type=kind, help=text)
     table.add_argument("--n-max", type=int, required=True, help="largest index, inclusive")
-    table.add_argument("--format", choices=("csv", "json"), default="csv")
-    table.add_argument("--out", help="write output to this path instead of stdout")
 
     verify = sub.add_parser("verify", help="verify one identity at given parameters")
     if command == "verify":
@@ -150,13 +145,13 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
         for flag, dest, kind, text in _value_flags("verify"):
             verify.add_argument(flag, dest=dest, type=kind, help=text)
     verify.add_argument("--variant", choices=sorted(_CLI_VARIANTS))
-    verify.add_argument("--format", choices=("csv", "json"), default="json")
-    verify.add_argument("--out", help="write output to this path instead of stdout")
 
     audit = sub.add_parser("audit", help="run the full verification grid")
     audit.add_argument("--grid", help="JSON grid file (defaults to the built-in grid)")
-    audit.add_argument("--format", choices=("csv", "json"), default="json")
-    audit.add_argument("--out", help="write output to this path instead of stdout")
+
+    for each, default in ((table, "csv"), (verify, "json"), (audit, "json")):
+        each.add_argument("--format", choices=("csv", "json"), default=default)
+        each.add_argument("--out", help="write output to this path instead of stdout")
 
     return parser
 
@@ -184,80 +179,92 @@ def _verify_kwargs(args) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Table rendering
+# Table subjects
 
-def _value_rows(values) -> list:
-    return [{"n": n, "value": format_rational(value)} for n, value in enumerate(values)]
+# A table subject: the value flags it takes, all required, as {name: type};
+# its smallest --n-max; its CSV header for an --n-max; one row's CSV text;
+# the JSON fields before "rows", from --n-max and the formatted flag
+# values; and its row generator (see _subject).
+_Subject = namedtuple("_Subject", "flags n_min header line head rows")
+_SUBJECTS: dict[str, _Subject] = {}
 
 
-def _table_document(args) -> dict:
-    subject = args.subject
-    n_max = args.n_max
+def _subject(name: str, *, n_min: int = 0, header=lambda n_max: "n,value\n",
+             line=lambda row: f"{row['n']},{row['value']}\n",
+             head=lambda n_max, params: {"params": params}, **flags):
+    """Register the generator below as table subject ``name``; it takes
+    ``--n-max`` and then the value of each flag in ``flags``, and yields
+    the rows as the JSON document holds them."""
+
+    def register(rows):
+        _SUBJECTS[name] = _Subject(flags, n_min, header, line, head, rows)
+        return rows
+
+    return register
+
+
+@_subject("fe-numbers", u=parse_rational)
+def _fe_numbers(n_max: int, u) -> Iterator[dict]:
+    for n in range(n_max + 1):
+        yield {"n": n, "value": format_rational(fe_number(n, u))}
+
+
+@_subject("fe-polynomials", u=parse_rational,
+          header=lambda n_max: ",".join(["n"] + [f"x^{d}" for d in range(n_max + 1)]) + "\n",
+          line=lambda row: f"{row['n']},{','.join(row['coeffs'])}\n")
+def _fe_polynomials(n_max: int, u) -> Iterator[dict]:
+    for n in range(n_max + 1):
+        coeffs = [format_rational(c) for c in fe_polynomial(n, u).coeffs]
+        yield {"n": n, "coeffs": coeffs + ["0"] * (n_max + 1 - len(coeffs))}
+
+
+@_subject("fe-higher", u=parse_rational, N=int)
+def _fe_higher(n_max: int, u, N: int) -> Iterator[dict]:
+    if N < 1:
+        raise ValueError("--N must be >= 1")
+    for n, value in enumerate(fe_higher_numbers(n_max, N, u)):
+        yield {"n": n, "value": format_rational(value)}
+
+
+# row N of the triangle holds a_0(N)..a_(N-1)(N)
+@_subject("stirling", n_min=1, header=lambda n_max: "N,k,a_k\n",
+          line=lambda row: "".join(f"{len(row)},{k},{a}\n" for k, a in enumerate(row)),
+          head=lambda n_max, params: {"n_max": n_max})
+def _stirling(n_max: int) -> Iterator[tuple]:
+    return iter(triangle_recurrence(n_max).rows)
+
+
+@_subject("bernoulli")
+def _bernoulli(n_max: int) -> Iterator[dict]:
+    for n in range(n_max + 1):
+        yield {"n": n, "value": format_rational(bernoulli_number(n))}
+
+
+def _table_chunks(args) -> Iterable[str]:
+    """The table as text: CSV one row per chunk, each row computed as it is
+    read, or JSON whole.  The flags are checked and the first row computed
+    first, so a usage or parameter error writes nothing."""
+    name, n_max = args.subject, args.n_max
+    subject = _SUBJECTS[name]
     if n_max < 0:
         raise ValueError("--n-max must be >= 0")
+    for flag, dest, _, _ in _value_flags("table"):
+        if dest not in subject.flags and getattr(args, dest) is not None:
+            raise ValueError(f"table {name!r} does not take {flag}")
+    values = {dest: getattr(args, dest) for dest in subject.flags}
+    if None in values.values():
+        raise ValueError(f"{name} requires " + " and ".join(f"--{dest}" for dest in values))
+    if n_max < subject.n_min:
+        raise ValueError(f"{name} table needs --n-max >= {subject.n_min}")
+    rows = subject.rows(n_max, **values)
+    first = next(rows)
+    if args.format == "json":
+        import json
 
-    if subject == "fe-numbers":
-        if args.u is None:
-            raise ValueError("fe-numbers requires --u")
-        rows = _value_rows(fe_number(n, args.u) for n in range(n_max + 1))
-        return {"table": subject, "params": {"u": format_rational(args.u)}, "rows": rows}
-
-    if subject == "bernoulli":
-        rows = _value_rows(bernoulli_number(n) for n in range(n_max + 1))
-        return {"table": subject, "params": {}, "rows": rows}
-
-    if subject == "fe-higher":
-        if args.u is None or args.N is None:
-            raise ValueError("fe-higher requires --u and --N")
-        if args.N < 1:
-            raise ValueError("--N must be >= 1")
-        rows = _value_rows(fe_higher_numbers(n_max, args.N, args.u)[: n_max + 1])
-        return {
-            "table": subject,
-            "params": {"u": format_rational(args.u), "N": str(args.N)},
-            "rows": rows,
-        }
-
-    if subject == "fe-polynomials":
-        if args.u is None:
-            raise ValueError("fe-polynomials requires --u")
-        rows = []
-        for n in range(n_max + 1):
-            # from the integer form, so the table's kept polynomial gains no
-            # second, Fraction form
-            poly = fe_polynomial(n, args.u)
-            coeffs = [format_rational(c) for c in to_fractions(*poly.integer_form)]
-            rows.append({"n": n, "coeffs": coeffs + ["0"] * (n_max + 1 - len(coeffs))})
-        return {"table": subject, "params": {"u": format_rational(args.u)}, "rows": rows}
-
-    # stirling, the last of argparse's choices
-    if n_max < 1:
-        raise ValueError("stirling table needs --n-max >= 1")
-    triangle = triangle_recurrence(n_max)
-    return {
-        "table": subject,
-        "n_max": n_max,
-        "rows": [list(row) for row in triangle.rows],
-    }
-
-
-def _table_csv(doc: dict) -> Iterator[str]:
-    """The table as CSV, one chunk per table row (per triangle row for
-    ``stirling``).  Fields are ints, "p/q" strings and fixed headers."""
-    subject = doc["table"]
-    if subject == "stirling":
-        yield "N,k,a_k\n"
-        for i, row in enumerate(doc["rows"], start=1):
-            yield "".join(f"{i},{k},{value}\n" for k, value in enumerate(row))
-    elif subject == "fe-polynomials":
-        width = len(doc["rows"][0]["coeffs"])
-        yield ",".join(["n"] + [f"x^{d}" for d in range(width)]) + "\n"
-        for row in doc["rows"]:
-            yield f"{row['n']},{','.join(row['coeffs'])}\n"
-    else:
-        yield "n,value\n"
-        for row in doc["rows"]:
-            yield f"{row['n']},{row['value']}\n"
+        params = {dest: format_rational(value) for dest, value in values.items()}
+        doc = {"table": name, **subject.head(n_max, params), "rows": [first, *rows]}
+        return [json.dumps(doc, indent=2) + "\n"]
+    return chain([subject.header(n_max), subject.line(first)], map(subject.line, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +298,6 @@ def _emit(chunks: Iterable[str], out_path: str | None) -> None:
             fh.writelines(chunks)
 
 
-def _json_text(doc) -> str:
-    import json
-
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def _read_grid(path: str | None):
     """The grid in the JSON file at ``path``, or None (the default grid)."""
     if path is None:
@@ -308,10 +309,6 @@ def _read_grid(path: str | None):
             return json.load(fh)
         except RecursionError:
             raise ValueError("grid file is nested too deeply") from None
-
-
-def _exit_code(reports) -> int:
-    return EXIT_PASS if all(r.verdict == "pass" for r in reports) else EXIT_FAIL
 
 
 def run(argv=None) -> int:
@@ -354,9 +351,7 @@ def _run(argv) -> int:
 
     try:
         if args.command == "table":
-            doc = _table_document(args)
-            chunks = [_json_text(doc)] if args.format == "json" else _table_csv(doc)
-            _emit(chunks, args.out)
+            _emit(_table_chunks(args), args.out)
             return EXIT_PASS
 
         from .verify import CHECKERS, audit_all, document_json
@@ -370,7 +365,7 @@ def _run(argv) -> int:
         else:
             text = _reports_csv(reports)
         _emit([text], args.out)
-        return _exit_code(reports)
+        return EXIT_PASS if all(r.verdict == "pass" for r in reports) else EXIT_FAIL
     except BrokenPipeError:
         raise
     except (ValueError, OSError) as exc:

@@ -29,11 +29,13 @@ Each u gets one table, the one per-u cache; each slot is filled only by
 its own route's code.
 - Recurrence: M_0..M_k and D_k, grown one step at a time to exactly the
   largest index asked for (never doubled: the CLI reads H_0..H_n in
-  ascending order, and the kernel's cost grows as k^3 bits).
-  ``fe_polynomial`` and the formula window read the prefix in integer
-  form, numerators M_l r^(n-l) over |r|^n.  ``fe_number`` makes the
-  Fractions H_0..H_n up to the largest index it has read, and keeps
-  them.  ``fe_polynomial`` keeps each H_n(x|u) it builds, by n.
+  ascending order, and the kernel's cost grows as k^3 bits).  The
+  polynomials and the formula window read the prefix in integer form,
+  numerators M_l r^(n-l) over |r|^n.  ``fe_number`` makes the Fractions
+  H_0..H_n up to the largest index it has read, and keeps them.  One
+  Appell builder makes H_n(x|u): ``polynomial`` keeps it by n, as the
+  Carlitz checks read it again; ``fe_polynomial`` keeps nothing, as the
+  CLI reads each H_n(x|u) once.
 - Triangle formula: (N, variant) -> the weights prefactor * a_k(N),
   k < N, from one ``triangle_recurrence`` row.
 - Series: N -> F(u)^N, the EGF of the order-N numbers, in integer form;
@@ -169,12 +171,15 @@ class _NumberTable:
         self._fractions = hs = hs + tuple(new)
         return hs
 
-    def polynomial(self, n: int) -> Polynomial:
+    def appell(self, n: int) -> Polynomial:
         """H_n(x|u), the Appell polynomial of H_0..H_n in integer form."""
+        return Polynomial.appell(EgfSeries._of(ints=self.integer_form(0, n + 1)))
+
+    def polynomial(self, n: int) -> Polynomial:
+        """H_n(x|u), kept by n: the Carlitz checks read it again."""
         poly = self._polynomials.get(n)
         if poly is None:
-            poly = Polynomial.appell(EgfSeries._of(ints=self.integer_form(0, n + 1)))
-            self._polynomials[n] = poly
+            poly = self._polynomials[n] = self.appell(n)
         return poly
 
     def power(self, n_max: int, order: int) -> EgfSeries:
@@ -215,7 +220,7 @@ def fe_number(n: int, u: Fraction) -> Fraction:
 def fe_polynomial(n: int, u: Fraction) -> Polynomial:
     """H_n(x|u) = sum_l C(n,l) x^(n-l) H_l(u); monic of degree n."""
     check_at_least("n", n, 0)
-    return _table(_check_u(u)).polynomial(n)
+    return _table(_check_u(u)).appell(n)
 
 
 def fe_higher_numbers(n_max: int, order: int, u: Fraction) -> tuple[Fraction, ...]:

@@ -117,6 +117,38 @@ class TestTable:
         assert code == 2
         assert "u = 1" in err
 
+    @pytest.mark.parametrize("subject, flag", [
+        ("stirling", "--u"), ("stirling", "--N"), ("bernoulli", "--u"), ("bernoulli", "--N"),
+        ("fe-numbers", "--N"), ("fe-polynomials", "--N"),
+    ])
+    def test_untaken_flag_is_usage_error(self, capsys, tmp_path, subject, flag):
+        """A flag the subject does not take exits 2 with one line, as a flag
+        the identity does not take does for ``verify``; nothing is written."""
+        argv = table_argv(subject, 3) + [flag, "2"]
+        path = tmp_path / "table.csv"
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"feident: error: table {subject!r} does not take {flag}\n"
+        assert run_capture(capsys, argv + ["--out", str(path)])[0] == 2
+        assert not path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["fe-numbers", "--u", "1", "--n-max", "2"],
+        ["fe-polynomials", "--u", "1", "--n-max", "2"],
+        ["fe-higher", "--u", "1", "--N", "2", "--n-max", "2"],
+        ["fe-higher", "--u", "2", "--N", "0", "--n-max", "2"],
+        ["fe-higher", "--u", "2", "--n-max", "2"],
+        ["stirling", "--n-max", "0"],
+    ])
+    def test_parameter_error_writes_nothing(self, capsys, tmp_path, argv):
+        """Flags and parameters are checked before the first byte is
+        written, to stdout or to ``--out``."""
+        path = tmp_path / "table.csv"
+        code, out, err = run_capture(capsys, ["table", *argv, "--out", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("feident: error: ") and err.count("\n") == 1
+        assert not path.exists()
+
 
 def table_argv(subject, n_max):
     extra = {"fe-numbers": ["--u=-5/7"], "fe-polynomials": ["--u=-5/7"],
@@ -174,16 +206,62 @@ class TestTableRendering:
 
     def test_stirling_is_streamed(self, tmp_path):
         """The whole text is never held: the peak of traced allocations
-        stays below the size of the file written."""
-        path = tmp_path / "stirling.csv"
-        tracemalloc.start()
-        try:
-            code = run(["table", "stirling", "--n-max", "200", "--out", str(path)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        assert peak < path.stat().st_size
+        stays below the size of the file written, for the triangle and for
+        the polynomials (about 7 MB at this size), none of which is kept."""
+        for argv in (["stirling", "--n-max", "200"],
+                     ["fe-polynomials", "--u=5/8", "--n-max", "250"]):
+            path = tmp_path / f"{argv[0]}.csv"
+            tracemalloc.start()
+            try:
+                code = run(["table", *argv, "--out", str(path)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert peak < path.stat().st_size, argv
+
+    @pytest.mark.parametrize("subject, computes", [
+        ("fe-numbers", "fe_number"),
+        ("fe-polynomials", "fe_polynomial"),
+        ("bernoulli", "bernoulli_number"),
+        # one kernel call makes every value; each row is formatted as it is
+        # written
+        ("fe-higher", "format_rational"),
+    ])
+    def test_first_row_is_written_before_the_last_is_computed(
+        self, capsys, monkeypatch, subject, computes
+    ):
+        from feident import cli
+
+        argv = table_argv(subject, 6)
+        _, want, _ = run_capture(capsys, argv)
+        events = []
+        kernel = getattr(cli, computes)
+
+        def logged(*args):
+            events.append(computes)
+            return kernel(*args)
+
+        class Stream:
+            def write(self, text):
+                events.append(text)
+
+            def writelines(self, chunks):
+                for chunk in chunks:
+                    self.write(chunk)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(cli, computes, logged)
+        monkeypatch.setattr(sys, "stdout", Stream())
+        assert run(argv) == 0
+        writes = [event for event in events if event != computes]
+        assert "".join(writes) == want
+        assert events.count(computes) >= 7  # one per row, n = 0..6
+        first_row = events.index(writes[1])  # writes[0] is the header
+        last_value = len(events) - 1 - events[::-1].index(computes)
+        assert first_row < last_value
 
 
 class TestVerifyCommand:
@@ -498,12 +576,16 @@ class TestInterruptsAndClosedPipes:
         assert sys.get_int_max_str_digits() == limit
 
     def test_interrupted_table_exits_130(self, capsys, monkeypatch):
+        """Rows are written as they are computed, so what came before the
+        interrupt has been written."""
         from feident import cli
 
-        monkeypatch.setattr(cli, "fe_number", interrupted)
+        kernel = cli.fe_number
+        monkeypatch.setattr(cli, "fe_number",
+                            lambda n, u: interrupted() if n == 2 else kernel(n, u))
         code, out, err = run_capture(capsys, ["table", "fe-numbers", "--u", "2", "--n-max", "3"])
         assert code == 130
-        assert (out, err) == ("", "feident: interrupted\n")
+        assert (out, err) == ("n,value\n0,1\n1,1\n", "feident: interrupted\n")
 
     def test_closed_stdout_exits_quietly(self):
         src = str(Path(feident.__file__).resolve().parents[1])
