@@ -7,60 +7,48 @@ including an audit mode distinguishing commonly typeset identity forms
 from their sign-corrected variants.
 
 The top level exports the documented API; everything else is importable
-from its submodule (``feident.exact``, ``feident.series``, ...).  The
-number functions, ``Polynomial`` and the triangle load with the package.
-The checkers (``verify_*``, ``audit_all``, ``audit_document``) load
-:mod:`feident.verify` on first access, so ``import feident`` and the
-``table`` commands do without it; they are the objects of that module.
+from its submodule (``feident.exact``, ``feident.series``, ...).  Each
+export is the object of the submodule named in ``_EXPORTS``, which loads
+on first access (PEP 562 ``__getattr__``): ``import feident`` loads no
+submodule, and each command of the CLI loads only what it runs.
 """
 
-from .frobenius import (
-    VARIANTS,
-    fe_higher_number_formula,
-    fe_higher_number_oracle,
-    fe_number,
-    fe_polynomial,
-)
-from .poly import Polynomial
-from .stirling import coeff_closed_form, triangle_recurrence
+from importlib import import_module
 
-# Read from feident.verify on access (PEP 562 ``__getattr__``).
-_CHECKER_EXPORTS = (
-    "audit_all",
-    "audit_document",
-    "verify_bernoulli_product",
-    "verify_carlitz",
-    "verify_carlitz_reciprocal",
-    "verify_corollary2",
-    "verify_corollary4",
-    "verify_corollary5",
-    "verify_product_multinomial",
-    "verify_theorem1",
-    "verify_theorem3",
-)
+# Export -> the submodule that defines it.
+_EXPORTS = {
+    "VARIANTS": "frobenius",
+    "fe_higher_number_formula": "frobenius",
+    "fe_higher_number_oracle": "frobenius",
+    "fe_number": "frobenius",
+    "fe_polynomial": "frobenius",
+    "Polynomial": "poly",
+    "coeff_closed_form": "stirling",
+    "triangle_recurrence": "stirling",
+    "audit_all": "verify",
+    "audit_document": "verify",
+    "verify_bernoulli_product": "verify",
+    "verify_carlitz": "verify",
+    "verify_carlitz_reciprocal": "verify",
+    "verify_corollary2": "verify",
+    "verify_corollary4": "verify",
+    "verify_corollary5": "verify",
+    "verify_product_multinomial": "verify",
+    "verify_theorem1": "verify",
+    "verify_theorem3": "verify",
+}
 
-__all__ = [
-    "VARIANTS",
-    "fe_higher_number_formula",
-    "fe_higher_number_oracle",
-    "fe_number",
-    "fe_polynomial",
-    "Polynomial",
-    "coeff_closed_form",
-    "triangle_recurrence",
-    *_CHECKER_EXPORTS,
-]
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    if name in _CHECKER_EXPORTS:
-        from . import verify
-
-        return getattr(verify, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
 
 
 def __dir__() -> list:
-    return sorted({*globals(), *_CHECKER_EXPORTS})
+    return sorted({*globals(), *_EXPORTS})

@@ -24,10 +24,12 @@ flag of the same name (``T`` is ``--trunc``), an integer when
 ``param.default`` is ``REQUIRED``.  Both commands reject a flag that
 their subject or identity does not take.
 
-Each command imports only what it runs: ``table`` the number kernel,
-never :mod:`feident.verify` or ``csv``; the checker registry loads only
-for ``verify`` and ``audit``, and only ``verify`` builds flags from it;
-``json`` loads with it and for JSON tables, ``csv`` for report CSV.
+Each command imports only what it runs: a ``table`` subject's rows
+import their kernel when they run (the triangle :mod:`feident.stirling`,
+the others :mod:`feident.frobenius`), never :mod:`feident.verify` or
+``csv``; the checker registry loads only for ``verify`` and ``audit``, and
+only ``verify`` builds flags from it, ``--variant`` too; ``json`` loads
+with it and for JSON tables, ``csv`` for report CSV.
 """
 
 from __future__ import annotations
@@ -38,11 +40,11 @@ import os
 import sys
 from collections import namedtuple
 from itertools import chain
+from math import gcd
+from operator import add
 from typing import Iterable, Iterator
 
-from .exact import format_rational, parse_rational
-from .frobenius import VARIANTS, bernoulli_number, fe_higher_numbers, fe_number, fe_polynomial
-from .stirling import triangle_recurrence
+from .exact import format_ratio, format_rational, parse_rational
 
 __all__ = ["main", "run"]
 
@@ -51,8 +53,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERRUPTED = 130  # 128 + SIGINT
 EXIT_CLOSED = 141  # 128 + SIGPIPE
-
-_CLI_VARIANTS = {variant.replace("_", "-"): variant for variant in VARIANTS}
 
 # Flag names that differ from their checker parameter's name.
 _FLAG_NAMES = {"T": "trunc"}
@@ -139,12 +139,12 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="verify one identity at given parameters")
     if command == "verify":
-        from .verify import IDENTITIES
+        from .verify import IDENTITIES, VARIANTS
 
         verify.add_argument("identity", choices=IDENTITIES)
         for flag, dest, kind, text in _value_flags("verify"):
             verify.add_argument(flag, dest=dest, type=kind, help=text)
-    verify.add_argument("--variant", choices=sorted(_CLI_VARIANTS))
+        verify.add_argument("--variant", choices=sorted(v.replace("_", "-") for v in VARIANTS))
 
     audit = sub.add_parser("audit", help="run the full verification grid")
     audit.add_argument("--grid", help="JSON grid file (defaults to the built-in grid)")
@@ -172,7 +172,7 @@ def _verify_kwargs(args) -> dict:
     for name, param in params.items():
         value = getattr(args, name)
         if value is not None:
-            kwargs[name] = _CLI_VARIANTS[value] if name == "variant" else value
+            kwargs[name] = value.replace("-", "_") if name == "variant" else value
         elif param.default is REQUIRED:
             raise ValueError(f"identity {identity!r} requires {_flag(name)}")
     return kwargs
@@ -205,6 +205,8 @@ def _subject(name: str, *, n_min: int = 0, header=lambda n_max: "n,value\n",
 
 @_subject("fe-numbers", u=parse_rational)
 def _fe_numbers(n_max: int, u) -> Iterator[dict]:
+    from .frobenius import fe_number
+
     for n in range(n_max + 1):
         yield {"n": n, "value": format_rational(fe_number(n, u))}
 
@@ -213,13 +215,25 @@ def _fe_numbers(n_max: int, u) -> Iterator[dict]:
           header=lambda n_max: ",".join(["n"] + [f"x^{d}" for d in range(n_max + 1)]) + "\n",
           line=lambda row: f"{row['n']},{','.join(row['coeffs'])}\n")
 def _fe_polynomials(n_max: int, u) -> Iterator[dict]:
+    # x^d of H_n(x|u) is C(n,d) a/b for the reduced a/b = H_(n-d): (C/g) a
+    # over b/g in lowest terms, for g = gcd(C, b), with no Fraction made
+    from .frobenius import fe_number
+
+    terms = []  # (a, b) of H_0..H_n
+    row = []  # C(n,0)..C(n,n), by Pascal's rule
     for n in range(n_max + 1):
-        coeffs = [format_rational(c) for c in fe_polynomial(n, u).coeffs]
-        yield {"n": n, "coeffs": coeffs + ["0"] * (n_max + 1 - len(coeffs))}
+        h = fe_number(n, u)
+        terms.append((h.numerator, h.denominator))
+        row = [1, *map(add, row, row[1:]), 1] if n else [1]
+        coeffs = [format_ratio(c // g * a, b // g)
+                  for c, (a, b) in zip(row, reversed(terms)) for g in (gcd(c, b),)]
+        yield {"n": n, "coeffs": coeffs + ["0"] * (n_max - n)}
 
 
 @_subject("fe-higher", u=parse_rational, N=int)
 def _fe_higher(n_max: int, u, N: int) -> Iterator[dict]:
+    from .frobenius import fe_higher_numbers
+
     if N < 1:
         raise ValueError("--N must be >= 1")
     for n, value in enumerate(fe_higher_numbers(n_max, N, u)):
@@ -231,11 +245,15 @@ def _fe_higher(n_max: int, u, N: int) -> Iterator[dict]:
           line=lambda row: "".join(f"{len(row)},{k},{a}\n" for k, a in enumerate(row)),
           head=lambda n_max, params: {"n_max": n_max})
 def _stirling(n_max: int) -> Iterator[tuple]:
+    from .stirling import triangle_recurrence
+
     return iter(triangle_recurrence(n_max).rows)
 
 
 @_subject("bernoulli")
 def _bernoulli(n_max: int) -> Iterator[dict]:
+    from .frobenius import bernoulli_number
+
     for n in range(n_max + 1):
         yield {"n": n, "value": format_rational(bernoulli_number(n))}
 
@@ -337,7 +355,9 @@ def _discard_stdout() -> None:
         fd = sys.stdout.fileno()
     except (AttributeError, OSError, ValueError):
         return  # not a descriptor, so nothing reaches the pipe
-    os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def _run(argv) -> int:

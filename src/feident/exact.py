@@ -30,6 +30,7 @@ __all__ = [
     "check_at_least",
     "parse_rational",
     "format_rational",
+    "format_ratio",
     "common_denominator",
     "to_fractions",
     "lowest_terms",
@@ -96,11 +97,17 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Inverse of :func:`parse_rational`; ``Fraction`` and ``int`` already
-    print in canonical "p/q" form (``bool`` does not, so it is converted)."""
-    if type(value) is Fraction or type(value) is int:
-        return str(value)
-    return str(Fraction(value))
+    """Inverse of :func:`parse_rational`: :func:`format_ratio` of ``value``
+    in lowest terms (a ``bool`` prints as its integer)."""
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return format_ratio(value.numerator, value.denominator)
+
+
+def format_ratio(numerator: int, denominator: int) -> str:
+    """The "p/q" text of ``numerator / denominator``, already in lowest
+    terms with ``denominator > 0``; just "p" when the denominator is 1."""
+    return f"{numerator}/{denominator}" if denominator != 1 else str(numerator)
 
 
 def common_denominator(values: Sequence[Fraction | int]) -> tuple[list[int], int]:

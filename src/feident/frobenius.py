@@ -34,8 +34,8 @@ its own route's code.
   numerators M_l r^(n-l) over |r|^n.  ``fe_number`` makes the Fractions
   H_0..H_n up to the largest index it has read, and keeps them.  One
   Appell builder makes H_n(x|u): ``polynomial`` keeps it by n, as the
-  Carlitz checks read it again; ``fe_polynomial`` keeps nothing, as the
-  CLI reads each H_n(x|u) once.
+  Carlitz checks read it again; ``fe_polynomial`` keeps nothing.  (The
+  CLI's polynomial rows are made from ``fe_number``'s Fractions instead.)
 - Triangle formula: (N, variant) -> the weights prefactor * a_k(N),
   k < N, from one ``triangle_recurrence`` row.
 - Series: N -> F(u)^N, the EGF of the order-N numbers, in integer form;

@@ -13,7 +13,8 @@ import pytest
 
 import feident
 from feident.cli import main, run
-from feident.exact import parse_rational
+from feident.exact import format_rational, parse_rational
+from feident.frobenius import fe_polynomial
 
 FE_NUMBERS_CSV = "n,value\n0,1\n1,1\n2,3\n3,13\n4,75\n"
 
@@ -193,6 +194,26 @@ class TestTableRendering:
             assert code == 0
             assert out == csv_writer_rendering(json.loads(doc))
 
+    # r = p - q is -1 at 8/9 and 1 at 5/4
+    @pytest.mark.parametrize("u", ["2", "0", "-1", "1/3", "-5/7", "8/9", "5/4"])
+    def test_polynomial_rows_are_the_library_polynomials(self, capsys, u):
+        """Each row's coefficients are those of ``fe_polynomial``, padded
+        with zeros to ``--n-max``, in CSV and in JSON."""
+        n_max = 40
+        want = []
+        for n in range(n_max + 1):
+            coeffs = [format_rational(c) for c in fe_polynomial(n, parse_rational(u)).coeffs]
+            want.append(coeffs + ["0"] * (n_max - n))
+        argv = ["table", "fe-polynomials", f"--u={u}", "--n-max", str(n_max)]
+        code, out, _ = run_capture(capsys, argv)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert rows == [[str(n), *coeffs] for n, coeffs in enumerate(want)]
+        code, out, _ = run_capture(capsys, argv + ["--format", "json"])
+        assert code == 0
+        assert json.loads(out)["rows"] == [
+            {"n": n, "coeffs": coeffs} for n, coeffs in enumerate(want)]
+
     @pytest.mark.parametrize(
         "subject", ["fe-numbers", "fe-polynomials", "fe-higher", "stirling", "bernoulli"]
     )
@@ -222,7 +243,9 @@ class TestTableRendering:
 
     @pytest.mark.parametrize("subject, computes", [
         ("fe-numbers", "fe_number"),
-        ("fe-polynomials", "fe_polynomial"),
+        # each row reads the new H_n and formats the coefficients from
+        # H_0..H_n
+        ("fe-polynomials", "fe_number"),
         ("bernoulli", "bernoulli_number"),
         # one kernel call makes every value; each row is formatted as it is
         # written
@@ -231,12 +254,15 @@ class TestTableRendering:
     def test_first_row_is_written_before_the_last_is_computed(
         self, capsys, monkeypatch, subject, computes
     ):
-        from feident import cli
+        from feident import cli, frobenius
 
+        # the row generators import their kernel when they run, so the
+        # patch goes where they read it: frobenius, or cli for the formatter
+        module = cli if computes == "format_rational" else frobenius
         argv = table_argv(subject, 6)
         _, want, _ = run_capture(capsys, argv)
         events = []
-        kernel = getattr(cli, computes)
+        kernel = getattr(module, computes)
 
         def logged(*args):
             events.append(computes)
@@ -253,7 +279,7 @@ class TestTableRendering:
             def flush(self):
                 pass
 
-        monkeypatch.setattr(cli, computes, logged)
+        monkeypatch.setattr(module, computes, logged)
         monkeypatch.setattr(sys, "stdout", Stream())
         assert run(argv) == 0
         writes = [event for event in events if event != computes]
@@ -578,10 +604,10 @@ class TestInterruptsAndClosedPipes:
     def test_interrupted_table_exits_130(self, capsys, monkeypatch):
         """Rows are written as they are computed, so what came before the
         interrupt has been written."""
-        from feident import cli
+        from feident import frobenius
 
-        kernel = cli.fe_number
-        monkeypatch.setattr(cli, "fe_number",
+        kernel = frobenius.fe_number
+        monkeypatch.setattr(frobenius, "fe_number",
                             lambda n, u: interrupted() if n == 2 else kernel(n, u))
         code, out, err = run_capture(capsys, ["table", "fe-numbers", "--u", "2", "--n-max", "3"])
         assert code == 130
@@ -607,6 +633,25 @@ class TestInterruptsAndClosedPipes:
             proc.wait()
             proc.stderr.close()
         assert err == b""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_closed_pipe_runs_leave_no_descriptor_open(self, monkeypatch):
+        """Each run against a closed pipe points stdout at the null device,
+        and closes the descriptor it opened for that."""
+
+        def closed_pipe_run():
+            read, write = os.pipe()
+            os.close(read)
+            with open(write, "w", encoding="utf-8") as stream:
+                monkeypatch.setattr(sys, "stdout", stream)
+                code = run(["table", "fe-numbers", "--u", "2", "--n-max", "40"])
+                monkeypatch.undo()
+            return code
+
+        assert closed_pipe_run() == 141
+        before = len(os.listdir("/proc/self/fd"))
+        assert [closed_pipe_run() for _ in range(5)] == [141] * 5
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 class TestModuleEntryPoint:

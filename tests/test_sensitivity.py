@@ -43,7 +43,7 @@ These sets do not depend on how the package loads: the checkers that
 
 from fractions import Fraction
 
-from feident import cli, exact, frobenius, series, stirling, verify
+from feident import exact, frobenius, series, stirling, verify
 from feident.poly import Polynomial
 from feident.series import EgfSeries
 from feident.stirling import StirlingTriangle
@@ -176,9 +176,8 @@ def test_triangle_recurrence_fault(monkeypatch):
             tuple(row[:1] + (row[1] + 1,) + row[2:] if len(row) > 1 else row for row in rows)
         )
 
-    patch_callers(
-        monkeypatch, "triangle_recurrence", faulty, [stirling, frobenius, verify, cli]
-    )
+    # the stirling table reads stirling.triangle_recurrence when it runs
+    patch_callers(monkeypatch, "triangle_recurrence", faulty, [stirling, frobenius, verify])
     assert failing_identities() == {
         "corollary2",
         "corollary4",

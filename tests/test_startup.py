@@ -2,10 +2,12 @@
 
 Every test here runs a fresh interpreter and compares the modules it ends
 with against those a bare ``python -c pass`` has loaded in the same
-environment, so modules that site customisation loads do not count.  The
-table commands need only the number kernel: not the identity checker
-(``feident.verify``), and not ``json`` or ``csv`` unless the output is
-JSON.  No command loads ``dataclasses`` (the reports are NamedTuples) or
+environment, so modules that site customisation loads do not count.
+``import feident`` loads no submodule, and the CLI module only
+``feident.exact``.  Each table subject loads its own kernel: the triangle
+needs only ``feident.stirling``, and no table needs the identity checker
+(``feident.verify``), nor ``json`` or ``csv`` unless the output is JSON.
+No command loads ``dataclasses`` (the reports are NamedTuples) or
 ``inspect`` (the checker registry reads each body's code object).
 """
 
@@ -24,6 +26,21 @@ SRC = str(Path(feident.__file__).resolve().parents[1])
 
 # Modules no table in CSV may load.
 CHECKER_ONLY = ("feident.verify", "inspect", "dataclasses", "json", "csv")
+
+# The kernels of the tables of numbers and polynomials.
+NUMBER_KERNEL = ("feident.frobenius", "feident.poly", "feident.series")
+
+# Each export and the submodule that defines it.
+EXPORTS = {
+    "VARIANTS": "frobenius",
+    "fe_higher_number_formula": "frobenius",
+    "fe_higher_number_oracle": "frobenius",
+    "fe_number": "frobenius",
+    "fe_polynomial": "frobenius",
+    "Polynomial": "poly",
+    "coeff_closed_form": "stirling",
+    "triangle_recurrence": "stirling",
+}
 
 TABLES = {
     "fe-numbers": ["--u", "-5/7", "--n-max", "6"],
@@ -78,6 +95,26 @@ def run_code(argv, status=0) -> str:
 
 def test_import_loads_no_checker():
     assert loads("import feident, feident.cli").isdisjoint(CHECKER_ONLY)
+
+
+def test_import_loads_no_kernel():
+    new = loads("import feident, feident.cli")
+    assert new.isdisjoint({*NUMBER_KERNEL, "feident.stirling"})
+    assert {"feident", "feident.cli", "feident.exact"} <= new
+
+
+def test_bare_import_loads_no_submodule():
+    new = loads("import feident")
+    assert "feident" in new
+    assert not {name for name in new if name.startswith("feident.")}
+
+
+def test_triangle_table_loads_only_its_kernel(tmp_path):
+    out = tmp_path / "table.csv"
+    argv = ["table", "stirling", *TABLES["stirling"], "--out", str(out)]
+    new = loads(run_code(argv))
+    assert "feident.stirling" in new
+    assert new.isdisjoint(NUMBER_KERNEL)
 
 
 @pytest.mark.parametrize("subject", sorted(TABLES))
@@ -139,6 +176,20 @@ def test_checker_export_is_the_verify_object(name):
     namespace = {}
     exec("from feident import *", namespace)
     assert namespace[name] is getattr(verify, name)
+
+
+@pytest.mark.parametrize("name", sorted(EXPORTS))
+def test_export_loads_its_submodule_on_first_access(name):
+    module = f"feident.{EXPORTS[name]}"
+    code = (
+        "import sys, feident\n"
+        f"assert {module!r} not in sys.modules\n"
+        f"value = feident.{name}\n"
+        f"assert value is getattr(sys.modules[{module!r}], {name!r})"
+    )
+    assert module in loads(code)
+    assert name in dir(feident)
+    assert name in feident.__all__
 
 
 def test_unknown_attribute_raises_attribute_error():
