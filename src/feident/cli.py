@@ -62,42 +62,39 @@ def _flag(name: str) -> str:
     return "--" + _FLAG_NAMES.get(name, name)
 
 
-def _verify_parameters() -> list:
-    """Every checker parameter but ``variant``, once, in registry order;
-    those with a default come last, as in a signature."""
-    from .verify import IDENTITIES, REQUIRED, parameters
-
-    seen = {}
-    for identity in IDENTITIES:
-        for name, param in parameters(identity).items():
-            if name != "variant":
-                seen.setdefault(name, param)
-    return sorted(seen.values(), key=lambda param: param.default is not REQUIRED)
-
-
-def _value_flags(command: str | None) -> list:
-    """``(flag, dest, type, help)`` of each parameter flag of ``command``,
-    in order: ``table``'s are the table subjects' flags, ``verify``'s the
-    checker parameters, read from the registry.  The parser and
-    :func:`_join_negative_rationals` both read them here."""
+def _value_flags(command: str | None) -> dict:
+    """``{dest: (type, default text, takers)}`` of each value flag of
+    ``command``, in the order the parser adds them: ``table``'s are the
+    table subjects' flags, taken by subjects, and ``verify``'s the checker
+    parameters but ``variant``, taken by identities and read from the
+    registry, those without a default first, as in a signature.  The
+    parser, :func:`_join_negative_rationals` and :func:`_refuse_untaken`
+    all read this table."""
+    flags = {}
     if command == "table":
-        takers = [(dest, kind, "", name)
-                  for name, subject in _SUBJECTS.items() for dest, kind in subject.flags.items()]
+        for name, subject in _SUBJECTS.items():
+            for dest, kind in subject.flags.items():
+                flags.setdefault(dest, (kind, "", []))[2].append(name)
     elif command == "verify":
         from .verify import IDENTITIES, REQUIRED, parameters
 
-        takers = [(param.name, int if param.integer else parse_rational,
-                   "" if param.default is REQUIRED else f", default {param.default}", identity)
-                  for param in _verify_parameters()
-                  for identity in IDENTITIES if param.name in parameters(identity)]
-    else:
-        return []
-    flags = {}
-    for dest, kind, default, taker in takers:
-        flags.setdefault((dest, kind, default), []).append(taker)
-    return [(_flag(dest), dest, kind,
-             f"{'integer' if kind is int else 'rational p/q'}{default}; {', '.join(names)}")
-            for (dest, kind, default), names in flags.items()]
+        for identity in IDENTITIES:
+            for name, param in parameters(identity).items():
+                if name != "variant":
+                    default = "" if param.default is REQUIRED else f", default {param.default}"
+                    kind = int if param.integer else parse_rational
+                    flags.setdefault(name, (kind, default, []))[2].append(identity)
+        flags = dict(sorted(flags.items(), key=lambda item: item[1][1] != ""))
+    return flags
+
+
+def _refuse_untaken(args, command: str, taker: str) -> None:
+    """Refuse a value flag of ``command`` given a value that ``taker``, its
+    table subject or identity, does not take."""
+    noun = "table" if command == "table" else "identity"
+    for dest, (_, _, takers) in _value_flags(command).items():
+        if taker not in takers and getattr(args, dest) is not None:
+            raise ValueError(f"{noun} {taker!r} does not take {_flag(dest)}")
 
 
 def _command(argv) -> str | None:
@@ -110,7 +107,8 @@ def _join_negative_rationals(argv, command: str | None) -> list:
     """Pass ``--u -5/7`` on as ``--u=-5/7``: argparse reads a token that
     starts with ``-`` as an option unless it is a plain negative number.
     The rational flags are those ``command`` takes."""
-    flags = {flag for flag, _, kind, _ in _value_flags(command) if kind is parse_rational}
+    flags = {_flag(dest) for dest, (kind, _, _) in _value_flags(command).items()
+             if kind is parse_rational}
     out = []
     for token in argv:
         if out and out[-1] in flags and token[:1] == "-" and token[1:2].isdigit():
@@ -118,6 +116,12 @@ def _join_negative_rationals(argv, command: str | None) -> list:
         else:
             out.append(token)
     return out
+
+
+def _add_value_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    for dest, (kind, default, takers) in _value_flags(command).items():
+        text = f"{'integer' if kind is int else 'rational p/q'}{default}; {', '.join(takers)}"
+        parser.add_argument(_flag(dest), dest=dest, type=kind, help=text)
 
 
 def build_parser(command: str | None) -> argparse.ArgumentParser:
@@ -133,8 +137,7 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
 
     table = sub.add_parser("table", help="emit a number, polynomial, or triangle table")
     table.add_argument("subject", choices=_SUBJECTS)
-    for flag, dest, kind, text in _value_flags("table"):
-        table.add_argument(flag, dest=dest, type=kind, help=text)
+    _add_value_flags(table, "table")
     table.add_argument("--n-max", type=int, required=True, help="largest index, inclusive")
 
     verify = sub.add_parser("verify", help="verify one identity at given parameters")
@@ -142,8 +145,7 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
         from .verify import IDENTITIES, VARIANTS
 
         verify.add_argument("identity", choices=IDENTITIES)
-        for flag, dest, kind, text in _value_flags("verify"):
-            verify.add_argument(flag, dest=dest, type=kind, help=text)
+        _add_value_flags(verify, "verify")
         verify.add_argument("--variant", choices=sorted(v.replace("_", "-") for v in VARIANTS))
 
     audit = sub.add_parser("audit", help="run the full verification grid")
@@ -165,9 +167,7 @@ def _verify_kwargs(args) -> dict:
     params = parameters(identity)
     if args.variant is not None and "variant" not in params:
         raise ValueError(f"identity {identity!r} has no as-printed/corrected variant")
-    for param in _verify_parameters():
-        if param.name not in params and getattr(args, param.name) is not None:
-            raise ValueError(f"identity {identity!r} does not take {_flag(param.name)}")
+    _refuse_untaken(args, "verify", identity)
     kwargs = {}
     for name, param in params.items():
         value = getattr(args, name)
@@ -266,9 +266,7 @@ def _table_chunks(args) -> Iterable[str]:
     subject = _SUBJECTS[name]
     if n_max < 0:
         raise ValueError("--n-max must be >= 0")
-    for flag, dest, _, _ in _value_flags("table"):
-        if dest not in subject.flags and getattr(args, dest) is not None:
-            raise ValueError(f"table {name!r} does not take {flag}")
+    _refuse_untaken(args, "table", name)
     values = {dest: getattr(args, dest) for dest in subject.flags}
     if None in values.values():
         raise ValueError(f"{name} requires " + " and ".join(f"--{dest}" for dest in values))

@@ -11,8 +11,8 @@ an optional leading ``-``, the denominator omitted when it is 1 (``"2"``,
 ``"-1/3"``).
 
 :class:`Coefficients` is the storage shared by series and polynomials:
-a tuple of Fractions, integer numerators over one positive denominator,
-or both.  Kernels read and return the integer form, so a chain of them
+integer numerators over one positive denominator, plus their Fractions
+once read.  Kernels read and return the integer form, so a chain of them
 makes no Fraction; :func:`to_fractions` is the one place an integer form
 becomes Fractions, when a value's ``coeffs`` is first read.
 """
@@ -34,7 +34,6 @@ __all__ = [
     "common_denominator",
     "to_fractions",
     "lowest_terms",
-    "integer_form",
     "Coefficients",
     "combine",
     "binomial",
@@ -132,35 +131,27 @@ def lowest_terms(numerators: list[int], d: int) -> tuple[list[int], int]:
     return [v // g for v in numerators], d // g
 
 
-def integer_form(values) -> tuple[list[int], int]:
-    """``values`` over one positive denominator: a :class:`Coefficients`
-    value's own integer form, else :func:`common_denominator` of the
-    sequence."""
-    if isinstance(values, Coefficients):
-        return values.integer_form
-    return common_denominator(values)
-
-
 class Coefficients:
-    """Immutable coefficients c_0..c_k, held as a tuple of Fractions
-    (``coeffs``), as ``(numerators, d)`` with d > 0 and
-    c_i = numerators[i] / d (``integer_form``), or both.  Each form is made
-    from the other the first time it is read and kept; the numerator list
-    is shared, so no caller may mutate it.  A form is published by one slot
-    assignment, so threads that race at worst make it twice.  Pickling,
-    equality and hashing read the Fractions, whichever form was held."""
+    """Immutable coefficients c_0..c_k, held as ``integer_form``, a pair
+    ``(numerators, d)`` with d > 0 and c_i = numerators[i] / d.  ``coeffs``
+    is their tuple of Fractions, made the first time it is read and kept.
+    The numerator list is shared, so no caller may mutate it.  The
+    Fractions are published by one slot assignment, so threads that race
+    at worst make them twice.  Pickling, equality and hashing read the
+    Fractions."""
 
-    __slots__ = ("_fracs", "_ints")
+    __slots__ = ("integer_form", "_fracs")
 
-    def _hold(self, fracs, ints):
+    def _hold(self, ints, fracs=None):
+        object.__setattr__(self, "integer_form", ints)
         object.__setattr__(self, "_fracs", fracs)
-        object.__setattr__(self, "_ints", ints)
         return self
 
     @classmethod
-    def _of(cls, fracs=None, ints=None):
-        """A value holding the given forms as they are, unchecked."""
-        return object.__new__(cls)._hold(fracs, ints)
+    def _of(cls, ints, fracs=None):
+        """A value holding the integer form ``ints`` (and the Fractions
+        ``fracs``, when given) as they are, unchecked."""
+        return object.__new__(cls)._hold(ints, fracs)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -171,20 +162,8 @@ class Coefficients:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         if self._fracs is None:
-            object.__setattr__(self, "_fracs", self._fractions())
+            object.__setattr__(self, "_fracs", to_fractions(*self.integer_form))
         return self._fracs
-
-    @property
-    def integer_form(self) -> tuple[list[int], int]:
-        if self._ints is None:
-            object.__setattr__(self, "_ints", self._integers())
-        return self._ints
-
-    def _fractions(self) -> tuple[Fraction, ...]:
-        return to_fractions(*self._ints)
-
-    def _integers(self) -> tuple[list[int], int]:
-        return common_denominator(self._fracs)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}([{', '.join(str(c) for c in self.coeffs)}])"

@@ -30,12 +30,12 @@ its own route's code.
 - Recurrence: M_0..M_k and D_k, grown one step at a time to exactly the
   largest index asked for (never doubled: the CLI reads H_0..H_n in
   ascending order, and the kernel's cost grows as k^3 bits).  The
-  polynomials and the formula window read the prefix in integer form,
-  numerators M_l r^(n-l) over |r|^n.  ``fe_number`` makes the Fractions
-  H_0..H_n up to the largest index it has read, and keeps them.  One
-  Appell builder makes H_n(x|u): ``polynomial`` keeps it by n, as the
-  Carlitz checks read it again; ``fe_polynomial`` keeps nothing.  (The
-  CLI's polynomial rows are made from ``fe_number``'s Fractions instead.)
+  prefix is the one stored form of the numbers: every reader takes it in
+  integer form, numerators M_l r^(n-l) over |r|^n, and ``fe_number``
+  makes its one Fraction from that form and keeps nothing.  One Appell
+  builder makes H_n(x|u): ``polynomial`` keeps it by n, as the Carlitz
+  checks read it again; ``fe_polynomial`` keeps nothing.  (The CLI's
+  polynomial rows are made from ``fe_number``'s Fractions instead.)
 - Triangle formula: (N, variant) -> the weights prefactor * a_k(N),
   k < N, from one ``triangle_recurrence`` row.
 - Series: N -> F(u)^N, the EGF of the order-N numbers, in integer form;
@@ -119,18 +119,16 @@ class _NumberTable:
     H_n(x|u) built from them, the triangle formula's weights and the
     series route's powers of F(u)."""
 
-    __slots__ = ("_u", "_p", "_r", "_state", "_fractions", "_polynomials", "_powers",
-                 "_weights")
+    __slots__ = ("_u", "_p", "_r", "_state", "_polynomials", "_powers", "_weights")
 
     def __init__(self, u: Fraction):
         self._u = u
         self._p = u.numerator
         self._r = u.numerator - u.denominator
-        # (M_0..M_k, D_k) and H_0..H_j; each replaced whole, never mutated,
-        # so threads extending one table at once may redo work but never
-        # read a half-built prefix.  The dicts only gain whole values.
+        # (M_0..M_k, D_k), replaced whole, never mutated, so threads
+        # extending one table at once may redo work but never read a
+        # half-built prefix.  The dicts only gain whole values.
         self._state = ((1,), [u.denominator])
-        self._fractions = (Fraction(1),)
         self._polynomials = {}  # n -> H_n(x|u)
         self._powers = {}  # N -> F(u)^N, F itself at N = 1
         self._weights = {}  # (N, variant) -> prefactor * a_k(N), k < N
@@ -157,23 +155,9 @@ class _NumberTable:
         scales.reverse()
         return list(map(mul, self._numerators(top)[first:end], scales)), abs(r) ** top
 
-    def upto(self, n: int) -> tuple[Fraction, ...]:
-        """H_0(u)..H_k(u) for some k >= n, as Fractions."""
-        hs = self._fractions
-        if n < len(hs):
-            return hs
-        k, r = len(hs), self._r
-        r_pow = r ** k
-        new = []
-        for m in self._numerators(n)[k: n + 1]:
-            new.append(Fraction(m, r_pow))
-            r_pow *= r
-        self._fractions = hs = hs + tuple(new)
-        return hs
-
     def appell(self, n: int) -> Polynomial:
         """H_n(x|u), the Appell polynomial of H_0..H_n in integer form."""
-        return Polynomial.appell(EgfSeries._of(ints=self.integer_form(0, n + 1)))
+        return Polynomial.appell(EgfSeries._of(self.integer_form(0, n + 1)))
 
     def polynomial(self, n: int) -> Polynomial:
         """H_n(x|u), kept by n: the Carlitz checks read it again."""
@@ -214,7 +198,8 @@ _table = lru_cache(maxsize=_TABLE_BOUND)(_NumberTable)
 def fe_number(n: int, u: Fraction) -> Fraction:
     """n-th Frobenius-Euler number H_n(u), by recurrence."""
     check_at_least("n", n, 0)
-    return _table(_check_u(u)).upto(n)[n]
+    (m,), d = _table(_check_u(u)).integer_form(n, n + 1)
+    return Fraction(m, d)
 
 
 def fe_polynomial(n: int, u: Fraction) -> Polynomial:
@@ -271,7 +256,7 @@ def _formula_numbers(
     weights = table.weights(order, _check_variant(variant))
     window, d = table.integer_form(first, n_max + order)
     width = n_max + 1 - first
-    return EgfSeries._of(ints=combine(
+    return EgfSeries._of(combine(
         (w, (window[k: k + width], d)) for k, w in enumerate(weights)
     ))
 

@@ -6,10 +6,11 @@ trailing zeros; the zero polynomial is a single zero coefficient.
 Instances are immutable and support mixed arithmetic with ``int`` and
 ``Fraction`` scalars.  A Polynomial is never a series coefficient.
 
-A Polynomial keeps its coefficients as Fractions, as integer numerators
-over one positive denominator, or both (:class:`feident.exact.Coefficients`),
-and makes the other form when first read.  The product of two polynomials
-is convolved on the integer forms and put in lowest terms.
+A Polynomial keeps its coefficients as integer numerators over one
+positive denominator, put over the lcm of their denominators when it is
+built, plus the Fractions once read (:class:`feident.exact.Coefficients`).
+The product of two polynomials is convolved on the integer forms and put
+in lowest terms.
 ``Polynomial.combination`` sums scalar multiples of polynomials through
 :func:`feident.exact.combine`: every term over one lcm and one integer sum,
 in integer form.  Every linear operator is one combination: a product by a
@@ -17,7 +18,8 @@ scalar has one term, ``-p`` one, and ``p + q``, ``p - q`` (either operand a
 scalar) two.  A float or bool operand, evaluation point or exponent raises
 TypeError.
 ``Polynomial.appell`` builds the integer form from the numbers' own, for
-numbers held as a series, or from the numbers over one denominator.
+numbers held as a series, or puts a plain sequence of numbers over one
+denominator first.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .exact import (Coefficients, as_fraction, binomial, check_at_least, combine,
-                    integer_form, lowest_terms)
+                    common_denominator, lowest_terms)
 
 __all__ = ["Polynomial"]
 
@@ -53,12 +55,13 @@ class Polynomial(Coefficients):
     __slots__ = ()
 
     def __init__(self, coeffs: Iterable[Scalar] = (0,)):
-        cs = [c if type(c) is Fraction else as_fraction(c) for c in coeffs]
-        self._hold(tuple(_trimmed(cs, Fraction(0))), None)
+        cs = tuple(_trimmed([c if type(c) is Fraction else as_fraction(c) for c in coeffs],
+                            Fraction(0)))
+        self._hold(common_denominator(cs), cs)
 
     @classmethod
     def _from_ints(cls, nums: list[int], d: int) -> "Polynomial":
-        return cls._of(ints=(_trimmed(nums, 0), d))
+        return cls._of((_trimmed(nums, 0), d))
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -83,9 +86,9 @@ class Polynomial(Coefficients):
         Numbers held as a :class:`~feident.exact.Coefficients` value give
         their integer form; others (ints or Fractions) are put over one
         denominator."""
-        if not isinstance(numbers, Coefficients):
-            numbers = [x if type(x) is Fraction else as_fraction(x) for x in numbers]
-        return cls._from_ints(*_appell_ints(*integer_form(numbers)))
+        ints = (numbers.integer_form if isinstance(numbers, Coefficients)
+                else common_denominator([as_fraction(x) for x in numbers]))
+        return cls._from_ints(*_appell_ints(*ints))
 
     @classmethod
     def combination(cls, terms: Iterable[tuple[Scalar, "Polynomial"]]) -> "Polynomial":

@@ -7,17 +7,19 @@ convolution weight an integer binomial, so all arithmetic stays exact.
 
 Coefficients are Fractions, and only Fractions: ints are converted, and
 anything else (a float, a Polynomial) raises TypeError.  A series keeps
-them as Fractions, as integer numerators over one positive denominator,
-or both (:class:`feident.exact.Coefficients`).  The kernels read and
+them as integer numerators over one positive denominator, put over the
+lcm of their denominators when the series is built, plus the Fractions
+once read (:class:`feident.exact.Coefficients`).  The kernels read and
 return the integer form, so a chain such as F -> F^N -> scale makes no
 Fraction until ``coeffs`` is read: a product convolves the numerators,
 with binomial weights row by row from Pascal's rule, and puts the result
 in lowest terms; a scale multiplies numerators and denominator; a
-truncation slices whichever forms exist.  The reciprocal makes each
-output Fraction for its own bookkeeping, keeping the outputs so far as
-numerators over the lcm of their reduced denominators, so its
-intermediates grow with the true denominators, not with powers of the
-constant term; it returns both forms.
+truncation slices the numerators, and the Fractions when they are held.
+The reciprocal makes each output Fraction for its own bookkeeping,
+keeping the outputs so far as numerators over the lcm of their reduced
+denominators, so its intermediates grow with the true denominators, not
+with powers of the constant term; it keeps those Fractions.  Every order
+and index is checked by :func:`feident.exact.check_at_least`.
 
 Mixed-order operands are truncated to the shorter order, never padded:
 callers size their inputs deliberately.
@@ -38,7 +40,8 @@ from math import gcd
 from operator import add, mul
 from typing import Iterable, Iterator
 
-from .exact import Coefficients, as_fraction, check_at_least, exact_parameter, lowest_terms
+from .exact import (Coefficients, as_fraction, check_at_least, common_denominator,
+                    exact_parameter, lowest_terms)
 
 __all__ = [
     "EgfSeries",
@@ -63,7 +66,7 @@ class EgfSeries(Coefficients):
         cs = tuple(c if type(c) is Fraction else as_fraction(c) for c in coeffs)
         if not cs:
             raise ValueError("a series needs at least its constant coefficient")
-        self._hold(cs, None)
+        self._hold(common_denominator(cs), cs)
 
     @property
     def order(self) -> int:
@@ -73,7 +76,7 @@ class EgfSeries(Coefficients):
         return self.coeffs[n]
 
     def __len__(self) -> int:
-        return len(self._fracs if self._fracs is not None else self._ints[0])
+        return len(self.integer_form[0])
 
     def __iter__(self):
         return iter(self.coeffs)
@@ -90,7 +93,7 @@ class EgfSeries(Coefficients):
 def series_scale(a: EgfSeries, c) -> EgfSeries:
     c = as_fraction(c)
     nums, d = a.integer_form
-    return EgfSeries._of(ints=([c.numerator * v for v in nums], c.denominator * d))
+    return EgfSeries._of(([c.numerator * v for v in nums], c.denominator * d))
 
 
 def _binomial_rows(t: int) -> Iterator[list[int]]:
@@ -111,14 +114,14 @@ def series_mul(a: EgfSeries, b: EgfSeries) -> EgfSeries:
     xn, dx = a.integer_form
     yn, dy = b.integer_form
     yr = yn[t::-1]
-    return EgfSeries._of(ints=lowest_terms([
+    return EgfSeries._of(lowest_terms([
         sum(map(mul, row, map(mul, xn[: n + 1], yr[t - n:])))
         for n, row in enumerate(_binomial_rows(t))
     ], dx * dy))
 
 
 def series_reciprocal(a: EgfSeries) -> EgfSeries:
-    """Multiplicative inverse to full order, in both forms.
+    """Multiplicative inverse to full order, its Fractions kept.
 
     b_0 = 1/a_0 and b_n = -(1/a_0) sum_{k<n} C(n,k) a_{n-k} b_k.
     Requires a nonzero constant coefficient.
@@ -149,7 +152,7 @@ def series_reciprocal(a: EgfSeries) -> EgfSeries:
             lcm *= grow
             nums = [v * grow for v in nums]
         nums.append(b.numerator * (lcm // den))
-    return EgfSeries._of(tuple(out), (nums, lcm))
+    return EgfSeries._of((nums, lcm), tuple(out))
 
 
 def series_pow(a: EgfSeries, exponent: int) -> EgfSeries:
@@ -166,28 +169,29 @@ def series_pow(a: EgfSeries, exponent: int) -> EgfSeries:
 
 
 def series_truncate(a: EgfSeries, order: int) -> EgfSeries:
-    """The first order + 1 coefficients, sliced from whichever forms ``a``
-    holds."""
-    if order < 0 or order > a.order:
+    """The first order + 1 coefficients: a slice of ``a``'s numerators,
+    and of its Fractions when it holds them."""
+    check_at_least("order", order, 0)
+    if order > a.order:
         raise ValueError(f"cannot truncate order-{a.order} series to order {order}")
-    fracs, ints = a._fracs, a._ints
-    return EgfSeries._of(fracs and fracs[: order + 1], ints and (ints[0][: order + 1], ints[1]))
+    (nums, d), fracs = a.integer_form, a._fracs
+    return EgfSeries._of((nums[: order + 1], d), fracs and fracs[: order + 1])
 
 
 def exp_xt(x, order: int) -> EgfSeries:
     """e^{xt} truncated: coefficient n is x^n, for an int or Fraction x."""
     x = as_fraction(x)
-    if order < 0:
-        raise ValueError("a series needs at least its constant coefficient")
+    check_at_least("order", order, 0)
     p, q = x.numerator, x.denominator
-    return EgfSeries._of(ints=([p**n * q ** (order - n) for n in range(order + 1)], q**order))
+    return EgfSeries._of(([p**n * q ** (order - n) for n in range(order + 1)], q**order))
 
 
 def exp_minus_constant(c, order: int) -> EgfSeries:
     """e^t - c as an EGF: coefficients (1 - c, 1, 1, ...)."""
     c = as_fraction(c)
+    check_at_least("order", order, 0)
     q = c.denominator
-    return EgfSeries._of(ints=([q - c.numerator] + [q] * order, q))
+    return EgfSeries._of(([q - c.numerator] + [q] * order, q))
 
 
 def frobenius_oracle(u: Fraction, order: int) -> EgfSeries:
@@ -207,6 +211,7 @@ def bernoulli_oracle(order: int) -> EgfSeries:
     """Bernoulli numbers B_0..B_T from t/(e^t - 1), computed as the
     reciprocal of (e^t - 1)/t, whose EGF coefficients are 1/(n+1)."""
     global _bernoulli_prefix
+    check_at_least("order", order, 0)
     prefix = _bernoulli_prefix
     if order > prefix.order:
         size = max(order, 2 * prefix.order)

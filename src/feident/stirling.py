@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import compositions
+from .exact import check_at_least, compositions
 
 __all__ = ["StirlingTriangle", "triangle_recurrence", "coeff_closed_form"]
 
@@ -36,15 +36,15 @@ class StirlingTriangle(NamedTuple):
         return len(self.rows)
 
     def row(self, n: int) -> tuple[int, ...]:
-        if not 1 <= n <= self.n_max:
+        check_at_least("n", n, 1)
+        if n > self.n_max:
             raise ValueError(f"row {n} outside 1..{self.n_max}")
         return self.rows[n - 1]
 
 
 def triangle_recurrence(n_max: int) -> StirlingTriangle:
     """Build rows 1..n_max by the additive recurrence."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    check_at_least("n_max", n_max, 1)
     rows = [(1,)]
     for n in range(1, n_max):
         prev = rows[-1]
@@ -56,9 +56,9 @@ def triangle_recurrence(n_max: int) -> StirlingTriangle:
 def coeff_closed_form(k: int, n: int) -> Fraction:
     """a_k(N) by the composition sum; always an integer value, returned as
     a Fraction with denominator 1."""
-    if n < 1:
-        raise ValueError("N must be >= 1")
-    if not 0 <= k <= n - 1:
+    check_at_least("N", n, 1)
+    check_at_least("k", k, 0)
+    if k > n - 1:
         raise ValueError(f"k = {k} outside 0..{n - 1}")
     total = Fraction(0)
     for parts in compositions(n, k + 1):

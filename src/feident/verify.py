@@ -17,11 +17,12 @@ in integers and puts the sum over d^N.  The weighted sums of polynomials
 of their terms' integer forms; the derivative side reads shifted slices
 of F's numerators.  theorem1 takes F = 1/(e^t - u) from the series slot of
 the number table of u, and the Carlitz checks look up the tables of their
-parameters once and read numbers and polynomials from them.
-corollary2 is theorem1 with both sides multiplied by e^{xt} once.  Each
-checker compares its two sides in integer form, a_i * d_b == b_i * d_a,
-and makes Fractions only for the coefficients that differ, so a passing
-check of series or polynomials makes none from its sides.
+parameters once and read the numbers, in integer form, and the
+polynomials from them.  corollary2 is theorem1 with both sides multiplied
+by e^{xt} once.  Each checker of series or polynomials compares its two
+sides in integer form, a_i * d_b == b_i * d_a, and makes Fractions only
+for the coefficients that differ, so a passing check makes none from its
+sides.
 
 Reports are deterministic functions of (identity, params, variant), and a
 report passes exactly when its mismatch list is empty.  A ``Mismatch``
@@ -64,7 +65,6 @@ from .exact import (
     combine,
     exact_parameter,
     format_rational,
-    integer_form,
     multinomial,
     parse_rational,
     weak_compositions,
@@ -266,10 +266,10 @@ def _identity(identity: str):
 
 def _mismatches(var: str, lhs, rhs) -> list[Mismatch]:
     """The coefficients of ``var``^i where the two sides differ, the shorter
-    one padded with zeros.  Each side is a series, a polynomial or a
-    sequence, compared in integer form (a_i * d_b == b_i * d_a); Fractions
-    are made only for the coefficients that differ."""
-    (a, da), (b, db) = integer_form(lhs), integer_form(rhs)
+    one padded with zeros.  Each side is a series or a polynomial, compared
+    in integer form (a_i * d_b == b_i * d_a); Fractions are made only for
+    the coefficients that differ."""
+    (a, da), (b, db) = lhs.integer_form, rhs.integer_form
     return [Mismatch(f"{var}^{i}", Fraction(x, da), Fraction(y, db))
             for i, (x, y) in enumerate(itertools.zip_longest(a, b, fillvalue=0))
             if x * db != y * da]
@@ -284,7 +284,7 @@ def _derivative_side(base: EgfSeries, weights, target: int) -> EgfSeries:
     The k-th derivative of an EGF is its shift by k, and the weighted sum
     is one integer combination of shifted slices of base's integer form."""
     nums, d = base.integer_form
-    return EgfSeries._of(ints=combine(
+    return EgfSeries._of(combine(
         (w, (nums[k: k + target + 1], d)) for k, w in enumerate(weights)
     ))
 
@@ -395,7 +395,7 @@ def verify_product_multinomial(n: int, N: int, u) -> list[Mismatch]:
     lhs = fe_higher_polynomial(n, N, u)
     nums, d = _table(u).integer_form(0, n + 1)
     sums = [_composition_sum(k, N, nums) for k in range(n + 1)]
-    rhs = Polynomial.appell(EgfSeries._of(ints=(sums, d**N)))
+    rhs = Polynomial.appell(EgfSeries._of((sums, d**N)))
     return _mismatches("x", lhs, rhs)
 
 
@@ -423,12 +423,14 @@ def verify_carlitz(m: int, n: int, alpha, beta, variant: str = "corrected") -> l
     else:
         c_beta = beta * (1 - alpha) / (1 - ab)
     ta, tb, tab = _table(alpha), _table(beta), _table(ab)
-    ha, hb = ta.upto(m), tb.upto(n)
+    # H_r(alpha) = ha[r] / da and H_s(beta) = hb[s] / db
+    (ha, da), (hb, db) = ta.integer_form(0, m + 1), tb.integer_form(0, n + 1)
+    ca, cb = c_alpha / da, c_beta / db
     lhs = ta.polynomial(m) * tb.polynomial(n)
     rhs = Polynomial.combination(
         [(c_plain, tab.polynomial(m + n))]
-        + [(c_alpha * binomial(m, r) * ha[r], tab.polynomial(m + n - r)) for r in range(m + 1)]
-        + [(c_beta * binomial(n, s) * hb[s], tab.polynomial(m + n - s)) for s in range(n + 1)]
+        + [(ca * binomial(m, r) * ha[r], tab.polynomial(m + n - r)) for r in range(m + 1)]
+        + [(cb * binomial(n, s) * hb[s], tab.polynomial(m + n - s)) for s in range(n + 1)]
     )
     return _mismatches("x", lhs, rhs)
 
@@ -449,18 +451,20 @@ def verify_carlitz_reciprocal(m: int, n: int, alpha) -> list[Mismatch]:
         raise ValueError("alpha = 1 is outside the parameter domain")
     beta = 1 / alpha
     ta, tb = _table(alpha), _table(beta)
-    ha, hb = ta.upto(m + n + 1), tb.upto(n)
+    # H_r(alpha) = ha[r] / da and H_s(beta) = hb[s] / db
+    (ha, da), (hb, db) = ta.integer_form(0, m + n + 2), tb.integer_form(0, n + 1)
+    ca, cb = (alpha - 1) / da, (beta - 1) / db
     lhs = ta.polynomial(m) * tb.polynomial(n)
     tail = Fraction(
         (-1) ** (n + 1) * math.factorial(m) * math.factorial(n),
         math.factorial(m + n + 1),
     )
     rhs = Polynomial.combination(
-        [((alpha - 1) * binomial(m, r) * ha[r] / (m + n - r + 1),
+        [(ca * binomial(m, r) * ha[r] / (m + n - r + 1),
           bernoulli_polynomial(m + n - r + 1)) for r in range(1, m + 1)]
-        + [((beta - 1) * binomial(n, s) * hb[s] / (m + n - s + 1),
+        + [(cb * binomial(n, s) * hb[s] / (m + n - s + 1),
             bernoulli_polynomial(m + n - s + 1)) for s in range(1, n + 1)]
-        + [(tail * (1 - alpha) * ha[m + n + 1], Polynomial.one())]
+        + [(tail * (1 - alpha) / da * ha[m + n + 1], Polynomial.one())]
     )
     return _mismatches("x", lhs, rhs)
 

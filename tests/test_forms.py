@@ -1,12 +1,15 @@
-"""Series and polynomials hold their coefficients as Fractions, as integer
-numerators over one denominator, or both; no result depends on which.
+"""Series and polynomials hold their coefficients as integer numerators
+over one denominator, plus their Fractions once read; no result depends
+on whether the Fractions are held, or on a spare common factor of the
+numerators and the denominator.
 
-Each kernel is run on operands in every form, the integer ones over a
-denominator with a spare common factor (as a truncation leaves them), and
-must give the same ``coeffs``.  Values compare, hash, pickle and copy
-alike in every form.  The last tests pin that a passing check of series
-or polynomials keeps its whole chain in integers: it never calls
-``exact.to_fractions``, the one conversion from the integer form.
+Each kernel is run on operands in every form: built from Fractions, and
+over a denominator with a spare common factor (as a truncation leaves
+them) with and without the Fractions read.  Each must give the same
+``coeffs``.  Values compare, hash, pickle and copy alike in every form.
+The last tests pin that a passing check of series or polynomials keeps
+its whole chain in integers: it never calls ``exact.to_fractions``, the
+one conversion from the integer form.
 """
 
 import copy
@@ -18,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feident import exact, verify
-from feident.exact import combine, common_denominator, integer_form, to_fractions
+from feident.exact import combine, common_denominator, to_fractions
 from feident.poly import Polynomial
 from feident.series import (
     EgfSeries,
@@ -47,13 +50,14 @@ spare = st.integers(1, 6)
 
 
 def in_forms(cls, xs, k):
-    """The value with coefficients ``xs`` held as Fractions only, as integers
-    only (over k times the least common denominator) and as both."""
+    """The value with coefficients ``xs`` built from Fractions (over their
+    least common denominator), and held over k times that denominator
+    without and with its Fractions read."""
     nums, d = common_denominator([Fraction(x) for x in xs])
-    make = Polynomial._from_ints if cls is Polynomial else lambda *ints: cls._of(ints=ints)
+    make = Polynomial._from_ints if cls is Polynomial else lambda *ints: cls._of(ints)
     forms = [cls(xs), make([v * k for v in nums], d * k), make([v * k for v in nums], d * k)]
-    forms[2].coeffs  # now holds both forms
-    assert (forms[0]._ints, forms[1]._fracs) == (None, None)
+    forms[2].coeffs  # now holds its Fractions
+    assert forms[0].integer_form[1] == d
     return forms
 
 
@@ -118,7 +122,7 @@ class TestKernelsInEveryForm:
         want = to_fractions(*combine(
             (c, common_denominator([Fraction(x) for x in xs])) for c, xs in terms))
         for form in range(3):
-            values = [(c, integer_form(in_forms(EgfSeries, xs, k)[form])) for c, xs in terms]
+            values = [(c, in_forms(EgfSeries, xs, k)[form].integer_form) for c, xs in terms]
             assert to_fractions(*combine(values)) == want
 
     @given(coefficients, spare)
@@ -163,7 +167,7 @@ class TestFormIndependentValues:
         for cls in (EgfSeries, Polynomial):
             for value in in_forms(cls, [1, Fraction(1, 2)], 2):
                 with pytest.raises(AttributeError):
-                    value._ints = None
+                    value.integer_form = None
 
 
 # Checks of series (theorem1), polynomial products and combinations

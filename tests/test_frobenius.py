@@ -19,8 +19,9 @@ from feident.frobenius import (
     fe_polynomial,
 )
 from feident.poly import Polynomial
-from feident.series import exp_xt, frobenius_oracle, series_mul, series_pow
-from feident.stirling import triangle_recurrence
+from feident.series import (bernoulli_oracle, exp_minus_constant, exp_xt, frobenius_oracle,
+                            series_mul, series_pow, series_truncate)
+from feident.stirling import coeff_closed_form, triangle_recurrence
 
 U_SAMPLES = [Fraction(2), Fraction(-1), Fraction(1, 3), Fraction(-5, 7)]
 
@@ -296,6 +297,20 @@ INDEX_CALLS = [
     ("series_pow", lambda i: series_pow(exp_xt(1, 3), i), "exponent"),
     ("Polynomial.__pow__", lambda i: Polynomial([1, 1]) ** i, "exponent"),
 ]
+# the same for the series and triangle builders, with the least value the
+# index takes
+LEAST_INDEX_CALLS = [
+    ("exp_xt", lambda i: exp_xt(2, i), "order", 0),
+    ("exp_minus_constant", lambda i: exp_minus_constant(2, i), "order", 0),
+    ("frobenius_oracle", lambda i: frobenius_oracle(2, i), "order", 0),
+    ("bernoulli_oracle", bernoulli_oracle, "order", 0),
+    ("series_truncate", lambda i: series_truncate(exp_xt(1, 3), i), "order", 0),
+    ("triangle_recurrence", triangle_recurrence, "n_max", 1),
+    ("coeff_closed_form-N", lambda i: coeff_closed_form(0, i), "N", 1),
+    ("coeff_closed_form-k", lambda i: coeff_closed_form(i, 3), "k", 0),
+    ("StirlingTriangle.row", lambda i: triangle_recurrence(3).row(i), "n", 1),
+]
+INDEX_CALLS += [c[:3] for c in LEAST_INDEX_CALLS]
 
 
 @pytest.mark.parametrize("bad", [True, False, 2.0], ids=repr)
@@ -308,3 +323,14 @@ def test_index_must_be_an_int(call, name, bad):
     with pytest.raises(TypeError, match=message):
         call(bad)
     assert call(2) is not None
+
+
+@pytest.mark.parametrize("call,name,least", [c[1:] for c in LEAST_INDEX_CALLS],
+                         ids=[c[0] for c in LEAST_INDEX_CALLS])
+def test_index_below_its_least_value(call, name, least):
+    """exp_minus_constant(2, -1) once gave the series [-1], and
+    frobenius_oracle(2, -1) the series [1]."""
+    for bad in {least - 1, -1}:
+        with pytest.raises(ValueError, match=f"^{name} must be >= {least}$"):
+            call(bad)
+    assert call(least) is not None

@@ -98,6 +98,18 @@ class TestPrefixTables:
         for n in range(20):
             assert euler_polynomial(n)(Fraction(0)) == REFERENCE[Fraction(-1)][n]
 
+    # u = 2 and 3/2 have r = p - q = 1; 0 and 1/2 have r = -1; 1/3, -5/7
+    # and -3 have r < 0, so odd n takes its sign from integer_form's scales
+    @pytest.mark.parametrize("u", [Fraction(2), Fraction(3, 2), Fraction(0), Fraction(1, 2),
+                                   Fraction(1, 3), Fraction(-5, 7), Fraction(-3)], ids=str)
+    def test_matches_the_series_oracle(self, fresh_tables, u):
+        """Descending, then repeated, reads of one table equal the
+        generating function's coefficients."""
+        oracle = frobenius_oracle(u, 41).coeffs
+        for n in [*range(41, -1, -1), 41, 3, 3, 0, 17]:
+            assert fe_number(n, u) == oracle[n], (u, n)
+        assert frobenius._table.cache_info().currsize == 1
+
     def test_routes_stay_independent(self, monkeypatch, fresh_tables):
         """The closed-form route must not touch the series code."""
 
@@ -129,8 +141,8 @@ class TestPrefixTables:
             row = [0] + [-j * s * row[j] - (j - 1) * p * row[j - 1]
                          for j in range(1, len(row))] + [-(len(row) - 1) * p * row[-1]]
             sums.append(sum(row))
-        assert frobenius._NumberTable(u).upto(200)[:201] == tuple(
-            Fraction(total, s**n) for n, total in enumerate(sums))
+        assert [fe_number(n, u) for n in range(201)] == [
+            Fraction(total, s**n) for n, total in enumerate(sums)]
 
 
 GROWTH_US = [Fraction(0), Fraction(-1), Fraction(2), Fraction(1, 3), Fraction(-5, 7)]
@@ -155,11 +167,11 @@ class TestGrowthOrder:
         once = frobenius._NumberTable(u)
         r = u.numerator - u.denominator
         want = [Fraction(m, r**k) for k, m in enumerate(once._numerators(top)[: top + 1])]
-        largest_number = 0
+        largest = 0  # the largest index read
         for kind, n, extra in reads:
+            largest = max(largest, n if kind != "window" else n + extra - 1)
             if kind == "number":
                 assert fe_number(n, u) == want[n]
-                largest_number = max(largest_number, n)
             elif kind == "polynomial":
                 poly = fe_polynomial(n, u)
                 assert poly.integer_form[1] > 0
@@ -178,7 +190,8 @@ class TestGrowthOrder:
         ms, diagonal = table._state
         assert ms == once._numerators(top)[: len(ms)]
         assert diagonal[-1] == u.denominator * ms[-1]
-        assert len(table._fractions) == largest_number + 1
+        # grown one step at a time to exactly the largest index read
+        assert len(ms) == largest + 1
 
 
 # (kind, n, N); N is unused by the order-1 reads

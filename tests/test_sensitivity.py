@@ -88,11 +88,24 @@ def test_unfaulted_audit_passes_every_corrected_report():
 
 def test_number_table_fault(monkeypatch):
     """M_3 gains r^3 as the Euler-Seidel step makes it, so H_3 = M_3 / r^3
-    is one larger in every read of the table: the Fractions of
-    ``fe_number`` and the integer form behind ``fe_polynomial`` and the
-    formula window.  The diagonal is left as it is, so no other H_k moves."""
+    is one larger in every read of the table's integer form: ``fe_number``,
+    ``fe_polynomial`` and the formula window.  The diagonal is left as it
+    is, so no other H_k moves."""
     u = Fraction(2)
-    want = plus_one_at_three(frobenius._NumberTable(u).upto(5)[:6])
+
+    def numbers():
+        """H_0..H_5 from a fresh table, by ``fe_number`` and from the
+        integer form; the two must agree."""
+        frobenius._table.cache_clear()
+        try:
+            read = tuple(frobenius.fe_number(n, u) for n in range(6))
+        finally:
+            frobenius._table.cache_clear()
+        nums, d = frobenius._NumberTable(u).integer_form(0, 6)
+        assert tuple(Fraction(v, d) for v in nums) == read
+        return read
+
+    want = plus_one_at_three(numbers())
     step = frobenius._seidel_step
 
     def faulty(p, r, diagonal):
@@ -100,9 +113,7 @@ def test_number_table_fault(monkeypatch):
         return (m + r**3 if len(diagonal) == 3 else m), next_diagonal
 
     monkeypatch.setattr(frobenius, "_seidel_step", faulty)
-    assert frobenius._NumberTable(u).upto(5)[:6] == want
-    nums, d = frobenius._NumberTable(u).integer_form(0, 6)
-    assert tuple(Fraction(v, d) for v in nums) == want
+    assert numbers() == want
     assert failing_identities() == {
         "carlitz_product",
         "carlitz_reciprocal",

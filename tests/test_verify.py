@@ -353,7 +353,7 @@ class TestReports:
         assert report.to_dict()["mismatches"][0] == {"at": "x^0", "lhs": "1", "rhs": "8/5"}
 
     def test_shorter_side_is_padded_with_zeros(self):
-        lhs, rhs = Polynomial([1, 0, 3]).coeffs, Polynomial([1, 2]).coeffs
+        lhs, rhs = Polynomial([1, 0, 3]), Polynomial([1, 2])
         assert _mismatches("x", lhs, rhs) == [
             Mismatch("x^1", 0, 2), Mismatch("x^2", 3, 0)
         ]
