@@ -40,7 +40,7 @@ its own route's code.
   k < N, from one ``triangle_recurrence`` row.
 - Series: N -> F(u)^N, the EGF of the order-N numbers, in integer form;
   F = (1-u)/(e^t - u) from ``frobenius_oracle`` is the N = 1 entry
-  (theorem1 reads F there too).  Order n is served by truncating the
+  (theorem1 reads F and F^N here too).  Order n is served by truncating the
   entry, as coefficient n of a power reads only coefficients up to n.
   An entry is recomputed, to exactly n, only for a larger order, as
   ``series_pow`` of a truncation of the kept F, and F only when it is
@@ -254,11 +254,15 @@ def _formula_numbers(
     check_at_least("order", order, 1)
     table = _table(_check_u(u, forbid_zero=True))
     weights = table.weights(order, _check_variant(variant))
-    window, d = table.integer_form(first, n_max + order)
-    width = n_max + 1 - first
-    return EgfSeries._of(combine(
-        (w, (window[k: k + width], d)) for k, w in enumerate(weights)
-    ))
+    return _shifted_sum(weights, table.integer_form(first, n_max + order), n_max + 1 - first)
+
+
+def _shifted_sum(weights, form: tuple[list[int], int], width: int) -> EgfSeries:
+    """sum_k weights[k] * nums[k : k + width] / d for ``form`` = (nums, d):
+    the triangle formula's sum_k w_k H_{n+k}, and, as the k-th derivative
+    of an EGF is its shift by k, theorem1's sum_k w_k H^(k)."""
+    nums, d = form
+    return EgfSeries._of(combine((w, (nums[k: k + width], d)) for k, w in enumerate(weights)))
 
 
 def fe_higher_polynomial(n: int, order: int, u: Fraction) -> Polynomial:

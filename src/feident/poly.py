@@ -100,12 +100,11 @@ class Polynomial(Coefficients):
     @property
     def degree(self) -> int:
         """Degree of the stored representation; 0 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.integer_form[0]) - 1
 
     def coefficient(self, d: int) -> Fraction:
         """Coefficient of x^d, zero beyond the stored degree."""
-        if d < 0:
-            raise ValueError("negative degree")
+        check_at_least("d", d, 0)
         if d >= len(self.coeffs):
             return Fraction(0)
         return self.coeffs[d]
@@ -118,7 +117,7 @@ class Polynomial(Coefficients):
         return acc
 
     def __bool__(self) -> bool:
-        return self.coeffs != (Fraction(0),)
+        return any(self.integer_form[0])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
@@ -175,9 +174,10 @@ class Polynomial(Coefficients):
     def __truediv__(self, other) -> "Polynomial":
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
+        other = as_fraction(other)
         if other == 0:
             raise ZeroDivisionError("polynomial divided by zero scalar")
-        return self * (Fraction(1) / Fraction(other))
+        return self * (1 / other)
 
     def __pow__(self, exponent: int) -> "Polynomial":
         check_at_least("exponent", exponent, 0)

@@ -12,17 +12,18 @@ The checkers' sums run on integers.  The composition sum of corollary4
 and eq60_multinomial reads H_0..H_n from the number table as integer
 numerators over one denominator d, sums multinomial(k; l) * prod nums[l_i]
 in integers and puts the sum over d^N.  The weighted sums of polynomials
-(the Carlitz and Bernoulli products) and of the derivatives of F
-(theorem1) are each one integer combination (:func:`feident.exact.combine`)
-of their terms' integer forms; the derivative side reads shifted slices
-of F's numerators.  theorem1 takes F = 1/(e^t - u) from the series slot of
-the number table of u, and the Carlitz checks look up the tables of their
-parameters once and read the numbers, in integer form, and the
-polynomials from them.  corollary2 is theorem1 with both sides multiplied
-by e^{xt} once.  Each checker of series or polynomials compares its two
-sides in integer form, a_i * d_b == b_i * d_a, and makes Fractions only
-for the coefficients that differ, so a passing check makes none from its
-sides.
+(the Carlitz and Bernoulli products) are each one integer combination
+(:func:`feident.exact.combine`) of their terms' integer forms.  theorem1
+reads both routes from the number table of u, as theorem3 does: H = (1-u)F
+and H^N, and the triangle weights w_k, summed over shifted slices of H by
+the formula's own shifted-window sum; this module computes no series
+power, inverse or triangle row itself.  The Carlitz checks look up the
+tables of their parameters once and read the numbers, in integer form,
+and the polynomials from them.  corollary2 is theorem1 with both sides
+multiplied by e^{xt} once.  Each checker of series or polynomials
+compares its two sides in integer form, a_i * d_b == b_i * d_a, and
+makes Fractions only for the coefficients that differ, so a passing
+check makes none from its sides.
 
 Reports are deterministic functions of (identity, params, variant), and a
 report passes exactly when its mismatch list is empty.  A ``Mismatch``
@@ -62,7 +63,6 @@ from typing import NamedTuple
 from .exact import (
     binomial,
     check_at_least,
-    combine,
     exact_parameter,
     format_rational,
     multinomial,
@@ -74,6 +74,7 @@ from .frobenius import (
     _check_u,
     _check_variant,
     _formula_numbers,
+    _shifted_sum,
     _table,
     bernoulli_number,
     bernoulli_polynomial,
@@ -82,8 +83,7 @@ from .frobenius import (
     fe_higher_polynomial,
 )
 from .poly import Polynomial
-from .series import EgfSeries, exp_xt, series_mul, series_pow, series_scale, series_truncate
-from .stirling import triangle_recurrence
+from .series import EgfSeries, exp_xt, series_mul, series_scale
 
 __all__ = [
     "Mismatch",
@@ -279,33 +279,27 @@ def _scalar_mismatches(lhs: Fraction, rhs: Fraction) -> list[Mismatch]:
     return [Mismatch("value", lhs, rhs)] if lhs != rhs else []
 
 
-def _derivative_side(base: EgfSeries, weights, target: int) -> EgfSeries:
-    """sum_k weights[k] * base^(k-th derivative), truncated to ``target``.
-    The k-th derivative of an EGF is its shift by k, and the weighted sum
-    is one integer combination of shifted slices of base's integer form."""
-    nums, d = base.integer_form
-    return EgfSeries._of(combine(
-        (w, (nums[k: k + target + 1], d)) for k, w in enumerate(weights)
-    ))
-
-
 def _derivative_expansion(N, u, T, variant) -> tuple[EgfSeries, EgfSeries]:
-    """The two sides of theorem1's expansion of F^N, to order T-(N-1).
-    corollary2 multiplies each side by e^{xt} once: by linearity,
-    sum_k a_k (F^(k) e^{xt}) = (sum_k a_k F^(k)) e^{xt}, coefficient by
-    coefficient and exactly."""
+    """The two sides of theorem1's expansion of F^N, to order T-(N-1), read
+    from the table of u, where H = (1-u)F: the series route's H^N and the
+    triangle route's sum_k w_k H^(k) with theorem3's weights, each times
+    c = (N-1)! * s * u^(N-1) / (1-u)^N, which makes them the paper's two
+    sides (w_k carries the sign s).  corollary2 multiplies each side by
+    e^{xt} once: by linearity, sum_k a_k (F^(k) e^{xt}) =
+    (sum_k a_k F^(k)) e^{xt}, coefficient by coefficient and exactly."""
     check_at_least("N", N, 1)
     u = _check_u(u, forbid_zero=True)
     if T < N:
         raise ValueError("truncation order T must be >= N")
-    # F = 1/(e^t - u): the series route's (1-u)/(e^t - u), kept in the table of u
-    F = series_scale(_table(u).power(T, 1), 1 / (1 - u))
-    sign = 1 if variant == "as_printed" else (-1) ** (N - 1)
-    scale = math.factorial(N - 1) * sign * u ** (N - 1)
+    table = _table(u)
     target = T - (N - 1)
-    lhs = series_scale(series_pow(series_truncate(F, target), N), scale)
-    rhs = _derivative_side(F, triangle_recurrence(N).row(N), target)
-    return lhs, rhs
+    # H to order T before its power to order target, so H is computed once
+    h = table.power(T, 1)
+    lhs = table.power(target, N)
+    rhs = _shifted_sum(table.weights(N, variant), h.integer_form, target + 1)
+    sign = 1 if variant == "as_printed" else (-1) ** (N - 1)
+    c = math.factorial(N - 1) * sign * u ** (N - 1) / (1 - u) ** N
+    return series_scale(lhs, c), series_scale(rhs, c)
 
 
 @_identity("theorem1")

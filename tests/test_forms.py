@@ -9,7 +9,8 @@ them) with and without the Fractions read.  Each must give the same
 ``coeffs``.  Values compare, hash, pickle and copy alike in every form.
 The last tests pin that a passing check of series or polynomials keeps
 its whole chain in integers: it never calls ``exact.to_fractions``, the
-one conversion from the integer form.
+one conversion from the integer form; nor does asking a polynomial its
+degree or whether it is zero.
 """
 
 import copy
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 from feident import exact, verify
 from feident.exact import combine, common_denominator, to_fractions
+from feident.frobenius import fe_polynomial
 from feident.poly import Polynomial
 from feident.series import (
     EgfSeries,
@@ -196,3 +198,17 @@ def test_passing_chains_stay_in_integers(monkeypatch, check, args):
     # the counter sees a conversion when one happens
     series_mul(exp_xt(2, 3), exp_xt(3, 3)).coeffs
     assert conversions == [4]
+
+
+def test_degree_and_truth_read_the_integer_form(monkeypatch):
+    """A polynomial's degree and whether it is zero follow from its
+    integer form: asking them of a fresh H_40(x|5/8) makes no Fraction."""
+    p = fe_polynomial(40, Fraction(5, 8))
+
+    def refuse(numerators, d):
+        raise AssertionError("a Fraction was made")
+
+    monkeypatch.setattr(exact, "to_fractions", refuse)
+    assert p.degree == 40 and bool(p)
+    zero = p - p
+    assert zero.degree == 0 and not zero

@@ -283,6 +283,24 @@ class TestCacheServing:
         fe_higher_numbers(9, 2, u)
         assert calls[5:] == ["oracle", "pow"]
 
+    @pytest.mark.parametrize("check", [verify.verify_theorem1, verify.verify_corollary2])
+    @pytest.mark.parametrize("N", [1, 2, 4, 5])
+    def test_theorem1_computes_f_once(self, monkeypatch, fresh_tables, check, N):
+        """theorem1 reads F to order T before F^N to order T-(N-1), so the
+        table computes F once; the other order of reads would compute it
+        to T-(N-1) first and then again to T."""
+        calls = []
+        oracle = frobenius.frobenius_oracle
+
+        def counted(u, order):
+            calls.append(order)
+            return oracle(u, order)
+
+        monkeypatch.setattr(frobenius, "frobenius_oracle", counted)
+        args = (N, Fraction(-5, 7)) + ((Fraction(1, 2),) if check is verify.verify_corollary2 else ())
+        assert check(*args, 24).verdict == "pass"
+        assert calls == [24]
+
 
 def test_audit_work_counts(monkeypatch, fresh_tables):
     """A default audit on fresh tables and a fresh Bernoulli prefix computes
@@ -290,7 +308,9 @@ def test_audit_work_counts(monkeypatch, fresh_tables):
     builds the kept Appell polynomials of the tables at most this many
     times.  Without the per-u caches it took 276 F, 276 powers and 864
     polynomials; while the checkers still made their own F and triangle
-    weights per report, 21 F, 87 inversions and 398 triangles."""
+    weights per report, 21 F, 87 inversions and 398 triangles; while
+    theorem1 and corollary2 still raised F to powers and built triangle
+    rows in ``verify``, 125 powers and 86 triangles."""
     counts = Counter()
 
     def counted(name, kernel):
@@ -299,8 +319,9 @@ def test_audit_work_counts(monkeypatch, fresh_tables):
             return kernel(*args)
         return call
 
-    # every binding of the two kernels, as a caller sees them
-    for name, home in (("series_reciprocal", series), ("triangle_recurrence", stirling)):
+    # every binding of the kernels, as a caller sees them
+    for name, home in (("frobenius_oracle", series), ("series_pow", series),
+                       ("series_reciprocal", series), ("triangle_recurrence", stirling)):
         kernel = getattr(home, name)
         for module in (home, frobenius, verify, cli):
             if getattr(module, name, None) is kernel:
@@ -317,15 +338,13 @@ def test_audit_work_counts(monkeypatch, fresh_tables):
         counts["appell"] += frame is not None
         return appell(cls, numbers)
 
-    monkeypatch.setattr(frobenius, "frobenius_oracle", counted("oracle", frobenius.frobenius_oracle))
-    monkeypatch.setattr(frobenius, "series_pow", counted("pow", frobenius.series_pow))
     monkeypatch.setattr(Polynomial, "appell", classmethod(counting_appell))
     audit_all()
-    assert counts["oracle"] <= 3
-    assert counts["pow"] <= 63
+    assert counts["frobenius_oracle"] <= 3
+    assert counts["series_pow"] <= 12
     assert 0 < counts["appell"] <= 49
     assert counts["series_reciprocal"] <= 7
-    assert counts["triangle_recurrence"] <= 86
+    assert counts["triangle_recurrence"] <= 30
 
 
 def table_parameters(combo) -> set:

@@ -73,6 +73,9 @@ def test_degree_and_coefficient():
     assert p.coefficient(7) == 0
     with pytest.raises(ValueError):
         p.coefficient(-1)
+    for d in (True, 1.5):
+        with pytest.raises(TypeError, match="argument 'd' must be an int"):
+            p.coefficient(d)
 
 
 def test_evaluation_horner():
@@ -150,12 +153,13 @@ def test_inexact_operands_rejected(call):
         (lambda: Polynomial([1, 2]) + True, "bool"),
         (lambda: True - Polynomial([1, 2]), "bool"),
         (lambda: Polynomial([1, 2]) * False, "bool"),
+        (lambda: Polynomial([1, 2]) / True, "bool"),
         (lambda: Polynomial.appell([True, 2]), "bool"),
         (lambda: Polynomial([1, 2])(True), "bool"),
         (lambda: Polynomial([1, 2])(1j), "complex"),
         (lambda: Polynomial([1, 2])("1/2"), "str"),
     ],
-    ids=["coefficient", "add", "rsub", "mul", "appell", "call-bool", "call-complex",
+    ids=["coefficient", "add", "rsub", "mul", "truediv", "appell", "call-bool", "call-complex",
          "call-str"],
 )
 def test_bool_and_non_rational_values_refused(call, kind):

@@ -11,26 +11,26 @@ it, so H_3 + 1) reaches every check that reads the order-1 prefix table
 (the triangle formula, direct enumeration, polynomials of order 1);
 the series-power fault reaches only the series route to higher-order
 numbers, which corollary5 and eq60_multinomial read through
-``fe_higher_polynomial`` and theorem3 through ``fe_higher_number_oracle``.
-theorem1 and corollary2 take F from the same table but raise it to powers
-in ``verify``, so they do not read ``frobenius.series_pow``.  The multinomial fault (one
-more at k = 3) reaches only the composition sum, which corollary4 and
-eq60_multinomial read on their direct-enumeration side, and so does the
-weak-composition fault (the first composition of 3 dropped).
+``fe_higher_polynomial``, theorem3 through ``fe_higher_number_oracle``,
+and theorem1 and corollary2 as F^N from the same table, so all five read
+``frobenius.series_pow``.  The multinomial fault (one more at k = 3)
+reaches only the composition sum, which corollary4 and eq60_multinomial
+read on their direct-enumeration side, and so does the weak-composition
+fault (the first composition of 3 dropped).
 
 The kernel faults below are patched in every module that binds the
 kernel by name, as a caller sees it:
 
-- ``series_mul`` reaches the powers of F (theorem1, and through
-  ``series_pow`` the series route of theorem3, corollary5 and eq60) and
-  the e^{xt} factor of corollary2;
+- ``series_mul`` reaches, through ``series_pow``, the powers of F that
+  theorem1, corollary2, theorem3, corollary5 and eq60 read from the
+  table, and the e^{xt} factor of corollary2;
 - ``series_reciprocal`` reaches F itself, which every series route reads
   from the table of u (``frobenius_oracle``), so the same identities, and
   the Bernoulli oracle behind the Bernoulli polynomials of
   carlitz_reciprocal and bernoulli_product;
 - ``triangle_recurrence`` (a_1(N) + 1 for N >= 2) reaches every
-  triangle-formula side: theorem1, corollary2, theorem3, corollary4 and
-  corollary5;
+  triangle-formula side, each of which reads its weights from the table:
+  theorem1, corollary2, theorem3, corollary4 and corollary5;
 - ``Polynomial.__mul__`` reaches only the polynomial products of the
   Carlitz and Bernoulli identities;
 - ``bernoulli_oracle`` (B_3 + 1) reaches only the Bernoulli numbers and
@@ -131,7 +131,13 @@ def test_series_pow_fault(monkeypatch):
         return EgfSeries(plus_one_at_three(series_pow(series, exponent).coeffs))
 
     monkeypatch.setattr(frobenius, "series_pow", faulty)
-    assert failing_identities() == {"corollary5", "eq60_multinomial", "theorem3"}
+    assert failing_identities() == {
+        "corollary2",
+        "corollary5",
+        "eq60_multinomial",
+        "theorem1",
+        "theorem3",
+    }
 
 
 def test_multinomial_fault(monkeypatch):
@@ -188,7 +194,7 @@ def test_triangle_recurrence_fault(monkeypatch):
         )
 
     # the stirling table reads stirling.triangle_recurrence when it runs
-    patch_callers(monkeypatch, "triangle_recurrence", faulty, [stirling, frobenius, verify])
+    patch_callers(monkeypatch, "triangle_recurrence", faulty, [stirling, frobenius])
     assert failing_identities() == {
         "corollary2",
         "corollary4",

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -16,13 +17,15 @@ from feident.cli import run
 from feident.exact import common_denominator, multinomial, weak_compositions
 from feident.frobenius import euler_polynomial, fe_polynomial
 from feident.poly import Polynomial
-from feident.series import series_mul
+from feident.series import EgfSeries, exp_minus_constant, series_mul, series_reciprocal
+from feident.stirling import coeff_closed_form
 from feident.verify import (
     DEFAULT_GRID,
     IDENTITIES,
     Mismatch,
     VerificationReport,
     _composition_sum,
+    _derivative_expansion,
     _mismatches,
     audit_all,
     audit_document,
@@ -44,6 +47,53 @@ rationals = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 
 def assert_self_consistent(report):
     assert (report.verdict == "pass") == (len(report.mismatches) == 0)
+
+
+def paper_sides(N, u, T, variant):
+    """theorem1's two sides as the paper writes them, to order T-(N-1):
+    (N-1)! * s * u^(N-1) * F^N and sum_k a_k(N) F^(k), with
+    F = 1/(e^t - u) inverted directly, F^N by repeated products, a_k(N)
+    by the composition sum and the k-th derivative as the shift by k."""
+    F = series_reciprocal(exp_minus_constant(u, T)).coeffs
+    power = EgfSeries(F)
+    for _ in range(N - 1):
+        power = series_mul(power, EgfSeries(F))
+    target = T - (N - 1)
+    sign = 1 if variant == "as_printed" else (-1) ** (N - 1)
+    scale = math.factorial(N - 1) * sign * u ** (N - 1)
+    lhs = [scale * c for c in power.coeffs[: target + 1]]
+    a = [coeff_closed_form(k, N) for k in range(N)]
+    rhs = [sum(a[k] * F[n + k] for k in range(N)) for n in range(target + 1)]
+    return lhs, rhs
+
+
+def times_exp(coeffs, x):
+    """The EGF coefficients of the series times e^{xt}."""
+    return [sum(math.comb(n, k) * coeffs[k] * x ** (n - k) for k in range(n + 1))
+            for n in range(len(coeffs))]
+
+
+def paper_mismatches(lhs, rhs):
+    return [Mismatch(f"t^{i}", a, b) for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b]
+
+
+@pytest.mark.parametrize("variant", ["as_printed", "corrected"])
+@pytest.mark.parametrize("u", [Fraction(2), Fraction(1, 3), Fraction(-5, 7), Fraction(-3),
+                               Fraction(5, 8)])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_sides_match_the_paper_form(N, u, variant):
+    """Both sides of theorem1, which read H = (1-u)F, H^N and theorem3's
+    weights from the table of u, and of corollary2 are the paper's sides
+    (the same values, failing reports included)."""
+    x = Fraction(-3, 2)
+    for T in (N, 12, 20):
+        lhs, rhs = paper_sides(N, u, T, variant)
+        sides = _derivative_expansion(N, u, T, variant)
+        assert [side.coeffs for side in sides] == [tuple(lhs), tuple(rhs)]
+        report = verify_theorem1(N, u, T, variant)
+        assert list(report.mismatches) == paper_mismatches(lhs, rhs)
+        report = verify_corollary2(N, u, x, T, variant)
+        assert list(report.mismatches) == paper_mismatches(times_exp(lhs, x), times_exp(rhs, x))
 
 
 class TestTheorem1:
