@@ -105,16 +105,18 @@ class Polynomial(Coefficients):
     def coefficient(self, d: int) -> Fraction:
         """Coefficient of x^d, zero beyond the stored degree."""
         check_at_least("d", d, 0)
-        if d >= len(self.coeffs):
-            return Fraction(0)
-        return self.coeffs[d]
+        nums, den = self.integer_form
+        return Fraction(nums[d] if d < len(nums) else 0, den)
 
     def __call__(self, value: Scalar) -> Fraction:
+        """The value at p/q: Horner's rule on the numerators gives den * q^deg times it."""
         value = as_fraction(value)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        p, q = value.numerator, value.denominator
+        nums, den = self.integer_form
+        acc, scale = 0, 1
+        for c in reversed(nums):
+            acc, scale = acc * p + c * scale, scale * q
+        return Fraction(acc, den * scale // q)
 
     def __bool__(self) -> bool:
         return any(self.integer_form[0])

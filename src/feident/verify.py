@@ -1,29 +1,30 @@
 """Two-route identity verification with machine-readable reports.
 
-Each checker evaluates one identity family twice, through code paths that
-share only the basic arithmetic layer: a closed-form route (recurrences,
-the coefficient triangle, direct enumeration) against a truncated
-generating-function route.  Where an identity circulates with a sign or
-coefficient typo, both the commonly typeset form (``as_printed``) and the
-repaired form (``corrected``) can be evaluated; the report records which
-one actually holds, with exact mismatch values.
+Each identity is evaluated twice, through code paths that share only the
+basic arithmetic layer: a closed-form route (recurrences, the coefficient
+triangle, direct enumeration) against a truncated generating-function
+route.  Where an identity circulates with a sign or coefficient typo,
+both the commonly typeset form (``as_printed``) and the repaired form
+(``corrected``) can be evaluated; the report records which one actually
+holds, with exact mismatch values.
 
-The checkers' sums run on integers.  The composition sum of corollary4
-and eq60_multinomial reads H_0..H_n from the number table as integer
-numerators over one denominator d, sums multinomial(k; l) * prod nums[l_i]
-in integers and puts the sum over d^N.  The weighted sums of polynomials
-(the Carlitz and Bernoulli products) are each one integer combination
-(:func:`feident.exact.combine`) of their terms' integer forms.  theorem1
-reads both routes from the number table of u, as theorem3 does: H = (1-u)F
-and H^N, and the triangle weights w_k, summed over shifted slices of H by
-the formula's own shifted-window sum; this module computes no series
-power, inverse or triangle row itself.  The Carlitz checks look up the
-tables of their parameters once and read the numbers, in integer form,
-and the polynomials from them.  corollary2 is theorem1 with both sides
-multiplied by e^{xt} once.  Each checker of series or polynomials
-compares its two sides in integer form, a_i * d_b == b_i * d_a, and
-makes Fractions only for the coefficients that differ, so a passing
-check makes none from its sides.
+A checker body validates its parameters and returns ``(var, lhs, rhs)``:
+its two routes as zero-argument callables, and the variable their
+coefficients are in (``"value"`` for a scalar identity).  The registry
+calls ``lhs()``, then ``rhs()``, and compares them with
+:func:`_mismatches`, the one comparison, in integer form: a_i * d_b ==
+b_i * d_a, a scalar being a one-entry form.  It makes Fractions only for
+the entries that differ.  As no body compares, each route can be run,
+timed and traced alone; ``tests/test_route_map.py`` pins what each enters.
+
+The routes' sums run on integers: corollary4 and eq60_multinomial sum
+multinomial(k; l) * prod nums[l_i] over the table's integer numerators of
+H_0..H_n, and the Carlitz and Bernoulli products are each one integer
+combination of their terms' integer forms.  theorem1 reads both routes
+from the number table of u, as theorem3 does: H = (1-u)F and H^N, and the
+triangle weights w_k summed over shifted slices of H; this module computes
+no series power, inverse or triangle row itself.  corollary2 is theorem1
+with both sides multiplied by e^{xt} once.
 
 Reports are deterministic functions of (identity, params, variant), and a
 report passes exactly when its mismatch list is empty.  A ``Mismatch``
@@ -32,22 +33,20 @@ holds both values exact; only the report's text (``to_dict`` and
 however many digits its values have.  :func:`document_json` renders the
 JSON text of reports in the bytes of ``json.dumps(doc, indent=2)``.
 
-``CHECKERS`` maps identity ids to checkers, in audit order; each checker
-is registered where it is defined, with ``@_identity(id)``.  Registration
-reads the body's parameters once, from its ``__code__``, ``__defaults__``
-and ``__annotations__``, into a schema: one ``Param(name, integer,
-default)`` per parameter, in order, where ``integer`` says the parameter
-is annotated ``int`` (the others take rationals) and ``default`` is
-``REQUIRED`` when there is none.  A body may not take ``*args``,
-``**kwargs``, keyword-only or positional-only parameters.  The
-parameters other than ``variant`` are the report's, and a ``variant``
-parameter means the identity has as-printed/corrected forms.  Grid axes
-and CLI flags are read from the schema (:func:`parameters`).  A checker
-body returns only its mismatch list; the registry binds the call
-against the schema, checks ``variant`` and builds the report.  Binding
-raises ``TypeError``, before anything is checked, for a call the body
-could not take, for an integer parameter that is a ``bool`` or not an
-``int``, and for a ``bool`` rational parameter.
+``CHECKERS`` maps identity ids to checkers, in audit order; each is
+registered where it is defined, with ``@_identity(id)``, which reads the
+body's ``__code__``, ``__defaults__`` and ``__annotations__`` once into a
+schema: one ``Param(name, integer, default)`` per parameter, in order
+(``integer`` when annotated ``int``, as the others take rationals;
+``default`` is ``REQUIRED`` when there is none).  A body takes only
+positional-or-keyword parameters.  Those other than ``variant`` are the
+report's, and a ``variant`` parameter means the identity has
+as-printed/corrected forms.  Grid axes and CLI flags are read from the
+schema (:func:`parameters`).  The registry binds each call against the
+schema, raising ``TypeError`` before anything is checked for a call the
+body could not take, an integer parameter that is a ``bool`` or not an
+``int``, or a ``bool`` rational parameter; then it checks ``variant``,
+runs and compares the routes and builds the report.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .exact import (
     binomial,
@@ -172,6 +171,8 @@ class Param(NamedTuple):
     default: object = REQUIRED
 
 
+Routes = tuple[str, Callable[[], object], Callable[[], object]]
+
 CHECKERS = {}
 
 # identity -> {name: Param}, in the body's parameter order.
@@ -256,7 +257,8 @@ def _identity(identity: str):
             arguments = _bind(schema, args, kwargs)
             if has_variant:
                 _check_variant(arguments["variant"])
-            return _report(identity, arguments, body(**arguments))
+            var, lhs, rhs = body(**arguments)
+            return _report(identity, arguments, _mismatches(var, lhs(), rhs()))
 
         CHECKERS[identity] = checker
         return checker
@@ -265,45 +267,39 @@ def _identity(identity: str):
 
 
 def _mismatches(var: str, lhs, rhs) -> list[Mismatch]:
-    """The coefficients of ``var``^i where the two sides differ, the shorter
-    one padded with zeros.  Each side is a series or a polynomial, compared
-    in integer form (a_i * d_b == b_i * d_a); Fractions are made only for
-    the coefficients that differ."""
-    (a, da), (b, db) = lhs.integer_form, rhs.integer_form
-    return [Mismatch(f"{var}^{i}", Fraction(x, da), Fraction(y, db))
+    """Where the sides differ, the shorter padded with zeros: ``var``^i of
+    two series or polynomials, or ``var`` of two Fractions (one-entry forms),
+    compared in integer form; Fractions are made only for those entries."""
+    scalar = isinstance(lhs, Fraction)
+    (a, da), (b, db) = [([side.numerator], side.denominator) if scalar else side.integer_form
+                        for side in (lhs, rhs)]
+    return [Mismatch(var if scalar else f"{var}^{i}", Fraction(x, da), Fraction(y, db))
             for i, (x, y) in enumerate(itertools.zip_longest(a, b, fillvalue=0))
             if x * db != y * da]
 
 
-def _scalar_mismatches(lhs: Fraction, rhs: Fraction) -> list[Mismatch]:
-    return [Mismatch("value", lhs, rhs)] if lhs != rhs else []
-
-
-def _derivative_expansion(N, u, T, variant) -> tuple[EgfSeries, EgfSeries]:
-    """The two sides of theorem1's expansion of F^N, to order T-(N-1), read
-    from the table of u, where H = (1-u)F: the series route's H^N and the
-    triangle route's sum_k w_k H^(k) with theorem3's weights, each times
-    c = (N-1)! * s * u^(N-1) / (1-u)^N, which makes them the paper's two
-    sides (w_k carries the sign s).  corollary2 multiplies each side by
-    e^{xt} once: by linearity, sum_k a_k (F^(k) e^{xt}) =
-    (sum_k a_k F^(k)) e^{xt}, coefficient by coefficient and exactly."""
+def _derivative_expansion(N, u, T, variant):
+    """theorem1's routes to order T-(N-1), from the table of u, where
+    H = (1-u)F: H^N and sum_k w_k H^(k) with theorem3's weights, each times
+    c = (N-1)! * s * u^(N-1) / (1-u)^N, which gives the paper's two sides
+    (w_k carries the sign s).  H is read to order T first, so the table
+    computes it once."""
     check_at_least("N", N, 1)
     u = _check_u(u, forbid_zero=True)
     if T < N:
         raise ValueError("truncation order T must be >= N")
     table = _table(u)
     target = T - (N - 1)
-    # H to order T before its power to order target, so H is computed once
     h = table.power(T, 1)
-    lhs = table.power(target, N)
-    rhs = _shifted_sum(table.weights(N, variant), h.integer_form, target + 1)
     sign = 1 if variant == "as_printed" else (-1) ** (N - 1)
     c = math.factorial(N - 1) * sign * u ** (N - 1) / (1 - u) ** N
-    return series_scale(lhs, c), series_scale(rhs, c)
+    return (lambda: series_scale(table.power(target, N), c),
+            lambda: series_scale(_shifted_sum(table.weights(N, variant), h.integer_form,
+                                              target + 1), c))
 
 
 @_identity("theorem1")
-def verify_theorem1(N: int, u, T: int = 16, variant: str = "corrected") -> list[Mismatch]:
+def verify_theorem1(N: int, u, T: int = 16, variant: str = "corrected") -> Routes:
     """Derivative expansion of powers of F = 1/(e^t - u):
 
         (N-1)! * s * u^(N-1) * F^N  =  sum_{k<N} a_k(N) F^(k)
@@ -311,29 +307,29 @@ def verify_theorem1(N: int, u, T: int = 16, variant: str = "corrected") -> list[
     compared coefficientwise to order T-(N-1), with s = +1 for
     ``as_printed`` and s = (-1)^(N-1) for ``corrected``.
     """
-    lhs, rhs = _derivative_expansion(N, u, T, variant)
-    return _mismatches("t", lhs, rhs)
+    return ("t", *_derivative_expansion(N, u, T, variant))
 
 
 @_identity("corollary2")
-def verify_corollary2(N: int, u, x, T: int = 16, variant: str = "corrected") -> list[Mismatch]:
+def verify_corollary2(N: int, u, x, T: int = 16, variant: str = "corrected") -> Routes:
     """Same expansion with every series carrying the extra factor e^{xt}:
-    theorem1's two sides, each multiplied by e^{xt} once."""
+    theorem1's two sides, each multiplied by e^{xt} once.  By linearity,
+    sum_k a_k (F^(k) e^{xt}) = (sum_k a_k F^(k)) e^{xt}, exactly."""
     x = exact_parameter(x)
     lhs, rhs = _derivative_expansion(N, u, T, variant)
-    E = exp_xt(x, lhs.order)
-    return _mismatches("t", series_mul(lhs, E), series_mul(rhs, E))
+    E = exp_xt(x, T - (N - 1))
+    return "t", lambda: series_mul(lhs(), E), lambda: series_mul(rhs(), E)
 
 
 @_identity("theorem3")
-def verify_theorem3(n: int, N: int, u, variant: str = "corrected") -> list[Mismatch]:
+def verify_theorem3(n: int, N: int, u, variant: str = "corrected") -> Routes:
     """Higher-order number H_n^(N)(u): series route against the
     coefficient-triangle formula."""
     check_at_least("n", n, 0)
     check_at_least("N", N, 1)
-    lhs = fe_higher_number_oracle(n, N, _check_u(u, forbid_zero=True))
-    rhs = fe_higher_number_formula(n, N, u, variant)
-    return _scalar_mismatches(lhs, rhs)
+    u = _check_u(u, forbid_zero=True)
+    return ("value", lambda: fe_higher_number_oracle(n, N, u),
+            lambda: fe_higher_number_formula(n, N, u, variant))
 
 
 def _composition_sum(k: int, N: int, nums) -> int:
@@ -353,32 +349,33 @@ def _composition_sum(k: int, N: int, nums) -> int:
 
 
 @_identity("corollary4")
-def verify_corollary4(n: int, N: int, u, variant: str = "corrected") -> list[Mismatch]:
+def verify_corollary4(n: int, N: int, u, variant: str = "corrected") -> Routes:
     """Sum of products over all N-tuples of indices (direct enumeration,
     no series code) against the coefficient-triangle formula."""
     check_at_least("n", n, 0)
     check_at_least("N", N, 1)
     u = _check_u(u, forbid_zero=True)
-    nums, d = _table(u).integer_form(0, n + 1)
-    lhs = Fraction(_composition_sum(n, N, nums), d**N)
-    rhs = fe_higher_number_formula(n, N, u, variant)
-    return _scalar_mismatches(lhs, rhs)
+
+    def products():
+        nums, d = _table(u).integer_form(0, n + 1)
+        return Fraction(_composition_sum(n, N, nums), d**N)
+
+    return "value", products, lambda: fe_higher_number_formula(n, N, u, variant)
 
 
 @_identity("corollary5")
-def verify_corollary5(n: int, N: int, u, variant: str = "corrected") -> list[Mismatch]:
+def verify_corollary5(n: int, N: int, u, variant: str = "corrected") -> Routes:
     """Higher-order polynomial H_n^(N)(x|u) against the Appell form of the
     triangle formula's numbers, compared coefficient by coefficient."""
     check_at_least("n", n, 0)
     check_at_least("N", N, 1)
     u = _check_u(u, forbid_zero=True)
-    lhs = fe_higher_polynomial(n, N, u)
-    rhs = Polynomial.appell(_formula_numbers(n, N, u, variant))
-    return _mismatches("x", lhs, rhs)
+    return ("x", lambda: fe_higher_polynomial(n, N, u),
+            lambda: Polynomial.appell(_formula_numbers(n, N, u, variant)))
 
 
 @_identity("eq60_multinomial")
-def verify_product_multinomial(n: int, N: int, u) -> list[Mismatch]:
+def verify_product_multinomial(n: int, N: int, u) -> Routes:
     """H_n^(N)(x|u) against the multinomial expansion over all index
     tuples (l_1, ..., l_N, m) summing to n; no variant, no u-power factor.
     As multinomial(n; l, m) = C(n, m) * multinomial(n-m; l), the
@@ -386,15 +383,17 @@ def verify_product_multinomial(n: int, N: int, u) -> list[Mismatch]:
     check_at_least("n", n, 0)
     check_at_least("N", N, 1)
     u = _check_u(u)
-    lhs = fe_higher_polynomial(n, N, u)
-    nums, d = _table(u).integer_form(0, n + 1)
-    sums = [_composition_sum(k, N, nums) for k in range(n + 1)]
-    rhs = Polynomial.appell(EgfSeries._of((sums, d**N)))
-    return _mismatches("x", lhs, rhs)
+
+    def expansion():
+        nums, d = _table(u).integer_form(0, n + 1)
+        sums = [_composition_sum(k, N, nums) for k in range(n + 1)]
+        return Polynomial.appell(EgfSeries._of((sums, d**N)))
+
+    return "x", lambda: fe_higher_polynomial(n, N, u), expansion
 
 
 @_identity("carlitz_product")
-def verify_carlitz(m: int, n: int, alpha, beta, variant: str = "corrected") -> list[Mismatch]:
+def verify_carlitz(m: int, n: int, alpha, beta, variant: str = "corrected") -> Routes:
     """Product of two Frobenius-Euler polynomials with distinct parameters
     against its three-term expansion in parameter alpha*beta.
 
@@ -403,34 +402,32 @@ def verify_carlitz(m: int, n: int, alpha, beta, variant: str = "corrected") -> l
     the ``corrected`` form.
     """
     check_at_least("m and n", min(m, n), 0)
-    alpha = exact_parameter(alpha)
-    beta = exact_parameter(beta)
+    alpha, beta = exact_parameter(alpha), exact_parameter(beta)
     if alpha == 1 or beta == 1:
         raise ValueError("alpha = 1 or beta = 1 is outside the parameter domain")
     if alpha * beta == 1:
         raise ValueError("alpha*beta = 1 needs the reciprocal-parameter identity")
     ab = alpha * beta
-    c_plain = (1 - alpha) * (1 - beta) / (1 - ab)
-    c_alpha = alpha * (1 - beta) / (1 - ab)
-    if variant == "as_printed":
-        c_beta = beta * (1 - beta) / (1 - ab)
-    else:
-        c_beta = beta * (1 - alpha) / (1 - ab)
     ta, tb, tab = _table(alpha), _table(beta), _table(ab)
-    # H_r(alpha) = ha[r] / da and H_s(beta) = hb[s] / db
-    (ha, da), (hb, db) = ta.integer_form(0, m + 1), tb.integer_form(0, n + 1)
-    ca, cb = c_alpha / da, c_beta / db
-    lhs = ta.polynomial(m) * tb.polynomial(n)
-    rhs = Polynomial.combination(
-        [(c_plain, tab.polynomial(m + n))]
-        + [(ca * binomial(m, r) * ha[r], tab.polynomial(m + n - r)) for r in range(m + 1)]
-        + [(cb * binomial(n, s) * hb[s], tab.polynomial(m + n - s)) for s in range(n + 1)]
-    )
-    return _mismatches("x", lhs, rhs)
+
+    def expansion():
+        c_plain = (1 - alpha) * (1 - beta) / (1 - ab)
+        c_alpha = alpha * (1 - beta) / (1 - ab)
+        c_beta = beta * (1 - (beta if variant == "as_printed" else alpha)) / (1 - ab)
+        # H_r(alpha) = ha[r] / da and H_s(beta) = hb[s] / db
+        (ha, da), (hb, db) = ta.integer_form(0, m + 1), tb.integer_form(0, n + 1)
+        ca, cb = c_alpha / da, c_beta / db
+        return Polynomial.combination(
+            [(c_plain, tab.polynomial(m + n))]
+            + [(ca * binomial(m, r) * ha[r], tab.polynomial(m + n - r)) for r in range(m + 1)]
+            + [(cb * binomial(n, s) * hb[s], tab.polynomial(m + n - s)) for s in range(n + 1)]
+        )
+
+    return "x", lambda: ta.polynomial(m) * tb.polynomial(n), expansion
 
 
 @_identity("carlitz_reciprocal")
-def verify_carlitz_reciprocal(m: int, n: int, alpha) -> list[Mismatch]:
+def verify_carlitz_reciprocal(m: int, n: int, alpha) -> Routes:
     """Product of Frobenius-Euler polynomials with reciprocal parameters
     (beta = 1/alpha) against the Bernoulli-polynomial expansion.
 
@@ -445,26 +442,26 @@ def verify_carlitz_reciprocal(m: int, n: int, alpha) -> list[Mismatch]:
         raise ValueError("alpha = 1 is outside the parameter domain")
     beta = 1 / alpha
     ta, tb = _table(alpha), _table(beta)
-    # H_r(alpha) = ha[r] / da and H_s(beta) = hb[s] / db
-    (ha, da), (hb, db) = ta.integer_form(0, m + n + 2), tb.integer_form(0, n + 1)
-    ca, cb = (alpha - 1) / da, (beta - 1) / db
-    lhs = ta.polynomial(m) * tb.polynomial(n)
-    tail = Fraction(
-        (-1) ** (n + 1) * math.factorial(m) * math.factorial(n),
-        math.factorial(m + n + 1),
-    )
-    rhs = Polynomial.combination(
-        [(ca * binomial(m, r) * ha[r] / (m + n - r + 1),
-          bernoulli_polynomial(m + n - r + 1)) for r in range(1, m + 1)]
-        + [(cb * binomial(n, s) * hb[s] / (m + n - s + 1),
-            bernoulli_polynomial(m + n - s + 1)) for s in range(1, n + 1)]
-        + [(tail * (1 - alpha) / da * ha[m + n + 1], Polynomial.one())]
-    )
-    return _mismatches("x", lhs, rhs)
+
+    def expansion():
+        # H_r(alpha) = ha[r] / da and H_s(beta) = hb[s] / db
+        (ha, da), (hb, db) = ta.integer_form(0, m + n + 2), tb.integer_form(0, n + 1)
+        ca, cb = (alpha - 1) / da, (beta - 1) / db
+        tail = Fraction((-1) ** (n + 1) * math.factorial(m) * math.factorial(n),
+                        math.factorial(m + n + 1))
+        return Polynomial.combination(
+            [(ca * binomial(m, r) * ha[r] / (m + n - r + 1),
+              bernoulli_polynomial(m + n - r + 1)) for r in range(1, m + 1)]
+            + [(cb * binomial(n, s) * hb[s] / (m + n - s + 1),
+                bernoulli_polynomial(m + n - s + 1)) for s in range(1, n + 1)]
+            + [(tail * (1 - alpha) / da * ha[m + n + 1], Polynomial.one())]
+        )
+
+    return "x", lambda: ta.polynomial(m) * tb.polynomial(n), expansion
 
 
 @_identity("bernoulli_product")
-def verify_bernoulli_product(m: int, n: int) -> list[Mismatch]:
+def verify_bernoulli_product(m: int, n: int) -> Routes:
     """Product of two Bernoulli polynomials against its expansion in
     Bernoulli numbers and polynomials.
 
@@ -475,21 +472,21 @@ def verify_bernoulli_product(m: int, n: int) -> list[Mismatch]:
     """
     check_at_least("m and n", min(m, n), 0)
     check_at_least("m + n", m + n, 2)
-    lhs = bernoulli_polynomial(m) * bernoulli_polynomial(n)
-    terms = []
-    for r in range(max(m, n) // 2 + 1):
-        weight = binomial(m, 2 * r) * n + binomial(n, 2 * r) * m
-        if weight == 0:
-            continue
-        terms.append((weight * bernoulli_number(2 * r) / (m + n - 2 * r),
-                      bernoulli_polynomial(m + n - 2 * r)))
-    tail = Fraction(
-        (-1) ** (m + 1) * math.factorial(m) * math.factorial(n),
-        math.factorial(m + n),
-    )
-    terms.append((tail * bernoulli_number(m + n), Polynomial.one()))
-    rhs = Polynomial.combination(terms)
-    return _mismatches("x", lhs, rhs)
+
+    def expansion():
+        terms = []
+        for r in range(max(m, n) // 2 + 1):
+            weight = binomial(m, 2 * r) * n + binomial(n, 2 * r) * m
+            if weight == 0:
+                continue
+            terms.append((weight * bernoulli_number(2 * r) / (m + n - 2 * r),
+                          bernoulli_polynomial(m + n - 2 * r)))
+        tail = Fraction((-1) ** (m + 1) * math.factorial(m) * math.factorial(n),
+                        math.factorial(m + n))
+        terms.append((tail * bernoulli_number(m + n), Polynomial.one()))
+        return Polynomial.combination(terms)
+
+    return "x", lambda: bernoulli_polynomial(m) * bernoulli_polynomial(n), expansion
 
 
 # ---------------------------------------------------------------------------

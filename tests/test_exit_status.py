@@ -1,0 +1,97 @@
+"""The exit-status contract holds for any argv built from the registries.
+
+``cli.run`` is called in-process on argv made of a command, a table
+subject or an identity (or a name that is neither), the flags that the
+subject or identity takes, and flags drawn from every registered value
+flag, ``--variant`` and ``--format``, some without a value.  Values are
+small integers (negatives included), 0, 1 and -1, rationals with small
+and large denominators, and malformed strings.  Every run exits 0, 1 or 2
+and prints no traceback; a 2 prints exactly one ``error:`` line and
+nothing on stdout; a 0 or 1 prints JSON or CSV.  Sizes stay small, since
+no cost budget bounds the work yet.
+"""
+
+import contextlib
+import csv
+import io
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from feident import cli
+from feident.verify import IDENTITIES, parameters
+
+integers = st.integers(-3, 6).map(str)
+rationals = st.one_of(integers, st.sampled_from(["1/2", "-5/7", "2/3", "7/1000003", "-1000003/2"]))
+malformed = st.sampled_from(["", "x", "1/0", "1.5", "2/-3", "--", "1e3", " 2", "0x10", "1//2"])
+# flag -> its well-formed values
+CHOICES = {
+    cli._flag(dest): integers if kind is int else rationals
+    for command in ("table", "verify") for dest, (kind, _, _) in cli._value_flags(command).items()
+} | {
+    "--n-max": integers,
+    "--variant": st.sampled_from(["as-printed", "corrected", "as_printed", "neither"]),
+    "--format": st.sampled_from(["csv", "json", "xml"]),
+}
+FLAGS = sorted(CHOICES)
+
+
+def often(draw, tenths: int) -> bool:
+    """True in about ``tenths`` of ten draws."""
+    return draw(st.sampled_from(range(10))) < tenths
+
+
+def own_flags(command: str, name: str) -> list[str]:
+    """The value flags that table subject or identity ``name`` takes."""
+    if command == "table" and name in cli._SUBJECTS:
+        return [cli._flag(dest) for dest in cli._SUBJECTS[name].flags] + ["--n-max"]
+    if command == "verify" and name in IDENTITIES:
+        return [cli._flag(dest) for dest in parameters(name) if dest != "variant"]
+    return []
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    command = draw(st.sampled_from(["table", "verify", "audit", "prove"]))
+    argv = [command]
+    flags = []
+    if command in ("table", "verify"):
+        names = sorted(cli._SUBJECTS) if command == "table" else list(IDENTITIES)
+        name = draw(st.sampled_from(names + ["nothing"]))
+        argv.append(name)
+        flags = [flag for flag in own_flags(command, name) if often(draw, 9)]
+    if not often(draw, 7):
+        flags += draw(st.lists(st.sampled_from(FLAGS), min_size=1, max_size=2))
+    for flag in draw(st.permutations(flags)):
+        argv.append(flag)
+        if often(draw, 9):
+            argv.append(draw(CHOICES[flag] if often(draw, 9) else malformed))
+    return argv
+
+
+def parses(out: str) -> bool:
+    """Whether ``out`` is one JSON document, or CSV with a header and rows
+    of its width."""
+    try:
+        json.loads(out)
+        return True
+    except ValueError:
+        rows = list(csv.reader(io.StringIO(out)))
+        return len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)
+
+
+@settings(deadline=None, max_examples=200)
+@given(argvs())
+def test_exit_status_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert status in (0, 1, 2), (status, err)
+    assert "Traceback" not in out + err
+    if status == 2:
+        assert out == ""
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+    else:
+        assert parses(out), out

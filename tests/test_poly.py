@@ -78,6 +78,26 @@ def test_degree_and_coefficient():
             p.coefficient(d)
 
 
+def test_coefficient_and_value_read_the_integer_form():
+    """On a fresh polynomial, a coefficient or a value makes no Fraction
+    per coefficient, and equals the one read from ``coeffs``."""
+    from feident.frobenius import fe_polynomial
+
+    p = fe_polynomial(40, Fraction(5, 8))
+    points = [0, 1, -1, 7, Fraction(3, 7), Fraction(-22, 5), Fraction(5, 8)]
+    degrees = [0, 1, 17, 40, 41, 90]
+    values = [p(x) for x in points]
+    coefficients = [p.coefficient(d) for d in degrees]
+    assert p._fracs is None
+    for x, value in zip(points, values):
+        acc = Fraction(0)
+        for c in reversed(p.coeffs):
+            acc = acc * x + c
+        assert type(value) is Fraction and value == acc
+    assert coefficients == [p.coeffs[d] if d <= 40 else 0 for d in degrees]
+    assert all(type(c) is Fraction for c in coefficients)
+
+
 def test_evaluation_horner():
     p = Polynomial([1, -2, 3])  # 1 - 2x + 3x^2
     assert p(Fraction(1, 2)) == 1 - 1 + Fraction(3, 4)

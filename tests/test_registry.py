@@ -152,12 +152,13 @@ def test_checker_schema(identity):
 @pytest.mark.parametrize("identity", IDENTITIES)
 def test_checker_signature_is_the_body_signature(identity):
     """``help()`` shows the body's signature: the registry keeps the
-    schema as data, and ``functools.wraps`` points at the body."""
+    schema as data, and ``functools.wraps`` points at the body, which
+    returns its two routes."""
     checker = CHECKERS[identity]
     signature = inspect.signature(checker)
     assert signature == inspect.signature(checker.__wrapped__)
     assert list(signature.parameters) == list(parameters(identity))
-    assert signature.return_annotation == "list[Mismatch]"
+    assert signature.return_annotation == "Routes"
 
 
 def test_schema_is_read_only():

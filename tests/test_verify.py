@@ -88,8 +88,8 @@ def test_sides_match_the_paper_form(N, u, variant):
     x = Fraction(-3, 2)
     for T in (N, 12, 20):
         lhs, rhs = paper_sides(N, u, T, variant)
-        sides = _derivative_expansion(N, u, T, variant)
-        assert [side.coeffs for side in sides] == [tuple(lhs), tuple(rhs)]
+        routes = _derivative_expansion(N, u, T, variant)
+        assert [route().coeffs for route in routes] == [tuple(lhs), tuple(rhs)]
         report = verify_theorem1(N, u, T, variant)
         assert list(report.mismatches) == paper_mismatches(lhs, rhs)
         report = verify_corollary2(N, u, x, T, variant)
@@ -408,6 +408,12 @@ class TestReports:
             Mismatch("x^1", 0, 2), Mismatch("x^2", 3, 0)
         ]
         assert _mismatches("t", rhs, lhs)[-1] == Mismatch("t^2", 0, 3)
+
+    def test_scalars_are_one_entry_forms_labelled_by_var(self):
+        assert _mismatches("value", Fraction(2, 3), Fraction(4, 6)) == []
+        assert _mismatches("value", Fraction(-1, 3), Fraction(1, 3)) == [
+            Mismatch("value", Fraction(-1, 3), Fraction(1, 3))
+        ]
 
 
 # Strings with quotes, backslashes, control characters, non-ASCII (a
