@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -47,7 +48,10 @@ _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 def as_fraction(value) -> Fraction:
     """An int or a Fraction as a Fraction; any other type, ``bool``
-    included, raises TypeError."""
+    included, raises TypeError.  A ``Fraction`` (not a subclass) is
+    returned as it is."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("float coefficients are not allowed; use Fraction")
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
@@ -170,27 +174,26 @@ class Coefficients:
 
 
 def combine(
-    terms: Iterable[tuple[Fraction | int, tuple[Sequence[int], int]]]
+    terms: Iterable[tuple[tuple[int, int], tuple[Sequence[int], int]]]
 ) -> tuple[list[int], int]:
-    """``(totals, lcm)``: entry i of sum scalar * numerators / d over the
-    ``(scalar, (numerators, d))`` pairs, as long as the longest numerator
-    list (shorter ones count as padded with zeros).
+    """``(totals, lcm)``: entry i of sum num / den * numerators / d over the
+    ``((num, den), (numerators, d))`` pairs of integer weights and integer
+    forms, as long as the longest numerator list (shorter ones count as
+    padded with zeros).  Each ``den`` and ``d`` is a nonzero int; ``lcm``
+    is positive.
 
-    Terms with a zero scalar are skipped.  The others are put over one
+    Terms with a zero weight are skipped.  The others are put over one
     lcm and summed in integers; nothing is reduced."""
     width, scaled = 0, []
-    for scalar, (nums, d) in terms:
+    for (num, den), (nums, d) in terms:
         width = max(width, len(nums))
-        if type(scalar) is not Fraction:
-            scalar = as_fraction(scalar)
-        if scalar:
-            scaled.append((scalar.numerator, scalar.denominator * d, nums))
+        if num:
+            scaled.append((num, den * d, nums))
     lcm = math.lcm(*[den for _, den, _ in scaled])
     total = [0] * width
     for num, den, nums in scaled:
-        weight = num * (lcm // den)
-        for i, v in enumerate(nums):
-            total[i] += weight * v
+        # lcm // den carries the sign of den
+        total[: len(nums)] = map(add, total, map((num * (lcm // den)).__mul__, nums))
     return total, lcm
 
 

@@ -37,7 +37,8 @@ its own route's code.
   checks read it again; ``fe_polynomial`` keeps nothing.  (The CLI's
   polynomial rows are made from ``fe_number``'s Fractions instead.)
 - Triangle formula: (N, variant) -> the weights prefactor * a_k(N),
-  k < N, from one ``triangle_recurrence`` row.
+  k < N, from one ``triangle_recurrence`` row, as integer numerators
+  over one denominator.
 - Series: N -> F(u)^N, the EGF of the order-N numbers, in integer form;
   F = (1-u)/(e^t - u) from ``frobenius_oracle`` is the N = 1 entry
   (theorem1 reads F and F^N here too).  Order n is served by truncating the
@@ -67,7 +68,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from operator import mul, sub
 
-from .exact import check_at_least, combine, exact_parameter
+from .exact import check_at_least, exact_parameter, lowest_terms
 from .poly import Polynomial
 from .series import EgfSeries, bernoulli_oracle, frobenius_oracle, series_pow, series_truncate
 from .stirling import triangle_recurrence
@@ -178,17 +179,20 @@ class _NumberTable:
             powers[order] = kept
         return series_truncate(kept, n_max)
 
-    def weights(self, order: int, variant: str) -> list[Fraction]:
+    def weights(self, order: int, variant: str) -> tuple[list[int], int]:
         """prefactor * a_k(order) for k < order, from the triangle route
-        only; u != 0."""
+        only, as numerators over one positive denominator; u != 0."""
         key = (order, variant)
         weights = self._weights.get(key)
         if weights is None:
-            u = self._u
-            factor = (1 - u) / u if variant == "as_printed" else (u - 1) / u
-            prefactor = factor ** (order - 1) / math.factorial(order - 1)
-            weights = [prefactor * a for a in triangle_recurrence(order).row(order)]
-            self._weights[key] = weights
+            # factor = (u-1)/u = r/p, or (1-u)/u = -r/p as printed
+            p, r = self._p, self._r
+            num = (-r if variant == "as_printed" else r) ** (order - 1)
+            den = p ** (order - 1) * math.factorial(order - 1)
+            if den < 0:
+                num, den = -num, -den
+            weights = self._weights[key] = lowest_terms(
+                [num * a for a in triangle_recurrence(order).row(order)], den)
         return weights
 
 
@@ -240,16 +244,18 @@ def fe_higher_number_formula(
     with factor (u-1)/u for ``corrected`` and (1-u)/u for ``as_printed``.
     Shares nothing with the series route beyond basic arithmetic.
     """
-    return _formula_numbers(n, order, u, variant, first=n)[0]
+    (num,), d = _formula_numbers(n, order, u, variant, first=n).integer_form
+    return Fraction(num, d)
 
 
 def _formula_numbers(
     n_max: int, order: int, u: Fraction, variant: str, first: int = 0
 ) -> EgfSeries:
     """H_first^(N)(u)..H_{n_max}^(N)(u) by :func:`fe_higher_number_formula`,
-    in integer form: entry n is sum_k w_k * H_{n+k}(u), one integer
-    combination of shifted slices of the prefix, with the weights
-    w_k = prefactor * a_k(N) kept in the table of u."""
+    in integer form: entry n is sum_k w_k * H_{n+k}(u), one integer dot
+    product over a shifted slice of the prefix, with the weights w_k =
+    prefactor * a_k(N) kept in the table of u as integers over one
+    denominator."""
     check_at_least("n", n_max, 0)
     check_at_least("order", order, 1)
     table = _table(_check_u(u, forbid_zero=True))
@@ -257,12 +263,16 @@ def _formula_numbers(
     return _shifted_sum(weights, table.integer_form(first, n_max + order), n_max + 1 - first)
 
 
-def _shifted_sum(weights, form: tuple[list[int], int], width: int) -> EgfSeries:
-    """sum_k weights[k] * nums[k : k + width] / d for ``form`` = (nums, d):
-    the triangle formula's sum_k w_k H_{n+k}, and, as the k-th derivative
-    of an EGF is its shift by k, theorem1's sum_k w_k H^(k)."""
-    nums, d = form
-    return EgfSeries._of(combine((w, (nums[k: k + width], d)) for k, w in enumerate(weights)))
+def _shifted_sum(weights: tuple[list[int], int], form: tuple[list[int], int],
+                 width: int) -> EgfSeries:
+    """sum_k w_k * nums[k : k + width] / d for ``weights`` = (w, e) and
+    ``form`` = (nums, d), over the denominator e * d: the triangle
+    formula's sum_k w_k H_{n+k}, and, as the k-th derivative of an EGF is
+    its shift by k, theorem1's sum_k w_k H^(k).  Entry i is one integer
+    dot product of w with nums[i : i + len(w)]."""
+    (w, e), (nums, d) = weights, form
+    k = len(w)
+    return EgfSeries._of(([sum(map(mul, w, nums[i: i + k])) for i in range(width)], e * d))
 
 
 def fe_higher_polynomial(n: int, order: int, u: Fraction) -> Polynomial:
@@ -280,7 +290,8 @@ def euler_polynomial(n: int) -> Polynomial:
 def bernoulli_number(n: int) -> Fraction:
     """B_n from t/(e^t - 1); B_1 = -1/2 in this convention."""
     check_at_least("n", n, 0)
-    return bernoulli_oracle(n)[n]
+    nums, d = bernoulli_oracle(n).integer_form
+    return Fraction(nums[n], d)
 
 
 def bernoulli_polynomial(n: int) -> Polynomial:

@@ -11,12 +11,14 @@ positive denominator, put over the lcm of their denominators when it is
 built, plus the Fractions once read (:class:`feident.exact.Coefficients`).
 The product of two polynomials is convolved on the integer forms and put
 in lowest terms.
-``Polynomial.combination`` sums scalar multiples of polynomials through
+``Polynomial.combination`` sums weighted polynomials through
 :func:`feident.exact.combine`: every term over one lcm and one integer sum,
-in integer form.  Every linear operator is one combination: a product by a
-scalar has one term, ``-p`` one, and ``p + q``, ``p - q`` (either operand a
-scalar) two.  A float or bool operand, evaluation point or exponent raises
-TypeError.
+in integer form.  A weight is an int or Fraction scalar, made an integer
+pair ``(num, den)`` once per term, or such a pair already, so the sum
+itself runs on integers only.  Every linear operator is one combination: a
+product by a scalar has one term, ``-p`` one, and ``p + q``, ``p - q``
+(either operand a scalar) two.  A float or bool operand, evaluation point
+or exponent raises TypeError.
 ``Polynomial.appell`` builds the integer form from the numbers' own, for
 numbers held as a series, or puts a plain sequence of numbers over one
 denominator first.
@@ -34,6 +36,7 @@ from .exact import (Coefficients, as_fraction, binomial, check_at_least, combine
 __all__ = ["Polynomial"]
 
 Scalar = Union[int, Fraction]
+Weight = Union[Scalar, tuple[int, int]]
 
 
 def _trimmed(values: list, zero) -> list:
@@ -41,6 +44,23 @@ def _trimmed(values: list, zero) -> list:
     while len(values) > 1 and not values[-1]:
         values.pop()
     return values or [zero]
+
+
+def _weight(value) -> tuple[int, int]:
+    """A combination weight as an integer pair ``(num, den)``: a tuple must
+    be such a pair already, two ints with ``den != 0`` (TypeError or
+    ValueError otherwise), and an int or Fraction scalar is converted (any
+    other type, ``bool`` included, raises TypeError)."""
+    if type(value) is tuple:
+        num, den = value
+        if type(num) is not int or type(den) is not int:
+            raise TypeError("a weight pair must be two ints (num, den)")
+        if den == 0:
+            raise ValueError("a weight pair must have a nonzero denominator")
+        return value
+    if type(value) is not int and type(value) is not Fraction:
+        value = as_fraction(value)
+    return value.numerator, value.denominator
 
 
 def _appell_ints(nums: list[int], d: int) -> tuple[list[int], int]:
@@ -65,15 +85,15 @@ class Polynomial(Coefficients):
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls((0,))
+        return cls._of(([0], 1))
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return cls((1,))
+        return cls._of(([1], 1))
 
     @classmethod
     def x(cls) -> "Polynomial":
-        return cls((0, 1))
+        return cls._of(([0, 1], 1))
 
     @classmethod
     def constant(cls, value: Scalar) -> "Polynomial":
@@ -91,11 +111,13 @@ class Polynomial(Coefficients):
         return cls._from_ints(*_appell_ints(*ints))
 
     @classmethod
-    def combination(cls, terms: Iterable[tuple[Scalar, "Polynomial"]]) -> "Polynomial":
-        """sum scalar * poly over the ``(scalar, poly)`` pairs, summed in
+    def combination(cls, terms: Iterable[tuple[Weight, "Polynomial"]]) -> "Polynomial":
+        """sum weight * poly over the ``(weight, poly)`` pairs, summed in
         integers over one common denominator (see
-        :func:`feident.exact.combine`); zero for no terms."""
-        return cls._from_ints(*combine((c, p.integer_form) for c, p in terms))
+        :func:`feident.exact.combine`); zero for no terms.  A weight is an
+        int or Fraction, or an integer pair ``(num, den)`` with ``den != 0``
+        for num / den."""
+        return cls._from_ints(*combine((_weight(w), p.integer_form) for w, p in terms))
 
     @property
     def degree(self) -> int:
@@ -176,10 +198,10 @@ class Polynomial(Coefficients):
     def __truediv__(self, other) -> "Polynomial":
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        other = as_fraction(other)
-        if other == 0:
+        num, den = _weight(other)
+        if num == 0:
             raise ZeroDivisionError("polynomial divided by zero scalar")
-        return self * (1 / other)
+        return Polynomial.combination([((den, num), self)])
 
     def __pow__(self, exponent: int) -> "Polynomial":
         check_at_least("exponent", exponent, 0)

@@ -15,11 +15,11 @@ Fraction until ``coeffs`` is read: a product convolves the numerators,
 with binomial weights row by row from Pascal's rule, and puts the result
 in lowest terms; a scale multiplies numerators and denominator; a
 truncation slices the numerators, and the Fractions when they are held.
-The reciprocal makes each output Fraction for its own bookkeeping,
-keeping the outputs so far as numerators over the lcm of their reduced
-denominators, so its intermediates grow with the true denominators, not
-with powers of the constant term; it keeps those Fractions.  Every order
-and index is checked by :func:`feident.exact.check_at_least`.
+The reciprocal reduces each output with one integer gcd, keeping the
+outputs so far as numerators over the lcm of their reduced denominators,
+so its intermediates grow with the true denominators, not with powers of
+the constant term; it makes no Fraction either.  Every order and index is
+checked by :func:`feident.exact.check_at_least`.
 
 Mixed-order operands are truncated to the shorter order, never padded:
 callers size their inputs deliberately.
@@ -35,8 +35,8 @@ truncation, so served values do not depend on what was asked before.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from math import gcd
 from operator import add, mul
 from typing import Iterable, Iterator
 
@@ -121,7 +121,7 @@ def series_mul(a: EgfSeries, b: EgfSeries) -> EgfSeries:
 
 
 def series_reciprocal(a: EgfSeries) -> EgfSeries:
-    """Multiplicative inverse to full order, its Fractions kept.
+    """Multiplicative inverse to full order, in integer form.
 
     b_0 = 1/a_0 and b_n = -(1/a_0) sum_{k<n} C(n,k) a_{n-k} b_k.
     Requires a nonzero constant coefficient.
@@ -130,29 +130,31 @@ def series_reciprocal(a: EgfSeries) -> EgfSeries:
     kept as numerators over L, the lcm of their reduced denominators,
     rescaled whenever L grows, so b_n = -S / (A_0 L) with S the integer
     sum; one gcd per output.  Those numerators over L are the result's
-    integer form, and the reduced outputs its Fractions.
+    integer form.
     """
     an, d = a.integer_form
     if an[0] == 0:
         raise ValueError("series with zero constant coefficient is not invertible")
     an = an[::-1]
     t = a.order
-    out = [Fraction(d, an[t])]
-    lcm, nums = out[0].denominator, [out[0].numerator]
+    # b_0 = D / A_0 and b_n = sign * S / (|A_0| L), each in lowest terms
+    a0, sign = abs(an[t]), (-1 if an[t] > 0 else 1)
+    g = math.gcd(d, a0)
+    lcm, nums = a0 // g, [-sign * d // g]
     rows = _binomial_rows(t)
     next(rows)
     for n, row in enumerate(rows, 1):
         # an[t - n + k] is A_{n-k}
         s = sum(map(mul, row, map(mul, an[t - n: t], nums)))
-        b = Fraction(-s, an[t] * lcm)
-        out.append(b)
-        den = b.denominator
+        den = a0 * lcm
+        g = math.gcd(s, den)
+        num, den = sign * s // g, den // g
         if lcm % den:
-            grow = den // gcd(lcm, den)
+            grow = den // math.gcd(lcm, den)
             lcm *= grow
             nums = [v * grow for v in nums]
-        nums.append(b.numerator * (lcm // den))
-    return EgfSeries._of((nums, lcm), tuple(out))
+        nums.append(num * (lcm // den))
+    return EgfSeries._of((nums, lcm))
 
 
 def series_pow(a: EgfSeries, exponent: int) -> EgfSeries:
@@ -215,6 +217,8 @@ def bernoulli_oracle(order: int) -> EgfSeries:
     prefix = _bernoulli_prefix
     if order > prefix.order:
         size = max(order, 2 * prefix.order)
-        g = EgfSeries([Fraction(1, n + 1) for n in range(size + 1)])
+        # 1/(n+1) = (L/(n+1)) / L with L = lcm(1..size+1)
+        lcm = math.lcm(*range(1, size + 2))
+        g = EgfSeries._of(([lcm // (n + 1) for n in range(size + 1)], lcm))
         prefix = _bernoulli_prefix = series_reciprocal(g)
     return series_truncate(prefix, order)

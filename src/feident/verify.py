@@ -20,11 +20,14 @@ timed and traced alone; ``tests/test_route_map.py`` pins what each enters.
 The routes' sums run on integers: corollary4 and eq60_multinomial sum
 multinomial(k; l) * prod nums[l_i] over the table's integer numerators of
 H_0..H_n, and the Carlitz and Bernoulli products are each one integer
-combination of their terms' integer forms.  theorem1 reads both routes
-from the number table of u, as theorem3 does: H = (1-u)F and H^N, and the
-triangle weights w_k summed over shifted slices of H; this module computes
-no series power, inverse or triangle row itself.  corollary2 is theorem1
-with both sides multiplied by e^{xt} once.
+combination of their terms' integer forms, with each weight an integer
+pair (num, den) made from the parameters' numerators and denominators and
+the tables' integer forms, never a chain of Fractions.  theorem1 reads
+both routes from the number table of u, as theorem3 does: H = (1-u)F and
+H^N, and the triangle weights w_k summed over shifted slices of H, each
+side times one integer pair; this module computes no series power,
+inverse or triangle row itself.  corollary2 is theorem1 with both sides
+multiplied by e^{xt} once.
 
 Reports are deterministic functions of (identity, params, variant), and a
 report passes exactly when its mismatch list is empty.  A ``Mismatch``
@@ -82,7 +85,7 @@ from .frobenius import (
     fe_higher_polynomial,
 )
 from .poly import Polynomial
-from .series import EgfSeries, exp_xt, series_mul, series_scale
+from .series import EgfSeries, exp_xt, series_mul
 
 __all__ = [
     "Mismatch",
@@ -282,8 +285,9 @@ def _derivative_expansion(N, u, T, variant):
     """theorem1's routes to order T-(N-1), from the table of u, where
     H = (1-u)F: H^N and sum_k w_k H^(k) with theorem3's weights, each times
     c = (N-1)! * s * u^(N-1) / (1-u)^N, which gives the paper's two sides
-    (w_k carries the sign s).  H is read to order T first, so the table
-    computes it once."""
+    (w_k carries the sign s).  For u = p/q, c = cn / cd with cn = (N-1)! *
+    s * p^(N-1) * q and cd = (q-p)^N, the sign put in cn.  H is read to
+    order T first, so the table computes it once."""
     check_at_least("N", N, 1)
     u = _check_u(u, forbid_zero=True)
     if T < N:
@@ -291,11 +295,21 @@ def _derivative_expansion(N, u, T, variant):
     table = _table(u)
     target = T - (N - 1)
     h = table.power(T, 1)
+    p, q = u.numerator, u.denominator
     sign = 1 if variant == "as_printed" else (-1) ** (N - 1)
-    c = math.factorial(N - 1) * sign * u ** (N - 1) / (1 - u) ** N
-    return (lambda: series_scale(table.power(target, N), c),
-            lambda: series_scale(_shifted_sum(table.weights(N, variant), h.integer_form,
-                                              target + 1), c))
+    cn, cd = math.factorial(N - 1) * sign * p ** (N - 1) * q, (q - p) ** N
+    if cd < 0:
+        cn, cd = -cn, -cd
+
+    def powers():
+        nums, d = table.power(target, N).integer_form
+        return EgfSeries._of(([cn * v for v in nums], cd * d))
+
+    def derivatives():
+        w, e = table.weights(N, variant)
+        return _shifted_sum(([cn * v for v in w], cd * e), h.integer_form, target + 1)
+
+    return powers, derivatives
 
 
 @_identity("theorem1")
@@ -405,22 +419,29 @@ def verify_carlitz(m: int, n: int, alpha, beta, variant: str = "corrected") -> R
     alpha, beta = exact_parameter(alpha), exact_parameter(beta)
     if alpha == 1 or beta == 1:
         raise ValueError("alpha = 1 or beta = 1 is outside the parameter domain")
-    if alpha * beta == 1:
-        raise ValueError("alpha*beta = 1 needs the reciprocal-parameter identity")
     ab = alpha * beta
+    if ab == 1:
+        raise ValueError("alpha*beta = 1 needs the reciprocal-parameter identity")
     ta, tb, tab = _table(alpha), _table(beta), _table(ab)
 
     def expansion():
-        c_plain = (1 - alpha) * (1 - beta) / (1 - ab)
-        c_alpha = alpha * (1 - beta) / (1 - ab)
-        c_beta = beta * (1 - (beta if variant == "as_printed" else alpha)) / (1 - ab)
+        # With alpha = a1/a2 and beta = b1/b2, g = a2*b2*(1 - alpha*beta), and
+        # the coefficients (1-alpha)(1-beta), alpha(1-beta) and beta(1-alpha)
+        # (beta(1-beta) as printed), each over 1 - alpha*beta, are the
+        # integer pairs below.
+        a1, a2, b1, b2 = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
+        g = a2 * b2 - a1 * b1
+        ca, cb, gb = a1 * (b2 - b1), b1 * (a2 - a1), g
+        if variant == "as_printed":
+            cb, gb = b1 * (b2 - b1) * a2, b2 * g
         # H_r(alpha) = ha[r] / da and H_s(beta) = hb[s] / db
         (ha, da), (hb, db) = ta.integer_form(0, m + 1), tb.integer_form(0, n + 1)
-        ca, cb = c_alpha / da, c_beta / db
         return Polynomial.combination(
-            [(c_plain, tab.polynomial(m + n))]
-            + [(ca * binomial(m, r) * ha[r], tab.polynomial(m + n - r)) for r in range(m + 1)]
-            + [(cb * binomial(n, s) * hb[s], tab.polynomial(m + n - s)) for s in range(n + 1)]
+            [(((a2 - a1) * (b2 - b1), g), tab.polynomial(m + n))]
+            + [((ca * binomial(m, r) * ha[r], g * da), tab.polynomial(m + n - r))
+               for r in range(m + 1)]
+            + [((cb * binomial(n, s) * hb[s], gb * db), tab.polynomial(m + n - s))
+               for s in range(n + 1)]
         )
 
     return "x", lambda: ta.polynomial(m) * tb.polynomial(n), expansion
@@ -444,17 +465,17 @@ def verify_carlitz_reciprocal(m: int, n: int, alpha) -> Routes:
     ta, tb = _table(alpha), _table(beta)
 
     def expansion():
-        # H_r(alpha) = ha[r] / da and H_s(beta) = hb[s] / db
+        # H_r(alpha) = ha[r] / da and H_s(beta) = hb[s] / db; with
+        # alpha = a1/a2, alpha - 1 = (a1-a2)/a2 and beta - 1 = (a2-a1)/a1
         (ha, da), (hb, db) = ta.integer_form(0, m + n + 2), tb.integer_form(0, n + 1)
-        ca, cb = (alpha - 1) / da, (beta - 1) / db
-        tail = Fraction((-1) ** (n + 1) * math.factorial(m) * math.factorial(n),
-                        math.factorial(m + n + 1))
+        a1, a2 = alpha.numerator, alpha.denominator
+        tail = (-1) ** (n + 1) * math.factorial(m) * math.factorial(n) * (a2 - a1)
         return Polynomial.combination(
-            [(ca * binomial(m, r) * ha[r] / (m + n - r + 1),
+            [(((a1 - a2) * binomial(m, r) * ha[r], a2 * da * (m + n - r + 1)),
               bernoulli_polynomial(m + n - r + 1)) for r in range(1, m + 1)]
-            + [(cb * binomial(n, s) * hb[s] / (m + n - s + 1),
+            + [(((a2 - a1) * binomial(n, s) * hb[s], a1 * db * (m + n - s + 1)),
                 bernoulli_polynomial(m + n - s + 1)) for s in range(1, n + 1)]
-            + [(tail * (1 - alpha) / da * ha[m + n + 1], Polynomial.one())]
+            + [((tail * ha[m + n + 1], math.factorial(m + n + 1) * a2 * da), Polynomial.one())]
         )
 
     return "x", lambda: ta.polynomial(m) * tb.polynomial(n), expansion
@@ -479,11 +500,13 @@ def verify_bernoulli_product(m: int, n: int) -> Routes:
             weight = binomial(m, 2 * r) * n + binomial(n, 2 * r) * m
             if weight == 0:
                 continue
-            terms.append((weight * bernoulli_number(2 * r) / (m + n - 2 * r),
+            b = bernoulli_number(2 * r)
+            terms.append(((weight * b.numerator, b.denominator * (m + n - 2 * r)),
                           bernoulli_polynomial(m + n - 2 * r)))
-        tail = Fraction((-1) ** (m + 1) * math.factorial(m) * math.factorial(n),
-                        math.factorial(m + n))
-        terms.append((tail * bernoulli_number(m + n), Polynomial.one()))
+        b = bernoulli_number(m + n)
+        tail = (-1) ** (m + 1) * math.factorial(m) * math.factorial(n)
+        terms.append(((tail * b.numerator, math.factorial(m + n) * b.denominator),
+                      Polynomial.one()))
         return Polynomial.combination(terms)
 
     return "x", lambda: bernoulli_polynomial(m) * bernoulli_polynomial(n), expansion

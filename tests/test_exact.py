@@ -21,6 +21,7 @@ from feident.exact import (
     to_fractions,
     weak_compositions,
 )
+from feident.poly import Polynomial
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 nonzero_rationals = rationals.filter(lambda q: q != 0)
@@ -153,29 +154,40 @@ def fraction_combination(terms) -> list:
 
 
 class TestLinearCombination:
-    """``combine`` sums scalar multiples of integer forms; ``to_fractions``
+    """``combine`` sums integer-weighted integer forms; ``to_fractions``
     reads the sum."""
 
     def test_examples(self):
-        terms = [(Fraction(1, 2), common_denominator([Fraction(1, 3), 2])),
-                 (-3, ([1], 6)), (0, ([1, 2, 3, 4], 1))]
+        terms = [((1, 2), common_denominator([Fraction(1, 3), 2])),
+                 ((-3, 1), ([1], 6)), ((0, 1), ([1, 2, 3, 4], 1))]
         assert to_fractions(*combine(terms)) == (Fraction(-1, 3), 1, 0, 0)
         assert combine([]) == ([], 1)
 
-    @given(st.lists(st.tuples(rationals, st.lists(rationals, max_size=6)), max_size=6))
+    def test_unreduced_and_negative_denominators(self):
+        # 2/4 * 1/3 + 3/-2 * 1/1 = -4/3, over a positive lcm
+        total, lcm = combine([((2, 4), ([1], 3)), ((3, -2), ([1], 1))])
+        assert lcm > 0
+        assert to_fractions(total, lcm) == (Fraction(-4, 3),)
+
+    @given(st.lists(st.tuples(rationals, st.lists(rationals, max_size=6),
+                              st.sampled_from([-3, -1, 1, 2])), max_size=6))
     def test_matches_fraction_arithmetic(self, terms):
-        # zero and negative scalars, mixed denominators, unequal lengths, no terms
-        out = to_fractions(*combine((c, common_denominator(seq)) for c, seq in terms))
+        # zero and negative weights, weights not in lowest terms or over a
+        # negative denominator, mixed denominators, unequal lengths, no terms
+        out = to_fractions(*combine(((k * c.numerator, k * c.denominator), common_denominator(seq))
+                                    for c, seq, k in terms))
         assert all(type(c) is Fraction for c in out)
-        assert list(out) == fraction_combination(terms)
+        assert list(out) == fraction_combination([(c, seq) for c, seq, _ in terms])
 
     def test_accepts_any_sequence(self):
-        assert to_fractions(*combine(((2, ((1,), 4)),))) == (Fraction(1, 2),)
-        assert to_fractions(*combine(iter([(1, (range(3), 1))]))) == (0, 1, 2)
+        assert to_fractions(*combine((((2, 1), ((1,), 4)),))) == (Fraction(1, 2),)
+        assert to_fractions(*combine(iter([((1, 1), (range(3), 1))]))) == (0, 1, 2)
 
     def test_float_scalar_raises(self):
+        # combine takes integer weights only; a float is refused where a
+        # scalar becomes a weight
         with pytest.raises(TypeError, match="float"):
-            combine([(0.5, ([1], 1))])
+            Polynomial.combination([(0.5, Polynomial.one())])
 
 
 class TestBinomial:

@@ -121,10 +121,12 @@ class TestKernelsInEveryForm:
     @given(st.lists(st.tuples(scalar, coefficients), max_size=5), spare)
     @settings(deadline=None, max_examples=60)
     def test_linear_combination(self, terms, k):
+        weights = [(Fraction(c).numerator, Fraction(c).denominator) for c, _ in terms]
         want = to_fractions(*combine(
-            (c, common_denominator([Fraction(x) for x in xs])) for c, xs in terms))
+            (w, common_denominator([Fraction(x) for x in xs])) for w, (_, xs) in zip(weights, terms)))
         for form in range(3):
-            values = [(c, in_forms(EgfSeries, xs, k)[form].integer_form) for c, xs in terms]
+            values = [(w, in_forms(EgfSeries, xs, k)[form].integer_form)
+                      for w, (_, xs) in zip(weights, terms)]
             assert to_fractions(*combine(values)) == want
 
     @given(coefficients, spare)

@@ -55,6 +55,18 @@ def test_combination_examples():
     assert Polynomial.combination([(1, q), (-1, q)]) == Polynomial.zero()
     assert Polynomial.combination([(0, q)]) == Polynomial.zero()
     assert Polynomial.combination([]) == Polynomial.zero()
+    # a weight may be an integer pair (num, den), unreduced or over a
+    # negative denominator
+    assert Polynomial.combination([((4, 2), p), ((1, -3), q)]) == Polynomial([2, 1, -1])
+
+
+@pytest.mark.parametrize("pair,error", [
+    ((Fraction(1), 2), TypeError), ((0.5, 1), TypeError), ((1, True), TypeError),
+    ((1, 0), ValueError),
+])
+def test_combination_refuses_a_malformed_weight_pair(pair, error):
+    with pytest.raises(error):
+        Polynomial.combination([(pair, Polynomial.one())])
 
 
 @given(st.lists(st.tuples(coeff, polys), max_size=6))
