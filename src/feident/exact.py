@@ -11,10 +11,11 @@ an optional leading ``-``, the denominator omitted when it is 1 (``"2"``,
 ``"-1/3"``).
 
 :class:`Coefficients` is the storage shared by series and polynomials:
-integer numerators over one positive denominator, plus their Fractions
-once read.  Kernels read and return the integer form, so a chain of them
-makes no Fraction; :func:`to_fractions` is the one place an integer form
-becomes Fractions, when a value's ``coeffs`` is first read.
+integer numerators over one positive denominator, its only stored form.
+Kernels read and return it, so a chain of them makes no Fraction;
+:func:`to_fractions` is the one place it becomes Fractions, on each read
+of ``coeffs``.  :func:`differing_entries` is the one comparison of two
+integer forms, for equality and for the verification harness alike.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import zip_longest
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
@@ -35,6 +37,7 @@ __all__ = [
     "common_denominator",
     "to_fractions",
     "lowest_terms",
+    "differing_entries",
     "Coefficients",
     "combine",
     "binomial",
@@ -135,27 +138,41 @@ def lowest_terms(numerators: list[int], d: int) -> tuple[list[int], int]:
     return [v // g for v in numerators], d // g
 
 
+def differing_entries(a: tuple, b: tuple) -> Iterator[tuple[int, int, int]]:
+    """``(i, x, y)`` for each entry i where the integer forms ``a`` =
+    (xs, d_a) and ``b`` = (ys, d_b), both d > 0, differ: x * d_b != y * d_a,
+    the shorter padded with zeros.  Makes no Fraction."""
+    (xs, da), (ys, db) = a, b
+    return ((i, x, y) for i, (x, y) in enumerate(zip_longest(xs, ys, fillvalue=0))
+            if x * db != y * da)
+
+
 class Coefficients:
-    """Immutable coefficients c_0..c_k, held as ``integer_form``, a pair
-    ``(numerators, d)`` with d > 0 and c_i = numerators[i] / d.  ``coeffs``
-    is their tuple of Fractions, made the first time it is read and kept.
-    The numerator list is shared, so no caller may mutate it.  The
-    Fractions are published by one slot assignment, so threads that race
-    at worst make them twice.  Pickling, equality and hashing read the
-    Fractions."""
+    """Immutable coefficients c_0..c_k, stored only as ``integer_form``,
+    ``(numerators, d)`` with d > 0 and c_i = numerators[i] / d; ``coeffs``
+    makes their Fractions on each read.  No caller may mutate the shared
+    numerator list.  Values of one class are equal when their forms hold the
+    same values (:func:`differing_entries`); hashing and pickling read Fractions."""
 
-    __slots__ = ("integer_form", "_fracs")
+    __slots__ = ("integer_form",)
 
-    def _hold(self, ints, fracs=None):
+    def _hold(self, ints):
         object.__setattr__(self, "integer_form", ints)
-        object.__setattr__(self, "_fracs", fracs)
         return self
 
     @classmethod
-    def _of(cls, ints, fracs=None):
-        """A value holding the integer form ``ints`` (and the Fractions
-        ``fracs``, when given) as they are, unchecked."""
-        return object.__new__(cls)._hold(ints, fracs)
+    def _of(cls, ints):
+        """A value holding the integer form ``ints`` as it is, unchecked."""
+        return object.__new__(cls)._hold(ints)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        a, b = self.integer_form, other.integer_form
+        return len(a[0]) == len(b[0]) and next(differing_entries(a, b), None) is None
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -165,9 +182,7 @@ class Coefficients:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        if self._fracs is None:
-            object.__setattr__(self, "_fracs", to_fractions(*self.integer_form))
-        return self._fracs
+        return to_fractions(*self.integer_form)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}([{', '.join(str(c) for c in self.coeffs)}])"

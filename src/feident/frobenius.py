@@ -68,9 +68,10 @@ from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from operator import mul, sub
 
-from .exact import check_at_least, exact_parameter, lowest_terms
+from .exact import check_at_least, lowest_terms
 from .poly import Polynomial
-from .series import EgfSeries, bernoulli_oracle, frobenius_oracle, series_pow, series_truncate
+from .series import (EgfSeries, _check_u, bernoulli_oracle, frobenius_oracle, series_pow,
+                     series_truncate)
 from .stirling import triangle_recurrence
 
 __all__ = [
@@ -87,15 +88,6 @@ __all__ = [
 ]
 
 VARIANTS = ("as_printed", "corrected")
-
-
-def _check_u(u: Fraction, forbid_zero: bool = False) -> Fraction:
-    u = exact_parameter(u)
-    if u == 1:
-        raise ValueError("u = 1 is outside the parameter domain")
-    if forbid_zero and u == 0:
-        raise ValueError("u = 0 is outside the parameter domain (division by u)")
-    return u
 
 
 def _check_variant(variant: str) -> str:
@@ -218,20 +210,20 @@ def fe_higher_numbers(n_max: int, order: int, u: Fraction) -> tuple[Fraction, ..
     return _higher_series(n_max, order, u).coeffs
 
 
-def _higher_series(n_max: int, order: int, u: Fraction) -> EgfSeries:
-    """The N-th power of the order-1 EGF to order n_max, in integer form,
-    served from the table of u."""
+def _higher_series(n_max: int, order: int, u: Fraction, first: int = 0) -> EgfSeries:
+    """H_first^(N)(u)..H_{n_max}^(N)(u) from the N-th power of the order-1
+    EGF, in integer form, served from the table of u."""
     check_at_least("n_max", n_max, 0)
     check_at_least("order", order, 1)
-    return _table(_check_u(u)).power(n_max, order)
+    nums, d = _table(_check_u(u)).power(n_max, order).integer_form
+    return EgfSeries._of((nums[first:], d))
 
 
 def fe_higher_number_oracle(n: int, order: int, u: Fraction) -> Fraction:
     """H_n^(N)(u) through the series route (the oracle side of the
     two-route checks)."""
     check_at_least("n", n, 0)
-    nums, d = _higher_series(n, order, u).integer_form
-    return Fraction(nums[n], d)
+    return _higher_series(n, order, u, first=n)[0]
 
 
 def fe_higher_number_formula(
@@ -244,8 +236,7 @@ def fe_higher_number_formula(
     with factor (u-1)/u for ``corrected`` and (1-u)/u for ``as_printed``.
     Shares nothing with the series route beyond basic arithmetic.
     """
-    (num,), d = _formula_numbers(n, order, u, variant, first=n).integer_form
-    return Fraction(num, d)
+    return _formula_numbers(n, order, u, variant, first=n)[0]
 
 
 def _formula_numbers(

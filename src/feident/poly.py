@@ -6,9 +6,10 @@ trailing zeros; the zero polynomial is a single zero coefficient.
 Instances are immutable and support mixed arithmetic with ``int`` and
 ``Fraction`` scalars.  A Polynomial is never a series coefficient.
 
-A Polynomial keeps its coefficients as integer numerators over one
-positive denominator, put over the lcm of their denominators when it is
-built, plus the Fractions once read (:class:`feident.exact.Coefficients`).
+A Polynomial stores its coefficients only in integer form, numerators
+over the lcm of their denominators (:class:`feident.exact.Coefficients`):
+``coeffs`` makes Fractions when read, ``coefficient`` and evaluation make
+one, and equality, with a scalar as a one-entry form, makes none.
 The product of two polynomials is convolved on the integer forms and put
 in lowest terms.
 ``Polynomial.combination`` sums weighted polynomials through
@@ -39,11 +40,11 @@ Scalar = Union[int, Fraction]
 Weight = Union[Scalar, tuple[int, int]]
 
 
-def _trimmed(values: list, zero) -> list:
-    """``values`` without trailing zeros; ``[zero]`` for the zero polynomial."""
+def _trimmed(values: list) -> list:
+    """``values`` without trailing zeros; ``[0]`` for the zero polynomial."""
     while len(values) > 1 and not values[-1]:
         values.pop()
-    return values or [zero]
+    return values or [0]
 
 
 def _weight(value) -> tuple[int, int]:
@@ -66,7 +67,7 @@ def _weight(value) -> tuple[int, int]:
 def _appell_ints(nums: list[int], d: int) -> tuple[list[int], int]:
     """Integer form of the Appell polynomial of the numbers nums[l] / d."""
     n = len(nums) - 1
-    return _trimmed([binomial(n, k) * v for k, v in enumerate(reversed(nums))], 0), d
+    return _trimmed([binomial(n, k) * v for k, v in enumerate(reversed(nums))]), d
 
 
 class Polynomial(Coefficients):
@@ -75,13 +76,13 @@ class Polynomial(Coefficients):
     __slots__ = ()
 
     def __init__(self, coeffs: Iterable[Scalar] = (0,)):
-        cs = tuple(_trimmed([c if type(c) is Fraction else as_fraction(c) for c in coeffs],
-                            Fraction(0)))
-        self._hold(common_denominator(cs), cs)
+        nums, d = common_denominator([c if type(c) is Fraction else as_fraction(c)
+                                      for c in coeffs])
+        self._hold((_trimmed(nums), d))
 
     @classmethod
     def _from_ints(cls, nums: list[int], d: int) -> "Polynomial":
-        return cls._of((_trimmed(nums, 0), d))
+        return cls._of((_trimmed(nums), d))
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -144,15 +145,14 @@ class Polynomial(Coefficients):
         return any(self.integer_form[0])
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == (Fraction(other),)
-        return NotImplemented
+            other = Polynomial._of(([other.numerator], other.denominator))
+        return super().__eq__(other)
 
     def __hash__(self) -> int:
         # a constant equals its scalar, so it hashes like it
-        return hash(self.coeffs[0] if len(self.coeffs) == 1 else self.coeffs)
+        cs = self.coeffs
+        return hash(cs[0] if len(cs) == 1 else cs)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial.combination([(-1, self)])

@@ -6,20 +6,19 @@ plain t^n one) makes differentiation a pure index shift and keeps every
 convolution weight an integer binomial, so all arithmetic stays exact.
 
 Coefficients are Fractions, and only Fractions: ints are converted, and
-anything else (a float, a Polynomial) raises TypeError.  A series keeps
-them as integer numerators over one positive denominator, put over the
-lcm of their denominators when the series is built, plus the Fractions
-once read (:class:`feident.exact.Coefficients`).  The kernels read and
+anything else (a float, a Polynomial) raises TypeError.  A series stores
+them only in integer form, numerators over the lcm of their denominators
+(:class:`feident.exact.Coefficients`), and makes Fractions when
+``coeffs`` or ``s[n]`` is read, never to compare.  The kernels read and
 return the integer form, so a chain such as F -> F^N -> scale makes no
-Fraction until ``coeffs`` is read: a product convolves the numerators,
-with binomial weights row by row from Pascal's rule, and puts the result
-in lowest terms; a scale multiplies numerators and denominator; a
-truncation slices the numerators, and the Fractions when they are held.
-The reciprocal reduces each output with one integer gcd, keeping the
-outputs so far as numerators over the lcm of their reduced denominators,
-so its intermediates grow with the true denominators, not with powers of
-the constant term; it makes no Fraction either.  Every order and index is
-checked by :func:`feident.exact.check_at_least`.
+Fraction: a product convolves the numerators, with binomial weights row
+by row from Pascal's rule, and puts the result in lowest terms; a scale
+multiplies numerators and denominator; a truncation slices the
+numerators.  The reciprocal reduces each output with one integer gcd,
+keeping the outputs so far as numerators over the lcm of their reduced
+denominators, so its intermediates grow with the true denominators, not
+with powers of the constant term.  Every order and index is checked by
+:func:`feident.exact.check_at_least`.
 
 Mixed-order operands are truncated to the shorter order, never padded:
 callers size their inputs deliberately.
@@ -41,7 +40,7 @@ from operator import add, mul
 from typing import Iterable, Iterator
 
 from .exact import (Coefficients, as_fraction, check_at_least, common_denominator,
-                    exact_parameter, lowest_terms)
+                    exact_parameter, lowest_terms, to_fractions)
 
 __all__ = [
     "EgfSeries",
@@ -63,31 +62,25 @@ class EgfSeries(Coefficients):
     __slots__ = ()
 
     def __init__(self, coeffs: Iterable):
-        cs = tuple(c if type(c) is Fraction else as_fraction(c) for c in coeffs)
+        cs = [c if type(c) is Fraction else as_fraction(c) for c in coeffs]
         if not cs:
             raise ValueError("a series needs at least its constant coefficient")
-        self._hold(common_denominator(cs), cs)
+        self._hold(common_denominator(cs))
 
     @property
     def order(self) -> int:
         return len(self) - 1
 
     def __getitem__(self, n: int):
-        return self.coeffs[n]
+        """Coefficient n as one Fraction (a slice gives a tuple of them)."""
+        nums, d = self.integer_form
+        return to_fractions(nums[n], d) if isinstance(n, slice) else Fraction(nums[n], d)
 
     def __len__(self) -> int:
         return len(self.integer_form[0])
 
     def __iter__(self):
         return iter(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, EgfSeries):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
 
 def series_scale(a: EgfSeries, c) -> EgfSeries:
@@ -171,13 +164,12 @@ def series_pow(a: EgfSeries, exponent: int) -> EgfSeries:
 
 
 def series_truncate(a: EgfSeries, order: int) -> EgfSeries:
-    """The first order + 1 coefficients: a slice of ``a``'s numerators,
-    and of its Fractions when it holds them."""
+    """The first order + 1 coefficients: a slice of ``a``'s numerators."""
     check_at_least("order", order, 0)
     if order > a.order:
         raise ValueError(f"cannot truncate order-{a.order} series to order {order}")
-    (nums, d), fracs = a.integer_form, a._fracs
-    return EgfSeries._of((nums[: order + 1], d), fracs and fracs[: order + 1])
+    nums, d = a.integer_form
+    return EgfSeries._of((nums[: order + 1], d))
 
 
 def exp_xt(x, order: int) -> EgfSeries:
@@ -196,12 +188,20 @@ def exp_minus_constant(c, order: int) -> EgfSeries:
     return EgfSeries._of(([q - c.numerator] + [q] * order, q))
 
 
-def frobenius_oracle(u: Fraction, order: int) -> EgfSeries:
-    """Frobenius-Euler numbers H_0(u)..H_T(u) straight from the generating
-    function (1-u)/(e^t - u), independent of any recurrence."""
+def _check_u(u: Fraction, forbid_zero: bool = False) -> Fraction:
+    """u as a Fraction; u = 1, and u = 0 when ``forbid_zero``, raise ValueError."""
     u = exact_parameter(u)
     if u == 1:
         raise ValueError("u = 1 is outside the parameter domain")
+    if forbid_zero and u == 0:
+        raise ValueError("u = 0 is outside the parameter domain (division by u)")
+    return u
+
+
+def frobenius_oracle(u: Fraction, order: int) -> EgfSeries:
+    """Frobenius-Euler numbers H_0(u)..H_T(u) straight from the generating
+    function (1-u)/(e^t - u), independent of any recurrence."""
+    u = _check_u(u)
     return series_scale(series_reciprocal(exp_minus_constant(u, order)), 1 - u)
 
 

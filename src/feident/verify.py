@@ -9,25 +9,24 @@ both the commonly typeset form (``as_printed``) and the repaired form
 holds, with exact mismatch values.
 
 A checker body validates its parameters and returns ``(var, lhs, rhs)``:
-its two routes as zero-argument callables, and the variable their
-coefficients are in (``"value"`` for a scalar identity).  The registry
-calls ``lhs()``, then ``rhs()``, and compares them with
-:func:`_mismatches`, the one comparison, in integer form: a_i * d_b ==
-b_i * d_a, a scalar being a one-entry form.  It makes Fractions only for
-the entries that differ.  As no body compares, each route can be run,
-timed and traced alone; ``tests/test_route_map.py`` pins what each enters.
+its two routes as zero-argument callables, each returning a series or
+polynomial in ``var``, or, for a scalar identity (theorem3, corollary4),
+a one-entry series labelled ``"value"``.  The registry calls ``lhs()``,
+then ``rhs()``, and compares their integer forms in :func:`_mismatches`
+with :func:`feident.exact.differing_entries`, the one comparison; it makes
+Fractions only for the entries that differ.  As no body compares, each
+route can be run, timed and traced alone; ``tests/test_route_map.py``
+pins what each enters.
 
-The routes' sums run on integers: corollary4 and eq60_multinomial sum
-multinomial(k; l) * prod nums[l_i] over the table's integer numerators of
-H_0..H_n, and the Carlitz and Bernoulli products are each one integer
-combination of their terms' integer forms, with each weight an integer
-pair (num, den) made from the parameters' numerators and denominators and
-the tables' integer forms, never a chain of Fractions.  theorem1 reads
-both routes from the number table of u, as theorem3 does: H = (1-u)F and
-H^N, and the triangle weights w_k summed over shifted slices of H, each
-side times one integer pair; this module computes no series power,
-inverse or triangle row itself.  corollary2 is theorem1 with both sides
-multiplied by e^{xt} once.
+The routes' sums run on integers: the composition sums of corollary4 and
+eq60_multinomial over the table's numerators of H_0..H_n, and the Carlitz
+and Bernoulli products as one integer combination each, with integer-pair
+weights from the parameters' and tables' numerators and denominators.
+theorem1 reads both routes from the number table of u, as theorem3 does:
+H = (1-u)F and H^N, and the triangle weights w_k summed over shifted
+slices of H, each side times one integer pair; this module computes no
+series power, inverse or triangle row itself.  corollary2 is theorem1
+with both sides multiplied by e^{xt} once.
 
 Reports are deterministic functions of (identity, params, variant), and a
 report passes exactly when its mismatch list is empty.  A ``Mismatch``
@@ -65,6 +64,7 @@ from typing import Callable, NamedTuple
 from .exact import (
     binomial,
     check_at_least,
+    differing_entries,
     exact_parameter,
     format_rational,
     multinomial,
@@ -73,19 +73,17 @@ from .exact import (
 )
 from .frobenius import (
     VARIANTS,
-    _check_u,
     _check_variant,
     _formula_numbers,
+    _higher_series,
     _shifted_sum,
     _table,
     bernoulli_number,
     bernoulli_polynomial,
-    fe_higher_number_formula,
-    fe_higher_number_oracle,
     fe_higher_polynomial,
 )
 from .poly import Polynomial
-from .series import EgfSeries, exp_xt, series_mul
+from .series import EgfSeries, _check_u, exp_xt, series_mul
 
 __all__ = [
     "Mismatch",
@@ -270,15 +268,11 @@ def _identity(identity: str):
 
 
 def _mismatches(var: str, lhs, rhs) -> list[Mismatch]:
-    """Where the sides differ, the shorter padded with zeros: ``var``^i of
-    two series or polynomials, or ``var`` of two Fractions (one-entry forms),
-    compared in integer form; Fractions are made only for those entries."""
-    scalar = isinstance(lhs, Fraction)
-    (a, da), (b, db) = [([side.numerator], side.denominator) if scalar else side.integer_form
-                        for side in (lhs, rhs)]
-    return [Mismatch(var if scalar else f"{var}^{i}", Fraction(x, da), Fraction(y, db))
-            for i, (x, y) in enumerate(itertools.zip_longest(a, b, fillvalue=0))
-            if x * db != y * da]
+    """The entries where the sides' integer forms differ, the shorter padded
+    with zeros, at ``var``^i (at ``var`` alone for a ``"value"``)."""
+    a, b = lhs.integer_form, rhs.integer_form
+    return [Mismatch(var if var == "value" else f"{var}^{i}", Fraction(x, a[1]),
+                     Fraction(y, b[1])) for i, x, y in differing_entries(a, b)]
 
 
 def _derivative_expansion(N, u, T, variant):
@@ -342,8 +336,8 @@ def verify_theorem3(n: int, N: int, u, variant: str = "corrected") -> Routes:
     check_at_least("n", n, 0)
     check_at_least("N", N, 1)
     u = _check_u(u, forbid_zero=True)
-    return ("value", lambda: fe_higher_number_oracle(n, N, u),
-            lambda: fe_higher_number_formula(n, N, u, variant))
+    return ("value", lambda: _higher_series(n, N, u, first=n),
+            lambda: _formula_numbers(n, N, u, variant, first=n))
 
 
 def _composition_sum(k: int, N: int, nums) -> int:
@@ -372,9 +366,9 @@ def verify_corollary4(n: int, N: int, u, variant: str = "corrected") -> Routes:
 
     def products():
         nums, d = _table(u).integer_form(0, n + 1)
-        return Fraction(_composition_sum(n, N, nums), d**N)
+        return EgfSeries._of(([_composition_sum(n, N, nums)], d**N))
 
-    return "value", products, lambda: fe_higher_number_formula(n, N, u, variant)
+    return "value", products, lambda: _formula_numbers(n, N, u, variant, first=n)
 
 
 @_identity("corollary5")

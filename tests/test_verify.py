@@ -410,8 +410,8 @@ class TestReports:
         assert _mismatches("t", rhs, lhs)[-1] == Mismatch("t^2", 0, 3)
 
     def test_scalars_are_one_entry_forms_labelled_by_var(self):
-        assert _mismatches("value", Fraction(2, 3), Fraction(4, 6)) == []
-        assert _mismatches("value", Fraction(-1, 3), Fraction(1, 3)) == [
+        assert _mismatches("value", EgfSeries([Fraction(2, 3)]), EgfSeries._of(([4], 6))) == []
+        assert _mismatches("value", EgfSeries._of(([-2], 6)), EgfSeries([Fraction(1, 3)])) == [
             Mismatch("value", Fraction(-1, 3), Fraction(1, 3))
         ]
 
