@@ -11,25 +11,26 @@ always "p/q" strings, never floating point.  Report CSV goes through
 ``csv.writer``, as error messages may hold commas and quotes; report
 JSON is :func:`feident.verify.document_json`.  Exit status is 0 when
 every verdict passes, 1 when any verification fails, 2 on usage or
-parameter errors, 130 on an interrupt, and 141 when the reader closes
-stdout early.
+parameter errors (argparse's own, and sizes too large for Python or for
+memory, included; each prints one ``feident: error:`` line), 130 on an
+interrupt, and 141 when the reader closes stdout early.
 
-Each table subject is one ``@_subject`` entry, which the ``table`` flags,
-their checks and both renderings read.  CSV is written a row at a time as
-the entry's generator yields it, so no table's text is held whole; its
-fields never need quoting.  The checker registry's schema (see
-:mod:`feident.verify`) gives the ``verify`` flags: each ``Param`` is a
-flag of the same name (``T`` is ``--trunc``), an integer when
+Each table subject is one ``@_subject`` entry, which its subparser's
+flags and both renderings read.  CSV is written a row at a time as the
+entry's generator yields it, so no table's text is held whole; its
+fields never need quoting.  Each identity is one subparser built from the
+checker registry's schema (see :mod:`feident.verify`): each ``Param`` is
+a flag of the same name (``T`` is ``--trunc``), an integer when
 ``param.integer`` and a "p/q" rational otherwise, required when
-``param.default`` is ``REQUIRED``.  Both commands reject a flag that
-their subject or identity does not take.
+``param.default`` is ``REQUIRED``.  Flags follow their subject or
+identity, which takes exactly its own.
 
 Each command imports only what it runs: a ``table`` subject's rows
 import their kernel when they run (the triangle :mod:`feident.stirling`,
 the others :mod:`feident.frobenius`), never :mod:`feident.verify` or
-``csv``; the checker registry loads only for ``verify`` and ``audit``, and
-only ``verify`` builds flags from it, ``--variant`` too; ``json`` loads
-with it and for JSON tables, ``csv`` for report CSV.
+``csv``; the checker registry loads only for ``verify``, which builds its
+subparsers from it, and ``audit``; ``json`` loads with it and for JSON
+tables, ``csv`` for report CSV.
 """
 
 from __future__ import annotations
@@ -62,41 +63,6 @@ def _flag(name: str) -> str:
     return "--" + _FLAG_NAMES.get(name, name)
 
 
-def _value_flags(command: str | None) -> dict:
-    """``{dest: (type, default text, takers)}`` of each value flag of
-    ``command``, in the order the parser adds them: ``table``'s are the
-    table subjects' flags, taken by subjects, and ``verify``'s the checker
-    parameters but ``variant``, taken by identities and read from the
-    registry, those without a default first, as in a signature.  The
-    parser, :func:`_join_negative_rationals` and :func:`_refuse_untaken`
-    all read this table."""
-    flags = {}
-    if command == "table":
-        for name, subject in _SUBJECTS.items():
-            for dest, kind in subject.flags.items():
-                flags.setdefault(dest, (kind, "", []))[2].append(name)
-    elif command == "verify":
-        from .verify import IDENTITIES, REQUIRED, parameters
-
-        for identity in IDENTITIES:
-            for name, param in parameters(identity).items():
-                if name != "variant":
-                    default = "" if param.default is REQUIRED else f", default {param.default}"
-                    kind = int if param.integer else parse_rational
-                    flags.setdefault(name, (kind, default, []))[2].append(identity)
-        flags = dict(sorted(flags.items(), key=lambda item: item[1][1] != ""))
-    return flags
-
-
-def _refuse_untaken(args, command: str, taker: str) -> None:
-    """Refuse a value flag of ``command`` given a value that ``taker``, its
-    table subject or identity, does not take."""
-    noun = "table" if command == "table" else "identity"
-    for dest, (_, _, takers) in _value_flags(command).items():
-        if taker not in takers and getattr(args, dest) is not None:
-            raise ValueError(f"{noun} {taker!r} does not take {_flag(dest)}")
-
-
 def _command(argv) -> str | None:
     """The command word: the first token that is not an option (the top
     level takes no option with a value)."""
@@ -104,11 +70,17 @@ def _command(argv) -> str | None:
 
 
 def _join_negative_rationals(argv, command: str | None) -> list:
-    """Pass ``--u -5/7`` on as ``--u=-5/7``: argparse reads a token that
-    starts with ``-`` as an option unless it is a plain negative number.
-    The rational flags are those ``command`` takes."""
-    flags = {_flag(dest) for dest, (kind, _, _) in _value_flags(command).items()
-             if kind is parse_rational}
+    """Pass ``--u -5/7`` on as ``--u=-5/7`` for each rational flag of
+    ``command``: argparse reads ``-5/7`` as an option, not a negative number."""
+    flags = set()
+    if command == "table":
+        flags = {_flag(dest) for subject in _SUBJECTS.values()
+                 for dest, kind in subject.flags.items() if kind is parse_rational}
+    elif command == "verify":
+        from .verify import IDENTITIES, parameters
+
+        flags = {_flag(name) for identity in IDENTITIES for name, param
+                 in parameters(identity).items() if not param.integer and name != "variant"}
     out = []
     for token in argv:
         if out and out[-1] in flags and token[:1] == "-" and token[1:2].isdigit():
@@ -118,64 +90,64 @@ def _join_negative_rationals(argv, command: str | None) -> list:
     return out
 
 
-def _add_value_flags(parser: argparse.ArgumentParser, command: str) -> None:
-    for dest, (kind, default, takers) in _value_flags(command).items():
-        text = f"{'integer' if kind is int else 'rational p/q'}{default}; {', '.join(takers)}"
-        parser.add_argument(_flag(dest), dest=dest, type=kind, help=text)
+class _Parser(argparse.ArgumentParser):
+    """Raises each usage error as a ValueError, which prints as one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _add_param(parser: argparse.ArgumentParser, dest: str, kind, default=None) -> None:
+    """Add the value flag of ``dest``, required when ``default`` is None."""
+    text = "integer" if kind is int else "rational p/q"
+    parser.add_argument(_flag(dest), dest=dest, type=kind, required=default is None,
+                        help=text if default is None else f"{text}, default {default}")
 
 
 def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The CLI parser.  Subparsers parse independently and the top-level
-    help lists only command names, so the registry-derived ``verify``
-    arguments (identity choices, parameter flags, their help) are added
-    only when ``command`` is ``"verify"``."""
-    parser = argparse.ArgumentParser(
-        prog="feident",
-        description="Exact Frobenius-Euler tables and identity verification.",
-    )
+    """The CLI parser, with one subparser per table subject and identity.
+    The top-level help lists only command names, so the subparsers of a
+    command are added only when ``command`` names it."""
+    parser = _Parser(prog="feident",
+                     description="Exact Frobenius-Euler tables and identity verification.")
     sub = parser.add_subparsers(dest="command", required=True)
-
     table = sub.add_parser("table", help="emit a number, polynomial, or triangle table")
-    table.add_argument("subject", choices=_SUBJECTS)
-    _add_value_flags(table, "table")
-    table.add_argument("--n-max", type=int, required=True, help="largest index, inclusive")
-
     verify = sub.add_parser("verify", help="verify one identity at given parameters")
-    if command == "verify":
-        from .verify import IDENTITIES, VARIANTS
-
-        verify.add_argument("identity", choices=IDENTITIES)
-        _add_value_flags(verify, "verify")
-        verify.add_argument("--variant", choices=sorted(v.replace("_", "-") for v in VARIANTS))
-
     audit = sub.add_parser("audit", help="run the full verification grid")
     audit.add_argument("--grid", help="JSON grid file (defaults to the built-in grid)")
+    formats = {audit: "json"}  # each parser that writes output -> its default --format
+    if command == "table":
+        subjects = table.add_subparsers(dest="subject", required=True)
+        for name, subject in _SUBJECTS.items():
+            formats[each := subjects.add_parser(name)] = "csv"
+            for dest, kind in subject.flags.items():
+                _add_param(each, dest, kind)
+            each.add_argument("--n-max", type=int, required=True, help="largest index, inclusive")
+    elif command == "verify":
+        from .verify import IDENTITIES, REQUIRED, VARIANTS, parameters
 
-    for each, default in ((table, "csv"), (verify, "json"), (audit, "json")):
+        identities = verify.add_subparsers(dest="identity", required=True)
+        for identity in IDENTITIES:
+            formats[each := identities.add_parser(identity)] = "json"
+            for name, param in parameters(identity).items():
+                if name == "variant":
+                    each.add_argument("--variant", choices=[v.replace("_", "-") for v in VARIANTS])
+                else:
+                    _add_param(each, name, int if param.integer else parse_rational,
+                               None if param.default is REQUIRED else param.default)
+    for each, default in formats.items():
         each.add_argument("--format", choices=("csv", "json"), default=default)
         each.add_argument("--out", help="write output to this path instead of stdout")
-
     return parser
 
 
 def _verify_kwargs(args) -> dict:
-    """Map parsed flags to the checker's keyword arguments, as its
-    schema says: required, defaulted, or not taken at all."""
-    from .verify import REQUIRED, parameters
+    """The flags given, as the checker's keyword arguments."""
+    from .verify import parameters
 
-    identity = args.identity
-    params = parameters(identity)
-    if args.variant is not None and "variant" not in params:
-        raise ValueError(f"identity {identity!r} has no as-printed/corrected variant")
-    _refuse_untaken(args, "verify", identity)
-    kwargs = {}
-    for name, param in params.items():
-        value = getattr(args, name)
-        if value is not None:
-            kwargs[name] = value.replace("-", "_") if name == "variant" else value
-        elif param.default is REQUIRED:
-            raise ValueError(f"identity {identity!r} requires {_flag(name)}")
-    return kwargs
+    given = {name: getattr(args, name) for name in parameters(args.identity)}
+    return {name: value.replace("-", "_") if name == "variant" else value
+            for name, value in given.items() if value is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -260,18 +232,15 @@ def _bernoulli(n_max: int) -> Iterator[dict]:
 
 def _table_chunks(args) -> Iterable[str]:
     """The table as text: CSV one row per chunk, each row computed as it is
-    read, or JSON whole.  The flags are checked and the first row computed
-    first, so a usage or parameter error writes nothing."""
+    read, or JSON whole.  The values are checked and the first row computed
+    first, so a parameter error writes nothing."""
     name, n_max = args.subject, args.n_max
     subject = _SUBJECTS[name]
     if n_max < 0:
         raise ValueError("--n-max must be >= 0")
-    _refuse_untaken(args, "table", name)
-    values = {dest: getattr(args, dest) for dest in subject.flags}
-    if None in values.values():
-        raise ValueError(f"{name} requires " + " and ".join(f"--{dest}" for dest in values))
     if n_max < subject.n_min:
         raise ValueError(f"{name} table needs --n-max >= {subject.n_min}")
+    values = {dest: getattr(args, dest) for dest in subject.flags}
     rows = subject.rows(n_max, **values)
     first = next(rows)
     if args.format == "json":
@@ -360,14 +329,8 @@ def _discard_stdout() -> None:
 
 def _run(argv) -> int:
     command = _command(argv)
-    parser = build_parser(command)
     try:
-        args = parser.parse_args(_join_negative_rationals(argv, command))
-    except SystemExit as exc:
-        # argparse has already printed usage/help; fold into the status contract
-        return int(exc.code) if exc.code else 0
-
-    try:
+        args = build_parser(command).parse_args(_join_negative_rationals(argv, command))
         if args.command == "table":
             _emit(_table_chunks(args), args.out)
             return EXIT_PASS
@@ -378,16 +341,19 @@ def _run(argv) -> int:
             reports = [CHECKERS[args.identity](**_verify_kwargs(args))]
         else:
             reports = audit_all(_read_grid(args.grid))
-        if args.format == "json":
-            text = document_json(reports, audit=args.command == "audit")
-        else:
-            text = _reports_csv(reports)
+        text = (document_json(reports, audit=args.command == "audit")
+                if args.format == "json" else _reports_csv(reports))
         _emit([text], args.out)
         return EXIT_PASS if all(r.verdict == "pass" for r in reports) else EXIT_FAIL
+    except SystemExit as exc:  # only --help exits, once it has printed
+        return exc.code
     except BrokenPipeError:
         raise
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:  # OverflowError: a size past sys.maxsize
         print(f"feident: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:  # a size no machine can hold; its message is empty
+        print("feident: error: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -628,7 +628,7 @@ def _expand(identity: str, config: dict):
 def _run_case(identity: str, combo: dict) -> VerificationReport:
     try:
         return CHECKERS[identity](**combo)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: a size past sys.maxsize
         return _report(identity, combo, error=str(exc))
 
 

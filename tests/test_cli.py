@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -109,9 +110,18 @@ class TestTable:
         assert path.read_text(encoding="utf-8") == FE_NUMBERS_CSV
 
     def test_missing_required_parameter(self, capsys):
-        code, _, err = run_capture(capsys, ["table", "fe-numbers", "--n-max", "4"])
-        assert code == 2
-        assert "requires --u" in err
+        code, out, err = run_capture(capsys, ["table", "fe-numbers", "--n-max", "4"])
+        assert (code, out) == (2, "")
+        assert err == "feident: error: the following arguments are required: --u\n"
+
+    def test_subject_help_lists_exactly_its_flags(self, capsys):
+        flags = {"fe-numbers": {"--u"}, "fe-polynomials": {"--u"}, "fe-higher": {"--u", "--N"},
+                 "stirling": set(), "bernoulli": set()}
+        for subject, taken in flags.items():
+            code, out, _ = run_capture(capsys, ["table", subject, "--help"])
+            assert code == 0
+            shown = set(re.findall(r"^  (--[\w-]+)", out, re.MULTILINE))
+            assert shown == taken | {"--n-max", "--format", "--out"}
 
     def test_u_equal_one_is_parameter_error(self, capsys):
         code, _, err = run_capture(capsys, ["table", "fe-numbers", "--u", "1", "--n-max", "2"])
@@ -129,7 +139,7 @@ class TestTable:
         path = tmp_path / "table.csv"
         code, out, err = run_capture(capsys, argv)
         assert (code, out) == (2, "")
-        assert err == f"feident: error: table {subject!r} does not take {flag}\n"
+        assert err == f"feident: error: unrecognized arguments: {flag} 2\n"
         assert run_capture(capsys, argv + ["--out", str(path)])[0] == 2
         assert not path.exists()
 
@@ -345,9 +355,9 @@ class TestVerifyCommand:
         assert "u = 1" in err
 
     def test_missing_flag_exits_two(self, capsys):
-        code, _, err = run_capture(capsys, ["verify", "theorem1", "--u", "2"])
-        assert code == 2
-        assert "requires --N" in err
+        code, out, err = run_capture(capsys, ["verify", "theorem1", "--u", "2"])
+        assert (code, out) == (2, "")
+        assert err == "feident: error: the following arguments are required: --N\n"
 
     def test_variant_rejected_where_not_applicable(self, capsys):
         code, _, err = run_capture(
@@ -366,7 +376,7 @@ class TestVerifyCommand:
             ["verify", "theorem3", "--n", "1", "--N", "2", "--u", "2", "--x", "9", "--trunc", "3"],
         )
         assert (code, out) == (2, "")
-        assert err == "feident: error: identity 'theorem3' does not take --x\n"
+        assert err == "feident: error: unrecognized arguments: --x 9 --trunc 3\n"
 
     def test_invalid_rational_flag_exits_two(self, capsys):
         code, _, _ = run_capture(capsys, ["verify", "theorem1", "--N", "2", "--u", "1/0"])
@@ -578,6 +588,65 @@ class TestUsage:
     def test_unknown_flag_exits_two(self, capsys):
         code, _, _ = run_capture(capsys, ["table", "stirling", "--n-max", "2", "--bogus"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        [], ["frobnicate"], ["table"], ["verify", "theorem99"],
+        ["table", "fe-numbers", "--u", "2", "--n-max", "abc"],
+        ["table", "--u", "2", "fe-numbers", "--n-max", "2"],
+        ["verify", "--n", "1", "theorem3", "--N", "2", "--u", "2"],
+    ], ids=["no-command", "unknown-command", "no-subject", "unknown-identity",
+            "bad-value", "flag-before-subject", "flag-before-identity"])
+    def test_argparse_errors_are_one_line(self, capsys, argv):
+        """argparse's own errors print no usage block: one line, status 2."""
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("feident: error: ") and err.count("\n") == 1
+
+
+# Above sys.maxsize: each fails before it allocates anything.
+HUGE = "99999999999999999999"
+
+
+class TestSizesTooLarge:
+    """A size Python cannot hold (OverflowError) or memory cannot (MemoryError)
+    is a parameter error: status 2, one line, no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "theorem1", "--N", "2", "--u", "2", "--trunc", HUGE],
+        ["verify", "corollary4", "--n", HUGE, "--N", "2", "--u", "2"],
+        ["verify", "bernoulli_product", "--m", HUGE, "--n", "2"],
+        ["verify", "carlitz_reciprocal", "--m", HUGE, "--n", "1", "--alpha", "2"],
+    ], ids=["theorem1-trunc", "corollary4-n", "bernoulli_product-m", "carlitz_reciprocal-m"])
+    def test_size_past_maxsize_exits_two(self, capsys, argv):
+        assert int(HUGE) > sys.maxsize
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("feident: error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_size_past_maxsize_in_a_grid_is_an_error_report(self, capsys, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"corollary4": {"variant": ["corrected"], "n": [int(HUGE)],
+                                                   "N": [2], "u": ["2"]}}), encoding="utf-8")
+        code, out, err = run_capture(capsys, ["audit", "--grid", str(grid)])
+        assert (code, err) == (1, "")
+        [report] = json.loads(out)["reports"]
+        assert report["verdict"] == "error"
+        assert report["params"]["n"] == HUGE
+        assert "too large" in report["error"]
+
+    @pytest.mark.parametrize("kernel, argv", [
+        ("fe_number", ["table", "fe-numbers", "--u", "2", "--n-max", "3"]),
+        ("series_pow", ["verify", "theorem1", "--N", "2", "--u", "13/7"]),
+    ], ids=["table", "verify"])
+    def test_out_of_memory_exits_two(self, capsys, monkeypatch, kernel, argv):
+        from feident import frobenius
+
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(frobenius, kernel, exhausted)
+        assert run_capture(capsys, argv) == (2, "", "feident: error: out of memory\n")
 
 
 def interrupted(*args, **kwargs):

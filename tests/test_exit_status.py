@@ -30,7 +30,10 @@ malformed = st.sampled_from(["", "x", "1/0", "1.5", "2/-3", "--", "1e3", " 2", "
 # flag -> its well-formed values
 CHOICES = {
     cli._flag(dest): integers if kind is int else rationals
-    for command in ("table", "verify") for dest, (kind, _, _) in cli._value_flags(command).items()
+    for subject in cli._SUBJECTS.values() for dest, kind in subject.flags.items()
+} | {
+    cli._flag(name): integers if param.integer else rationals
+    for identity in IDENTITIES for name, param in parameters(identity).items() if name != "variant"
 } | {
     "--n-max": integers,
     "--variant": st.sampled_from(["as-printed", "corrected", "as_printed", "neither"]),

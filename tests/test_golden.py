@@ -20,6 +20,8 @@ tables in ``verify`` and ``cli``, except the two grids that every grid
 value is checked on: a malformed value beside an empty axis, and a JSON
 ``true`` on a rational axis.  Before each axis was converted on its own,
 they exited 0 (an empty audit) and 1 (an ``error`` report at u = 1).
+The six missing-flag and ``--variant`` cases print argparse's wording,
+since each identity became a subparser that owns its flags.
 
 To regenerate after an intended output change, run from the repository
 root
@@ -167,17 +169,17 @@ EMPTY = hashlib.sha256(b"").hexdigest()
 # id -> (exit status, SHA-256 of stdout, stderr)
 PATH_RESULTS = {
     'verify theorem1 missing --N':
-        (2, EMPTY, "feident: error: identity 'theorem1' requires --N\n"),
+        (2, EMPTY, 'feident: error: the following arguments are required: --N\n'),
     'verify corollary2 missing --x':
-        (2, EMPTY, "feident: error: identity 'corollary2' requires --x\n"),
+        (2, EMPTY, 'feident: error: the following arguments are required: --x\n'),
     'verify carlitz_product missing --beta':
-        (2, EMPTY, "feident: error: identity 'carlitz_product' requires --beta\n"),
+        (2, EMPTY, 'feident: error: the following arguments are required: --beta\n'),
     'verify bernoulli_product missing --m':
-        (2, EMPTY, "feident: error: identity 'bernoulli_product' requires --m\n"),
+        (2, EMPTY, 'feident: error: the following arguments are required: --m\n'),
     'verify carlitz_reciprocal --variant':
-        (2, EMPTY, "feident: error: identity 'carlitz_reciprocal' has no as-printed/corrected variant\n"),
+        (2, EMPTY, 'feident: error: unrecognized arguments: --variant corrected\n'),
     'verify eq60_multinomial --variant, missing --u':
-        (2, EMPTY, "feident: error: identity 'eq60_multinomial' has no as-printed/corrected variant\n"),
+        (2, EMPTY, 'feident: error: the following arguments are required: --N, --u\n'),
     'verify theorem3 u=1':
         (2, EMPTY, 'feident: error: u = 1 is outside the parameter domain\n'),
     'verify theorem1 u=0':
