@@ -6,14 +6,17 @@ Three commands:
     verify <identity-id> [params] [--variant as-printed|corrected]
     audit  [--grid FILE]
 
-Tables default to CSV, verification and audits to JSON.  Rationals are
-always "p/q" strings, never floating point.  Report CSV goes through
-``csv.writer``, as error messages may hold commas and quotes; report
-JSON is :func:`feident.verify.document_json`.  Exit status is 0 when
-every verdict passes, 1 when any verification fails, 2 on usage or
-parameter errors (argparse's own, and sizes too large for Python or for
-memory, included; each prints one ``feident: error:`` line), 130 on an
-interrupt, and 141 when the reader closes stdout early.
+Tables default to CSV, verification and audits to JSON.  A rational flag
+is "p/q" text, never floating point, passed on as text and read once by
+:func:`feident.exact.exact_parameter` (a table's before its first row,
+``verify``'s in the checker registry), whose message a malformed one
+prints.  Report CSV goes through ``csv.writer``, as error messages may
+hold commas and quotes; report JSON is
+:func:`feident.verify.document_json`.  Exit status is 0 when every verdict
+passes, 1 when any verification fails, 2 on usage or parameter errors
+(argparse's own, and sizes too large for Python or for memory, included;
+each prints one ``feident: error:`` line), 130 on an interrupt, and 141
+when the reader closes stdout early.
 
 Each table subject is one ``@_subject`` entry, which its subparser's
 flags and both renderings read.  CSV is written a row at a time as the
@@ -21,9 +24,8 @@ entry's generator yields it, so no table's text is held whole; its
 fields never need quoting.  Each identity is one subparser built from the
 checker registry's schema (see :mod:`feident.verify`): each ``Param`` is
 a flag of the same name (``T`` is ``--trunc``), an integer when
-``param.integer`` and a "p/q" rational otherwise, required when
-``param.default`` is ``REQUIRED``.  Flags follow their subject or
-identity, which takes exactly its own.
+``param.integer``, required when ``param.default`` is ``REQUIRED``.
+Flags follow their subject or identity, which takes exactly its own.
 
 Each command imports only what it runs: a ``table`` subject's rows
 import their kernel when they run (the triangle :mod:`feident.stirling`,
@@ -45,7 +47,7 @@ from math import gcd
 from operator import add
 from typing import Iterable, Iterator
 
-from .exact import format_ratio, format_rational, parse_rational
+from .exact import check_at_least, exact_parameter, format_ratio, format_rational
 
 __all__ = ["main", "run"]
 
@@ -69,21 +71,13 @@ def _command(argv) -> str | None:
     return next((token for token in argv if token[:1] != "-"), None)
 
 
-def _join_negative_rationals(argv, command: str | None) -> list:
-    """Pass ``--u -5/7`` on as ``--u=-5/7`` for each rational flag of
-    ``command``: argparse reads ``-5/7`` as an option, not a negative number."""
-    flags = set()
-    if command == "table":
-        flags = {_flag(dest) for subject in _SUBJECTS.values()
-                 for dest, kind in subject.flags.items() if kind is parse_rational}
-    elif command == "verify":
-        from .verify import IDENTITIES, parameters
-
-        flags = {_flag(name) for identity in IDENTITIES for name, param
-                 in parameters(identity).items() if not param.integer and name != "variant"}
+def _join_negative_values(argv) -> list:
+    """Pass ``--u -5/7`` on as ``--u=-5/7``, as argparse reads ``-5/7`` as an option:
+    a ``-<digit>`` token joins the ``--flag`` before it, but not ``--help`` or one with ``=``."""
     out = []
     for token in argv:
-        if out and out[-1] in flags and token[:1] == "-" and token[1:2].isdigit():
+        if (out and out[-1][:2] == "--" and out[-1] not in ("--", "--help")
+                and "=" not in out[-1] and token[:1] == "-" and token[1:2].isdigit()):
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -97,10 +91,11 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _add_param(parser: argparse.ArgumentParser, dest: str, kind, default=None) -> None:
-    """Add the value flag of ``dest``, required when ``default`` is None."""
-    text = "integer" if kind is int else "rational p/q"
-    parser.add_argument(_flag(dest), dest=dest, type=kind, required=default is None,
+def _add_param(parser: argparse.ArgumentParser, dest: str, integer: bool, default=None) -> None:
+    """Add the value flag of ``dest`` (a rational stays text), required when ``default`` is None."""
+    text = "integer" if integer else "rational p/q"
+    parser.add_argument(_flag(dest), dest=dest, type=int if integer else None,
+                        required=default is None,
                         help=text if default is None else f"{text}, default {default}")
 
 
@@ -121,7 +116,7 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
         for name, subject in _SUBJECTS.items():
             formats[each := subjects.add_parser(name)] = "csv"
             for dest, kind in subject.flags.items():
-                _add_param(each, dest, kind)
+                _add_param(each, dest, kind is int)
             each.add_argument("--n-max", type=int, required=True, help="largest index, inclusive")
     elif command == "verify":
         from .verify import IDENTITIES, REQUIRED, VARIANTS, parameters
@@ -133,7 +128,7 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
                 if name == "variant":
                     each.add_argument("--variant", choices=[v.replace("_", "-") for v in VARIANTS])
                 else:
-                    _add_param(each, name, int if param.integer else parse_rational,
+                    _add_param(each, name, param.integer,
                                None if param.default is REQUIRED else param.default)
     for each, default in formats.items():
         each.add_argument("--format", choices=("csv", "json"), default=default)
@@ -153,10 +148,10 @@ def _verify_kwargs(args) -> dict:
 # ---------------------------------------------------------------------------
 # Table subjects
 
-# A table subject: the value flags it takes, all required, as {name: type};
-# its smallest --n-max; its CSV header for an --n-max; one row's CSV text;
-# the JSON fields before "rows", from --n-max and the formatted flag
-# values; and its row generator (see _subject).
+# A table subject: the value flags it takes, all required, as {name: reader}
+# (int, or exact_parameter for a rational); its smallest --n-max; its CSV
+# header for an --n-max; one row's CSV text; the JSON fields before "rows",
+# from --n-max and the formatted flag values; and its row generator.
 _Subject = namedtuple("_Subject", "flags n_min header line head rows")
 _SUBJECTS: dict[str, _Subject] = {}
 
@@ -175,7 +170,7 @@ def _subject(name: str, *, n_min: int = 0, header=lambda n_max: "n,value\n",
     return register
 
 
-@_subject("fe-numbers", u=parse_rational)
+@_subject("fe-numbers", u=exact_parameter)
 def _fe_numbers(n_max: int, u) -> Iterator[dict]:
     from .frobenius import fe_number
 
@@ -183,7 +178,7 @@ def _fe_numbers(n_max: int, u) -> Iterator[dict]:
         yield {"n": n, "value": format_rational(fe_number(n, u))}
 
 
-@_subject("fe-polynomials", u=parse_rational,
+@_subject("fe-polynomials", u=exact_parameter,
           header=lambda n_max: ",".join(["n"] + [f"x^{d}" for d in range(n_max + 1)]) + "\n",
           line=lambda row: f"{row['n']},{','.join(row['coeffs'])}\n")
 def _fe_polynomials(n_max: int, u) -> Iterator[dict]:
@@ -202,12 +197,11 @@ def _fe_polynomials(n_max: int, u) -> Iterator[dict]:
         yield {"n": n, "coeffs": coeffs + ["0"] * (n_max - n)}
 
 
-@_subject("fe-higher", u=parse_rational, N=int)
+@_subject("fe-higher", u=exact_parameter, N=int)
 def _fe_higher(n_max: int, u, N: int) -> Iterator[dict]:
     from .frobenius import fe_higher_numbers
 
-    if N < 1:
-        raise ValueError("--N must be >= 1")
+    check_at_least("--N", N, 1)
     for n, value in enumerate(fe_higher_numbers(n_max, N, u)):
         yield {"n": n, "value": format_rational(value)}
 
@@ -234,13 +228,11 @@ def _table_chunks(args) -> Iterable[str]:
     """The table as text: CSV one row per chunk, each row computed as it is
     read, or JSON whole.  The values are checked and the first row computed
     first, so a parameter error writes nothing."""
-    name, n_max = args.subject, args.n_max
-    subject = _SUBJECTS[name]
-    if n_max < 0:
-        raise ValueError("--n-max must be >= 0")
+    name, n_max, subject = args.subject, args.n_max, _SUBJECTS[args.subject]
+    values = {dest: kind(getattr(args, dest)) for dest, kind in subject.flags.items()}
+    check_at_least("--n-max", n_max, 0)
     if n_max < subject.n_min:
         raise ValueError(f"{name} table needs --n-max >= {subject.n_min}")
-    values = {dest: getattr(args, dest) for dest in subject.flags}
     rows = subject.rows(n_max, **values)
     first = next(rows)
     if args.format == "json":
@@ -330,7 +322,7 @@ def _discard_stdout() -> None:
 def _run(argv) -> int:
     command = _command(argv)
     try:
-        args = build_parser(command).parse_args(_join_negative_rationals(argv, command))
+        args = build_parser(command).parse_args(_join_negative_values(argv))
         if args.command == "table":
             _emit(_table_chunks(args), args.out)
             return EXIT_PASS

@@ -6,9 +6,10 @@ arbitrary-precision ``int`` where integrality is guaranteed); nothing is
 ever rounded.  ``as_fraction`` and ``exact_parameter`` are the coercions:
 both refuse a ``float`` and a ``bool``, and so does ``check_at_least``,
 the check of every index and exponent.  This module also owns the text
-format used for rationals on the command line and in JSON: ``"p/q"`` with
-an optional leading ``-``, the denominator omitted when it is 1 (``"2"``,
-``"-1/3"``).
+format of rationals on the command line, in grids and in JSON: ``"p/q"``
+with an optional leading ``-``, the denominator omitted when it is 1
+(``"2"``, ``"-1/3"``); ``exact_parameter``, the one reader of a rational
+parameter, reads text only in that form.
 
 :class:`Coefficients` is the storage shared by series and polynomials:
 integer numerators over one positive denominator, its only stored form.
@@ -63,11 +64,14 @@ def as_fraction(value) -> Fraction:
 
 
 def exact_parameter(value) -> Fraction:
-    """An int, Fraction or "p/q" string as ``Fraction()`` reads it; a float
-    raises TypeError, as its binary value is not the rational meant, and so
-    does a bool.  A ``Fraction`` (not a subclass) is returned as it is."""
+    """A "p/q" string by :func:`parse_rational` ("0.5" raises ValueError),
+    an int or Fraction as ``Fraction()`` reads it; a float raises TypeError,
+    as its binary value is not the rational meant, and so does a bool.  A
+    ``Fraction`` (not a subclass) is returned as it is."""
     if type(value) is Fraction:
         return value
+    if isinstance(value, str):
+        return parse_rational(value)
     if isinstance(value, float):
         raise TypeError("float parameters are not allowed; use Fraction or a 'p/q' string")
     if isinstance(value, bool):

@@ -48,7 +48,8 @@ schema (:func:`parameters`).  The registry binds each call against the
 schema, raising ``TypeError`` before anything is checked for a call the
 body could not take, an integer parameter that is a ``bool`` or not an
 ``int``, or a ``bool`` rational parameter; then it checks ``variant``,
-runs and compares the routes and builds the report.
+reads each rational once with :func:`feident.exact.exact_parameter`, so
+a body gets Fractions, runs and compares the routes and builds the report.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from types import MappingProxyType
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .exact import (
     binomial,
@@ -68,7 +69,6 @@ from .exact import (
     exact_parameter,
     format_rational,
     multinomial,
-    parse_rational,
     weak_compositions,
 )
 from .frobenius import (
@@ -172,8 +172,6 @@ class Param(NamedTuple):
     default: object = REQUIRED
 
 
-Routes = tuple[str, Callable[[], object], Callable[[], object]]
-
 CHECKERS = {}
 
 # identity -> {name: Param}, in the body's parameter order.
@@ -252,12 +250,15 @@ def _identity(identity: str):
     def register(body):
         schema = _SCHEMAS[identity] = _schema(body)
         has_variant = "variant" in schema
+        rationals = [p.name for p in schema.values() if not p.integer and p.name != "variant"]
 
         @functools.wraps(body)
         def checker(*args, **kwargs) -> VerificationReport:
             arguments = _bind(schema, args, kwargs)
             if has_variant:
                 _check_variant(arguments["variant"])
+            for name in rationals:
+                arguments[name] = exact_parameter(arguments[name])
             var, lhs, rhs = body(**arguments)
             return _report(identity, arguments, _mismatches(var, lhs(), rhs()))
 
@@ -307,7 +308,7 @@ def _derivative_expansion(N, u, T, variant):
 
 
 @_identity("theorem1")
-def verify_theorem1(N: int, u, T: int = 16, variant: str = "corrected") -> Routes:
+def verify_theorem1(N: int, u, T: int = 16, variant: str = "corrected"):
     """Derivative expansion of powers of F = 1/(e^t - u):
 
         (N-1)! * s * u^(N-1) * F^N  =  sum_{k<N} a_k(N) F^(k)
@@ -319,18 +320,17 @@ def verify_theorem1(N: int, u, T: int = 16, variant: str = "corrected") -> Route
 
 
 @_identity("corollary2")
-def verify_corollary2(N: int, u, x, T: int = 16, variant: str = "corrected") -> Routes:
+def verify_corollary2(N: int, u, x, T: int = 16, variant: str = "corrected"):
     """Same expansion with every series carrying the extra factor e^{xt}:
     theorem1's two sides, each multiplied by e^{xt} once.  By linearity,
     sum_k a_k (F^(k) e^{xt}) = (sum_k a_k F^(k)) e^{xt}, exactly."""
-    x = exact_parameter(x)
     lhs, rhs = _derivative_expansion(N, u, T, variant)
     E = exp_xt(x, T - (N - 1))
     return "t", lambda: series_mul(lhs(), E), lambda: series_mul(rhs(), E)
 
 
 @_identity("theorem3")
-def verify_theorem3(n: int, N: int, u, variant: str = "corrected") -> Routes:
+def verify_theorem3(n: int, N: int, u, variant: str = "corrected"):
     """Higher-order number H_n^(N)(u): series route against the
     coefficient-triangle formula."""
     check_at_least("n", n, 0)
@@ -357,7 +357,7 @@ def _composition_sum(k: int, N: int, nums) -> int:
 
 
 @_identity("corollary4")
-def verify_corollary4(n: int, N: int, u, variant: str = "corrected") -> Routes:
+def verify_corollary4(n: int, N: int, u, variant: str = "corrected"):
     """Sum of products over all N-tuples of indices (direct enumeration,
     no series code) against the coefficient-triangle formula."""
     check_at_least("n", n, 0)
@@ -372,7 +372,7 @@ def verify_corollary4(n: int, N: int, u, variant: str = "corrected") -> Routes:
 
 
 @_identity("corollary5")
-def verify_corollary5(n: int, N: int, u, variant: str = "corrected") -> Routes:
+def verify_corollary5(n: int, N: int, u, variant: str = "corrected"):
     """Higher-order polynomial H_n^(N)(x|u) against the Appell form of the
     triangle formula's numbers, compared coefficient by coefficient."""
     check_at_least("n", n, 0)
@@ -383,7 +383,7 @@ def verify_corollary5(n: int, N: int, u, variant: str = "corrected") -> Routes:
 
 
 @_identity("eq60_multinomial")
-def verify_product_multinomial(n: int, N: int, u) -> Routes:
+def verify_product_multinomial(n: int, N: int, u):
     """H_n^(N)(x|u) against the multinomial expansion over all index
     tuples (l_1, ..., l_N, m) summing to n; no variant, no u-power factor.
     As multinomial(n; l, m) = C(n, m) * multinomial(n-m; l), the
@@ -401,7 +401,7 @@ def verify_product_multinomial(n: int, N: int, u) -> Routes:
 
 
 @_identity("carlitz_product")
-def verify_carlitz(m: int, n: int, alpha, beta, variant: str = "corrected") -> Routes:
+def verify_carlitz(m: int, n: int, alpha, beta, variant: str = "corrected"):
     """Product of two Frobenius-Euler polynomials with distinct parameters
     against its three-term expansion in parameter alpha*beta.
 
@@ -410,7 +410,6 @@ def verify_carlitz(m: int, n: int, alpha, beta, variant: str = "corrected") -> R
     the ``corrected`` form.
     """
     check_at_least("m and n", min(m, n), 0)
-    alpha, beta = exact_parameter(alpha), exact_parameter(beta)
     if alpha == 1 or beta == 1:
         raise ValueError("alpha = 1 or beta = 1 is outside the parameter domain")
     ab = alpha * beta
@@ -442,7 +441,7 @@ def verify_carlitz(m: int, n: int, alpha, beta, variant: str = "corrected") -> R
 
 
 @_identity("carlitz_reciprocal")
-def verify_carlitz_reciprocal(m: int, n: int, alpha) -> Routes:
+def verify_carlitz_reciprocal(m: int, n: int, alpha):
     """Product of Frobenius-Euler polynomials with reciprocal parameters
     (beta = 1/alpha) against the Bernoulli-polynomial expansion.
 
@@ -450,7 +449,6 @@ def verify_carlitz_reciprocal(m: int, n: int, alpha) -> Routes:
     sides and records the verdict either way.
     """
     check_at_least("m and n", min(m, n), 0)
-    alpha = exact_parameter(alpha)
     if alpha == 0:
         raise ValueError("alpha = 0 has no reciprocal")
     if alpha == 1:
@@ -476,7 +474,7 @@ def verify_carlitz_reciprocal(m: int, n: int, alpha) -> Routes:
 
 
 @_identity("bernoulli_product")
-def verify_bernoulli_product(m: int, n: int) -> Routes:
+def verify_bernoulli_product(m: int, n: int):
     """Product of two Bernoulli polynomials against its expansion in
     Bernoulli numbers and polynomials.
 
@@ -586,11 +584,9 @@ def _convert(param: Param, value):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"grid value for {param.name!r} must be an integer: {value!r}")
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
-    raise ValueError(f"grid value for {param.name!r} must be an int or 'p/q' string: {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"grid value for {param.name!r} must be an int or 'p/q' string: {value!r}")
+    return exact_parameter(value)
 
 
 def _convert_pair(params, value) -> tuple:

@@ -387,6 +387,22 @@ class TestVerifyCommand:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["table", "fe-numbers", "--u", "x", "--n-max", "2"], "x"),
+    (["table", "fe-numbers", "--u", "1/0", "--n-max", "2"], "1/0"),
+    (["table", "fe-higher", "--u", "0.5", "--N", "2", "--n-max", "2"], "0.5"),
+    (["verify", "carlitz_product", "--m", "1", "--n", "1", "--alpha", "x", "--beta", "2"], "x"),
+    (["verify", "corollary2", "--N", "2", "--u", "2", "--x", "1e3"], "1e3"),
+], ids=["table-not-pq", "table-zero-denominator", "table-decimal", "verify-not-pq",
+        "verify-exponent"])
+def test_malformed_rational_flag_prints_the_readers_message(capsys, argv, text):
+    """A rational flag is read by ``parse_rational``, the reader of grid
+    files too: one line with its own message, and nothing written."""
+    with pytest.raises(ValueError) as refused:
+        parse_rational(text)
+    assert run_capture(capsys, argv) == (2, "", f"feident: error: {refused.value}\n")
+
+
 class TestNegativeRationalFlags:
     """``--u -5/7`` reads like ``--u=-5/7`` for every rational flag."""
 
@@ -402,6 +418,9 @@ class TestNegativeRationalFlags:
             ["verify", "carlitz_product", "--m", "1", "--n", "2", "--alpha", "-2",
              "--beta", "-1/3"],
             ["verify", "carlitz_reciprocal", "--m", "1", "--n", "1", "--alpha", "-5/7"],
+            ["verify", "corollary4", "--n", "2", "--N", "2", "--u", "-5/7"],
+            ["verify", "corollary5", "--n", "2", "--N", "2", "--u", "-5/7"],
+            ["verify", "eq60_multinomial", "--n", "2", "--N", "2", "--u", "-5/7"],
         ],
     )
     def test_separate_value_matches_joined(self, capsys, argv):
@@ -421,6 +440,18 @@ class TestNegativeRationalFlags:
         code, out, err = run_capture(capsys, ["table", "fe-numbers", "--u", "-x", "--n-max", "2"])
         assert (code, out) == (2, "")
         assert "--u" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["table", "fe-numbers", "--u", "2", "--n-max", "-5/7"], "--n-max"),
+        (["table", "fe-higher", "--u", "2", "--N", "-5/7", "--n-max", "2"], "--N"),
+        (["verify", "theorem3", "--n", "-5/7", "--N", "2", "--u", "2"], "--n"),
+    ], ids=["table-n-max", "table-N", "verify-n"])
+    def test_negative_rational_for_an_integer_flag(self, capsys, argv, flag):
+        """The value is joined to any flag, so argparse names the flag and
+        the value instead of reporting a missing argument."""
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"feident: error: argument {flag}: invalid int value: '-5/7'\n"
 
 
 class TestAuditCommand:

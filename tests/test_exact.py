@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,14 @@ class TestExactParameter:
     def test_float_raises(self, value):
         with pytest.raises(TypeError, match="float parameters are not allowed"):
             exact_parameter(value)
+
+    @pytest.mark.parametrize("text", ["0.5", " 1/3", "1e3", "1_000/3"])
+    def test_text_outside_the_pq_grammar_raises(self, text):
+        """``Fraction()`` reads each of these; the one rational grammar
+        does not, so the library refuses what the CLI and grids refuse."""
+        assert Fraction(text)
+        with pytest.raises(ValueError, match=re.escape(f"not a rational in p/q form: {text!r}")):
+            exact_parameter(text)
 
     @pytest.mark.parametrize("value", [True, False])
     def test_bool_raises(self, value):

@@ -106,6 +106,11 @@ class TestFeNumber:
         with pytest.raises(TypeError, match="float parameters are not allowed"):
             call(3, 0.1)
 
+    @pytest.mark.parametrize("u", ["0.5", " 1/3", "1e3", "1_000/3"])
+    def test_u_outside_the_pq_grammar_refused(self, u):
+        with pytest.raises(ValueError, match="not a rational in p/q form"):
+            fe_number(3, u)
+
     @pytest.mark.parametrize("call", [fe_number, fe_polynomial], ids=lambda f: f.__name__)
     def test_bool_u_refused(self, call):
         # False would read as u = 0, where H_3(0) = -1

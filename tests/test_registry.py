@@ -154,13 +154,14 @@ def test_checker_schema(identity):
 @pytest.mark.parametrize("identity", IDENTITIES)
 def test_checker_signature_is_the_body_signature(identity):
     """``help()`` shows the body's signature: the registry keeps the
-    schema as data, and ``functools.wraps`` points at the body, which
-    returns its two routes."""
+    schema as data, and ``functools.wraps`` points at the body.  The body
+    returns its two routes and the checker a report, so neither claims a
+    return annotation."""
     checker = CHECKERS[identity]
     signature = inspect.signature(checker)
     assert signature == inspect.signature(checker.__wrapped__)
     assert list(signature.parameters) == list(parameters(identity))
-    assert signature.return_annotation == "Routes"
+    assert signature.return_annotation is inspect.Signature.empty
 
 
 def test_schema_is_read_only():
@@ -272,6 +273,11 @@ def test_type_errors_come_before_value_errors():
         verify.verify_theorem1(0, 1, 12.0)
     with pytest.raises(TypeError, match="argument 'alpha' must be a rational, not bool"):
         verify.verify_carlitz(-1, 0, True, 1)
+    # n = -1 and m = -1 are ValueErrors; a float rational is read before the body
+    with pytest.raises(TypeError, match="float parameters are not allowed"):
+        verify.verify_theorem3(-1, 2, 0.5)
+    with pytest.raises(TypeError, match="float parameters are not allowed"):
+        verify.verify_carlitz(-1, 0, 0.5, 2)
 
 
 def test_defaults_are_filled_in_for_every_call_form():
