@@ -44,10 +44,9 @@ import sys
 from collections import namedtuple
 from itertools import chain
 from math import gcd
-from operator import add
 from typing import Iterable, Iterator
 
-from .exact import check_at_least, exact_parameter, format_ratio, format_rational
+from .exact import binomial_rows, check_at_least, exact_parameter, format_ratio, format_rational
 
 __all__ = ["main", "run"]
 
@@ -187,11 +186,9 @@ def _fe_polynomials(n_max: int, u) -> Iterator[dict]:
     from .frobenius import fe_number
 
     terms = []  # (a, b) of H_0..H_n
-    row = []  # C(n,0)..C(n,n), by Pascal's rule
-    for n in range(n_max + 1):
+    for n, row in enumerate(binomial_rows(n_max)):
         h = fe_number(n, u)
         terms.append((h.numerator, h.denominator))
-        row = [1, *map(add, row, row[1:]), 1] if n else [1]
         coeffs = [format_ratio(c // g * a, b // g)
                   for c, (a, b) in zip(row, reversed(terms)) for g in (gcd(c, b),)]
         yield {"n": n, "coeffs": coeffs + ["0"] * (n_max - n)}

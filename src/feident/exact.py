@@ -17,6 +17,11 @@ Kernels read and return it, so a chain of them makes no Fraction;
 :func:`to_fractions` is the one place it becomes Fractions, on each read
 of ``coeffs``.  :func:`differing_entries` is the one comparison of two
 integer forms, for equality and for the verification harness alike.
+
+:func:`binomial_rows` is the one source of Pascal rows, for the series
+kernels and the CLI's polynomial rows.  The rows depend on nothing but
+n, so those up to n = 64 are kept for the life of the process (at most
+65 rows); this is the module's one cache, and it never changes a value.
 """
 
 from __future__ import annotations
@@ -42,12 +47,15 @@ __all__ = [
     "Coefficients",
     "combine",
     "binomial",
+    "binomial_rows",
     "multinomial",
     "compositions",
     "weak_compositions",
 ]
 
-_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
+# ASCII digits only: \d alone would also match other scripts' digits,
+# which int() reads, so a fullwidth "2" would parse as 2.
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?", re.ASCII)
 
 
 def as_fraction(value) -> Fraction:
@@ -223,6 +231,35 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+# Rows C(n, 0..n) for n = 0..k, k <= _ROWS_KEPT: a tuple of tuples,
+# replaced whole, never mutated, so a reader never sees a half-built list.
+_ROWS_KEPT = 64
+_kept_rows = ((1,),)
+
+
+def binomial_rows(t: int) -> Iterator[tuple[int, ...]]:
+    """Rows C(n, 0..n) for n = 0..t, each by Pascal's rule from the last
+    (cheaper than math.comb once the entries are big).
+
+    Rows up to n = 64 do not depend on anything but n, so they are kept for
+    the life of the process, grown on demand; rows above 64 are built on
+    each call and not kept, as big-integer work dominates there."""
+    global _kept_rows
+    check_at_least("t", t, 0)
+    kept = _kept_rows
+    if len(kept) <= min(t, _ROWS_KEPT):
+        grown, row = list(kept), kept[-1]
+        for _ in range(len(kept), min(t, _ROWS_KEPT) + 1):
+            row = (1, *map(add, row, row[1:]), 1)
+            grown.append(row)
+        kept = _kept_rows = tuple(grown)
+    yield from kept[: t + 1]
+    row = kept[-1]
+    for _ in range(len(kept), t + 1):
+        row = (1, *map(add, row, row[1:]), 1)
+        yield row
 
 
 def multinomial(n: int, parts: Sequence[int]) -> int:

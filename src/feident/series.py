@@ -12,7 +12,9 @@ them only in integer form, numerators over the lcm of their denominators
 ``coeffs`` or ``s[n]`` is read, never to compare.  The kernels read and
 return the integer form, so a chain such as F -> F^N -> scale makes no
 Fraction: a product convolves the numerators, with binomial weights row
-by row from Pascal's rule, and puts the result in lowest terms; a scale
+by row from :func:`feident.exact.binomial_rows` (Pascal's rule, rows up
+to n = 64 kept for the life of the process, as they do not depend on the
+operands), and puts the result in lowest terms; a scale
 multiplies numerators and denominator; a truncation slices the
 numerators.  The reciprocal reduces each output with one integer gcd,
 keeping the outputs so far as numerators over the lcm of their reduced
@@ -36,11 +38,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, mul
-from typing import Iterable, Iterator
+from operator import mul
+from typing import Iterable
 
-from .exact import (Coefficients, as_fraction, check_at_least, common_denominator,
-                    exact_parameter, lowest_terms, to_fractions)
+from .exact import (Coefficients, as_fraction, binomial_rows, check_at_least,
+                    common_denominator, exact_parameter, lowest_terms, to_fractions)
 
 __all__ = [
     "EgfSeries",
@@ -89,16 +91,6 @@ def series_scale(a: EgfSeries, c) -> EgfSeries:
     return EgfSeries._of(([c.numerator * v for v in nums], c.denominator * d))
 
 
-def _binomial_rows(t: int) -> Iterator[list[int]]:
-    """Rows C(n, 0..n) for n = 0..t, each by Pascal's rule from the last
-    (cheaper than math.comb once the entries are big)."""
-    row = [1]
-    yield row
-    for _ in range(t):
-        row = [1, *map(add, row, row[1:]), 1]
-        yield row
-
-
 def series_mul(a: EgfSeries, b: EgfSeries) -> EgfSeries:
     """Product of two EGFs: c_n = sum_k C(n,k) a_k b_{n-k}, convolved on
     the operands' integer forms and put in lowest terms, so that the
@@ -109,7 +101,7 @@ def series_mul(a: EgfSeries, b: EgfSeries) -> EgfSeries:
     yr = yn[t::-1]
     return EgfSeries._of(lowest_terms([
         sum(map(mul, row, map(mul, xn[: n + 1], yr[t - n:])))
-        for n, row in enumerate(_binomial_rows(t))
+        for n, row in enumerate(binomial_rows(t))
     ], dx * dy))
 
 
@@ -134,7 +126,7 @@ def series_reciprocal(a: EgfSeries) -> EgfSeries:
     a0, sign = abs(an[t]), (-1 if an[t] > 0 else 1)
     g = math.gcd(d, a0)
     lcm, nums = a0 // g, [-sign * d // g]
-    rows = _binomial_rows(t)
+    rows = binomial_rows(t)
     next(rows)
     for n, row in enumerate(rows, 1):
         # an[t - n + k] is A_{n-k}

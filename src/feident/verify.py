@@ -19,7 +19,10 @@ route can be run, timed and traced alone; ``tests/test_route_map.py``
 pins what each enters.
 
 The routes' sums run on integers: the composition sums of corollary4 and
-eq60_multinomial over the table's numerators of H_0..H_n, and the Carlitz
+eq60_multinomial over the table's numerators of H_0..H_n (by direct
+enumeration, each tuple's multinomial weight read from
+:func:`_composition_terms`, which keeps at most 64 enumerations of at
+most 256 tuples, as they depend on no parameter), and the Carlitz
 and Bernoulli products as one integer combination each, with integer-pair
 weights from the parameters' and tables' numerators and denominators.
 theorem1 reads both routes from the number table of u, as theorem3 does:
@@ -340,16 +343,36 @@ def verify_theorem3(n: int, N: int, u, variant: str = "corrected"):
             lambda: _formula_numbers(n, N, u, variant, first=n))
 
 
+# Enumerations of at most _TERMS_KEPT tuples are kept, at most
+# _ENUMERATIONS_KEPT of them, so the memory they hold is bounded.  The
+# default audit sums over 24 pairs (k, N), the largest of C(8, 3) = 56
+# tuples; a sweep op over 7, the largest of C(9, 3) = 84.
+_TERMS_KEPT = 256
+_ENUMERATIONS_KEPT = 64
+
+
+@functools.lru_cache(maxsize=_ENUMERATIONS_KEPT)
+def _composition_terms(k: int, N: int) -> tuple:
+    """``(multinomial(k; l), l)`` for each weak composition l of k into N
+    parts, in order; these do not depend on u, so they are kept."""
+    return tuple((multinomial(k, parts), parts) for parts in weak_compositions(k, N))
+
+
 def _composition_sum(k: int, N: int, nums) -> int:
     """Sum over the weak compositions l of k into N parts of
-    multinomial(k; l) * nums[l_1] * ... * nums[l_N].
+    multinomial(k; l) * nums[l_1] * ... * nums[l_N], by direct enumeration.
 
     With nums[0..k] integer numerators over one common denominator d (as
     the number table serves them), every product has the denominator d^N,
-    so the sum runs on integers and its value is the result over d^N."""
+    so the sum runs on integers and its value is the result over d^N.  The
+    terms come from :func:`_composition_terms` when there are at most
+    ``_TERMS_KEPT`` of them, and stream from ``weak_compositions`` otherwise."""
+    if math.comb(k + N - 1, N - 1) <= _TERMS_KEPT:
+        terms = _composition_terms(k, N)
+    else:
+        terms = ((multinomial(k, parts), parts) for parts in weak_compositions(k, N))
     total = 0
-    for parts in weak_compositions(k, N):
-        prod = multinomial(k, parts)
+    for prod, parts in terms:
         for l in parts:
             prod *= nums[l]
         total += prod

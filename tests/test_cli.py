@@ -393,8 +393,10 @@ class TestVerifyCommand:
     (["table", "fe-higher", "--u", "0.5", "--N", "2", "--n-max", "2"], "0.5"),
     (["verify", "carlitz_product", "--m", "1", "--n", "1", "--alpha", "x", "--beta", "2"], "x"),
     (["verify", "corollary2", "--N", "2", "--u", "2", "--x", "1e3"], "1e3"),
+    (["table", "fe-numbers", "--u", "\u0661/\u0663", "--n-max", "1"], "\u0661/\u0663"),
+    (["verify", "theorem3", "--n", "1", "--N", "2", "--u", "\uff12"], "\uff12"),
 ], ids=["table-not-pq", "table-zero-denominator", "table-decimal", "verify-not-pq",
-        "verify-exponent"])
+        "verify-exponent", "table-non-ascii-digits", "verify-non-ascii-digit"])
 def test_malformed_rational_flag_prints_the_readers_message(capsys, argv, text):
     """A rational flag is read by ``parse_rational``, the reader of grid
     files too: one line with its own message, and nothing written."""

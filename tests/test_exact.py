@@ -113,7 +113,9 @@ class TestExactParameter:
         with pytest.raises(TypeError, match="float parameters are not allowed"):
             exact_parameter(value)
 
-    @pytest.mark.parametrize("text", ["0.5", " 1/3", "1e3", "1_000/3"])
+    # "\uff12" is a fullwidth 2 and "\u0661/\u0663" is 1/3 in Arabic-Indic
+    # digits: the grammar takes ASCII digits only
+    @pytest.mark.parametrize("text", ["0.5", " 1/3", "1e3", "1_000/3", "\uff12", "\u0661/\u0663"])
     def test_text_outside_the_pq_grammar_raises(self, text):
         """``Fraction()`` reads each of these; the one rational grammar
         does not, so the library refuses what the CLI and grids refuse."""

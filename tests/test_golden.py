@@ -148,6 +148,8 @@ PATHS = [
      {"eq60_multinomial": {"n": [1], "N": [1], "u": [0.5]}}),
     ("grid bad rational", ["audit", "--grid", GRID],
      {"carlitz_reciprocal": {"m": [1], "n": [1], "alpha": ["1/0"]}}),
+    ("grid non-ASCII digits", ["audit", "--grid", GRID],
+     {"carlitz_reciprocal": {"m": [1], "n": [1], "alpha": ["\u0661/\u0663"]}}),
     ("grid unknown variant", ["audit", "--grid", GRID],
      {"theorem3": {"variant": ["as-printed"], "n": [1], "N": [1], "u": ["2"]}}),
     ("grid alpha_beta not a pair", ["audit", "--grid", GRID],
@@ -232,6 +234,8 @@ PATH_RESULTS = {
         (2, EMPTY, "feident: error: grid value for 'u' must be an int or 'p/q' string: 0.5\n"),
     'grid bad rational':
         (2, EMPTY, "feident: error: zero denominator: '1/0'\n"),
+    'grid non-ASCII digits':
+        (2, EMPTY, "feident: error: not a rational in p/q form: '\u0661/\u0663'\n"),
     'grid unknown variant':
         (2, EMPTY, "feident: error: unknown variant 'as-printed'; expected one of ('as_printed', 'corrected')\n"),
     'grid alpha_beta not a pair':

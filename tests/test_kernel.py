@@ -1,7 +1,8 @@
 """Properties of the number kernel: the fraction-free prefix tables behind
-H_n(u), the per-u caches of both routes, square-and-multiply series
-powers, the shared Bernoulli prefix, and the integer convolutions behind
-series and polynomial products."""
+H_n(u), the per-u caches of both routes, the kept u-independent Pascal
+rows and composition terms, square-and-multiply series powers, the shared
+Bernoulli prefix, and the integer convolutions behind series and
+polynomial products."""
 
 import math
 import random
@@ -15,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feident import cli, frobenius, series, stirling, verify
-from feident.exact import binomial
+from feident import cli, exact, frobenius, series, stirling, verify
+from feident.exact import binomial, binomial_rows, weak_compositions
 from feident.frobenius import (
     bernoulli_number,
     euler_polynomial,
@@ -36,7 +37,7 @@ from feident.series import (
     series_pow,
     series_reciprocal,
 )
-from feident.verify import DEFAULT_GRID, _expand, audit_all
+from feident.verify import DEFAULT_GRID, _composition_sum, _expand, audit_all, document_json
 
 KERNEL_US = [Fraction(1, 3), Fraction(2), Fraction(-5, 7), Fraction(-1), Fraction(0), Fraction(9, 8)]
 N_MAX = 80
@@ -377,6 +378,134 @@ def test_table_bound_covers_each_identity_block():
     assert 9 <= widest <= frobenius._TABLE_BOUND
 
 
+@pytest.fixture
+def cold_combinatorics(monkeypatch):
+    """No kept Pascal row past C(0, .) and no kept composition terms; the
+    rows kept before are put back after the test."""
+    monkeypatch.setattr(exact, "_kept_rows", ((1,),))
+    verify._composition_terms.cache_clear()
+    yield
+    verify._composition_terms.cache_clear()
+
+
+def sweep_op(u):
+    """One op of the benchmark's ``sweep`` workload at u: every report
+    must pass."""
+    frobenius.fe_polynomial(60, u)
+    reports = [
+        verify.verify_theorem3(6, 4, u),
+        verify.verify_corollary4(6, 4, u),
+        verify.verify_corollary5(8, 3, u),
+        verify.verify_theorem1(4, u, 24),
+        verify.verify_carlitz(6, 6, u, 5 if 3 * u == 1 else 3),
+        verify.verify_product_multinomial(5, 3, u),
+    ]
+    assert [r.verdict for r in reports] == ["pass"] * len(reports)
+
+
+def streamed_sum(k, N, nums):
+    """The composition sum over ``weak_compositions`` as it streams, with
+    ``math`` multinomials: no kept terms."""
+    total = 0
+    for parts in weak_compositions(k, N):
+        prod = math.factorial(k)
+        for l in parts:
+            prod = prod // math.factorial(l) * nums[l]
+        total += prod
+    return total
+
+
+class TestKeptCombinatorics:
+    """The Pascal rows and composition terms depend on no parameter, so they
+    are kept for the life of the process, within fixed bounds: a new u
+    pays only for its own numbers, and no value depends on what was
+    computed before."""
+
+    def test_a_new_u_rebuilds_no_combinatorics(self, monkeypatch, cold_combinatorics):
+        frobenius._table.cache_clear()
+        sweep_op(Fraction(7, 11))
+        rows = exact._kept_rows
+        assert len(rows) == 25  # theorem1 at T = 24 reads the longest series
+        counts = Counter()
+        for name in ("multinomial", "weak_compositions"):
+            kernel = getattr(verify, name)
+
+            def counted(*args, name=name, kernel=kernel):
+                counts[name] += 1
+                return kernel(*args)
+
+            monkeypatch.setattr(verify, name, counted)
+        sweep_op(Fraction(-13, 6))
+        assert counts == {}
+        # a row built up to n = 64 would have replaced the kept ones
+        assert exact._kept_rows is rows
+        frobenius._table.cache_clear()
+
+    def test_rows_above_64_are_built_not_kept(self, cold_combinatorics):
+        rng = random.Random(3)
+        xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(201)]
+        assert list(series_mul(EgfSeries(xs), EgfSeries(xs)).coeffs) == fraction_series_mul(xs, xs)
+        assert len(exact._kept_rows) == 65
+        assert [list(row) for row in binomial_rows(200)] == [
+            [math.comb(n, k) for k in range(n + 1)] for n in range(201)]
+        assert len(exact._kept_rows) == 65
+
+    @pytest.mark.parametrize("t", [0, 1, 5, 64, 65, 70])
+    def test_rows_warm_equal_rows_cold(self, cold_combinatorics, t):
+        cold = list(binomial_rows(t))
+        assert len(exact._kept_rows) == min(t, 64) + 1
+        assert cold == list(binomial_rows(t)) == [
+            tuple(math.comb(n, k) for k in range(n + 1)) for n in range(t + 1)]
+
+    def test_large_enumerations_stream(self, cold_combinatorics):
+        nums = list(range(-6, 7))
+        assert math.comb(12 + 4, 4) == 1820
+        assert _composition_sum(12, 5, nums) == streamed_sum(12, 5, nums)
+        assert verify._composition_terms.cache_info().currsize == 0
+        # 256 tuples are kept, 257 stream
+        assert _composition_sum(255, 2, range(256)) == streamed_sum(255, 2, range(256))
+        assert _composition_sum(256, 2, range(257)) == streamed_sum(256, 2, range(257))
+        assert verify._composition_terms.cache_info().currsize == 1
+
+    def test_at_most_64_enumerations_are_kept(self, cold_combinatorics):
+        nums = [3, -1, 4, -1, 5, -9, 2, 6, -5, 3]
+        for k in range(10):
+            for N in range(1, 11):
+                assert _composition_sum(k, N, nums) == streamed_sum(k, N, nums)
+        assert verify._composition_terms.cache_info().currsize == 64
+
+    def test_reports_with_cold_caches_equal_reports_with_warm_ones(self, monkeypatch):
+        """The default audit and a grid at other parameters of every
+        identity, first on cold caches, then on caches warmed by both."""
+        grid = {
+            "theorem1": {"variant": ["corrected"], "N": [5], "u": ["3/4"], "T": [14]},
+            "corollary2": {"variant": ["corrected"], "N": [3], "u": ["-3"], "x": ["2/5"],
+                           "T": [9]},
+            "theorem3": {"variant": ["corrected"], "n": [8], "N": [5], "u": ["7/2"]},
+            "corollary4": {"variant": ["as_printed", "corrected"], "n": [7, 12], "N": [4, 5],
+                           "u": ["-1/4"]},
+            "corollary5": {"variant": ["corrected"], "n": [7], "N": [5], "u": ["5/3"]},
+            "eq60_multinomial": {"n": [9], "N": [4], "u": ["-7/9"]},
+            "carlitz_product": {"variant": ["corrected"], "m": [5], "n": [4],
+                                "alpha_beta": [["3/2", "-4"]]},
+            "carlitz_reciprocal": {"m": [4], "n": [5], "alpha": ["-3/2"]},
+            "bernoulli_product": {"m": [6], "n": [5]},
+        }
+
+        def cold(run):
+            frobenius._table.cache_clear()
+            verify._composition_terms.cache_clear()
+            monkeypatch.setattr(exact, "_kept_rows", ((1,),))
+            monkeypatch.setattr(series, "_bernoulli_prefix", EgfSeries([Fraction(1)]))
+            return document_json(run())
+
+        cold_docs = [cold(audit_all), cold(lambda: audit_all(grid))]
+        warm_docs = [document_json(audit_all()), document_json(audit_all(grid))]
+        assert warm_docs == cold_docs
+        frobenius._table.cache_clear()
+        verify._composition_terms.cache_clear()
+
+
 coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
@@ -540,12 +669,15 @@ def test_bernoulli_against_sympy_at_large_n(n):
     assert bernoulli_number(n) == Fraction(int(b.p), int(b.q))
 
 
-def test_concurrent_readers_see_correct_values():
-    """Threads that grow the same fresh tables at once may redo work, but
-    every value any of them reads is right."""
+def test_concurrent_readers_see_correct_values(monkeypatch):
+    """Threads that grow the same fresh tables, Pascal rows and composition
+    terms at once may redo work, but every value any of them reads is
+    right."""
     us = [Fraction(p, 11) for p in range(-12, 12) if p != 11]
     want = {u: fraction_recurrence(40, u) for u in us}
     bernoulli_want = {n: bernoulli_oracle(n)[n] for n in range(0, 61, 6)}
+    pascal = [tuple(math.comb(n, k) for k in range(n + 1)) for n in range(71)]
+    nums = [2, -3, 5, 7, -11, 13, 1]
     errors = []
 
     def reader(seed):
@@ -558,6 +690,12 @@ def test_concurrent_readers_see_correct_values():
                 k = rng.choice(list(bernoulli_want))
                 if bernoulli_number(k) != bernoulli_want[k]:
                     errors.append(("B", k))
+                t = rng.randrange(71)
+                if list(binomial_rows(t)) != pascal[: t + 1]:
+                    errors.append(("rows", t))
+                k, N = rng.randrange(7), rng.randrange(1, 5)
+                if _composition_sum(k, N, nums) != streamed_sum(k, N, nums):
+                    errors.append(("terms", k, N))
         except Exception as exc:  # reported through the assertion below
             errors.append(exc)
 
@@ -566,6 +704,8 @@ def test_concurrent_readers_see_correct_values():
     try:
         for round_ in range(3):
             frobenius._table.cache_clear()
+            verify._composition_terms.cache_clear()
+            monkeypatch.setattr(exact, "_kept_rows", ((1,),))
             threads = [threading.Thread(target=reader, args=(8 * round_ + i,)) for i in range(8)]
             for t in threads:
                 t.start()

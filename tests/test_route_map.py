@@ -1,8 +1,10 @@
 """Each identity's two routes share only basic arithmetic.
 
 For every case of the default grid, the checker body is called and each
-of its two routes is run alone, on fresh number tables and a fresh
-Bernoulli prefix, under a ``sys.setprofile`` hook that records every
+of its two routes is run alone, on fresh number tables, a fresh
+Bernoulli prefix and fresh composition terms (the kept Pascal rows stay,
+as ``binomial_rows`` is entered on every read, warm or cold), under a
+``sys.setprofile`` hook that records every
 ``feident`` function entered, keyed ``module:co_name`` (not
 ``co_qualname``, and without comprehension, generator-expression or lambda
 frames, so the keys are the same on Python 3.10 to 3.12).  What the body
@@ -41,11 +43,12 @@ ALLOWED = {"feident.verify:_derivative_expansion"} | {
     "feident.exact:" + name for name in (
         "as_fraction", "exact_parameter", "check_at_least", "common_denominator",
         "to_fractions", "lowest_terms", "_hold", "_of", "coeffs", "combine", "binomial",
+        "binomial_rows",
     )
 } | {
     "feident.series:" + name for name in (
         "__init__", "order", "__len__", "__getitem__", "series_scale", "series_mul",
-        "_binomial_rows", "series_truncate", "_check_u",
+        "series_truncate", "_check_u",
     )
 } | {
     "feident.poly:" + name for name in (
@@ -115,12 +118,14 @@ def measure(identities=IDENTITIES, grid=DEFAULT_GRID) -> dict:
                 # a body returns (var, lhs, rhs)
                 for index, keys in ((1, sides["lhs"]), (2, sides["rhs"])):
                     frobenius._table.cache_clear()
+                    verify._composition_terms.cache_clear()
                     series._bernoulli_prefix = EgfSeries([Fraction(1)])
                     body_keys, routes_of_case = entered(lambda: body(**arguments))
                     route_keys, _ = entered(routes_of_case[index])
                     keys |= body_keys | route_keys
     finally:
         frobenius._table.cache_clear()
+        verify._composition_terms.cache_clear()
         series._bernoulli_prefix = prefix
     return {identity: {side: sorted(keys) for side, keys in sides.items()}
             for identity, sides in routes.items()}

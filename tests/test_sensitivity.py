@@ -52,17 +52,21 @@ from feident.verify import audit_all
 
 def failing_identities() -> set:
     """Identities with a failing non-``as_printed`` report in the default
-    audit, run on fresh number tables and a fresh Bernoulli prefix.
-    Clearing ``frobenius._table`` clears both routes' caches: the prefix
-    and polynomials of the recurrence route and the series route's
-    powers of F, so a planted fault reaches every value the audit reads."""
+    audit, run on fresh number tables, a fresh Bernoulli prefix and fresh
+    composition terms.  Clearing ``frobenius._table`` clears both routes'
+    caches: the prefix and polynomials of the recurrence route and the
+    series route's powers of F; clearing ``verify._composition_terms``
+    makes the multinomial and weak-composition faults reach the kept
+    terms, so a planted fault reaches every value the audit reads."""
     unfilled = EgfSeries([Fraction(1)])
     frobenius._table.cache_clear()
+    verify._composition_terms.cache_clear()
     series._bernoulli_prefix = unfilled
     try:
         reports = audit_all()
     finally:
         frobenius._table.cache_clear()
+        verify._composition_terms.cache_clear()
         series._bernoulli_prefix = unfilled
     return {r.identity for r in reports if r.variant != "as_printed" and r.verdict != "pass"}
 
