@@ -16,7 +16,9 @@ hold commas and quotes; report JSON is
 passes, 1 when any verification fails, 2 on usage or parameter errors
 (argparse's own, and sizes too large for Python or for memory, included;
 each prints one ``feident: error:`` line), 130 on an interrupt, and 141
-when the reader closes stdout early.
+when the reader closes stdout early.  ``main`` ends the process without
+the interpreter's shutdown collection (it freezes the heap once ``run``
+has returned), so an in-process caller uses ``run``.
 
 Each table subject is one ``@_subject`` entry, which its subparser's
 flags and both renderings read.  CSV is written a row at a time as the
@@ -38,6 +40,7 @@ tables, ``csv`` for report CSV.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import os
 import sys
@@ -347,7 +350,13 @@ def _run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """Run the CLI on ``sys.argv`` and exit with its status.  Once ``run``
+    has returned, its output flushed, the heap is frozen, so that the
+    shutdown collections skip memory the operating system frees anyway;
+    atexit handlers and stream flushes still run."""
+    status = run(sys.argv[1:])
+    gc.freeze()
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -50,9 +50,10 @@ as-printed/corrected forms.  Grid axes and CLI flags are read from the
 schema (:func:`parameters`).  The registry binds each call against the
 schema, raising ``TypeError`` before anything is checked for a call the
 body could not take, an integer parameter that is a ``bool`` or not an
-``int``, or a ``bool`` rational parameter; then it checks ``variant``,
-reads each rational once with :func:`feident.exact.exact_parameter`, so
-a body gets Fractions, runs and compares the routes and builds the report.
+``int``, or a ``bool`` or ``float`` rational parameter; then it checks
+``variant``, reads each rational once with
+:func:`feident.exact.exact_parameter`, so a body gets Fractions, runs and
+compares the routes and builds the report.
 """
 
 from __future__ import annotations
@@ -211,8 +212,9 @@ def _schema(body) -> dict:
 def _bind(schema: dict, args: tuple, kwargs: dict) -> dict:
     """Every parameter's value in a call with ``args`` and ``kwargs``,
     defaults filled in; a call the body could not take, a non-``int`` or
-    ``bool`` integer parameter, or a ``bool`` rational parameter raises
-    TypeError."""
+    ``bool`` integer parameter, or a ``bool`` or ``float`` rational
+    parameter raises TypeError (a ``float`` with ``exact_parameter``'s
+    message)."""
     if len(args) > len(schema):
         raise TypeError("too many positional arguments")
     arguments = dict(zip(schema, args))
@@ -231,8 +233,11 @@ def _bind(schema: dict, args: tuple, kwargs: dict) -> dict:
         value = arguments[name]
         if param.integer and (isinstance(value, bool) or not isinstance(value, int)):
             raise TypeError(f"argument {name!r} must be an int, not {type(value).__name__}")
-        if not param.integer and name != "variant" and isinstance(value, bool):
-            raise TypeError(f"argument {name!r} must be a rational, not bool")
+        if not param.integer and name != "variant":
+            if isinstance(value, bool):
+                raise TypeError(f"argument {name!r} must be a rational, not bool")
+            if isinstance(value, float):
+                exact_parameter(value)  # raises its float TypeError
     return arguments
 
 

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import csv
+import gc
+import hashlib
 import io
 import json
 import os
@@ -24,6 +26,38 @@ def run_capture(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+MODULE_CLI = [sys.executable, "-m", "feident.cli"]
+
+
+def cli_env() -> dict:
+    """This environment with this checkout's feident on ``PYTHONPATH``."""
+    src = str(Path(feident.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def fresh_cli(argv) -> subprocess.CompletedProcess:
+    """``python -m feident.cli argv`` run to its end in a new process."""
+    return subprocess.run(MODULE_CLI + argv, capture_output=True, env=cli_env(), timeout=120)
+
+
+def close_after_first_line(argv) -> tuple[bytes, int, bytes]:
+    """The first stdout line of a fresh ``feident argv`` process whose
+    reader then closes the pipe, its exit status and its stderr."""
+    proc = subprocess.Popen(MODULE_CLI + argv, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=cli_env())
+    try:
+        line = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        return line, proc.wait(timeout=120), err
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 class TestTable:
@@ -716,25 +750,9 @@ class TestInterruptsAndClosedPipes:
         assert (out, err) == ("n,value\n0,1\n1,1\n", "feident: interrupted\n")
 
     def test_closed_stdout_exits_quietly(self):
-        src = str(Path(feident.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         # about 780 KB of CSV, far more than a pipe holds
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "feident.cli", "table", "fe-numbers", "--u", "2",
-             "--n-max", "800"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        )
-        try:
-            assert proc.stdout.readline() == b"n,value\n"
-            proc.stdout.close()
-            err = proc.stderr.read()
-            assert proc.wait(timeout=120) == 141
-        finally:
-            proc.kill()
-            proc.wait()
-            proc.stderr.close()
-        assert err == b""
+        argv = ["table", "fe-numbers", "--u", "2", "--n-max", "800"]
+        assert close_after_first_line(argv) == (b"n,value\n", 141, b"")
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_closed_pipe_runs_leave_no_descriptor_open(self, monkeypatch):
@@ -760,26 +778,91 @@ class TestModuleEntryPoint:
     """``python -m feident.cli`` behaves exactly like the ``main`` entry point."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, status",
         [
-            ["table", "fe-numbers", "--u", "1/3", "--n-max", "6"],
-            ["verify", "theorem3", "--n", "0", "--N", "2", "--u", "2", "--variant", "as-printed"],
-            ["table", "fe-numbers", "--u", "1", "--n-max", "2"],
+            (["table", "fe-numbers", "--u", "1/3", "--n-max", "6"], 0),
+            (["verify", "theorem3", "--n", "0", "--N", "2", "--u", "2", "--variant", "as-printed"],
+             1),
+            (["table", "fe-numbers", "--u", "1", "--n-max", "2"], 2),
         ],
         ids=["pass", "fail", "usage"],
     )
-    def test_matches_main(self, capsys, monkeypatch, argv):
-        src = str(Path(feident.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "feident.cli"] + argv,
-            capture_output=True, env=env, timeout=60,
-        )
+    def test_matches_main(self, capsys, monkeypatch, argv, status):
+        proc = fresh_cli(argv)
         monkeypatch.setattr(sys, "argv", ["feident"] + argv)
-        with pytest.raises(SystemExit) as exc:
-            main()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main()
+        finally:
+            gc.unfreeze()  # main() froze the heap of this test process
         captured = capsys.readouterr()
-        assert proc.returncode == exc.value.code
+        assert proc.returncode == exc.value.code == status
         assert proc.stdout.decode() == captured.out
         assert proc.stderr.decode() == captured.err
+
+    @pytest.mark.parametrize("argv, status", [
+        (["table", "fe-numbers", "--u", "2", "--n-max", "4"], 0),
+        (["verify", "theorem3", "--n", "0", "--N", "2", "--u", "2", "--variant", "as-printed"], 1),
+    ], ids=["pass", "fail"])
+    def test_freezes_once_run_has_returned(self, monkeypatch, argv, status):
+        """The heap is frozen after ``run`` has flushed its output and
+        returned, and the process exits with ``run``'s status."""
+        from feident import cli
+
+        events = []
+
+        class Stdout(io.StringIO):
+            def flush(self):
+                events.append("flush")
+                super().flush()
+
+        def recorded_run(args):
+            events.append("run")
+            code = run(args)
+            events.append("returned")
+            return code
+
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        monkeypatch.setattr(sys, "argv", ["feident"] + argv)
+        monkeypatch.setattr(cli, "run", recorded_run)
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == status
+        assert events == ["run", "flush", "returned", "freeze"]
+
+
+class TestFreshProcessExit:
+    """The exit contract of ``main()`` in new processes, which end with the
+    heap frozen: the status, and what reaches stdout, stderr and ``--out``
+    (statuses 0, 1 and 2 of one table and one check are in
+    ``TestModuleEntryPoint``)."""
+
+    def test_failing_audit_exits_one(self):
+        proc = fresh_cli(["audit"])
+        assert (proc.returncode, proc.stderr) == (1, b"")
+        # the default audit's golden digest
+        assert (hashlib.sha256(proc.stdout).hexdigest()
+                == "f1f68eac8efcfe7a8407e0f97529742de58ac200f3b9ab5d0a966a493693b8c9")
+
+    def test_malformed_rational_exits_two_with_one_line(self):
+        proc = fresh_cli(["table", "fe-numbers", "--u", "x", "--n-max", "2"])
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == b"feident: error: not a rational in p/q form: 'x'\n"
+
+    def test_closed_stdout_exits_141_quietly(self):
+        # 11 MB of CSV from one triangle
+        line, status, err = close_after_first_line(["table", "stirling", "--n-max", "300"])
+        assert (line, status, err) == (b"N,k,a_k\n", 141, b"")
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "fe-polynomials", "--u=-5/7", "--n-max", "30"],
+        ["audit", "--format", "csv"],
+    ], ids=["table", "audit"])
+    def test_out_file_bytes_equal_stdout_bytes(self, tmp_path, argv):
+        path = tmp_path / "out"
+        to_stdout = fresh_cli(argv)
+        to_file = fresh_cli(argv + ["--out", str(path)])
+        assert to_file.returncode == to_stdout.returncode
+        assert (to_file.stdout, to_file.stderr, to_stdout.stderr) == (b"", b"", b"")
+        assert path.read_bytes() == to_stdout.stdout

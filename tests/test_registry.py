@@ -276,6 +276,9 @@ def test_type_errors_come_before_value_errors():
     # n = -1 and m = -1 are ValueErrors; a float rational is read before the body
     with pytest.raises(TypeError, match="float parameters are not allowed"):
         verify.verify_theorem3(-1, 2, 0.5)
+    # a float rational is refused with the call's types, before the variant is checked
+    with pytest.raises(TypeError, match="float parameters are not allowed"):
+        verify.verify_theorem3(0, 1, 0.5, "bogus")
     with pytest.raises(TypeError, match="float parameters are not allowed"):
         verify.verify_carlitz(-1, 0, 0.5, 2)
 
