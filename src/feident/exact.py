@@ -115,11 +115,9 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Inverse of :func:`parse_rational`: :func:`format_ratio` of ``value``
-    in lowest terms (a ``bool`` prints as its integer)."""
-    if type(value) is not Fraction:
-        value = Fraction(value)
-    return format_ratio(value.numerator, value.denominator)
+    """Inverse of :func:`parse_rational`: ``str`` of ``value`` as a Fraction,
+    "p/q" in lowest terms or just "p" (a ``bool`` prints as its integer)."""
+    return str(value if type(value) is Fraction else Fraction(value))
 
 
 def format_ratio(numerator: int, denominator: int) -> str:

@@ -204,26 +204,34 @@ def fe_polynomial(n: int, u: Fraction) -> Polynomial:
     return _table(_check_u(u)).appell(n)
 
 
+def _checked_table(name: str, n: int, order: int, u: Fraction,
+                   forbid_zero: bool = False) -> _NumberTable:
+    """The table of u, once the index ``n`` (named ``name``), ``order`` and
+    u are checked, in that order: the one check of a public higher-order
+    function's arguments, as the route helpers below check nothing."""
+    check_at_least(name, n, 0)
+    check_at_least("order", order, 1)
+    return _table(_check_u(u, forbid_zero))
+
+
 def fe_higher_numbers(n_max: int, order: int, u: Fraction) -> tuple[Fraction, ...]:
     """H_0^(N)(u)..H_{n_max}^(N)(u) as coefficients of the N-th power of
     the order-1 generating function."""
-    return _higher_series(n_max, order, u).coeffs
+    return _higher_series(_checked_table("n_max", n_max, order, u), n_max, order).coeffs
 
 
-def _higher_series(n_max: int, order: int, u: Fraction, first: int = 0) -> EgfSeries:
+def _higher_series(table: _NumberTable, n_max: int, order: int, first: int = 0) -> EgfSeries:
     """H_first^(N)(u)..H_{n_max}^(N)(u) from the N-th power of the order-1
-    EGF, in integer form, served from the table of u."""
-    check_at_least("n_max", n_max, 0)
-    check_at_least("order", order, 1)
-    nums, d = _table(_check_u(u)).power(n_max, order).integer_form
+    EGF, in integer form, served from ``table``, the table of u; the
+    caller has checked the arguments."""
+    nums, d = table.power(n_max, order).integer_form
     return EgfSeries._of((nums[first:], d))
 
 
 def fe_higher_number_oracle(n: int, order: int, u: Fraction) -> Fraction:
     """H_n^(N)(u) through the series route (the oracle side of the
     two-route checks)."""
-    check_at_least("n", n, 0)
-    return _higher_series(n, order, u, first=n)[0]
+    return _higher_series(_checked_table("n", n, order, u), n, order, first=n)[0]
 
 
 def fe_higher_number_formula(
@@ -236,21 +244,20 @@ def fe_higher_number_formula(
     with factor (u-1)/u for ``corrected`` and (1-u)/u for ``as_printed``.
     Shares nothing with the series route beyond basic arithmetic.
     """
-    return _formula_numbers(n, order, u, variant, first=n)[0]
+    table = _checked_table("n", n, order, u, forbid_zero=True)
+    return _formula_numbers(table, n, order, _check_variant(variant), first=n)[0]
 
 
 def _formula_numbers(
-    n_max: int, order: int, u: Fraction, variant: str, first: int = 0
+    table: _NumberTable, n_max: int, order: int, variant: str, first: int = 0
 ) -> EgfSeries:
     """H_first^(N)(u)..H_{n_max}^(N)(u) by :func:`fe_higher_number_formula`,
-    in integer form: entry n is sum_k w_k * H_{n+k}(u), one integer dot
-    product over a shifted slice of the prefix, with the weights w_k =
-    prefactor * a_k(N) kept in the table of u as integers over one
+    in integer form, from ``table``, the table of u != 0; the caller has
+    checked the arguments.  Entry n is sum_k w_k * H_{n+k}(u), one integer
+    dot product over a shifted slice of the prefix, with the weights w_k =
+    prefactor * a_k(N) kept in the table as integers over one
     denominator."""
-    check_at_least("n", n_max, 0)
-    check_at_least("order", order, 1)
-    table = _table(_check_u(u, forbid_zero=True))
-    weights = table.weights(order, _check_variant(variant))
+    weights = table.weights(order, variant)
     return _shifted_sum(weights, table.integer_form(first, n_max + order), n_max + 1 - first)
 
 
@@ -269,8 +276,7 @@ def _shifted_sum(weights: tuple[list[int], int], form: tuple[list[int], int],
 def fe_higher_polynomial(n: int, order: int, u: Fraction) -> Polynomial:
     """H_n^(N)(x|u) = sum_l C(n,l) x^(n-l) H_l^(N)(u), from the series
     route's higher-order numbers."""
-    check_at_least("n", n, 0)
-    return Polynomial.appell(_higher_series(n, order, u))
+    return Polynomial.appell(_higher_series(_checked_table("n", n, order, u), n, order))
 
 
 def euler_polynomial(n: int) -> Polynomial:

@@ -8,13 +8,17 @@ both the commonly typeset form (``as_printed``) and the repaired form
 (``corrected``) can be evaluated; the report records which one actually
 holds, with exact mismatch values.
 
-A checker body validates its parameters and returns ``(var, lhs, rhs)``:
+A checker body checks its parameters once and returns ``(var, lhs, rhs)``:
 its two routes as zero-argument callables, each returning a series or
 polynomial in ``var``, or, for a scalar identity (theorem3, corollary4),
-a one-entry series labelled ``"value"``.  The registry calls ``lhs()``,
-then ``rhs()``, and compares their integer forms in :func:`_mismatches`
-with :func:`feident.exact.differing_entries`, the one comparison; it makes
-Fractions only for the entries that differ.  As no body compares, each
+a one-entry series labelled ``"value"``.  Each check runs once, where the
+value enters: the registry checks types and ``variant``, the body the
+ranges and u, and the route helpers (``_higher_series``,
+``_formula_numbers``) trust it and check nothing, reading the number
+table of u that the body looked up once for both routes.  The registry
+calls ``lhs()``, then ``rhs()``, and compares their integer forms in
+:func:`_mismatches` with :func:`feident.exact.differing_entries`, the one
+comparison; it makes Fractions only for the entries that differ.  As no body compares, each
 route can be run, timed and traced alone; ``tests/test_route_map.py``
 pins what each enters.
 
@@ -34,9 +38,10 @@ with both sides multiplied by e^{xt} once.
 Reports are deterministic functions of (identity, params, variant), and a
 report passes exactly when its mismatch list is empty.  A ``Mismatch``
 holds both values exact; only the report's text (``to_dict`` and
-:func:`document_json`) formats them, so a failing check is ``fail``
-however many digits its values have.  :func:`document_json` renders the
-JSON text of reports in the bytes of ``json.dumps(doc, indent=2)``.
+:func:`document_json`) formats them, with ``str``, so a failing check is
+``fail`` however many digits its values have.  :func:`document_json`
+renders the JSON text of reports in the bytes of ``json.dumps(doc,
+indent=2)``, writing the summary with ``json.dumps`` itself.
 
 ``CHECKERS`` maps identity ids to checkers, in audit order; each is
 registered where it is defined, with ``@_identity(id)``, which reads the
@@ -60,6 +65,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -71,7 +77,6 @@ from .exact import (
     check_at_least,
     differing_entries,
     exact_parameter,
-    format_rational,
     multinomial,
     weak_compositions,
 )
@@ -84,7 +89,6 @@ from .frobenius import (
     _table,
     bernoulli_number,
     bernoulli_polynomial,
-    fe_higher_polynomial,
 )
 from .poly import Polynomial
 from .series import EgfSeries, _check_u, exp_xt, series_mul
@@ -143,7 +147,7 @@ class VerificationReport(NamedTuple):
             "params": dict(self.params),
             "verdict": self.verdict,
             "mismatches": [
-                {"at": m.at, "lhs": format_rational(m.lhs), "rhs": format_rational(m.rhs)}
+                {"at": m.at, "lhs": str(m.lhs), "rhs": str(m.rhs)}
                 for m in self.mismatches
             ],
         }
@@ -242,12 +246,10 @@ def _bind(schema: dict, args: tuple, kwargs: dict) -> dict:
 
 
 def _report(identity: str, arguments: dict, mismatches=(), error=None):
-    """The report of ``identity`` called with ``arguments``: integers as
-    written, rationals in "p/q" form, in parameter order."""
-    values = {
-        name: (str if param.integer else format_rational)(arguments[name])
-        for name, param in _SCHEMAS[identity].items() if name != "variant"
-    }
+    """The report of ``identity`` called with ``arguments``, whose rationals
+    are Fractions: each parameter as ``str`` writes it, so a rational in
+    "p/q" form, in parameter order."""
+    values = {name: str(arguments[name]) for name in _SCHEMAS[identity] if name != "variant"}
     variant = arguments.get("variant", "not_applicable")
     return VerificationReport(identity, variant, values, tuple(mismatches), error)
 
@@ -343,9 +345,9 @@ def verify_theorem3(n: int, N: int, u, variant: str = "corrected"):
     coefficient-triangle formula."""
     check_at_least("n", n, 0)
     check_at_least("N", N, 1)
-    u = _check_u(u, forbid_zero=True)
-    return ("value", lambda: _higher_series(n, N, u, first=n),
-            lambda: _formula_numbers(n, N, u, variant, first=n))
+    table = _table(_check_u(u, forbid_zero=True))
+    return ("value", lambda: _higher_series(table, n, N, first=n),
+            lambda: _formula_numbers(table, n, N, variant, first=n))
 
 
 # Enumerations of at most _TERMS_KEPT tuples are kept, at most
@@ -390,13 +392,13 @@ def verify_corollary4(n: int, N: int, u, variant: str = "corrected"):
     no series code) against the coefficient-triangle formula."""
     check_at_least("n", n, 0)
     check_at_least("N", N, 1)
-    u = _check_u(u, forbid_zero=True)
+    table = _table(_check_u(u, forbid_zero=True))
 
     def products():
-        nums, d = _table(u).integer_form(0, n + 1)
+        nums, d = table.integer_form(0, n + 1)
         return EgfSeries._of(([_composition_sum(n, N, nums)], d**N))
 
-    return "value", products, lambda: _formula_numbers(n, N, u, variant, first=n)
+    return "value", products, lambda: _formula_numbers(table, n, N, variant, first=n)
 
 
 @_identity("corollary5")
@@ -405,9 +407,9 @@ def verify_corollary5(n: int, N: int, u, variant: str = "corrected"):
     triangle formula's numbers, compared coefficient by coefficient."""
     check_at_least("n", n, 0)
     check_at_least("N", N, 1)
-    u = _check_u(u, forbid_zero=True)
-    return ("x", lambda: fe_higher_polynomial(n, N, u),
-            lambda: Polynomial.appell(_formula_numbers(n, N, u, variant)))
+    table = _table(_check_u(u, forbid_zero=True))
+    return ("x", lambda: Polynomial.appell(_higher_series(table, n, N)),
+            lambda: Polynomial.appell(_formula_numbers(table, n, N, variant)))
 
 
 @_identity("eq60_multinomial")
@@ -418,14 +420,14 @@ def verify_product_multinomial(n: int, N: int, u):
     coefficient of x^m is C(n, m) times the composition sum of n-m."""
     check_at_least("n", n, 0)
     check_at_least("N", N, 1)
-    u = _check_u(u)
+    table = _table(_check_u(u))
 
     def expansion():
-        nums, d = _table(u).integer_form(0, n + 1)
+        nums, d = table.integer_form(0, n + 1)
         sums = [_composition_sum(k, N, nums) for k in range(n + 1)]
         return Polynomial.appell(EgfSeries._of((sums, d**N)))
 
-    return "x", lambda: fe_higher_polynomial(n, N, u), expansion
+    return "x", lambda: Polynomial.appell(_higher_series(table, n, N)), expansion
 
 
 @_identity("carlitz_product")
@@ -700,15 +702,15 @@ def audit_document(reports) -> dict:
 
 def _report_json(report: VerificationReport, pad: str) -> str:
     """The text of ``report.to_dict()`` at indentation ``pad``, laid out as
-    ``json.dumps(indent=2)`` lays it out.  Formatted rationals hold only
-    digits, ``-`` and ``/``, so they need no escaping."""
+    ``json.dumps(indent=2)`` lays it out.  ``str`` of a Fraction holds only
+    digits, ``-`` and ``/``, so it needs no escaping."""
     inner = pad + "  "
     deep = inner + "  "
     params = f",\n{deep}".join([f"{_quote(k)}: {_quote(v)}" for k, v in report.params.items()])
     params = f"{{\n{deep}{params}\n{inner}}}" if params else "{}"
     mismatches = ",\n".join([
-        f'{deep}{{\n{deep}  "at": {_quote(m.at)},\n{deep}  "lhs": "{format_rational(m.lhs)}",'
-        f'\n{deep}  "rhs": "{format_rational(m.rhs)}"\n{deep}}}'
+        f'{deep}{{\n{deep}  "at": {_quote(m.at)},\n{deep}  "lhs": "{m.lhs!s}",'
+        f'\n{deep}  "rhs": "{m.rhs!s}"\n{deep}}}'
         for m in report.mismatches
     ])
     mismatches = f"[\n{mismatches}\n{inner}]" if mismatches else "[]"
@@ -717,16 +719,6 @@ def _report_json(report: VerificationReport, pad: str) -> str:
             f'{inner}"variant": {_quote(report.variant)},\n{inner}"params": {params},\n'
             f'{inner}"verdict": "{report.verdict}",\n{inner}"mismatches": {mismatches}{error}'
             f'\n{pad}}}')
-
-
-def _counts_json(value, pad: str) -> str:
-    """The text of a count, or of a nested dict of counts at indentation
-    ``pad``."""
-    if type(value) is int:
-        return str(value)
-    inner = pad + "  "
-    items = f",\n{inner}".join([f"{_quote(k)}: {_counts_json(v, inner)}" for k, v in value.items()])
-    return f"{{\n{inner}{items}\n{pad}}}" if items else "{}"
 
 
 def document_json(reports, audit: bool = True) -> str:
@@ -739,4 +731,5 @@ def document_json(reports, audit: bool = True) -> str:
         return _report_json(report, "") + "\n"
     body = ",\n    ".join([_report_json(r, "    ") for r in reports])
     body = f"[\n    {body}\n  ]" if body else "[]"
-    return f'{{\n  "reports": {body},\n  "summary": {_counts_json(summarize(reports), "  ")}\n}}\n'
+    summary = json.dumps(summarize(reports), indent=2).replace("\n", "\n  ")
+    return f'{{\n  "reports": {body},\n  "summary": {summary}\n}}\n'

@@ -773,6 +773,26 @@ class TestInterruptsAndClosedPipes:
         assert [closed_pipe_run() for _ in range(5)] == [141] * 5
         assert len(os.listdir("/proc/self/fd")) == before
 
+    def test_closed_stdout_without_a_descriptor_is_left_in_place(self, capsys, monkeypatch):
+        """An in-memory stdout has no descriptor to point at the null
+        device: a closed reader still gives 141 with nothing on stderr, and
+        that stdout stays where it was."""
+
+        class ClosedReader(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+            def flush(self):
+                raise BrokenPipeError
+
+        stream = ClosedReader()
+        monkeypatch.setattr(sys, "stdout", stream)
+        code = run(["table", "fe-numbers", "--u", "2", "--n-max", "3"])
+        assert sys.stdout is stream
+        monkeypatch.undo()
+        assert code == 141
+        assert capsys.readouterr().err == ""
+
 
 class TestModuleEntryPoint:
     """``python -m feident.cli`` behaves exactly like the ``main`` entry point."""

@@ -20,7 +20,8 @@ from fractions import Fraction
 
 import pytest
 
-from feident import exact, frobenius, series, verify
+from caches import cold_caches
+from feident import exact, frobenius, verify
 from feident.frobenius import bernoulli_number, fe_polynomial
 from feident.poly import Polynomial
 from feident.series import EgfSeries, exp_minus_constant, series_reciprocal
@@ -45,13 +46,10 @@ def counting_fractions():
 
 @pytest.fixture
 def fresh():
-    """Fresh number tables and a fresh Bernoulli prefix, restored after."""
-    prefix = series._bernoulli_prefix
-    frobenius._table.cache_clear()
-    series._bernoulli_prefix = EgfSeries([Fraction(1)])
+    """Every process-wide cache empty, before the test and after it."""
+    cold_caches()
     yield
-    frobenius._table.cache_clear()
-    series._bernoulli_prefix = prefix
+    cold_caches()
 
 
 def test_counting_sees_plain_construction():

@@ -8,6 +8,7 @@ import pytest
 
 from feident.frobenius import (
     _formula_numbers,
+    _table,
     bernoulli_number,
     bernoulli_polynomial,
     euler_polynomial,
@@ -234,8 +235,9 @@ class TestHigherOrderFormula:
             for k, weight in enumerate(row):
                 acc += weight * fe_number(n + k, u)
             expected.append(factor ** (order - 1) * acc / math.factorial(order - 1))
-        assert list(_formula_numbers(8, order, u, variant)) == expected
-        assert list(_formula_numbers(8, order, u, variant, first=3)) == expected[3:]
+        table = _table(u)
+        assert list(_formula_numbers(table, 8, order, variant)) == expected
+        assert list(_formula_numbers(table, 8, order, variant, first=3)) == expected[3:]
         assert [fe_higher_number_formula(n, order, u, variant) for n in range(9)] == expected
 
     def test_u_zero_rejected(self):

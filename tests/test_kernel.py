@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feident import cli, exact, frobenius, series, stirling, verify
+from caches import cold_caches
+from feident import cli, exact, frobenius, poly, series, stirling, verify
 from feident.exact import binomial, binomial_rows, weak_compositions
 from feident.frobenius import (
     bernoulli_number,
@@ -57,16 +58,17 @@ REFERENCE = {u: fraction_recurrence(N_MAX, u) for u in KERNEL_US}
 
 
 @pytest.fixture
-def fresh_tables():
-    frobenius._table.cache_clear()
+def cold():
+    """Every process-wide cache empty, before the test and after it."""
+    cold_caches()
     yield
-    frobenius._table.cache_clear()
+    cold_caches()
 
 
 class TestPrefixTables:
     @pytest.mark.parametrize("u", KERNEL_US, ids=str)
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
-    def test_matches_fraction_recurrence(self, fresh_tables, u, order):
+    def test_matches_fraction_recurrence(self, cold, u, order):
         indices = list(range(N_MAX + 1))
         if order == "descending":
             indices.reverse()
@@ -75,7 +77,7 @@ class TestPrefixTables:
         for n in indices:
             assert fe_number(n, u) == REFERENCE[u][n], (u, n)
 
-    def test_past_eviction(self, fresh_tables):
+    def test_past_eviction(self, cold):
         bound = frobenius._TABLE_BOUND
         many = [Fraction(p, q) for q in range(2, 40) for p in range(-7, 8)
                 if Fraction(p, q).denominator == q][: bound + 40]
@@ -88,14 +90,14 @@ class TestPrefixTables:
             assert fe_number(30, u) == fraction_recurrence(30, u)[30]
 
     @pytest.mark.parametrize("u", KERNEL_US, ids=str)
-    def test_polynomial_reads_the_same_table(self, fresh_tables, u):
+    def test_polynomial_reads_the_same_table(self, cold, u):
         for n in (0, 1, 7, 20):
             poly = fe_polynomial(n, u)
             for d in range(n + 1):
                 want = Fraction(binomial(n, d)) * REFERENCE[u][n - d]
                 assert poly.coefficient(d) == want
 
-    def test_euler_polynomial_at_zero(self, fresh_tables):
+    def test_euler_polynomial_at_zero(self, cold):
         for n in range(20):
             assert euler_polynomial(n)(Fraction(0)) == REFERENCE[Fraction(-1)][n]
 
@@ -103,7 +105,7 @@ class TestPrefixTables:
     # and -3 have r < 0, so odd n takes its sign from integer_form's scales
     @pytest.mark.parametrize("u", [Fraction(2), Fraction(3, 2), Fraction(0), Fraction(1, 2),
                                    Fraction(1, 3), Fraction(-5, 7), Fraction(-3)], ids=str)
-    def test_matches_the_series_oracle(self, fresh_tables, u):
+    def test_matches_the_series_oracle(self, cold, u):
         """Descending, then repeated, reads of one table equal the
         generating function's coefficients."""
         oracle = frobenius_oracle(u, 41).coeffs
@@ -111,7 +113,7 @@ class TestPrefixTables:
             assert fe_number(n, u) == oracle[n], (u, n)
         assert frobenius._table.cache_info().currsize == 1
 
-    def test_routes_stay_independent(self, monkeypatch, fresh_tables):
+    def test_routes_stay_independent(self, monkeypatch, cold):
         """The closed-form route must not touch the series code."""
 
         def forbidden(*args, **kwargs):
@@ -130,7 +132,7 @@ class TestPrefixTables:
     @pytest.mark.parametrize(
         "u", [Fraction(2), Fraction(1, 3), Fraction(-5, 7), Fraction(-1)], ids=str
     )
-    def test_matches_the_derivative_polynomials_of_the_ode(self, fresh_tables, u):
+    def test_matches_the_derivative_polynomials_of_the_ode(self, cold, u):
         """A third route, from the paper's ODE F' = -F - uF^2 for
         F = 1/(e^t - u): F^(n) = P_n(F), and with u = p/q, s = q - p the
         scaled coefficients E_{n,j} of P_n obey E_{0,1} = 1,
@@ -163,7 +165,7 @@ class TestGrowthOrder:
     @given(growth_u, st.lists(table_read, min_size=1, max_size=10))
     @settings(deadline=None, max_examples=120)
     def test_interleaved_reads(self, u, reads):
-        frobenius._table.cache_clear()
+        cold_caches()
         top = max(n + extra for _, n, extra in reads)
         once = frobenius._NumberTable(u)
         r = u.numerator - u.denominator
@@ -215,7 +217,7 @@ class TestCacheServing:
            st.sampled_from(["ascending", "descending", "shuffled"]), st.booleans(), st.randoms())
     @settings(deadline=None, max_examples=100)
     def test_reads_match_fresh_values(self, u, reads, order, evict, rng):
-        frobenius._table.cache_clear()
+        cold_caches()
         reads.sort(key=lambda read: read[1:], reverse=order == "descending")
         if order == "shuffled":
             rng.shuffle(reads)
@@ -233,9 +235,9 @@ class TestCacheServing:
                 for v in EVICTORS:
                     fe_number(0, v)
                 assert frobenius._table.cache_info().currsize <= frobenius._TABLE_BOUND
-        frobenius._table.cache_clear()
+        cold_caches()
 
-    def test_each_route_fills_only_its_own_slots(self, fresh_tables):
+    def test_each_route_fills_only_its_own_slots(self, cold):
         u = Fraction(-5, 7)
         fe_number(9, u)
         table = frobenius._table(u)
@@ -248,7 +250,7 @@ class TestCacheServing:
         assert fe_higher_numbers(3, 3, u) == fresh_power(u, 3, 3).coeffs
         assert table._powers[3].order == 5
 
-    def test_fe_polynomial_keeps_nothing(self, fresh_tables):
+    def test_fe_polynomial_keeps_nothing(self, cold):
         """``fe_polynomial`` builds each H_n(x|u) anew from the prefix; only
         the table's own ``polynomial``, which the Carlitz checks read, keeps
         one."""
@@ -261,7 +263,7 @@ class TestCacheServing:
         assert table.polynomial(7) is table.polynomial(7)
         assert set(table._polynomials) == {7}
 
-    def test_powers_share_the_kept_f(self, monkeypatch, fresh_tables):
+    def test_powers_share_the_kept_f(self, monkeypatch, cold):
         """F is computed once for its largest order; each power is one
         series_pow of a truncation of it, redone only for a larger order."""
         calls = []
@@ -286,7 +288,7 @@ class TestCacheServing:
 
     @pytest.mark.parametrize("check", [verify.verify_theorem1, verify.verify_corollary2])
     @pytest.mark.parametrize("N", [1, 2, 4, 5])
-    def test_theorem1_computes_f_once(self, monkeypatch, fresh_tables, check, N):
+    def test_theorem1_computes_f_once(self, monkeypatch, cold, check, N):
         """theorem1 reads F to order T before F^N to order T-(N-1), so the
         table computes F once; the other order of reads would compute it
         to T-(N-1) first and then again to T."""
@@ -303,31 +305,41 @@ class TestCacheServing:
         assert calls == [24]
 
 
-def test_audit_work_counts(monkeypatch, fresh_tables):
-    """A default audit on fresh tables and a fresh Bernoulli prefix computes
-    F and its powers, inverts a series, builds the coefficient triangle and
-    builds the kept Appell polynomials of the tables at most this many
-    times.  Without the per-u caches it took 276 F, 276 powers and 864
-    polynomials; while the checkers still made their own F and triangle
-    weights per report, 21 F, 87 inversions and 398 triangles; while
-    theorem1 and corollary2 still raised F to powers and built triangle
-    rows in ``verify``, 125 powers and 86 triangles."""
+def test_audit_work_counts(cold, monkeypatch):
+    """A default audit on cold caches computes F and its powers, inverts a
+    series, builds the coefficient triangle and builds the kept Appell
+    polynomials of the tables at most this many times.  Without the per-u
+    caches it took 276 F, 276 powers and 864 polynomials; while the
+    checkers still made their own F and triangle weights per report, 21 F,
+    87 inversions and 398 triangles; while theorem1 and corollary2 still
+    raised F to powers and built triangle rows in ``verify``, 125 powers and
+    86 triangles.
+
+    Each parameter is checked once, where it enters, and each report looks
+    its number table up once: while the route helpers checked again what
+    their callers had checked, and corollary5 and eq60_multinomial went
+    through ``fe_higher_polynomial``, the audit made 3,732 index checks,
+    1,049 checks of u, 842 checks of the variant and 1,190 table
+    lookups."""
     counts = Counter()
 
     def counted(name, kernel):
-        def call(*args):
+        def call(*args, **kwargs):
             counts[name] += 1
-            return kernel(*args)
+            return kernel(*args, **kwargs)
         return call
 
-    # every binding of the kernels, as a caller sees them
+    # every binding of the kernels and checks, as a caller sees them
+    # (``cold`` comes first, so it clears the real table cache after the
+    # bindings are put back)
     for name, home in (("frobenius_oracle", series), ("series_pow", series),
-                       ("series_reciprocal", series), ("triangle_recurrence", stirling)):
+                       ("series_reciprocal", series), ("triangle_recurrence", stirling),
+                       ("check_at_least", exact), ("_check_u", series),
+                       ("_check_variant", frobenius), ("_table", frobenius)):
         kernel = getattr(home, name)
-        for module in (home, frobenius, verify, cli):
+        for module in (exact, poly, series, stirling, frobenius, verify, cli):
             if getattr(module, name, None) is kernel:
                 monkeypatch.setattr(module, name, counted(name, kernel))
-    monkeypatch.setattr(series, "_bernoulli_prefix", EgfSeries([Fraction(1)]))
 
     appell = Polynomial.appell.__func__
     builder = frobenius._NumberTable.polynomial.__code__
@@ -346,6 +358,10 @@ def test_audit_work_counts(monkeypatch, fresh_tables):
     assert 0 < counts["appell"] <= 49
     assert counts["series_reciprocal"] <= 7
     assert counts["triangle_recurrence"] <= 30
+    assert counts["check_at_least"] <= 2400
+    assert counts["_check_u"] <= 437
+    assert counts["_check_variant"] <= 506
+    assert counts["_table"] <= 818
 
 
 def table_parameters(combo) -> set:
@@ -376,16 +392,6 @@ def test_table_bound_covers_each_identity_block():
             values = set().union(*map(table_parameters, _expand(identity, config)))
             widest = max(widest, len(values))
     assert 9 <= widest <= frobenius._TABLE_BOUND
-
-
-@pytest.fixture
-def cold_combinatorics(monkeypatch):
-    """No kept Pascal row past C(0, .) and no kept composition terms; the
-    rows kept before are put back after the test."""
-    monkeypatch.setattr(exact, "_kept_rows", ((1,),))
-    verify._composition_terms.cache_clear()
-    yield
-    verify._composition_terms.cache_clear()
 
 
 def sweep_op(u):
@@ -421,8 +427,7 @@ class TestKeptCombinatorics:
     pays only for its own numbers, and no value depends on what was
     computed before."""
 
-    def test_a_new_u_rebuilds_no_combinatorics(self, monkeypatch, cold_combinatorics):
-        frobenius._table.cache_clear()
+    def test_a_new_u_rebuilds_no_combinatorics(self, monkeypatch, cold):
         sweep_op(Fraction(7, 11))
         rows = exact._kept_rows
         assert len(rows) == 25  # theorem1 at T = 24 reads the longest series
@@ -439,9 +444,8 @@ class TestKeptCombinatorics:
         assert counts == {}
         # a row built up to n = 64 would have replaced the kept ones
         assert exact._kept_rows is rows
-        frobenius._table.cache_clear()
 
-    def test_rows_above_64_are_built_not_kept(self, cold_combinatorics):
+    def test_rows_above_64_are_built_not_kept(self, cold):
         rng = random.Random(3)
         xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(201)]
         assert list(series_mul(EgfSeries(xs), EgfSeries(xs)).coeffs) == fraction_series_mul(xs, xs)
@@ -451,13 +455,13 @@ class TestKeptCombinatorics:
         assert len(exact._kept_rows) == 65
 
     @pytest.mark.parametrize("t", [0, 1, 5, 64, 65, 70])
-    def test_rows_warm_equal_rows_cold(self, cold_combinatorics, t):
-        cold = list(binomial_rows(t))
+    def test_rows_warm_equal_rows_cold(self, cold, t):
+        first = list(binomial_rows(t))
         assert len(exact._kept_rows) == min(t, 64) + 1
-        assert cold == list(binomial_rows(t)) == [
+        assert first == list(binomial_rows(t)) == [
             tuple(math.comb(n, k) for k in range(n + 1)) for n in range(t + 1)]
 
-    def test_large_enumerations_stream(self, cold_combinatorics):
+    def test_large_enumerations_stream(self, cold):
         nums = list(range(-6, 7))
         assert math.comb(12 + 4, 4) == 1820
         assert _composition_sum(12, 5, nums) == streamed_sum(12, 5, nums)
@@ -467,14 +471,14 @@ class TestKeptCombinatorics:
         assert _composition_sum(256, 2, range(257)) == streamed_sum(256, 2, range(257))
         assert verify._composition_terms.cache_info().currsize == 1
 
-    def test_at_most_64_enumerations_are_kept(self, cold_combinatorics):
+    def test_at_most_64_enumerations_are_kept(self, cold):
         nums = [3, -1, 4, -1, 5, -9, 2, 6, -5, 3]
         for k in range(10):
             for N in range(1, 11):
                 assert _composition_sum(k, N, nums) == streamed_sum(k, N, nums)
         assert verify._composition_terms.cache_info().currsize == 64
 
-    def test_reports_with_cold_caches_equal_reports_with_warm_ones(self, monkeypatch):
+    def test_reports_with_cold_caches_equal_reports_with_warm_ones(self, cold):
         """The default audit and a grid at other parameters of every
         identity, first on cold caches, then on caches warmed by both."""
         grid = {
@@ -492,18 +496,13 @@ class TestKeptCombinatorics:
             "bernoulli_product": {"m": [6], "n": [5]},
         }
 
-        def cold(run):
-            frobenius._table.cache_clear()
-            verify._composition_terms.cache_clear()
-            monkeypatch.setattr(exact, "_kept_rows", ((1,),))
-            monkeypatch.setattr(series, "_bernoulli_prefix", EgfSeries([Fraction(1)]))
+        def cold_run(run):
+            cold_caches()
             return document_json(run())
 
-        cold_docs = [cold(audit_all), cold(lambda: audit_all(grid))]
+        cold_docs = [cold_run(audit_all), cold_run(lambda: audit_all(grid))]
         warm_docs = [document_json(audit_all()), document_json(audit_all(grid))]
         assert warm_docs == cold_docs
-        frobenius._table.cache_clear()
-        verify._composition_terms.cache_clear()
 
 
 coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -669,10 +668,10 @@ def test_bernoulli_against_sympy_at_large_n(n):
     assert bernoulli_number(n) == Fraction(int(b.p), int(b.q))
 
 
-def test_concurrent_readers_see_correct_values(monkeypatch):
-    """Threads that grow the same fresh tables, Pascal rows and composition
-    terms at once may redo work, but every value any of them reads is
-    right."""
+def test_concurrent_readers_see_correct_values(cold):
+    """Threads that grow the same fresh tables, Bernoulli prefix, Pascal rows
+    and composition terms at once may redo work, but every value any of
+    them reads is right."""
     us = [Fraction(p, 11) for p in range(-12, 12) if p != 11]
     want = {u: fraction_recurrence(40, u) for u in us}
     bernoulli_want = {n: bernoulli_oracle(n)[n] for n in range(0, 61, 6)}
@@ -703,9 +702,7 @@ def test_concurrent_readers_see_correct_values(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for round_ in range(3):
-            frobenius._table.cache_clear()
-            verify._composition_terms.cache_clear()
-            monkeypatch.setattr(exact, "_kept_rows", ((1,),))
+            cold_caches()
             threads = [threading.Thread(target=reader, args=(8 * round_ + i,)) for i in range(8)]
             for t in threads:
                 t.start()

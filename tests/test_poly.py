@@ -175,9 +175,13 @@ def test_float_coefficients_rejected():
         lambda p: p + 0.5,
         lambda p: 0.5 + p,
         lambda p: p + "1/2",
+        lambda p: p * 0.5,
+        lambda p: 0.5 * p,
+        lambda p: p / 0.5,
+        lambda p: p / p,
     ],
     ids=["sub-float", "sub-str", "rsub-float", "call-float", "add-float", "radd-float",
-         "add-str"],
+         "add-str", "mul-float", "rmul-float", "truediv-float", "truediv-polynomial"],
 )
 def test_inexact_operands_rejected(call):
     with pytest.raises(TypeError):

@@ -1,10 +1,8 @@
 """Each identity's two routes share only basic arithmetic.
 
 For every case of the default grid, the checker body is called and each
-of its two routes is run alone, on fresh number tables, a fresh
-Bernoulli prefix and fresh composition terms (the kept Pascal rows stay,
-as ``binomial_rows`` is entered on every read, warm or cold), under a
-``sys.setprofile`` hook that records every
+of its two routes is run alone, on cold caches (``caches.cold_caches``),
+under a ``sys.setprofile`` hook that records every
 ``feident`` function entered, keyed ``module:co_name`` (not
 ``co_qualname``, and without comprehension, generator-expression or lambda
 frames, so the keys are the same on Python 3.10 to 3.12).  What the body
@@ -22,13 +20,12 @@ map would name it.  ``python tests/test_route_map.py`` (with ``src`` on
 import functools
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from feident import frobenius, series, stirling, verify
-from feident.series import EgfSeries
+from caches import cold_caches
+from feident import series, stirling, verify
 from feident.verify import CHECKERS, DEFAULT_GRID, IDENTITIES, _bind, _expand, parameters
 
 GOLDEN = Path(__file__).with_name("route_map.json")
@@ -106,8 +103,7 @@ def entered(call):
 
 def measure(identities=IDENTITIES, grid=DEFAULT_GRID) -> dict:
     """``{identity: {"lhs": keys, "rhs": keys}}`` over the grid's cases,
-    each route run alone on fresh tables after its own call of the body."""
-    prefix = series._bernoulli_prefix
+    each route run alone on cold caches after its own call of the body."""
     routes = {}
     try:
         for identity in identities:
@@ -117,16 +113,12 @@ def measure(identities=IDENTITIES, grid=DEFAULT_GRID) -> dict:
                 arguments = _bind(parameters(identity), (), combo)
                 # a body returns (var, lhs, rhs)
                 for index, keys in ((1, sides["lhs"]), (2, sides["rhs"])):
-                    frobenius._table.cache_clear()
-                    verify._composition_terms.cache_clear()
-                    series._bernoulli_prefix = EgfSeries([Fraction(1)])
+                    cold_caches()
                     body_keys, routes_of_case = entered(lambda: body(**arguments))
                     route_keys, _ = entered(routes_of_case[index])
                     keys |= body_keys | route_keys
     finally:
-        frobenius._table.cache_clear()
-        verify._composition_terms.cache_clear()
-        series._bernoulli_prefix = prefix
+        cold_caches()
     return {identity: {side: sorted(keys) for side, keys in sides.items()}
             for identity, sides in routes.items()}
 
@@ -162,9 +154,9 @@ def test_a_triangle_route_that_reads_f_is_named(monkeypatch):
     enter the series route's kernel."""
     formula = verify._formula_numbers
 
-    def formula_reading_f(n_max, N, u, variant, first=0):
-        series.frobenius_oracle(u, n_max)
-        return formula(n_max, N, u, variant, first)
+    def formula_reading_f(table, n_max, N, variant, first=0):
+        series.frobenius_oracle(table._u, n_max)
+        return formula(table, n_max, N, variant, first)
 
     monkeypatch.setattr(verify, "_formula_numbers", formula_reading_f)
     found = shared_outside(measure(["theorem3"]))

@@ -10,10 +10,9 @@ The number-table fault (M_3 one r^3 larger as the Euler-Seidel step makes
 it, so H_3 + 1) reaches every check that reads the order-1 prefix table
 (the triangle formula, direct enumeration, polynomials of order 1);
 the series-power fault reaches only the series route to higher-order
-numbers, which corollary5 and eq60_multinomial read through
-``fe_higher_polynomial``, theorem3 through ``_higher_series``,
-and theorem1 and corollary2 as F^N from the same table, so all five read
-``frobenius.series_pow``.  The multinomial fault (one more at k = 3)
+numbers, which corollary5, eq60_multinomial and theorem3 read through
+``_higher_series``, and theorem1 and corollary2 as F^N from the same
+table, so all five read ``frobenius.series_pow``.  The multinomial fault (one more at k = 3)
 reaches only the composition sum, which corollary4 and eq60_multinomial
 read on their direct-enumeration side, and so does the weak-composition
 fault (the first composition of 3 dropped).
@@ -43,6 +42,7 @@ These sets do not depend on how the package loads: the checkers that
 
 from fractions import Fraction
 
+from caches import cold_caches
 from feident import exact, frobenius, series, stirling, verify
 from feident.poly import Polynomial
 from feident.series import EgfSeries
@@ -52,22 +52,16 @@ from feident.verify import audit_all
 
 def failing_identities() -> set:
     """Identities with a failing non-``as_printed`` report in the default
-    audit, run on fresh number tables, a fresh Bernoulli prefix and fresh
-    composition terms.  Clearing ``frobenius._table`` clears both routes'
-    caches: the prefix and polynomials of the recurrence route and the
-    series route's powers of F; clearing ``verify._composition_terms``
-    makes the multinomial and weak-composition faults reach the kept
-    terms, so a planted fault reaches every value the audit reads."""
-    unfilled = EgfSeries([Fraction(1)])
-    frobenius._table.cache_clear()
-    verify._composition_terms.cache_clear()
-    series._bernoulli_prefix = unfilled
+    audit, run on cold caches (:func:`cold_caches`).  The number tables
+    hold both routes' caches: the prefix and polynomials of the recurrence
+    route and the series route's powers of F; the kept composition terms
+    must be cold for the multinomial and weak-composition faults to reach
+    them, so a planted fault reaches every value the audit reads."""
+    cold_caches()
     try:
         reports = audit_all()
     finally:
-        frobenius._table.cache_clear()
-        verify._composition_terms.cache_clear()
-        series._bernoulli_prefix = unfilled
+        cold_caches()
     return {r.identity for r in reports if r.variant != "as_printed" and r.verdict != "pass"}
 
 
@@ -100,11 +94,11 @@ def test_number_table_fault(monkeypatch):
     def numbers():
         """H_0..H_5 from a fresh table, by ``fe_number`` and from the
         integer form; the two must agree."""
-        frobenius._table.cache_clear()
+        cold_caches()
         try:
             read = tuple(frobenius.fe_number(n, u) for n in range(6))
         finally:
-            frobenius._table.cache_clear()
+            cold_caches()
         nums, d = frobenius._NumberTable(u).integer_form(0, 6)
         assert tuple(Fraction(v, d) for v in nums) == read
         return read

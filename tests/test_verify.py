@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from caches import cold_caches
 from feident import frobenius
 from feident.cli import run
 from feident.exact import common_denominator, multinomial, weak_compositions
@@ -253,14 +254,14 @@ class TestCorollary5:
             return triangle(n_max)
 
         monkeypatch.setattr(frobenius, "triangle_recurrence", counted)
-        frobenius._table.cache_clear()
+        cold_caches()
         try:
             assert verify_corollary5(6, 3, Fraction(1, 3)).verdict == "pass"
             assert calls == [3]
             assert verify_corollary5(4, 3, Fraction(1, 3)).verdict == "pass"
             assert calls == [3]
         finally:
-            frobenius._table.cache_clear()
+            cold_caches()
 
 
 class TestEq60:
