@@ -93,10 +93,18 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _integer(text: str) -> int:
+    """An integer flag's value: ASCII digits after an optional ``-``."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _add_param(parser: argparse.ArgumentParser, dest: str, integer: bool, default=None) -> None:
     """Add the value flag of ``dest`` (a rational stays text), required when ``default`` is None."""
     text = "integer" if integer else "rational p/q"
-    parser.add_argument(_flag(dest), dest=dest, type=int if integer else None,
+    parser.add_argument(_flag(dest), dest=dest, type=_integer if integer else None,
                         required=default is None,
                         help=text if default is None else f"{text}, default {default}")
 
@@ -119,7 +127,7 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
             formats[each := subjects.add_parser(name)] = "csv"
             for dest, kind in subject.flags.items():
                 _add_param(each, dest, kind is int)
-            each.add_argument("--n-max", type=int, required=True, help="largest index, inclusive")
+            each.add_argument("--n-max", type=_integer, required=True, help="largest index, inclusive")
     elif command == "verify":
         from .verify import IDENTITIES, REQUIRED, VARIANTS, parameters
 

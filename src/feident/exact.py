@@ -247,16 +247,12 @@ def binomial_rows(t: int) -> Iterator[tuple[int, ...]]:
     global _kept_rows
     check_at_least("t", t, 0)
     kept = _kept_rows
-    if len(kept) <= min(t, _ROWS_KEPT):
-        grown, row = list(kept), kept[-1]
-        for _ in range(len(kept), min(t, _ROWS_KEPT) + 1):
-            row = (1, *map(add, row, row[1:]), 1)
-            grown.append(row)
-        kept = _kept_rows = tuple(grown)
     yield from kept[: t + 1]
     row = kept[-1]
-    for _ in range(len(kept), t + 1):
+    for n in range(len(kept), t + 1):
         row = (1, *map(add, row, row[1:]), 1)
+        if n <= _ROWS_KEPT:
+            kept = _kept_rows = (*kept, row)
         yield row
 
 

@@ -53,12 +53,11 @@ positional-or-keyword parameters.  Those other than ``variant`` are the
 report's, and a ``variant`` parameter means the identity has
 as-printed/corrected forms.  Grid axes and CLI flags are read from the
 schema (:func:`parameters`).  The registry binds each call against the
-schema, raising ``TypeError`` before anything is checked for a call the
-body could not take, an integer parameter that is a ``bool`` or not an
-``int``, or a ``bool`` or ``float`` rational parameter; then it checks
-``variant``, reads each rational once with
-:func:`feident.exact.exact_parameter`, so a body gets Fractions, runs and
-compares the routes and builds the report.
+schema, raising ``TypeError`` for a call the body could not take before
+any value is read; then :func:`_read`, the one reader of a checker
+argument and of a grid value, reads each in parameter order (a rational
+once, with :func:`feident.exact.exact_parameter`), so a body gets
+Fractions; the registry runs and compares the routes and builds the report.
 """
 
 from __future__ import annotations
@@ -213,12 +212,24 @@ def _schema(body) -> dict:
     }
 
 
+def _read(param: Param, value):
+    """The argument ``param`` as a body takes it: an ``int``, a variant, or
+    a rational read by ``exact_parameter``; the wrong type (a ``bool``
+    included) raises TypeError, a malformed value ValueError."""
+    if param.name == "variant":
+        return _check_variant(value)
+    if param.integer:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"argument {param.name!r} must be an int, not {type(value).__name__}")
+        return value
+    if isinstance(value, bool):
+        raise TypeError(f"argument {param.name!r} must be a rational, not bool")
+    return exact_parameter(value)
+
+
 def _bind(schema: dict, args: tuple, kwargs: dict) -> dict:
-    """Every parameter's value in a call with ``args`` and ``kwargs``,
-    defaults filled in; a call the body could not take, a non-``int`` or
-    ``bool`` integer parameter, or a ``bool`` or ``float`` rational
-    parameter raises TypeError (a ``float`` with ``exact_parameter``'s
-    message)."""
+    """Each parameter's value in a call, defaults filled in, read by :func:`_read`
+    in order; a call the body could not take raises TypeError before any read."""
     if len(args) > len(schema):
         raise TypeError("too many positional arguments")
     arguments = dict(zip(schema, args))
@@ -229,20 +240,10 @@ def _bind(schema: dict, args: tuple, kwargs: dict) -> dict:
             raise TypeError(f"multiple values for argument {name!r}")
         arguments[name] = value
     for name, param in schema.items():
-        if name not in arguments:
-            if param.default is REQUIRED:
-                raise TypeError(f"missing a required argument: {name!r}")
-            arguments[name] = param.default
-    for name, param in schema.items():
-        value = arguments[name]
-        if param.integer and (isinstance(value, bool) or not isinstance(value, int)):
-            raise TypeError(f"argument {name!r} must be an int, not {type(value).__name__}")
-        if not param.integer and name != "variant":
-            if isinstance(value, bool):
-                raise TypeError(f"argument {name!r} must be a rational, not bool")
-            if isinstance(value, float):
-                exact_parameter(value)  # raises its float TypeError
-    return arguments
+        if name not in arguments and param.default is REQUIRED:
+            raise TypeError(f"missing a required argument: {name!r}")
+    return {name: _read(param, arguments.get(name, param.default))
+            for name, param in schema.items()}
 
 
 def _report(identity: str, arguments: dict, mismatches=(), error=None):
@@ -259,16 +260,10 @@ def _identity(identity: str):
 
     def register(body):
         schema = _SCHEMAS[identity] = _schema(body)
-        has_variant = "variant" in schema
-        rationals = [p.name for p in schema.values() if not p.integer and p.name != "variant"]
 
         @functools.wraps(body)
         def checker(*args, **kwargs) -> VerificationReport:
             arguments = _bind(schema, args, kwargs)
-            if has_variant:
-                _check_variant(arguments["variant"])
-            for name in rationals:
-                arguments[name] = exact_parameter(arguments[name])
             var, lhs, rhs = body(**arguments)
             return _report(identity, arguments, _mismatches(var, lhs(), rhs()))
 
@@ -608,15 +603,11 @@ DEFAULT_GRID = {
 
 
 def _convert(param: Param, value):
-    if param.name == "variant":
-        return _check_variant(value)
-    if param.integer:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"grid value for {param.name!r} must be an integer: {value!r}")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"grid value for {param.name!r} must be an int or 'p/q' string: {value!r}")
-    return exact_parameter(value)
+    try:  # a grid file's errors are ValueErrors
+        return _read(param, value)
+    except TypeError:
+        kind = "an integer" if param.integer else "an int or 'p/q' string"
+        raise ValueError(f"grid value for {param.name!r} must be {kind}: {value!r}") from None
 
 
 def _convert_pair(params, value) -> tuple:

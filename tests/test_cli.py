@@ -439,6 +439,27 @@ def test_malformed_rational_flag_prints_the_readers_message(capsys, argv, text):
     assert run_capture(capsys, argv) == (2, "", f"feident: error: {refused.value}\n")
 
 
+INTEGER_FLAG_CALLS = {
+    "--n-max": ["table", "stirling", "--n-max", "{}"],
+    "--N": ["table", "fe-higher", "--u", "2", "--N", "{}", "--n-max", "3"],
+    "--n": ["verify", "theorem3", "--n", "{}", "--N", "2", "--u", "2"],
+    "--trunc": ["verify", "theorem1", "--N", "2", "--u", "2", "--trunc", "{}"],
+}
+
+
+@pytest.mark.parametrize("text", ["٣", "1_0", "+3", " 3"],
+                         ids=["arabic-indic-digit", "underscore", "plus", "space"])
+@pytest.mark.parametrize("flag", INTEGER_FLAG_CALLS)
+def test_integer_flags_take_only_ascii_digits(capsys, flag, text):
+    """An integer flag is ASCII digits after an optional ``-``; other text
+    that ``int()`` would read gets argparse's line, and nothing is written."""
+    argv = [token.format(text) for token in INTEGER_FLAG_CALLS[flag]]
+    assert run_capture(capsys, argv) == (
+        2, "", f"feident: error: argument {flag}: invalid int value: {text!r}\n")
+    code, out, err = run_capture(capsys, [token.format("3") for token in INTEGER_FLAG_CALLS[flag]])
+    assert code in (0, 1) and out and err == ""
+
+
 class TestNegativeRationalFlags:
     """``--u -5/7`` reads like ``--u=-5/7`` for every rational flag."""
 

@@ -283,6 +283,46 @@ def test_type_errors_come_before_value_errors():
         verify.verify_carlitz(-1, 0, 0.5, 2)
 
 
+def test_each_parameter_is_read_in_signature_order():
+    """A malformed rational is read before a later parameter's type or the
+    variant, which comes last in every checker."""
+    with pytest.raises(ValueError, match=re.escape("not a rational in p/q form: 'x'")):
+        verify.verify_theorem3(0, 1, "x", "bogus")
+    with pytest.raises(ValueError, match=re.escape("not a rational in p/q form: 'x'")):
+        verify.verify_carlitz(0, 0, "x", True)
+
+
+def test_grid_rationals_may_be_fractions():
+    grid = {"n": [2], "N": [1, 2], "u": ["1/3"], "variant": ["corrected"]}
+    as_text = audit_all({"theorem3": grid})
+    assert audit_all({"theorem3": dict(grid, u=[Fraction(1, 3)])}) == as_text
+    assert as_text[0].params == {"n": "2", "N": "1", "u": "1/3"}
+
+
+@pytest.mark.parametrize(
+    "identity, name",
+    [(identity, name) for identity in IDENTITIES
+     for name in parameters(identity) if name != "variant"],
+)
+def test_grid_values_a_call_refuses_by_type_are_grid_errors(identity, name):
+    """The grid reads each value with the call's reader, and words each
+    refusal as a grid error for that parameter."""
+    param = parameters(identity)[name]
+    kind = "an integer" if param.integer else "an int or 'p/q' string"
+    refused = [True, 3.0, None, [1]] + (["3"] if param.integer else [])
+    for bad in refused:
+        with pytest.raises(TypeError):
+            CHECKERS[identity](**dict(VALID_CALLS[identity], **{name: bad}))
+        config = dict(DEFAULT_GRID[identity])
+        if name in ("alpha", "beta") and "alpha_beta" in config:
+            config["alpha_beta"] = [[bad, "3"] if name == "alpha" else ["2", bad]]
+        else:
+            config[name] = [bad]
+        message = f"grid value for {name!r} must be {kind}: {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            audit_all({identity: config})
+
+
 def test_defaults_are_filled_in_for_every_call_form():
     u = Fraction(1, 3)
     reports = [
