@@ -49,7 +49,7 @@ from itertools import chain
 from math import gcd
 from typing import Iterable, Iterator
 
-from .exact import binomial_rows, check_at_least, exact_parameter, format_ratio, format_rational
+from .exact import binomial_rows, check_at_least, exact_parameter
 
 __all__ = ["main", "run"]
 
@@ -159,14 +159,15 @@ def _verify_kwargs(args) -> dict:
 # Table subjects
 
 # A table subject: the value flags it takes, all required, as {name: reader}
-# (int, or exact_parameter for a rational); its smallest --n-max; its CSV
-# header for an --n-max; one row's CSV text; the JSON fields before "rows",
-# from --n-max and the formatted flag values; and its row generator.
-_Subject = namedtuple("_Subject", "flags n_min header line head rows")
+# (int, or exact_parameter for a rational); its CSV header for an --n-max;
+# one row's CSV text; the JSON fields before "rows", from --n-max and the
+# flag values as text; and its row generator, which raises a parameter
+# error before its first row.
+_Subject = namedtuple("_Subject", "flags header line head rows")
 _SUBJECTS: dict[str, _Subject] = {}
 
 
-def _subject(name: str, *, n_min: int = 0, header=lambda n_max: "n,value\n",
+def _subject(name: str, *, header=lambda n_max: "n,value\n",
              line=lambda row: f"{row['n']},{row['value']}\n",
              head=lambda n_max, params: {"params": params}, **flags):
     """Register the generator below as table subject ``name``; it takes
@@ -174,7 +175,7 @@ def _subject(name: str, *, n_min: int = 0, header=lambda n_max: "n,value\n",
     the rows as the JSON document holds them."""
 
     def register(rows):
-        _SUBJECTS[name] = _Subject(flags, n_min, header, line, head, rows)
+        _SUBJECTS[name] = _Subject(flags, header, line, head, rows)
         return rows
 
     return register
@@ -185,7 +186,7 @@ def _fe_numbers(n_max: int, u) -> Iterator[dict]:
     from .frobenius import fe_number
 
     for n in range(n_max + 1):
-        yield {"n": n, "value": format_rational(fe_number(n, u))}
+        yield {"n": n, "value": str(fe_number(n, u))}
 
 
 @_subject("fe-polynomials", u=exact_parameter,
@@ -200,7 +201,7 @@ def _fe_polynomials(n_max: int, u) -> Iterator[dict]:
     for n, row in enumerate(binomial_rows(n_max)):
         h = fe_number(n, u)
         terms.append((h.numerator, h.denominator))
-        coeffs = [format_ratio(c // g * a, b // g)
+        coeffs = [f"{c // g * a}/{b // g}" if b != g else str(c // g * a)
                   for c, (a, b) in zip(row, reversed(terms)) for g in (gcd(c, b),)]
         yield {"n": n, "coeffs": coeffs + ["0"] * (n_max - n)}
 
@@ -211,17 +212,19 @@ def _fe_higher(n_max: int, u, N: int) -> Iterator[dict]:
 
     check_at_least("--N", N, 1)
     for n, value in enumerate(fe_higher_numbers(n_max, N, u)):
-        yield {"n": n, "value": format_rational(value)}
+        yield {"n": n, "value": str(value)}
 
 
 # row N of the triangle holds a_0(N)..a_(N-1)(N)
-@_subject("stirling", n_min=1, header=lambda n_max: "N,k,a_k\n",
+@_subject("stirling", header=lambda n_max: "N,k,a_k\n",
           line=lambda row: "".join(f"{len(row)},{k},{a}\n" for k, a in enumerate(row)),
           head=lambda n_max, params: {"n_max": n_max})
 def _stirling(n_max: int) -> Iterator[tuple]:
     from .stirling import triangle_recurrence
 
-    return iter(triangle_recurrence(n_max).rows)
+    if n_max < 1:
+        raise ValueError("stirling table needs --n-max >= 1")
+    yield from triangle_recurrence(n_max).rows
 
 
 @_subject("bernoulli")
@@ -229,7 +232,7 @@ def _bernoulli(n_max: int) -> Iterator[dict]:
     from .frobenius import bernoulli_number
 
     for n in range(n_max + 1):
-        yield {"n": n, "value": format_rational(bernoulli_number(n))}
+        yield {"n": n, "value": str(bernoulli_number(n))}
 
 
 def _table_chunks(args) -> Iterable[str]:
@@ -239,14 +242,12 @@ def _table_chunks(args) -> Iterable[str]:
     name, n_max, subject = args.subject, args.n_max, _SUBJECTS[args.subject]
     values = {dest: kind(getattr(args, dest)) for dest, kind in subject.flags.items()}
     check_at_least("--n-max", n_max, 0)
-    if n_max < subject.n_min:
-        raise ValueError(f"{name} table needs --n-max >= {subject.n_min}")
     rows = subject.rows(n_max, **values)
     first = next(rows)
     if args.format == "json":
         import json
 
-        params = {dest: format_rational(value) for dest, value in values.items()}
+        params = {dest: str(value) for dest, value in values.items()}
         doc = {"table": name, **subject.head(n_max, params), "rows": [first, *rows]}
         return [json.dumps(doc, indent=2) + "\n"]
     return chain([subject.header(n_max), subject.line(first)], map(subject.line, rows))

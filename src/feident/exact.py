@@ -5,11 +5,12 @@ Every quantity in this package is an exact ``fractions.Fraction`` (or an
 arbitrary-precision ``int`` where integrality is guaranteed); nothing is
 ever rounded.  ``as_fraction`` and ``exact_parameter`` are the coercions:
 both refuse a ``float`` and a ``bool``, and so does ``check_at_least``,
-the check of every index and exponent.  This module also owns the text
-format of rationals on the command line, in grids and in JSON: ``"p/q"``
-with an optional leading ``-``, the denominator omitted when it is 1
-(``"2"``, ``"-1/3"``); ``exact_parameter``, the one reader of a rational
-parameter, reads text only in that form.
+the check of every index and exponent.  The text form of a rational on
+the command line, in grids and in JSON is ``"p/q"`` with an optional
+leading ``-``, the denominator omitted when it is 1 (``"2"``,
+``"-1/3"``): ``exact_parameter``, the one reader of a rational
+parameter, reads text only in that form, and ``str`` of a ``Fraction``
+writes it.
 
 :class:`Coefficients` is the storage shared by series and polynomials:
 integer numerators over one positive denominator, its only stored form.
@@ -38,8 +39,6 @@ __all__ = [
     "exact_parameter",
     "check_at_least",
     "parse_rational",
-    "format_rational",
-    "format_ratio",
     "common_denominator",
     "to_fractions",
     "lowest_terms",
@@ -73,17 +72,16 @@ def as_fraction(value) -> Fraction:
 
 def exact_parameter(value) -> Fraction:
     """A "p/q" string by :func:`parse_rational` ("0.5" raises ValueError),
-    an int or Fraction as ``Fraction()`` reads it; a float raises TypeError,
-    as its binary value is not the rational meant, and so does a bool.  A
-    ``Fraction`` (not a subclass) is returned as it is."""
+    an int or Fraction as ``Fraction()`` reads it; any other type raises
+    TypeError, a float (its binary value is not the rational meant) and a
+    bool included.  A ``Fraction`` (not a subclass) is returned as it is."""
     if type(value) is Fraction:
         return value
     if isinstance(value, str):
         return parse_rational(value)
-    if isinstance(value, float):
-        raise TypeError("float parameters are not allowed; use Fraction or a 'p/q' string")
-    if isinstance(value, bool):
-        raise TypeError("bool parameters are not allowed; use int or Fraction")
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{type(value).__name__} parameters are not allowed; "
+                        "use int, Fraction or a 'p/q' string")
     return Fraction(value)
 
 
@@ -112,18 +110,6 @@ def parse_rational(text: str) -> Fraction:
     if denom == 0:
         raise ValueError(f"zero denominator: {text!r}")
     return Fraction(numer, denom)
-
-
-def format_rational(value: Fraction | int) -> str:
-    """Inverse of :func:`parse_rational`: ``str`` of ``value`` as a Fraction,
-    "p/q" in lowest terms or just "p" (a ``bool`` prints as its integer)."""
-    return str(value if type(value) is Fraction else Fraction(value))
-
-
-def format_ratio(numerator: int, denominator: int) -> str:
-    """The "p/q" text of ``numerator / denominator``, already in lowest
-    terms with ``denominator > 0``; just "p" when the denominator is 1."""
-    return f"{numerator}/{denominator}" if denominator != 1 else str(numerator)
 
 
 def common_denominator(values: Sequence[Fraction | int]) -> tuple[list[int], int]:

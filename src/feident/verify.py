@@ -501,15 +501,16 @@ def verify_carlitz_reciprocal(m: int, n: int, alpha):
 @_identity("bernoulli_product")
 def verify_bernoulli_product(m: int, n: int):
     """Product of two Bernoulli polynomials against its expansion in
-    Bernoulli numbers and polynomials.
+    Bernoulli numbers and polynomials (Nielsen), which holds for m, n >= 1.
 
-    The formally infinite sum has finitely many nonzero terms (the
-    binomial weights vanish once 2r exceeds max(m, n)); terms whose
-    weight is zero are skipped before the 1/(m+n-2r) division, which is
-    what makes the 2r = m+n edge harmless.
+    The formally infinite sum has finitely many nonzero terms: the
+    binomial weights vanish once 2r exceeds max(m, n), which is below
+    m + n, so no 1/(m+n-2r) divides by zero.  Zero weights are skipped.
     """
     check_at_least("m and n", min(m, n), 0)
     check_at_least("m + n", m + n, 2)
+    if min(m, n) == 0:
+        raise ValueError("m and n must be >= 1")
 
     def expansion():
         terms = []

@@ -10,13 +10,14 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import feident
 from feident.cli import main, run
-from feident.exact import format_rational, parse_rational
+from feident.exact import parse_rational
 from feident.frobenius import fe_polynomial
 
 FE_NUMBERS_CSV = "n,value\n0,1\n1,1\n2,3\n3,13\n4,75\n"
@@ -246,7 +247,7 @@ class TestTableRendering:
         n_max = 40
         want = []
         for n in range(n_max + 1):
-            coeffs = [format_rational(c) for c in fe_polynomial(n, parse_rational(u)).coeffs]
+            coeffs = [str(c) for c in fe_polynomial(n, parse_rational(u)).coeffs]
             want.append(coeffs + ["0"] * (n_max - n))
         argv = ["table", "fe-polynomials", f"--u={u}", "--n-max", str(n_max)]
         code, out, _ = run_capture(capsys, argv)
@@ -292,23 +293,29 @@ class TestTableRendering:
         ("fe-polynomials", "fe_number"),
         ("bernoulli", "bernoulli_number"),
         # one kernel call makes every value; each row is formatted as it is
-        # written
-        ("fe-higher", "format_rational"),
+        # written, which its values' __str__ logs
+        ("fe-higher", "fe_higher_numbers"),
     ])
     def test_first_row_is_written_before_the_last_is_computed(
         self, capsys, monkeypatch, subject, computes
     ):
-        from feident import cli, frobenius
+        from feident import frobenius
 
         # the row generators import their kernel when they run, so the
-        # patch goes where they read it: frobenius, or cli for the formatter
-        module = cli if computes == "format_rational" else frobenius
+        # patch goes where they read it
         argv = table_argv(subject, 6)
         _, want, _ = run_capture(capsys, argv)
         events = []
-        kernel = getattr(module, computes)
+        kernel = getattr(frobenius, computes)
+
+        class Logged(Fraction):
+            def __str__(self):
+                events.append(computes)
+                return super().__str__()
 
         def logged(*args):
+            if computes == "fe_higher_numbers":
+                return [Logged(value) for value in kernel(*args)]
             events.append(computes)
             return kernel(*args)
 
@@ -323,7 +330,7 @@ class TestTableRendering:
             def flush(self):
                 pass
 
-        monkeypatch.setattr(module, computes, logged)
+        monkeypatch.setattr(frobenius, computes, logged)
         monkeypatch.setattr(sys, "stdout", Stream())
         assert run(argv) == 0
         writes = [event for event in events if event != computes]

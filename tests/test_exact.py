@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,6 @@ from feident.exact import (
     common_denominator,
     compositions,
     exact_parameter,
-    format_rational,
     multinomial,
     parse_rational,
     to_fractions,
@@ -72,19 +72,10 @@ class TestRationalText:
         with pytest.raises(ValueError):
             parse_rational(bad)
 
-    def test_format(self):
-        assert format_rational(Fraction(-1, 3)) == "-1/3"
-        assert format_rational(Fraction(2)) == "2"
-        assert format_rational(5) == "5"
-        assert format_rational(-5) == "-5"
-
-    @pytest.mark.parametrize("value,text", [(True, "1"), (False, "0")])
-    def test_format_bool_as_its_integer(self, value, text):
-        assert format_rational(value) == text
-
     @given(rationals)
     def test_round_trip(self, q):
-        assert parse_rational(format_rational(q)) == q
+        """The grammar reads what ``str`` of a Fraction writes."""
+        assert parse_rational(str(q)) == q
 
 
 class TestExactParameter:
@@ -126,6 +117,14 @@ class TestExactParameter:
     @pytest.mark.parametrize("value", [True, False])
     def test_bool_raises(self, value):
         with pytest.raises(TypeError, match="bool parameters are not allowed"):
+            exact_parameter(value)
+
+    # Fraction() reads Decimal("0.5") and overflows on Decimal("Infinity")
+    @pytest.mark.parametrize("value", [Decimal("0.5"), Decimal("Infinity"), None, [1], b"1/2"])
+    def test_other_types_raise(self, value):
+        message = (f"{type(value).__name__} parameters are not allowed; "
+                   "use int, Fraction or a 'p/q' string")
+        with pytest.raises(TypeError, match=re.escape(message)):
             exact_parameter(value)
 
 

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -111,6 +113,13 @@ class TestFeNumber:
     def test_u_outside_the_pq_grammar_refused(self, u):
         with pytest.raises(ValueError, match="not a rational in p/q form"):
             fe_number(3, u)
+
+    @pytest.mark.parametrize("call", [fe_number, fe_polynomial], ids=lambda f: f.__name__)
+    def test_decimal_u_refused(self, call):
+        # Fraction() reads Decimal("0.5"), so fe_number(2, it) was H_2(1/2) = 6
+        message = "Decimal parameters are not allowed; use int, Fraction or a 'p/q' string"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            call(2, Decimal("0.5"))
 
     @pytest.mark.parametrize("call", [fe_number, fe_polynomial], ids=lambda f: f.__name__)
     def test_bool_u_refused(self, call):

@@ -115,6 +115,8 @@ PATHS = [
      ["verify", "carlitz_reciprocal", "--m", "1", "--n", "1", "--alpha", "0"], None),
     ("verify bernoulli_product m+n<2",
      ["verify", "bernoulli_product", "--m", "1", "--n", "0"], None),
+    ("verify bernoulli_product m=0",
+     ["verify", "bernoulli_product", "--m", "0", "--n", "2"], None),
     ("verify theorem1 trunc omitted",
      ["verify", "theorem1", "--N", "3", "--u", "1/3", "--variant", "as-printed"], None),
     ("verify corollary2 trunc omitted",
@@ -200,6 +202,8 @@ PATH_RESULTS = {
         (2, EMPTY, 'feident: error: alpha = 0 has no reciprocal\n'),
     'verify bernoulli_product m+n<2':
         (2, EMPTY, 'feident: error: m + n must be >= 2\n'),
+    'verify bernoulli_product m=0':
+        (2, EMPTY, 'feident: error: m and n must be >= 1\n'),
     'verify theorem1 trunc omitted':
         (0, '51c6d7c6cf01989de600899e9d245c1255f67e36321e8ecdf712832f0eaa3519', ''),
     'verify corollary2 trunc omitted':

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -344,8 +345,19 @@ class TestBernoulliProduct:
         assert verify_bernoulli_product(2, 2).verdict == "pass"
 
     def test_zero_index_edge_recorded(self):
-        report = verify_bernoulli_product(2, 0)
-        assert_self_consistent(report)
+        """Nielsen's expansion holds for m, n >= 1; at n = 0 its right side
+        is B_m(x) - B_m, so (2, 0) is outside the domain, not a fail."""
+        with pytest.raises(ValueError, match="m and n must be >= 1"):
+            verify_bernoulli_product(2, 0)
+
+    @pytest.mark.parametrize("m, n", [(0, 2), (0, 3), (2, 0)])
+    def test_zero_index_is_a_parameter_error(self, capsys, m, n):
+        assert run(["verify", "bernoulli_product", "--m", str(m), "--n", str(n)]) == 2
+        assert capsys.readouterr() == ("", "feident: error: m and n must be >= 1\n")
+
+    def test_zero_index_in_a_grid_is_an_error_report(self):
+        (report,) = audit_all({"bernoulli_product": {"m": [0], "n": [2]}})
+        assert (report.verdict, report.error) == ("error", "m and n must be >= 1")
 
     def test_minimum_total_degree(self):
         with pytest.raises(ValueError):
@@ -485,6 +497,12 @@ class TestFloatParameters:
         with pytest.raises(TypeError, match="float parameters are not allowed"):
             call()
 
+    def test_decimal_raises(self):
+        # Fraction() reads Decimal("0.5"), which made this a report at u = 1/2
+        message = "Decimal parameters are not allowed; use int, Fraction or a 'p/q' string"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            verify_theorem3(1, 1, Decimal("0.5"))
+
 
 class TestLibraryDigitLimit:
     """A failing check is ``fail`` under any int-to-str digit limit; only
@@ -540,8 +558,11 @@ class TestAudit:
             ({"n": [1], "N": [], "u": [False]}, "must be an int or 'p/q' string: False"),
             ({"n": [1], "N": [1], "u": [True]}, "must be an int or 'p/q' string: True"),
             ({"n": [True], "N": [], "u": ["2"]}, "must be an integer: True"),
+            ({"n": [1], "N": [1], "u": [Decimal("Infinity")]},
+             "grid value for 'u' must be an int or 'p/q' string: Decimal('Infinity')"),
         ],
-        ids=["rational-beside-empty", "false-beside-empty", "true-u", "integer-beside-empty"],
+        ids=["rational-beside-empty", "false-beside-empty", "true-u", "integer-beside-empty",
+             "decimal-infinity-u"],
     )
     def test_every_grid_value_is_checked(self, axes, message):
         with pytest.raises(ValueError, match=re.escape(message)):
