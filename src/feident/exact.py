@@ -263,7 +263,8 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
 
 def compositions(total: int, num_parts: int) -> Iterator[tuple[int, ...]]:
     """All ordered tuples of positive integers with ``num_parts`` entries
-    summing to ``total``, in lexicographic order.
+    summing to ``total``, in lexicographic order: the weak compositions of
+    total - num_parts with every part one larger.
 
     There are C(total-1, num_parts-1) of them; the iterator is empty when
     num_parts > total.
@@ -271,46 +272,39 @@ def compositions(total: int, num_parts: int) -> Iterator[tuple[int, ...]]:
     if total < 1 or num_parts < 1:
         raise ValueError("compositions needs total >= 1 and num_parts >= 1")
     if num_parts <= total:
-        yield from _lex_compositions(total, num_parts, 1)
+        for parts in weak_compositions(total - num_parts, num_parts):
+            yield tuple([p + 1 for p in parts])
 
 
 def weak_compositions(total: int, num_parts: int) -> Iterator[tuple[int, ...]]:
     """All ordered tuples of nonnegative integers with ``num_parts`` entries
-    summing to ``total``, in lexicographic order.
+    summing to ``total``, in lexicographic order, without recursion.
 
-    There are C(total+num_parts-1, num_parts-1) of them.
+    There are C(total+num_parts-1, num_parts-1) of them.  The successor of
+    a tuple moves one unit into the rightmost entry that can still grow,
+    and puts everything after it back at zero with the remainder in the
+    last entry.
     """
     if total < 0 or num_parts < 1:
         raise ValueError("weak_compositions needs total >= 0 and num_parts >= 1")
-    yield from _lex_compositions(total, num_parts, 0)
-
-
-def _lex_compositions(total: int, num_parts: int, low: int) -> Iterator[tuple[int, ...]]:
-    """Tuples of ``num_parts`` integers >= ``low`` summing to ``total`` (at
-    least low * num_parts), in lexicographic order, without recursion.
-
-    The successor of a tuple moves one unit into the rightmost entry that
-    can still grow, and puts everything after it back at its minimum with
-    the remainder in the last entry.
-    """
     last = num_parts - 1
-    parts = [low] * last + [total - low * last]
+    parts = [0] * last + [total]
     while True:
         yield tuple(parts)
         if last == 0:
             return
-        if parts[last] > low:
+        if parts[last]:
             parts[last - 1] += 1
             parts[last] -= 1
             continue
-        # parts[last] is at its minimum: the excess sits in the last entry
-        # p < last above the minimum, and the entry before it grows; with
-        # no such p > 0 this was the last tuple.
+        # parts[last] is zero: the excess sits in the last nonzero entry
+        # p < last, and the entry before it grows; with no such p > 0 this
+        # was the last tuple.
         p = last - 1
-        while p > 0 and parts[p] == low:
+        while p > 0 and not parts[p]:
             p -= 1
         if p == 0:
             return
         parts[p - 1] += 1
         parts[last] = parts[p] - 1
-        parts[p] = low
+        parts[p] = 0

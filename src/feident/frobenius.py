@@ -204,34 +204,27 @@ def fe_polynomial(n: int, u: Fraction) -> Polynomial:
     return _table(_check_u(u)).appell(n)
 
 
-def _checked_table(name: str, n: int, order: int, u: Fraction,
+def _checked_table(name: str, n: int, order_name: str, order: int, u: Fraction,
                    forbid_zero: bool = False) -> _NumberTable:
-    """The table of u, once the index ``n`` (named ``name``), ``order`` and
-    u are checked, in that order: the one check of a public higher-order
-    function's arguments, as the route helpers below check nothing."""
+    """The table of u, once the index ``n`` (named ``name``), the order
+    (named ``order_name``) and u are checked, in that order: the one check
+    of a higher-order function's or a higher-order checker's arguments, as
+    the route helpers below check nothing."""
     check_at_least(name, n, 0)
-    check_at_least("order", order, 1)
+    check_at_least(order_name, order, 1)
     return _table(_check_u(u, forbid_zero))
 
 
 def fe_higher_numbers(n_max: int, order: int, u: Fraction) -> tuple[Fraction, ...]:
     """H_0^(N)(u)..H_{n_max}^(N)(u) as coefficients of the N-th power of
     the order-1 generating function."""
-    return _higher_series(_checked_table("n_max", n_max, order, u), n_max, order).coeffs
-
-
-def _higher_series(table: _NumberTable, n_max: int, order: int, first: int = 0) -> EgfSeries:
-    """H_first^(N)(u)..H_{n_max}^(N)(u) from the N-th power of the order-1
-    EGF, in integer form, served from ``table``, the table of u; the
-    caller has checked the arguments."""
-    nums, d = table.power(n_max, order).integer_form
-    return EgfSeries._of((nums[first:], d))
+    return _checked_table("n_max", n_max, "order", order, u).power(n_max, order).coeffs
 
 
 def fe_higher_number_oracle(n: int, order: int, u: Fraction) -> Fraction:
     """H_n^(N)(u) through the series route (the oracle side of the
     two-route checks)."""
-    return _higher_series(_checked_table("n", n, order, u), n, order, first=n)[0]
+    return _checked_table("n", n, "order", order, u).power(n, order)[n]
 
 
 def fe_higher_number_formula(
@@ -244,7 +237,7 @@ def fe_higher_number_formula(
     with factor (u-1)/u for ``corrected`` and (1-u)/u for ``as_printed``.
     Shares nothing with the series route beyond basic arithmetic.
     """
-    table = _checked_table("n", n, order, u, forbid_zero=True)
+    table = _checked_table("n", n, "order", order, u, forbid_zero=True)
     return _formula_numbers(table, n, order, _check_variant(variant), first=n)[0]
 
 
@@ -276,7 +269,7 @@ def _shifted_sum(weights: tuple[list[int], int], form: tuple[list[int], int],
 def fe_higher_polynomial(n: int, order: int, u: Fraction) -> Polynomial:
     """H_n^(N)(x|u) = sum_l C(n,l) x^(n-l) H_l^(N)(u), from the series
     route's higher-order numbers."""
-    return Polynomial.appell(_higher_series(_checked_table("n", n, order, u), n, order))
+    return Polynomial.appell(_checked_table("n", n, "order", order, u).power(n, order))
 
 
 def euler_polynomial(n: int) -> Polynomial:

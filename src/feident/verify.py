@@ -13,8 +13,9 @@ its two routes as zero-argument callables, each returning a series or
 polynomial in ``var``, or, for a scalar identity (theorem3, corollary4),
 a one-entry series labelled ``"value"``.  Each check runs once, where the
 value enters: the registry checks types and ``variant``, the body the
-ranges and u, and the route helpers (``_higher_series``,
-``_formula_numbers``) trust it and check nothing, reading the number
+ranges and u (an (n, N, u) body through ``_checked_table``, as the public
+higher-order functions do), and the route helpers (``_formula_numbers``,
+the table's ``power``) trust it and check nothing, reading the number
 table of u that the body looked up once for both routes.  The registry
 calls ``lhs()``, then ``rhs()``, and compares their integer forms in
 :func:`_mismatches` with :func:`feident.exact.differing_entries`, the one
@@ -82,8 +83,8 @@ from .exact import (
 from .frobenius import (
     VARIANTS,
     _check_variant,
+    _checked_table,
     _formula_numbers,
-    _higher_series,
     _shifted_sum,
     _table,
     bernoulli_number,
@@ -338,11 +339,13 @@ def verify_corollary2(N: int, u, x, T: int = 16, variant: str = "corrected"):
 def verify_theorem3(n: int, N: int, u, variant: str = "corrected"):
     """Higher-order number H_n^(N)(u): series route against the
     coefficient-triangle formula."""
-    check_at_least("n", n, 0)
-    check_at_least("N", N, 1)
-    table = _table(_check_u(u, forbid_zero=True))
-    return ("value", lambda: _higher_series(table, n, N, first=n),
-            lambda: _formula_numbers(table, n, N, variant, first=n))
+    table = _checked_table("n", n, "N", N, u, forbid_zero=True)
+
+    def series_entry():
+        nums, d = table.power(n, N).integer_form
+        return EgfSeries._of((nums[n:], d))
+
+    return "value", series_entry, lambda: _formula_numbers(table, n, N, variant, first=n)
 
 
 # Enumerations of at most _TERMS_KEPT tuples are kept, at most
@@ -385,9 +388,7 @@ def _composition_sum(k: int, N: int, nums) -> int:
 def verify_corollary4(n: int, N: int, u, variant: str = "corrected"):
     """Sum of products over all N-tuples of indices (direct enumeration,
     no series code) against the coefficient-triangle formula."""
-    check_at_least("n", n, 0)
-    check_at_least("N", N, 1)
-    table = _table(_check_u(u, forbid_zero=True))
+    table = _checked_table("n", n, "N", N, u, forbid_zero=True)
 
     def products():
         nums, d = table.integer_form(0, n + 1)
@@ -400,10 +401,8 @@ def verify_corollary4(n: int, N: int, u, variant: str = "corrected"):
 def verify_corollary5(n: int, N: int, u, variant: str = "corrected"):
     """Higher-order polynomial H_n^(N)(x|u) against the Appell form of the
     triangle formula's numbers, compared coefficient by coefficient."""
-    check_at_least("n", n, 0)
-    check_at_least("N", N, 1)
-    table = _table(_check_u(u, forbid_zero=True))
-    return ("x", lambda: Polynomial.appell(_higher_series(table, n, N)),
+    table = _checked_table("n", n, "N", N, u, forbid_zero=True)
+    return ("x", lambda: Polynomial.appell(table.power(n, N)),
             lambda: Polynomial.appell(_formula_numbers(table, n, N, variant)))
 
 
@@ -413,16 +412,14 @@ def verify_product_multinomial(n: int, N: int, u):
     tuples (l_1, ..., l_N, m) summing to n; no variant, no u-power factor.
     As multinomial(n; l, m) = C(n, m) * multinomial(n-m; l), the
     coefficient of x^m is C(n, m) times the composition sum of n-m."""
-    check_at_least("n", n, 0)
-    check_at_least("N", N, 1)
-    table = _table(_check_u(u))
+    table = _checked_table("n", n, "N", N, u)
 
     def expansion():
         nums, d = table.integer_form(0, n + 1)
         sums = [_composition_sum(k, N, nums) for k in range(n + 1)]
         return Polynomial.appell(EgfSeries._of((sums, d**N)))
 
-    return "x", lambda: Polynomial.appell(_higher_series(table, n, N)), expansion
+    return "x", lambda: Polynomial.appell(table.power(n, N)), expansion
 
 
 @_identity("carlitz_product")

@@ -53,7 +53,7 @@ ALLOWED = {"feident.verify:_derivative_expansion"} | {
         "appell", "_appell_ints",
     )
 } | {
-    "feident.frobenius:" + name for name in ("__init__", "appell")
+    "feident.frobenius:" + name for name in ("__init__", "appell", "_checked_table")
 }
 
 # F = 1/(e^t - u) by the series route: the frobenius_oracle chain.

@@ -11,7 +11,7 @@ it, so H_3 + 1) reaches every check that reads the order-1 prefix table
 (the triangle formula, direct enumeration, polynomials of order 1);
 the series-power fault reaches only the series route to higher-order
 numbers, which corollary5, eq60_multinomial and theorem3 read through
-``_higher_series``, and theorem1 and corollary2 as F^N from the same
+the table's ``power``, and theorem1 and corollary2 as F^N from the same
 table, so all five read ``frobenius.series_pow``.  The multinomial fault (one more at k = 3)
 reaches only the composition sum, which corollary4 and eq60_multinomial
 read on their direct-enumeration side, and so does the weak-composition

@@ -181,11 +181,25 @@ class TestTheorem3:
         with pytest.raises(ValueError):
             verify_theorem3(1, 2, Fraction(0))
 
-    def test_errors_name_the_checker_parameters(self):
-        with pytest.raises(ValueError, match=r"^n must be >= 0$"):
-            verify_theorem3(-1, 2, Fraction(2))
-        with pytest.raises(ValueError, match=r"^N must be >= 1$"):
-            verify_theorem3(1, 0, Fraction(2))
+    @pytest.mark.parametrize("checker", [verify_theorem3, verify_corollary4,
+                                         verify_corollary5, verify_product_multinomial],
+                             ids=["theorem3", "corollary4", "corollary5", "eq60_multinomial"])
+    @pytest.mark.parametrize("n, N, u, message", [
+        (-1, 2, 2, r"n must be >= 0"),
+        # the index is checked before the order
+        (-1, 0, 2, r"n must be >= 0"),
+        (1, 0, 2, r"N must be >= 1"),
+        (1, 2, 1, r"u = 1 is outside the parameter domain"),
+        (1, 2, 0, r"u = 0 is outside the parameter domain \(division by u\)"),
+    ], ids=["n", "n-before-N", "N", "u=1", "u=0"])
+    def test_errors_name_the_checker_parameters(self, checker, n, N, u, message):
+        """The (n, N, u) checkers share one check, in that order; only
+        eq60_multinomial, which has no u-power factor, takes u = 0."""
+        if checker is verify_product_multinomial and u == 0:
+            assert checker(n, N, Fraction(u)).verdict == "pass"
+            return
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            checker(n, N, Fraction(u))
 
 
 class TestCorollary4:
