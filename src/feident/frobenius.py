@@ -40,12 +40,14 @@ its own route's code.
   k < N, from one ``triangle_recurrence`` row, as integer numerators
   over one denominator.
 - Series: N -> F(u)^N, the EGF of the order-N numbers, in integer form;
-  F = (1-u)/(e^t - u) from ``frobenius_oracle`` is the N = 1 entry
-  (theorem1 reads F and F^N here too).  Order n is served by truncating the
-  entry, as coefficient n of a power reads only coefficients up to n.
-  An entry is recomputed, to exactly n, only for a larger order, as
-  ``series_pow`` of a truncation of the kept F, and F only when it is
-  too short.
+  F = (1-u)/(e^t - u) is the N = 1 entry (theorem1 reads F and F^N here
+  too).  The table keeps the reciprocal of e^t - u, from
+  ``series.series_reciprocal``, and F is (1-u) times it; when F is too
+  short, the reciprocal is extended to exactly n, computing only the new
+  entries.  Order n is served by truncating an entry, as coefficient n of
+  a power reads only coefficients up to n.  A power N >= 2 is recomputed,
+  to exactly n, only for a larger order, as ``series_pow`` of a
+  truncation of the kept F.
 At most ``_TABLE_BOUND`` (16) tables are kept, least recently used
 first out: an audit identity block touches at most 9 parameter values,
 a CLI process one, and a sweep op at most 3, never repeating u.  A
@@ -68,10 +70,11 @@ from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from operator import mul, sub
 
+from . import series
 from .exact import check_at_least, lowest_terms
 from .poly import Polynomial
-from .series import (EgfSeries, _check_u, bernoulli_oracle, frobenius_oracle, series_pow,
-                     series_truncate)
+from .series import (EgfSeries, _check_u, bernoulli_oracle, exp_minus_constant, series_pow,
+                     series_scale, series_truncate)
 from .stirling import triangle_recurrence
 
 __all__ = [
@@ -109,10 +112,10 @@ def _seidel_step(p: int, r: int, diagonal: list[int]) -> tuple[int, list[int]]:
 class _NumberTable:
     """The cache of one u = p/q: H_0(u)..H_k(u) as M_0..M_k over r^0..r^k,
     grown by one Euler-Seidel step at a time on demand, the polynomials
-    H_n(x|u) built from them, the triangle formula's weights and the
-    series route's powers of F(u)."""
+    H_n(x|u) built from them, the triangle formula's weights, and the
+    series route's reciprocal of e^t - u and powers of F(u)."""
 
-    __slots__ = ("_u", "_p", "_r", "_state", "_polynomials", "_powers", "_weights")
+    __slots__ = ("_u", "_p", "_r", "_state", "_polynomials", "_inverse", "_powers", "_weights")
 
     def __init__(self, u: Fraction):
         self._u = u
@@ -123,6 +126,7 @@ class _NumberTable:
         # half-built prefix.  The dicts only gain whole values.
         self._state = ((1,), [u.denominator])
         self._polynomials = {}  # n -> H_n(x|u)
+        self._inverse = None  # 1/(e^t - u) to F's order; a larger order extends it
         self._powers = {}  # N -> F(u)^N, F itself at N = 1
         self._weights = {}  # (N, variant) -> prefactor * a_k(N), k < N
 
@@ -166,7 +170,13 @@ class _NumberTable:
         if kept is None or kept.order < n_max:
             f = powers.get(1)
             if f is None or f.order < n_max:
-                f = powers[1] = frobenius_oracle(self._u, n_max)
+                # another thread may have extended it since F was read
+                inverse = self._inverse
+                if inverse is None or inverse.order < n_max:
+                    # through the module, where a fault planted in the kernel reaches it
+                    inverse = self._inverse = series.series_reciprocal(
+                        exp_minus_constant(self._u, n_max), inverse)
+                f = powers[1] = series_scale(inverse, 1 - self._u)
             kept = f if order == 1 else series_pow(series_truncate(f, n_max), order)
             powers[order] = kept
         return series_truncate(kept, n_max)

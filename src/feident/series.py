@@ -14,12 +14,16 @@ return the integer form, so a chain such as F -> F^N -> scale makes no
 Fraction: a product convolves the numerators, with binomial weights row
 by row from :func:`feident.exact.binomial_rows` (Pascal's rule, rows up
 to n = 64 kept for the life of the process, as they do not depend on the
-operands), and puts the result in lowest terms; a scale
-multiplies numerators and denominator; a truncation slices the
-numerators.  The reciprocal reduces each output with one integer gcd,
-keeping the outputs so far as numerators over the lcm of their reduced
-denominators, so its intermediates grow with the true denominators, not
-with powers of the constant term.  Every order and index is checked by
+operands), and puts the result in lowest terms (a square sums each
+symmetric pair of terms once and doubles it); a scale multiplies
+numerators and denominator; a truncation slices the numerators.  The
+reciprocal reduces each output with one integer gcd, keeping the outputs
+so far as numerators over the lcm of their reduced denominators, so its
+intermediates grow with the true denominators, not with powers of the
+constant term.  Those numerators over that lcm are what it returns, so a
+reciprocal it returned for a truncation of a series is the state from
+which it extends the reciprocal of the whole series, computing only the
+new entries.  Every order and index is checked by
 :func:`feident.exact.check_at_least`.
 
 Mixed-order operands are truncated to the shorter order, never padded:
@@ -28,9 +32,10 @@ callers size their inputs deliberately.
 :func:`series_pow` squares and multiplies, so the N-th power takes about
 2*log2(N) products instead of N-1 (5 at N = 20); a zero constant term
 works.  :func:`bernoulli_oracle` serves truncations of one module-level
-prefix B_0..B_K: asking for an order above K recomputes the prefix once,
-to max(order, 2K), so the prefix stays within twice the largest order
-asked for.  A truncated reciprocal equals the reciprocal of the
+prefix B_0..B_K: asking for an order above K extends the prefix once,
+from B_(K+1), to max(order, 2K) (doubling, as the Pascal rows above 64
+are rebuilt on every call), so the prefix stays within twice the largest
+order asked for.  A truncated reciprocal equals the reciprocal of the
 truncation, so served values do not depend on what was asked before.
 """
 
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 from operator import mul
 from typing import Iterable
 
@@ -94,18 +100,26 @@ def series_scale(a: EgfSeries, c) -> EgfSeries:
 def series_mul(a: EgfSeries, b: EgfSeries) -> EgfSeries:
     """Product of two EGFs: c_n = sum_k C(n,k) a_k b_{n-k}, convolved on
     the operands' integer forms and put in lowest terms, so that the
-    denominators of a chain of products (a power) do not compound."""
+    denominators of a chain of products (a power) do not compound.  A
+    square (``b is a``) sums each pair k < n-k once and doubles it."""
     t = min(a.order, b.order)
     xn, dx = a.integer_form
     yn, dy = b.integer_form
     yr = yn[t::-1]
+    if a is b:
+        # c_n = 2 sum_{k<n/2} C(n,k) a_k a_(n-k), plus C(n,n/2) a_(n/2)^2 for even n
+        return EgfSeries._of(lowest_terms([
+            2 * sum(map(mul, row, map(mul, xn[: (n + 1) >> 1], yr[t - n:])))
+            + (0 if n & 1 else row[n >> 1] * xn[n >> 1] ** 2)
+            for n, row in enumerate(binomial_rows(t))
+        ], dx * dx))
     return EgfSeries._of(lowest_terms([
         sum(map(mul, row, map(mul, xn[: n + 1], yr[t - n:])))
         for n, row in enumerate(binomial_rows(t))
     ], dx * dy))
 
 
-def series_reciprocal(a: EgfSeries) -> EgfSeries:
+def series_reciprocal(a: EgfSeries, head: EgfSeries | None = None) -> EgfSeries:
     """Multiplicative inverse to full order, in integer form.
 
     b_0 = 1/a_0 and b_n = -(1/a_0) sum_{k<n} C(n,k) a_{n-k} b_k.
@@ -115,7 +129,10 @@ def series_reciprocal(a: EgfSeries) -> EgfSeries:
     kept as numerators over L, the lcm of their reduced denominators,
     rescaled whenever L grows, so b_n = -S / (A_0 L) with S the integer
     sum; one gcd per output.  Those numerators over L are the result's
-    integer form.
+    integer form, and the whole state of the loop: ``head``, a result of
+    this function for a truncation of ``a``, is taken as the state after
+    its own entries, so only the entries past it are computed, and the
+    result equals a fresh call's, integer form included.
     """
     an, d = a.integer_form
     if an[0] == 0:
@@ -124,11 +141,16 @@ def series_reciprocal(a: EgfSeries) -> EgfSeries:
     t = a.order
     # b_0 = D / A_0 and b_n = sign * S / (|A_0| L), each in lowest terms
     a0, sign = abs(an[t]), (-1 if an[t] > 0 else 1)
-    g = math.gcd(d, a0)
-    lcm, nums = a0 // g, [-sign * d // g]
-    rows = binomial_rows(t)
-    next(rows)
-    for n, row in enumerate(rows, 1):
+    if head is None:
+        g = math.gcd(d, a0)
+        lcm, nums = a0 // g, [-sign * d // g]
+    else:
+        if head.order > t:
+            raise ValueError(f"an order-{head.order} head is longer than the order-{t} series")
+        nums, lcm = head.integer_form
+        nums = list(nums)  # the loop appends, and the head is a value
+    first = len(nums)
+    for n, row in enumerate(islice(binomial_rows(t), first, None), first):
         # an[t - n + k] is A_{n-k}
         s = sum(map(mul, row, map(mul, an[t - n: t], nums)))
         den = a0 * lcm
@@ -212,5 +234,5 @@ def bernoulli_oracle(order: int) -> EgfSeries:
         # 1/(n+1) = (L/(n+1)) / L with L = lcm(1..size+1)
         lcm = math.lcm(*range(1, size + 2))
         g = EgfSeries._of(([lcm // (n + 1) for n in range(size + 1)], lcm))
-        prefix = _bernoulli_prefix = series_reciprocal(g)
+        prefix = _bernoulli_prefix = series_reciprocal(g, prefix)
     return series_truncate(prefix, order)

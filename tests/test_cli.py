@@ -12,13 +12,17 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import feident
+from caches import cold_caches
+from feident import frobenius, stirling
 from feident.cli import main, run
 from feident.exact import parse_rational
-from feident.frobenius import fe_polynomial
+from feident.frobenius import fe_higher_numbers, fe_polynomial
+from feident.stirling import StirlingTriangle
 
 FE_NUMBERS_CSV = "n,value\n0,1\n1,1\n2,3\n3,13\n4,75\n"
 
@@ -100,6 +104,41 @@ class TestTable:
         )
         assert code == 0
         assert out == "n,value\n0,1\n1,2\n2,8\n"
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 7, 20])
+    @pytest.mark.parametrize("u", ["1/3", "-5/7", "2", "-1", "0"])
+    def test_fe_higher_rows_equal_the_series_route(self, capsys, u, N):
+        """The rows come from the triangle route (the series route at
+        u = 0), each on cold caches, and equal ``fe_higher_numbers``."""
+        cold_caches()
+        want = fe_higher_numbers(60, N, Fraction(u))
+        cold_caches()
+        code, out, _ = run_capture(
+            capsys, ["table", "fe-higher", f"--u={u}", "--N", str(N), "--n-max", "60"])
+        cold_caches()
+        assert code == 0
+        assert out == "n,value\n" + "".join(f"{n},{value}\n" for n, value in enumerate(want))
+
+    def test_fe_higher_reads_the_triangle(self, capsys, monkeypatch):
+        """a_1(N) + 1 for N >= 2 in the triangle changes the printed rows."""
+        argv = ["table", "fe-higher", "--u=-5/7", "--N", "7", "--n-max", "12"]
+        cold_caches()
+        _, want, _ = run_capture(capsys, argv)
+        triangle_recurrence = stirling.triangle_recurrence
+
+        def faulty(n_max):
+            rows = triangle_recurrence(n_max).rows
+            return StirlingTriangle(tuple(
+                row[:1] + (row[1] + 1,) + row[2:] if len(row) > 1 else row for row in rows))
+
+        monkeypatch.setattr(frobenius, "triangle_recurrence", faulty)
+        cold_caches()
+        try:
+            code, out, _ = run_capture(capsys, argv)
+        finally:
+            cold_caches()
+        assert code == 0
+        assert out != want
 
     def test_fe_polynomials_csv(self, capsys):
         code, out, _ = run_capture(
@@ -292,15 +331,13 @@ class TestTableRendering:
         # H_0..H_n
         ("fe-polynomials", "fe_number"),
         ("bernoulli", "bernoulli_number"),
-        # one kernel call makes every value; each row is formatted as it is
-        # written, which its values' __str__ logs
-        ("fe-higher", "fe_higher_numbers"),
+        # one triangle-route call makes every value; each row is formatted
+        # as it is written, which its values' __str__ logs
+        ("fe-higher", "_formula_numbers"),
     ])
     def test_first_row_is_written_before_the_last_is_computed(
         self, capsys, monkeypatch, subject, computes
     ):
-        from feident import frobenius
-
         # the row generators import their kernel when they run, so the
         # patch goes where they read it
         argv = table_argv(subject, 6)
@@ -314,8 +351,8 @@ class TestTableRendering:
                 return super().__str__()
 
         def logged(*args):
-            if computes == "fe_higher_numbers":
-                return [Logged(value) for value in kernel(*args)]
+            if computes == "_formula_numbers":
+                return SimpleNamespace(coeffs=[Logged(value) for value in kernel(*args).coeffs])
             events.append(computes)
             return kernel(*args)
 
@@ -735,8 +772,6 @@ class TestSizesTooLarge:
         ("series_pow", ["verify", "theorem1", "--N", "2", "--u", "13/7"]),
     ], ids=["table", "verify"])
     def test_out_of_memory_exits_two(self, capsys, monkeypatch, kernel, argv):
-        from feident import frobenius
-
         def exhausted(*args):
             raise MemoryError
 
@@ -768,8 +803,6 @@ class TestInterruptsAndClosedPipes:
     def test_interrupted_table_exits_130(self, capsys, monkeypatch):
         """Rows are written as they are computed, so what came before the
         interrupt has been written."""
-        from feident import frobenius
-
         kernel = frobenius.fe_number
         monkeypatch.setattr(frobenius, "fe_number",
                             lambda n, u: interrupted() if n == 2 else kernel(n, u))

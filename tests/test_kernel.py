@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from caches import cold_caches
@@ -33,6 +33,7 @@ from feident.stirling import triangle_recurrence
 from feident.series import (
     EgfSeries,
     bernoulli_oracle,
+    exp_minus_constant,
     frobenius_oracle,
     series_mul,
     series_pow,
@@ -119,8 +120,9 @@ class TestPrefixTables:
         def forbidden(*args, **kwargs):
             raise AssertionError("closed-form route called the series route")
 
-        for name in ("series_pow", "frobenius_oracle", "bernoulli_oracle"):
+        for name in ("series_pow", "exp_minus_constant", "bernoulli_oracle"):
             monkeypatch.setattr(frobenius, name, forbidden)
+        monkeypatch.setattr(series, "series_reciprocal", forbidden)
         u = Fraction(-5, 7)
         assert fe_number(12, u) == REFERENCE[u][12]
         assert fe_polynomial(6, u).coefficient(0) == REFERENCE[u][6]
@@ -264,8 +266,9 @@ class TestCacheServing:
         assert set(table._polynomials) == {7}
 
     def test_powers_share_the_kept_f(self, monkeypatch, cold):
-        """F is computed once for its largest order; each power is one
-        series_pow of a truncation of it, redone only for a larger order."""
+        """F's reciprocal is computed once for its largest order, and
+        extended for a larger one; each power is one series_pow of a
+        truncation of F, redone only for a larger order."""
         calls = []
 
         def counted(name, kernel):
@@ -274,17 +277,17 @@ class TestCacheServing:
                 return kernel(*args)
             return call
 
-        monkeypatch.setattr(frobenius, "frobenius_oracle",
-                            counted("oracle", frobenius.frobenius_oracle))
+        monkeypatch.setattr(series, "series_reciprocal",
+                            counted("reciprocal", series.series_reciprocal))
         monkeypatch.setattr(frobenius, "series_pow", counted("pow", frobenius.series_pow))
         u = Fraction(1, 3)
         fe_higher_numbers(8, 1, u)
         for N in (2, 3, 4, 2, 3):
             fe_higher_numbers(6, N, u)
         fe_higher_numbers(7, 4, u)
-        assert calls == ["oracle", "pow", "pow", "pow", "pow"]
+        assert calls == ["reciprocal", "pow", "pow", "pow", "pow"]
         fe_higher_numbers(9, 2, u)
-        assert calls[5:] == ["oracle", "pow"]
+        assert calls[5:] == ["reciprocal", "pow"]
 
     @pytest.mark.parametrize("check", [verify.verify_theorem1, verify.verify_corollary2])
     @pytest.mark.parametrize("N", [1, 2, 4, 5])
@@ -293,22 +296,23 @@ class TestCacheServing:
         table computes F once; the other order of reads would compute it
         to T-(N-1) first and then again to T."""
         calls = []
-        oracle = frobenius.frobenius_oracle
+        reciprocal = series.series_reciprocal
 
-        def counted(u, order):
-            calls.append(order)
-            return oracle(u, order)
+        def counted(a, head=None):
+            calls.append(a.order)
+            return reciprocal(a, head)
 
-        monkeypatch.setattr(frobenius, "frobenius_oracle", counted)
+        monkeypatch.setattr(series, "series_reciprocal", counted)
         args = (N, Fraction(-5, 7)) + ((Fraction(1, 2),) if check is verify.verify_corollary2 else ())
         assert check(*args, 24).verdict == "pass"
         assert calls == [24]
 
 
 def test_audit_work_counts(cold, monkeypatch):
-    """A default audit on cold caches computes F and its powers, inverts a
-    series, builds the coefficient triangle and builds the kept Appell
-    polynomials of the tables at most this many times.  Without the per-u
+    """A default audit on cold caches computes F (a table's call of
+    ``series_reciprocal``) and its powers, inverts a series, builds the
+    coefficient triangle and builds the kept Appell polynomials of the
+    tables at most this many times.  Without the per-u
     caches it took 276 F, 276 powers and 864 polynomials; while the
     checkers still made their own F and triangle weights per report, 21 F,
     87 inversions and 398 triangles; while theorem1 and corollary2 still
@@ -326,13 +330,14 @@ def test_audit_work_counts(cold, monkeypatch):
     def counted(name, kernel):
         def call(*args, **kwargs):
             counts[name] += 1
+            counts[name, sys._getframe(1).f_code.co_name] += 1
             return kernel(*args, **kwargs)
         return call
 
     # every binding of the kernels and checks, as a caller sees them
     # (``cold`` comes first, so it clears the real table cache after the
     # bindings are put back)
-    for name, home in (("frobenius_oracle", series), ("series_pow", series),
+    for name, home in (("series_pow", series),
                        ("series_reciprocal", series), ("triangle_recurrence", stirling),
                        ("check_at_least", exact), ("_check_u", series),
                        ("_check_variant", frobenius), ("_table", frobenius)):
@@ -353,7 +358,7 @@ def test_audit_work_counts(cold, monkeypatch):
 
     monkeypatch.setattr(Polynomial, "appell", classmethod(counting_appell))
     audit_all()
-    assert counts["frobenius_oracle"] <= 3
+    assert counts["series_reciprocal", "power"] <= 3
     assert counts["series_pow"] <= 12
     assert 0 < counts["appell"] <= 49
     assert counts["series_reciprocal"] <= 7
@@ -661,6 +666,76 @@ class TestIntegerConvolution:
         assert type(read) is Fraction and read == c
 
 
+def bernoulli_inverse(order):
+    """(e^t - 1)/t to ``order`` as ``bernoulli_oracle`` builds it: the
+    1/(n+1) over lcm(1..order+1), a denominator that changes as it grows."""
+    lcm = math.lcm(*range(1, order + 2))
+    return EgfSeries._of(([lcm // (n + 1) for n in range(order + 1)], lcm))
+
+
+class TestKernelPaths:
+    """A square and an extended reciprocal give exactly the integer form
+    of the general product and of a fresh reciprocal."""
+
+    @given(scalars, st.booleans())
+    @example([Fraction(-3, 4)], False)
+    @example([0], True)
+    @example([5, 0, 7], True)
+    @settings(deadline=None, max_examples=150)
+    def test_square_has_the_product_integer_form(self, xs, zero_constant):
+        if zero_constant:
+            xs = [0] + xs[1:]
+        a, b = EgfSeries(xs), EgfSeries(xs)
+        assert a is not b
+        square = series_mul(a, a)
+        assert square.integer_form == series_mul(a, b).integer_form
+        assert list(square.coeffs) == fraction_series_mul([Fraction(x) for x in xs],
+                                                          [Fraction(x) for x in xs])
+
+    @given(st.one_of(st.just("bernoulli"),
+                     st.fractions(-9, 9, max_denominator=12).filter(lambda u: u != 1)),
+           st.lists(st.integers(0, 40), min_size=2, max_size=3))
+    @example("bernoulli", [0, 1, 2])
+    @example("bernoulli", [3, 30])
+    @example(Fraction(1, 3), [6, 8, 24])
+    @example(Fraction(5, 2), [6, 8, 24])
+    @example(Fraction(0), [0, 0, 9])
+    @settings(deadline=None, max_examples=100)
+    def test_extension_has_a_fresh_integer_form(self, subject, orders):
+        """Each order's reciprocal, extended from the last one (one or two
+        heads deep), equals a fresh call's; 1 - u takes either sign."""
+        head = None
+        for order in sorted(orders):
+            a = bernoulli_inverse(order) if subject == "bernoulli" else exp_minus_constant(
+                subject, order)
+            head = series_reciprocal(a, head)
+            assert head.integer_form == series_reciprocal(a).integer_form
+
+    def test_a_head_longer_than_the_series_is_refused(self):
+        head = series_reciprocal(exp_minus_constant(2, 5))
+        with pytest.raises(ValueError, match="order-5 head is longer than the order-4 series"):
+            series_reciprocal(exp_minus_constant(2, 4), head)
+
+    def test_table_computes_each_f_entry_once(self, monkeypatch, cold):
+        """A table asked F at orders 6, 8 and 24 computes each entry of the
+        reciprocal of e^t - u once: b_0, then one integer sum per entry
+        b_1..b_24 (the series module's ``sum``, which only the reciprocal
+        calls while the table builds F), not 6 + 8 + 24 of them."""
+        sums = []
+
+        def counted_sum(values):
+            sums.append(1)
+            return sum(values)
+
+        u = Fraction(-5, 7)
+        want = [frobenius_oracle(u, order) for order in (6, 8, 24)]
+        monkeypatch.setattr(series, "sum", counted_sum, raising=False)
+        table = frobenius._table(u)
+        assert [table.power(order, 1) for order in (6, 8, 24)] == want
+        assert len(sums) == 24
+        assert table._inverse.order == 24
+
+
 @pytest.mark.parametrize("n", [200, 300, 400])
 def test_bernoulli_against_sympy_at_large_n(n):
     sympy = pytest.importorskip("sympy")
@@ -669,11 +744,13 @@ def test_bernoulli_against_sympy_at_large_n(n):
 
 
 def test_concurrent_readers_see_correct_values(cold):
-    """Threads that grow the same fresh tables, Bernoulli prefix, Pascal rows
+    """Threads that grow the same fresh tables (their prefixes and the
+    series route's reciprocal and powers), Bernoulli prefix, Pascal rows
     and composition terms at once may redo work, but every value any of
     them reads is right."""
     us = [Fraction(p, 11) for p in range(-12, 12) if p != 11]
     want = {u: fraction_recurrence(40, u) for u in us}
+    higher_want = {(u, N): fresh_power(u, 30, N).coeffs for u in us for N in (1, 2)}
     bernoulli_want = {n: bernoulli_oracle(n)[n] for n in range(0, 61, 6)}
     pascal = [tuple(math.comb(n, k) for k in range(n + 1)) for n in range(71)]
     nums = [2, -3, 5, 7, -11, 13, 1]
@@ -686,6 +763,10 @@ def test_concurrent_readers_see_correct_values(cold):
                 for n in rng.sample(range(41), 41):
                     if fe_number(n, u) != want[u][n]:
                         errors.append((u, n))
+                for n in rng.sample(range(31), 4):
+                    N = rng.choice((1, 2))
+                    if fe_higher_numbers(n, N, u) != higher_want[u, N][: n + 1]:
+                        errors.append((u, n, N))
                 k = rng.choice(list(bernoulli_want))
                 if bernoulli_number(k) != bernoulli_want[k]:
                     errors.append(("B", k))

@@ -56,9 +56,9 @@ ALLOWED = {"feident.verify:_derivative_expansion"} | {
     "feident.frobenius:" + name for name in ("__init__", "appell", "_checked_table")
 }
 
-# F = 1/(e^t - u) by the series route: the frobenius_oracle chain.
-F = {"feident.frobenius:power", "feident.series:frobenius_oracle",
-     "feident.series:exp_minus_constant", "feident.series:series_reciprocal"}
+# F = (1-u)/(e^t - u) by the series route: the table's reciprocal of e^t - u.
+F = {"feident.frobenius:power", "feident.series:exp_minus_constant",
+     "feident.series:series_reciprocal"}
 # H_0(u)..H_n(u) by the Euler-Seidel recurrence, and the polynomials of the
 # table built from them.
 PREFIX = {"feident.frobenius:integer_form", "feident.frobenius:_numerators",
@@ -150,8 +150,8 @@ def test_routes_share_only_arithmetic_and_the_subject(identity):
 
 
 def test_a_triangle_route_that_reads_f_is_named(monkeypatch):
-    """theorem3's triangle route made to read F as well: both routes now
-    enter the series route's kernel."""
+    """theorem3's triangle route made to read F from the generating
+    function as well: both routes now enter the series route's kernel."""
     formula = verify._formula_numbers
 
     def formula_reading_f(table, n_max, N, variant, first=0):
@@ -161,7 +161,7 @@ def test_a_triangle_route_that_reads_f_is_named(monkeypatch):
     monkeypatch.setattr(verify, "_formula_numbers", formula_reading_f)
     found = shared_outside(measure(["theorem3"]))
     assert list(found) == ["theorem3"]
-    assert "feident.series:frobenius_oracle" in found["theorem3"]
+    assert "feident.series:series_reciprocal" in found["theorem3"]
 
 
 def test_a_composition_sum_that_reads_the_triangle_is_named(monkeypatch):

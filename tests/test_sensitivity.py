@@ -24,9 +24,10 @@ kernel by name, as a caller sees it:
   theorem1, corollary2, theorem3, corollary5 and eq60 read from the
   table, and the e^{xt} factor of corollary2;
 - ``series_reciprocal`` reaches F itself, which every series route reads
-  from the table of u (``frobenius_oracle``), so the same identities, and
-  the Bernoulli oracle behind the Bernoulli polynomials of
-  carlitz_reciprocal and bernoulli_product;
+  from the table of u (the reciprocal of e^t - u, which the table extends
+  through ``series.series_reciprocal``), so the same identities, and the
+  Bernoulli oracle behind the Bernoulli polynomials of carlitz_reciprocal
+  and bernoulli_product;
 - ``triangle_recurrence`` (a_1(N) + 1 for N >= 2) reaches every
   triangle-formula side, each of which reads its weights from the table:
   theorem1, corollary2, theorem3, corollary4 and corollary5;
@@ -167,8 +168,8 @@ def test_series_mul_fault(monkeypatch):
 def test_series_reciprocal_fault(monkeypatch):
     series_reciprocal = series.series_reciprocal
 
-    def faulty(a):
-        return EgfSeries(plus_one_at_three(series_reciprocal(a).coeffs))
+    def faulty(a, head=None):
+        return EgfSeries(plus_one_at_three(series_reciprocal(a, head).coeffs))
 
     patch_callers(monkeypatch, "series_reciprocal", faulty, [series])
     assert failing_identities() == {
