@@ -208,14 +208,10 @@ def _fe_polynomials(n_max: int, u) -> Iterator[dict]:
 
 @_subject("fe-higher", u=exact_parameter, N=int)
 def _fe_higher(n_max: int, u, N: int) -> Iterator[dict]:
-    # the triangle formula in one pass over the prefix to n_max + N - 1; its
-    # prefactor divides by u, so u = 0 (F = e^(-t)) reads the series route
-    from .frobenius import _checked_table, _formula_numbers
+    from .frobenius import _fe_higher_rows
 
     check_at_least("--N", N, 1)
-    table = _checked_table("n_max", n_max, "order", N, u)
-    numbers = table.power(n_max, N) if u == 0 else _formula_numbers(table, n_max, N, "corrected")
-    for n, value in enumerate(numbers.coeffs):
+    for n, value in enumerate(_fe_higher_rows(n_max, N, u).coeffs):
         yield {"n": n, "value": str(value)}
 
 

@@ -109,7 +109,8 @@ class TestTable:
     @pytest.mark.parametrize("u", ["1/3", "-5/7", "2", "-1", "0"])
     def test_fe_higher_rows_equal_the_series_route(self, capsys, u, N):
         """The rows come from the triangle route (the series route at
-        u = 0), each on cold caches, and equal ``fe_higher_numbers``."""
+        u = 0), each on cold caches, and equal ``fe_higher_numbers``, the
+        series route."""
         cold_caches()
         want = fe_higher_numbers(60, N, Fraction(u))
         cold_caches()
@@ -121,7 +122,7 @@ class TestTable:
 
     def test_fe_higher_reads_the_triangle(self, capsys, monkeypatch):
         """a_1(N) + 1 for N >= 2 in the triangle changes the printed rows."""
-        argv = ["table", "fe-higher", "--u=-5/7", "--N", "7", "--n-max", "12"]
+        argv = ["table", "fe-higher", "--u=-5/7", "--N", "7", "--n-max", "14"]
         cold_caches()
         _, want, _ = run_capture(capsys, argv)
         triangle_recurrence = stirling.triangle_recurrence
@@ -139,6 +140,33 @@ class TestTable:
             cold_caches()
         assert code == 0
         assert out != want
+
+    @pytest.mark.parametrize("u, N, n_max, triangle", [
+        ("1/3", 3, 6, True),
+        ("1/3", 4, 7, False),
+        ("-5/7", 20, 40, True),
+        ("-5/7", 41, 80, False),
+        ("0", 3, 60, False),
+        ("1/3", 10000, 1, False),
+    ])
+    def test_fe_higher_route_follows_the_sizes(self, capsys, monkeypatch, u, N, n_max, triangle):
+        """The triangle route for 2N <= n_max and u != 0, else the series
+        route, which needs no triangle row: a large order at a small n_max
+        builds no N-row triangle."""
+        reads = []
+        triangle_recurrence = stirling.triangle_recurrence
+        monkeypatch.setattr(frobenius, "triangle_recurrence",
+                            lambda n: reads.append(n) or triangle_recurrence(n))
+        cold_caches()
+        try:
+            code, out, _ = run_capture(
+                capsys, ["table", "fe-higher", f"--u={u}", "--N", str(N), "--n-max", str(n_max)])
+            want = fe_higher_numbers(n_max, N, Fraction(u))
+        finally:
+            cold_caches()
+        assert code == 0
+        assert out == "n,value\n" + "".join(f"{n},{value}\n" for n, value in enumerate(want))
+        assert reads == ([N] if triangle else [])
 
     def test_fe_polynomials_csv(self, capsys):
         code, out, _ = run_capture(
