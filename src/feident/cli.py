@@ -224,7 +224,7 @@ def _stirling(n_max: int) -> Iterator[tuple]:
 
     if n_max < 1:
         raise ValueError("stirling table needs --n-max >= 1")
-    yield from triangle_recurrence(n_max).rows
+    yield from triangle_recurrence(n_max)
 
 
 @_subject("bernoulli")

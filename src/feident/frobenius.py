@@ -37,17 +37,18 @@ its own route's code.
   checks read it again; ``fe_polynomial`` keeps nothing.  (The CLI's
   polynomial rows are made from ``fe_number``'s Fractions instead.)
 - Triangle formula: (N, variant) -> the weights prefactor * a_k(N),
-  k < N, from one ``triangle_recurrence`` row, as integer numerators
-  over one denominator.
+  k < N, from the last row of ``triangle_recurrence(N)``, the one row
+  kept while the rows stream, as integer numerators over one
+  denominator.
 - Series: N -> F(u)^N, the EGF of the order-N numbers, in integer form;
   F = (1-u)/(e^t - u) is the N = 1 entry (theorem1 reads F and F^N here
-  too).  The table keeps the reciprocal of e^t - u, from
-  ``series.series_reciprocal``, and F is (1-u) times it; when F is too
-  short, the reciprocal is extended to exactly n, computing only the new
-  entries.  Order n is served by truncating an entry, as coefficient n of
-  a power reads only coefficients up to n.  A power N >= 2 is recomputed,
-  to exactly n, only for a larger order, as ``series_pow`` of a
-  truncation of the kept F.
+  too), ``series.series_reciprocal`` of (e^t - u)/(1-u).  F is that
+  reciprocal's own integer form, so when F is too short it is the head
+  from which the reciprocal is extended to exactly n, computing only the
+  new entries.  Order n is served by truncating an entry, as coefficient
+  n of a power reads only coefficients up to n.  A power N >= 2 is
+  recomputed, to exactly n, only for a larger order, as ``series_pow`` of
+  a truncation of the kept F.
 At most ``_TABLE_BOUND`` (16) tables are kept, least recently used
 first out: an audit identity block touches at most 9 parameter values,
 a CLI process one, and a sweep op at most 3, never repeating u.  A
@@ -65,6 +66,7 @@ harness can audit the difference.
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
@@ -113,9 +115,9 @@ class _NumberTable:
     """The cache of one u = p/q: H_0(u)..H_k(u) as M_0..M_k over r^0..r^k,
     grown by one Euler-Seidel step at a time on demand, the polynomials
     H_n(x|u) built from them, the triangle formula's weights, and the
-    series route's reciprocal of e^t - u and powers of F(u)."""
+    series route's powers of F(u)."""
 
-    __slots__ = ("_u", "_p", "_r", "_state", "_polynomials", "_inverse", "_powers", "_weights")
+    __slots__ = ("_u", "_p", "_r", "_state", "_polynomials", "_powers", "_weights")
 
     def __init__(self, u: Fraction):
         self._u = u
@@ -126,7 +128,6 @@ class _NumberTable:
         # half-built prefix.  The dicts only gain whole values.
         self._state = ((1,), [u.denominator])
         self._polynomials = {}  # n -> H_n(x|u)
-        self._inverse = None  # 1/(e^t - u) to F's order; a larger order extends it
         self._powers = {}  # N -> F(u)^N, F itself at N = 1
         self._weights = {}  # (N, variant) -> prefactor * a_k(N), k < N
 
@@ -170,13 +171,12 @@ class _NumberTable:
         if kept is None or kept.order < n_max:
             f = powers.get(1)
             if f is None or f.order < n_max:
-                # another thread may have extended it since F was read
-                inverse = self._inverse
-                if inverse is None or inverse.order < n_max:
-                    # through the module, where a fault planted in the kernel reaches it
-                    inverse = self._inverse = series.series_reciprocal(
-                        exp_minus_constant(self._u, n_max), inverse)
-                f = powers[1] = series_scale(inverse, 1 - self._u)
+                # F = 1/((e^t - u)/(1 - u)), extended from the shorter F just
+                # read, through the module, where a fault planted in the kernel
+                # reaches it
+                q = self._u.denominator
+                f = powers[1] = series.series_reciprocal(series_scale(
+                    exp_minus_constant(self._u, n_max), Fraction(q, q - self._p)), f)
             kept = f if order == 1 else series_pow(series_truncate(f, n_max), order)
             powers[order] = kept
         return series_truncate(kept, n_max)
@@ -193,8 +193,8 @@ class _NumberTable:
             den = p ** (order - 1) * math.factorial(order - 1)
             if den < 0:
                 num, den = -num, -den
-            weights = self._weights[key] = lowest_terms(
-                [num * a for a in triangle_recurrence(order).row(order)], den)
+            (row,) = deque(triangle_recurrence(order), maxlen=1)
+            weights = self._weights[key] = lowest_terms([num * a for a in row], den)
         return weights
 
 
@@ -268,11 +268,11 @@ def _fe_higher_rows(n_max: int, order: int, u: Fraction) -> EgfSeries:
     """H_0^(N)(u)..H_{n_max}^(N)(u) in integer form, by the cheaper route:
     the triangle formula for 2N <= n_max, else the series route, which is
     also the one route at u = 0, where the prefactor divides by u.  The
-    triangle route holds all N rows of the triangle, about N^3 log2(N)
-    bits, and grows the prefix to n_max + N - 1; the series route takes
-    about 2*log2(N) products of order n_max.  The triangle takes 0.03 to
-    0.75 of the series' time at 2N <= n_max, about 1.2 times it at N = n_max,
-    and 29 to 524 times it at N = 200 to 400 with n_max = 5 to 20."""
+    triangle route builds N rows of the triangle, keeping one, and grows
+    the prefix to n_max + N - 1; the series route takes about 2*log2(N)
+    products of order n_max.  The triangle takes 0.03 to 0.75 of the
+    series' time at 2N <= n_max, about 1.2 times it at N = n_max, and 29
+    to 524 times it at N = 200 to 400 with n_max = 5 to 20."""
     table = _checked_table("n_max", n_max, "order", order, u)
     if u == 0 or 2 * order > n_max:
         return table.power(n_max, order)

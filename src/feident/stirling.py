@@ -3,7 +3,9 @@ derivatives.
 
 Row N holds a_0(N)..a_{N-1}(N).  Two independent constructions are
 provided: the additive recurrence a_k(N+1) = N a_k(N) + a_{k-1}(N) seeded
-with row 1 = [1], and the closed-form composition sum
+with row 1 = (1,), a stream of rows in which each row is built from the
+one before and only as it is read, so a reader that keeps one row holds
+one row; and the closed-form composition sum
 
     a_k(N) = N!/(k+1)! * sum 1/(l_1 l_2 ... l_{k+1})
 
@@ -18,39 +20,25 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from itertools import accumulate
+from typing import Iterator
 
 from .exact import check_at_least, compositions
 
-__all__ = ["StirlingTriangle", "triangle_recurrence", "coeff_closed_form"]
+__all__ = ["triangle_recurrence", "coeff_closed_form"]
 
 
-class StirlingTriangle(NamedTuple):
-    """Rows 1..n_max of the triangle; ``rows[N-1][k]`` is a_k(N).  An
-    immutable value: equal when the rows are, and hashable."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def n_max(self) -> int:
-        return len(self.rows)
-
-    def row(self, n: int) -> tuple[int, ...]:
-        check_at_least("n", n, 1)
-        if n > self.n_max:
-            raise ValueError(f"row {n} outside 1..{self.n_max}")
-        return self.rows[n - 1]
+def _next_row(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Row n + 1 from row n: a_k(N+1) = N a_k(N) + a_{k-1}(N), with
+    a_N(N) = a_{-1}(N) = 0."""
+    return tuple(n * above + left for above, left in zip(prev + (0,), (0,) + prev))
 
 
-def triangle_recurrence(n_max: int) -> StirlingTriangle:
-    """Build rows 1..n_max by the additive recurrence."""
+def triangle_recurrence(n_max: int) -> Iterator[tuple[int, ...]]:
+    """Rows 1..n_max by the additive recurrence, each built from the one
+    before as it is read; ``n_max`` is checked on the call itself."""
     check_at_least("n_max", n_max, 1)
-    rows = [(1,)]
-    for n in range(1, n_max):
-        prev = rows[-1]
-        # a_k(N+1) = N a_k(N) + a_{k-1}(N), with a_N(N) = a_{-1}(N) = 0
-        rows.append(tuple(n * above + left for above, left in zip(prev + (0,), (0,) + prev)))
-    return StirlingTriangle(tuple(rows))
+    return accumulate(range(1, n_max), _next_row, initial=(1,))
 
 
 def coeff_closed_form(k: int, n: int) -> Fraction:

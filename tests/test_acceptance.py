@@ -46,19 +46,18 @@ def report(criterion, ok, detail=""):
 
 
 def test_criterion_1_triangle_equivalence():
-    tri = triangle_recurrence(12)
     problems = []
     for n in range(1, 13):
-        row = tri.row(n)
+        row = list(triangle_recurrence(n))[-1]
         if row[0] != math.factorial(n - 1) or row[-1] != 1:
             problems.append(f"boundary row {n}")
         for k in range(n):
             value = coeff_closed_form(k, n)
             if value.denominator != 1 or value != row[k]:
                 problems.append(f"a_{k}({n})")
-    if tri.row(3) != (2, 3, 1):
+    if list(triangle_recurrence(3))[-1] != (2, 3, 1):
         problems.append("row 3")
-    if tri.row(4) != (6, 11, 6, 1):
+    if list(triangle_recurrence(4))[-1] != (6, 11, 6, 1):
         problems.append("row 4")
     report("1 triangle equivalence", not problems, ", ".join(problems[:4]))
 

@@ -22,7 +22,6 @@ from feident import frobenius, stirling
 from feident.cli import main, run
 from feident.exact import parse_rational
 from feident.frobenius import fe_higher_numbers, fe_polynomial
-from feident.stirling import StirlingTriangle
 
 FE_NUMBERS_CSV = "n,value\n0,1\n1,1\n2,3\n3,13\n4,75\n"
 
@@ -128,9 +127,8 @@ class TestTable:
         triangle_recurrence = stirling.triangle_recurrence
 
         def faulty(n_max):
-            rows = triangle_recurrence(n_max).rows
-            return StirlingTriangle(tuple(
-                row[:1] + (row[1] + 1,) + row[2:] if len(row) > 1 else row for row in rows))
+            return (row[:1] + (row[1] + 1,) + row[2:] if len(row) > 1 else row
+                    for row in triangle_recurrence(n_max))
 
         monkeypatch.setattr(frobenius, "triangle_recurrence", faulty)
         cold_caches()
@@ -404,6 +402,34 @@ class TestTableRendering:
         first_row = events.index(writes[1])  # writes[0] is the header
         last_value = len(events) - 1 - events[::-1].index(computes)
         assert first_row < last_value
+
+    def test_stirling_row_is_built_when_it_is_written(self, monkeypatch):
+        """Each row of the triangle is built from the one before only when
+        the table reaches it: writes and builds alternate, and row 6 is
+        built after row 5 is written."""
+        events = []
+        next_row = stirling._next_row
+        monkeypatch.setattr(stirling, "_next_row",
+                            lambda prev, n: events.append(n + 1) or next_row(prev, n))
+
+        class Stream:
+            def write(self, text):
+                events.append(text)
+
+            def writelines(self, chunks):
+                for chunk in chunks:
+                    self.write(chunk)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Stream())
+        assert run(["table", "stirling", "--n-max", "6"]) == 0
+        # the header and row 1, then (build row N, write row N) for N = 2..6
+        assert events[:2] == ["N,k,a_k\n", "1,0,1\n"]
+        assert events[2::2] == [2, 3, 4, 5, 6]
+        assert all(isinstance(text, str) for text in events[3::2])
+        assert len(events) == 12
 
 
 class TestVerifyCommand:

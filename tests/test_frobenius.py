@@ -237,7 +237,7 @@ class TestHigherOrderFormula:
     @pytest.mark.parametrize("u", U_SAMPLES)
     def test_formula_numbers_match_a_fraction_loop(self, u, order, variant):
         factor = (1 - u) / u if variant == "as_printed" else (u - 1) / u
-        row = triangle_recurrence(order).row(order)
+        row = list(triangle_recurrence(order))[-1]
         expected = []
         for n in range(9):
             acc = Fraction(0)
@@ -324,7 +324,6 @@ LEAST_INDEX_CALLS = [
     ("triangle_recurrence", triangle_recurrence, "n_max", 1),
     ("coeff_closed_form-N", lambda i: coeff_closed_form(0, i), "N", 1),
     ("coeff_closed_form-k", lambda i: coeff_closed_form(i, 3), "k", 0),
-    ("StirlingTriangle.row", lambda i: triangle_recurrence(3).row(i), "n", 1),
 ]
 INDEX_CALLS += [c[:3] for c in LEAST_INDEX_CALLS]
 

@@ -187,7 +187,7 @@ class TestGrowthOrder:
                 assert [Fraction(v, d) for v in nums] == want[n: n + extra]
                 if u != 0:
                     # the formula of order ``extra`` at n reads H_n..H_(n+extra-1)
-                    row = triangle_recurrence(extra).row(extra)
+                    row = list(triangle_recurrence(extra))[-1]
                     factor = ((u - 1) / u) ** (extra - 1) / math.factorial(extra - 1)
                     assert fe_higher_number_formula(n, extra, u) == factor * sum(
                         a * want[n + k] for k, a in enumerate(row))
@@ -717,9 +717,9 @@ class TestKernelPaths:
             series_reciprocal(exp_minus_constant(2, 4), head)
 
     def test_table_computes_each_f_entry_once(self, monkeypatch, cold):
-        """A table asked F at orders 6, 8 and 24 computes each entry of the
-        reciprocal of e^t - u once: b_0, then one integer sum per entry
-        b_1..b_24 (the series module's ``sum``, which only the reciprocal
+        """A table asked F at orders 6, 8 and 24 computes each entry of F,
+        the reciprocal of (e^t - u)/(1 - u), once: b_0, then one integer sum
+        per entry b_1..b_24 (the series module's ``sum``, which only the reciprocal
         calls while the table builds F), not 6 + 8 + 24 of them."""
         sums = []
 
@@ -733,7 +733,7 @@ class TestKernelPaths:
         table = frobenius._table(u)
         assert [table.power(order, 1) for order in (6, 8, 24)] == want
         assert len(sums) == 24
-        assert table._inverse.order == 24
+        assert table._powers[1].order == 24
 
 
 @pytest.mark.parametrize("n", [200, 300, 400])

@@ -24,10 +24,10 @@ kernel by name, as a caller sees it:
   theorem1, corollary2, theorem3, corollary5 and eq60 read from the
   table, and the e^{xt} factor of corollary2;
 - ``series_reciprocal`` reaches F itself, which every series route reads
-  from the table of u (the reciprocal of e^t - u, which the table extends
-  through ``series.series_reciprocal``), so the same identities, and the
-  Bernoulli oracle behind the Bernoulli polynomials of carlitz_reciprocal
-  and bernoulli_product;
+  from the table of u (the reciprocal of (e^t - u)/(1 - u), which the
+  table extends through ``series.series_reciprocal``), so the same
+  identities, and the Bernoulli oracle behind the Bernoulli polynomials
+  of carlitz_reciprocal and bernoulli_product;
 - ``triangle_recurrence`` (a_1(N) + 1 for N >= 2) reaches every
   triangle-formula side, each of which reads its weights from the table:
   theorem1, corollary2, theorem3, corollary4 and corollary5;
@@ -47,7 +47,6 @@ from caches import cold_caches
 from feident import exact, frobenius, series, stirling, verify
 from feident.poly import Polynomial
 from feident.series import EgfSeries
-from feident.stirling import StirlingTriangle
 from feident.verify import audit_all
 
 
@@ -187,10 +186,8 @@ def test_triangle_recurrence_fault(monkeypatch):
     triangle_recurrence = stirling.triangle_recurrence
 
     def faulty(n_max):
-        rows = triangle_recurrence(n_max).rows
-        return StirlingTriangle(
-            tuple(row[:1] + (row[1] + 1,) + row[2:] if len(row) > 1 else row for row in rows)
-        )
+        return (row[:1] + (row[1] + 1,) + row[2:] if len(row) > 1 else row
+                for row in triangle_recurrence(n_max))
 
     # the stirling table reads stirling.triangle_recurrence when it runs
     patch_callers(monkeypatch, "triangle_recurrence", faulty, [stirling, frobenius])

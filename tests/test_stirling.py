@@ -1,12 +1,15 @@
 """Tests for the coefficient triangle: recurrence, closed form, invariants."""
 
 import math
+import tracemalloc
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
+from feident.frobenius import _NumberTable
 from feident.poly import Polynomial
-from feident.stirling import StirlingTriangle, coeff_closed_form, triangle_recurrence
+from feident.stirling import coeff_closed_form, triangle_recurrence
 
 KNOWN_ROWS = {
     1: (1,),
@@ -17,18 +20,32 @@ KNOWN_ROWS = {
 }
 
 
+def last_row(n):
+    """Row n: the last row of the stream of rows 1..n."""
+    (row,) = deque(triangle_recurrence(n), maxlen=1)
+    return row
+
+
+def rows_by_loop(n_max):
+    """Rows 1..n_max built whole by the loop the stream replaced."""
+    rows = [(1,)]
+    for n in range(1, n_max):
+        prev = rows[-1]
+        rows.append(tuple(n * above + left for above, left in zip(prev + (0,), (0,) + prev)))
+    return rows
+
+
 @pytest.mark.parametrize("n,row", sorted(KNOWN_ROWS.items()))
 def test_recurrence_known_rows(n, row):
-    assert triangle_recurrence(5).row(n) == row
+    assert last_row(n) == row
+    assert list(triangle_recurrence(5))[n - 1] == row
 
 
 def test_row_accessor_bounds():
-    tri = triangle_recurrence(3)
-    assert tri.n_max == 3
-    with pytest.raises(ValueError):
-        tri.row(0)
-    with pytest.raises(ValueError):
-        tri.row(4)
+    """The stream holds rows 1..n_max and no other: row N has N entries."""
+    rows = triangle_recurrence(3)
+    assert [len(row) for row in rows] == [1, 2, 3]
+    assert next(rows, None) is None
 
 
 def test_n_max_validation():
@@ -36,24 +53,49 @@ def test_n_max_validation():
         triangle_recurrence(0)
 
 
+@pytest.mark.parametrize("bad,error", [(0, ValueError), (-1, ValueError), (True, TypeError),
+                                       (2.0, TypeError)], ids=["0", "-1", "True", "2.0"])
+def test_n_max_is_checked_on_the_call(bad, error):
+    """A bad n_max raises when the stream is asked for, before any row is
+    read, not on the first ``next``."""
+    with pytest.raises(error, match="n_max"):
+        triangle_recurrence(bad)
+
+
+def test_stream_equals_the_whole_triangle():
+    want = rows_by_loop(40)
+    for n in range(1, 41):
+        assert list(triangle_recurrence(n)) == want[:n], n
+
+
+def test_weights_keep_one_row():
+    """The triangle formula's weights hold the last row only: on a fresh
+    table, reading the order-300 weights peaks under 1 MB (the whole
+    triangle, kept, peaked at about 6 MB)."""
+    table = _NumberTable(Fraction(1, 3))
+    tracemalloc.start()
+    try:
+        table.weights(300, "corrected")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 def test_boundary_values():
-    tri = triangle_recurrence(12)
-    for n in range(1, 13):
-        row = tri.row(n)
+    for n, row in enumerate(triangle_recurrence(12), 1):
         assert row[0] == math.factorial(n - 1)
         assert row[-1] == 1
 
 
 def test_row_sums_are_factorials():
-    tri = triangle_recurrence(12)
     for n in range(1, 13):
-        assert sum(tri.row(n)) == math.factorial(n)
+        assert sum(last_row(n)) == math.factorial(n)
 
 
 def test_recurrence_relation_holds():
-    tri = triangle_recurrence(12)
     for n in range(1, 12):
-        prev, row = tri.row(n), tri.row(n + 1)
+        prev, row = last_row(n), last_row(n + 1)
         for k in range(n + 1):
             above = prev[k] if k < n else 0
             left = prev[k - 1] if k >= 1 else 0
@@ -81,24 +123,23 @@ class TestClosedForm:
             coeff_closed_form(0, 0)
 
     def test_integrality_and_equivalence(self):
-        tri = triangle_recurrence(12)
         for n in range(1, 13):
+            row = last_row(n)
             for k in range(n):
                 value = coeff_closed_form(k, n)
                 assert value.denominator == 1
-                assert value == tri.row(n)[k]
+                assert value == row[k]
 
 
 def test_matches_rising_factorial_coefficients():
     """Cross-check: row N agrees with the coefficients of
     x(x+1)...(x+N-1), shifted by one in the exponent."""
-    tri = triangle_recurrence(8)
     for n in range(1, 9):
         rising = Polynomial.one()
         for i in range(n):
             rising = rising * Polynomial([i, 1])
         for k in range(n):
-            assert tri.row(n)[k] == rising.coefficient(k + 1)
+            assert last_row(n)[k] == rising.coefficient(k + 1)
 
 
 def test_rows_are_unsigned_stirling_numbers_of_the_first_kind_per_sympy():
@@ -107,11 +148,15 @@ def test_rows_are_unsigned_stirling_numbers_of_the_first_kind_per_sympy():
 
     for n in range(1, 41):
         want = tuple(int(stirling(n, k + 1, kind=1)) for k in range(n))
-        assert triangle_recurrence(n).row(n) == want, n
+        assert last_row(n) == want, n
 
 
 def test_triangle_is_frozen():
-    tri = triangle_recurrence(2)
-    assert isinstance(tri, StirlingTriangle)
-    with pytest.raises(AttributeError):
-        tri.rows = ()
+    """Each row is a tuple, a value: a row kept while the stream goes on
+    stays as it was read."""
+    rows = triangle_recurrence(3)
+    first = next(rows)
+    assert list(rows) == [(1, 1), (2, 3, 1)]
+    assert first == (1,)
+    with pytest.raises(TypeError):
+        first[0] = 2

@@ -9,7 +9,6 @@ import pytest
 
 from feident.poly import Polynomial
 from feident.series import EgfSeries
-from feident.stirling import triangle_recurrence
 from feident.verify import REQUIRED, Mismatch, Param, VerificationReport
 
 MISMATCH = Mismatch("x^1", Fraction(1, 3), Fraction(-2, 3))
@@ -17,7 +16,6 @@ MISMATCH = Mismatch("x^1", Fraction(1, 3), Fraction(-2, 3))
 VALUES = [
     EgfSeries([1, Fraction(-1, 2), Fraction(1, 6)]),
     Polynomial([Fraction(1, 2), 0, -3]),
-    triangle_recurrence(5),
     MISMATCH,
     VerificationReport("theorem3", "as_printed", {"n": "2", "N": "2", "u": "2"}, (MISMATCH,)),
     Param("T", True, 16),
