@@ -15,8 +15,9 @@ from feident.series import EgfSeries
 
 def cold_caches() -> None:
     """Empty the number tables of every u, the kept composition terms, the
-    Bernoulli prefix and the kept Pascal rows."""
+    Bernoulli prefix, the kept Pascal rows and the kept gamma-vectors."""
     frobenius._table.cache_clear()
     verify._composition_terms.cache_clear()
     series._bernoulli_prefix = EgfSeries([Fraction(1)])
     exact._kept_rows = ((1,),)
+    frobenius._kept_gammas = ((), (1,))

@@ -1,8 +1,8 @@
 """Properties of the number kernel: the fraction-free prefix tables behind
-H_n(u), the per-u caches of both routes, the kept u-independent Pascal
-rows and composition terms, square-and-multiply series powers, the shared
-Bernoulli prefix, and the integer convolutions behind series and
-polynomial products."""
+H_n(u) and their two kernels, the per-u caches of both routes, the kept
+u-independent Pascal rows, gamma-vectors and composition terms,
+square-and-multiply series powers, the shared Bernoulli prefix, and the
+integer convolutions behind series and polynomial products."""
 
 import math
 import random
@@ -155,9 +155,9 @@ growth_u = st.one_of(
     st.sampled_from(GROWTH_US),
     st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(lambda u: u != 1),
 )
-# (kind, index, window width or order)
+# (kind, index, window width or order); indices cross the gamma route's 64
 table_read = st.tuples(st.sampled_from(["number", "polynomial", "window"]),
-                       st.integers(0, 50), st.integers(1, 5))
+                       st.integers(0, 68), st.integers(1, 5))
 
 
 class TestGrowthOrder:
@@ -194,9 +194,74 @@ class TestGrowthOrder:
         table = frobenius._table(u)
         ms, diagonal = table._state
         assert ms == once._numerators(top)[: len(ms)]
-        assert diagonal[-1] == u.denominator * ms[-1]
-        # grown one step at a time to exactly the largest index read
+        # grown to exactly the largest index read, by the gamma route up to
+        # 64, which keeps no Euler-Seidel diagonal
         assert len(ms) == largest + 1
+        if largest <= frobenius._GAMMA_TOP:
+            assert diagonal is None
+        else:
+            assert diagonal[-1] == u.denominator * ms[-1]
+
+
+# u = p/q with p + q = 0 (s = 0), p = 0 (t = 0), |p - q| = 1, u < 0, or any
+prefix_u = st.one_of(
+    st.sampled_from([Fraction(-1), Fraction(0)]),
+    st.integers(1, 40).flatmap(lambda q: st.sampled_from(
+        [Fraction(q + 1, q), Fraction(q - 1, q), Fraction(-q - 1, q)])),
+    st.fractions(max_value=Fraction(-1, 10**6), max_denominator=10**6),
+    st.fractions(min_value=-60, max_value=60, max_denominator=60).filter(lambda u: u != 1),
+)
+
+
+def eulerian_rows(n_max):
+    """A(n, 0..n-1) for n = 0..n_max, the coefficients of the Eulerian
+    polynomial A_n, by A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1)."""
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        prev = rows[-1] + [0]
+        rows.append([(k + 1) * prev[k] + (n - k) * (prev[k - 1] if k else 0) for k in range(n)])
+    return rows
+
+
+class TestPrefixKernels:
+    """The gamma route (n <= 64) and the Euler-Seidel route give the same
+    M_n, whichever built the table and in whatever steps."""
+
+    @given(prefix_u)
+    @settings(deadline=None, max_examples=150)
+    @example(Fraction(-1))
+    @example(Fraction(0))
+    @example(Fraction(2))
+    def test_gamma_route_equals_euler_seidel(self, u):
+        gamma, seidel = frobenius._NumberTable(u), frobenius._NumberTable(u)
+        # a table first asked for 65 runs Euler-Seidel steps from M_0
+        assert seidel._numerators(65)[:65] == gamma._numerators(64)
+        assert gamma._state[1] is None and seidel._state[1] is not None
+
+    @pytest.mark.parametrize("u", KERNEL_US, ids=str)
+    def test_grown_one_index_at_a_time_equals_grown_at_once(self, u):
+        stepped = frobenius._NumberTable(u)
+        for n in range(101):
+            stepped._numerators(n)
+        whole = frobenius._NumberTable(u)
+        whole._numerators(100)
+        assert stepped._state == whole._state
+        ms, r = stepped._state[0], u.numerator - u.denominator
+        assert [Fraction(m, r**k) for k, m in enumerate(ms[: N_MAX + 1])] == REFERENCE[u]
+
+    def test_kept_rows_are_the_gamma_vectors_of_the_eulerian_polynomials(self, cold):
+        """A_n(t) = sum_j g_(n,j) t^j (1+t)^(n-1-2j), coefficient by
+        coefficient, for n = 1..64."""
+        rows = frobenius._gamma_rows(64)
+        assert len(rows) == 65 and rows[0] == ()
+        for n, want in enumerate(eulerian_rows(64)[1:], start=1):
+            gammas = rows[n]
+            assert len(gammas) == (n - 1) // 2 + 1
+            assert all(g > 0 for g in gammas)
+            assert [sum(g * binomial(n - 1 - 2 * j, k - j) for j, g in enumerate(gammas))
+                    for k in range(n)] == want, n
+        assert sum(map(len, rows)) == 1056
+        assert max(g.bit_length() for row in rows for g in row) == 277
 
 
 # (kind, n, N); N is unused by the order-1 reads
@@ -427,15 +492,17 @@ def streamed_sum(k, N, nums):
 
 
 class TestKeptCombinatorics:
-    """The Pascal rows and composition terms depend on no parameter, so they
-    are kept for the life of the process, within fixed bounds: a new u
-    pays only for its own numbers, and no value depends on what was
-    computed before."""
+    """The Pascal rows, gamma-vectors and composition terms depend on no
+    parameter, so they are kept for the life of the process, within fixed
+    bounds: a new u pays only for its own numbers, and no value depends on
+    what was computed before."""
 
     def test_a_new_u_rebuilds_no_combinatorics(self, monkeypatch, cold):
         sweep_op(Fraction(7, 11))
         rows = exact._kept_rows
         assert len(rows) == 25  # theorem1 at T = 24 reads the longest series
+        gammas = frobenius._kept_gammas
+        assert len(gammas) == 61  # fe_polynomial(60, u) reads the longest prefix
         counts = Counter()
         for name in ("multinomial", "weak_compositions"):
             kernel = getattr(verify, name)
@@ -449,6 +516,7 @@ class TestKeptCombinatorics:
         assert counts == {}
         # a row built up to n = 64 would have replaced the kept ones
         assert exact._kept_rows is rows
+        assert frobenius._kept_gammas is gammas
 
     def test_rows_above_64_are_built_not_kept(self, cold):
         rng = random.Random(3)
@@ -465,6 +533,28 @@ class TestKeptCombinatorics:
         assert len(exact._kept_rows) == min(t, 64) + 1
         assert first == list(binomial_rows(t)) == [
             tuple(math.comb(n, k) for k in range(n + 1)) for n in range(t + 1)]
+
+    def test_gamma_rows_stop_at_65_and_are_replaced_whole(self, cold):
+        frobenius._NumberTable(Fraction(1, 3))._numerators(64)
+        rows = frobenius._kept_gammas
+        assert len(rows) == 65
+        table = frobenius._NumberTable(Fraction(-5, 7))
+        for n in (30, 64, 70, 200):
+            table._numerators(n)
+        frobenius._NumberTable(Fraction(2))._numerators(300)
+        # no row past 64 was built, and no read replaced the kept rows
+        assert frobenius._kept_gammas is rows
+
+    @pytest.mark.parametrize("t", [0, 1, 5, 64, 65, 70])
+    def test_gamma_rows_warm_equal_rows_cold(self, cold, t):
+        u = Fraction(-5, 7)
+        first = frobenius._NumberTable(u)._numerators(t)
+        # a table first asked for an index past 64 builds no gamma row
+        assert len(frobenius._kept_gammas) == (max(t, 1) + 1 if t <= 64 else 2)
+        assert first == frobenius._NumberTable(u)._numerators(t)
+        stepped = frobenius._kept_gammas
+        cold_caches()
+        assert frobenius._gamma_rows(64)[: len(stepped)] == stepped
 
     def test_large_enumerations_stream(self, cold):
         nums = list(range(-6, 7))
@@ -744,12 +834,13 @@ def test_bernoulli_against_sympy_at_large_n(n):
 
 
 def test_concurrent_readers_see_correct_values(cold):
-    """Threads that grow the same fresh tables (their prefixes and the
-    series route's reciprocal and powers), Bernoulli prefix, Pascal rows
-    and composition terms at once may redo work, but every value any of
-    them reads is right."""
+    """Threads that grow the same fresh tables (their prefixes, by either
+    kernel and across the switch at 64, and the series route's reciprocal
+    and powers), Bernoulli prefix, Pascal rows, gamma-vectors and
+    composition terms at once may redo work, but every value any of them
+    reads is right."""
     us = [Fraction(p, 11) for p in range(-12, 12) if p != 11]
-    want = {u: fraction_recurrence(40, u) for u in us}
+    want = {u: fraction_recurrence(70, u) for u in us}
     higher_want = {(u, N): fresh_power(u, 30, N).coeffs for u in us for N in (1, 2)}
     bernoulli_want = {n: bernoulli_oracle(n)[n] for n in range(0, 61, 6)}
     pascal = [tuple(math.comb(n, k) for k in range(n + 1)) for n in range(71)]
@@ -760,7 +851,7 @@ def test_concurrent_readers_see_correct_values(cold):
         rng = random.Random(seed)
         try:
             for u in rng.sample(us, len(us)):
-                for n in rng.sample(range(41), 41):
+                for n in rng.sample(range(71), 71):
                     if fe_number(n, u) != want[u][n]:
                         errors.append((u, n))
                 for n in rng.sample(range(31), 4):

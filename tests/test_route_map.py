@@ -59,9 +59,11 @@ ALLOWED = {"feident.verify:_derivative_expansion"} | {
 # F = (1-u)/(e^t - u) by the series route: the table's reciprocal of e^t - u.
 F = {"feident.frobenius:power", "feident.series:exp_minus_constant",
      "feident.series:series_reciprocal"}
-# H_0(u)..H_n(u) by the Euler-Seidel recurrence, and the polynomials of the
-# table built from them.
+# H_0(u)..H_n(u) by the gamma-vectors of the Eulerian polynomials (n <= 64)
+# or the Euler-Seidel recurrence, and the polynomials of the table built
+# from them.
 PREFIX = {"feident.frobenius:integer_form", "feident.frobenius:_numerators",
+          "feident.frobenius:_gamma_rows", "feident.frobenius:_gamma_step",
           "feident.frobenius:_seidel_step", "feident.frobenius:polynomial"}
 # B_0..B_K by the reciprocal of (e^t - 1)/t, and B_n(x) from them.
 BERNOULLI = {"feident.frobenius:bernoulli_polynomial", "feident.series:bernoulli_oracle",

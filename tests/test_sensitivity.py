@@ -6,9 +6,12 @@ two-route rule is what this pins: if a refactor moved one side of a check
 onto the other side's code, a fault in that code would cancel out and the
 identity would drop out of the failing set.
 
-The number-table fault (M_3 one r^3 larger as the Euler-Seidel step makes
-it, so H_3 + 1) reaches every check that reads the order-1 prefix table
-(the triangle formula, direct enumeration, polynomials of order 1);
+The number-table fault (M_3 one r^3 larger as the gamma route makes it,
+so H_3 + 1) reaches every check that reads the order-1 prefix table
+(the triangle formula, direct enumeration, polynomials of order 1); the
+audit reads no index past 64, so the gamma route builds every prefix it
+reads, and the same fault in the Euler-Seidel step reaches only tables
+read past 64;
 the series-power fault reaches only the series route to higher-order
 numbers, which corollary5, eq60_multinomial and theorem3 read through
 the table's ``power``, and theorem1 and corollary2 as F^N from the same
@@ -84,34 +87,35 @@ def test_unfaulted_audit_passes_every_corrected_report():
     assert failing_identities() == set()
 
 
-def test_number_table_fault(monkeypatch):
-    """M_3 gains r^3 as the Euler-Seidel step makes it, so H_3 = M_3 / r^3
-    is one larger in every read of the table's integer form: ``fe_number``,
-    ``fe_polynomial`` and the formula window.  The diagonal is left as it
-    is, so no other H_k moves."""
-    u = Fraction(2)
-
-    def numbers():
-        """H_0..H_5 from a fresh table, by ``fe_number`` and from the
-        integer form; the two must agree."""
+def table_numbers(u: Fraction, top: int) -> tuple:
+    """H_0..H_top from a fresh table grown to ``top`` at once, by
+    ``fe_number`` (read from H_top down) and from the integer form; the two
+    must agree."""
+    cold_caches()
+    try:
+        read = tuple(reversed([frobenius.fe_number(n, u) for n in range(top, -1, -1)]))
+    finally:
         cold_caches()
-        try:
-            read = tuple(frobenius.fe_number(n, u) for n in range(6))
-        finally:
-            cold_caches()
-        nums, d = frobenius._NumberTable(u).integer_form(0, 6)
-        assert tuple(Fraction(v, d) for v in nums) == read
-        return read
+    nums, d = frobenius._NumberTable(u).integer_form(0, top + 1)
+    assert tuple(Fraction(v, d) for v in nums) == read
+    return read
 
-    want = plus_one_at_three(numbers())
-    step = frobenius._seidel_step
 
-    def faulty(p, r, diagonal):
-        m, next_diagonal = step(p, r, diagonal)
-        return (m + r**3 if len(diagonal) == 3 else m), next_diagonal
+def test_number_table_fault(monkeypatch):
+    """M_3 gains r^3 as the gamma route makes it, so H_3 = M_3 / r^3 is one
+    larger in every read of the table's integer form: ``fe_number``,
+    ``fe_polynomial`` and the formula window.  Each M_n is its own sum, so
+    no other H_k moves."""
+    u = Fraction(2)
+    want = plus_one_at_three(table_numbers(u, 5))
+    step = frobenius._gamma_step
 
-    monkeypatch.setattr(frobenius, "_seidel_step", faulty)
-    assert numbers() == want
+    def faulty(q, s, ts, gammas, n):
+        m = step(q, s, ts, gammas, n)
+        return m + (s - 2 * q) ** 3 if n == 3 else m  # r = p - q = s - 2q
+
+    monkeypatch.setattr(frobenius, "_gamma_step", faulty)
+    assert table_numbers(u, 5) == want
     assert failing_identities() == {
         "carlitz_product",
         "carlitz_reciprocal",
@@ -120,6 +124,25 @@ def test_number_table_fault(monkeypatch):
         "eq60_multinomial",
         "theorem3",
     }
+
+
+def test_euler_seidel_fault_past_64(monkeypatch):
+    """M_3 gains r^3 as the Euler-Seidel step makes it, the diagonal left
+    as it is: H_3 read from a fresh table grown to 70 is one larger, and no
+    other H_k moves.  The default audit reads no index past 64, so no
+    report sees it."""
+    u = Fraction(2)
+    clean = table_numbers(u, 70)
+    step = frobenius._seidel_step
+
+    def faulty(p, r, diagonal):
+        m, next_diagonal = step(p, r, diagonal)
+        return (m + r**3 if len(diagonal) == 3 else m), next_diagonal
+
+    monkeypatch.setattr(frobenius, "_seidel_step", faulty)
+    assert table_numbers(u, 70) == plus_one_at_three(clean)
+    assert table_numbers(u, 64) == clean[:65]
+    assert failing_identities() == set()
 
 
 def test_series_pow_fault(monkeypatch):
