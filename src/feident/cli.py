@@ -20,26 +20,33 @@ when the reader closes stdout early.  ``main`` ends the process without
 the interpreter's shutdown collection (it freezes the heap once ``run``
 has returned), so an in-process caller uses ``run``.
 
-Each table subject is one ``@_subject`` entry, which its subparser's
-flags and both renderings read.  CSV is written a row at a time as the
-entry's generator yields it, so no table's text is held whole; its
-fields never need quoting.  Each identity is one subparser built from the
-checker registry's schema (see :mod:`feident.verify`): each ``Param`` is
-a flag of the same name (``T`` is ``--trunc``), an integer when
-``param.integer``, required when ``param.default`` is ``REQUIRED``.
-Flags follow their subject or identity, which takes exactly its own.
+Each table subject is one ``@_subject`` entry, which its flags and both
+renderings read.  CSV is written a row at a time as the entry's generator
+yields it, so no table's text is held whole; its fields never need
+quoting.  Each identity's flags come from the checker registry's schema
+(see :mod:`feident.verify`): each ``Param`` is a flag of the same name
+(``T`` is ``--trunc``), an integer when ``param.integer``, required when
+``param.default`` is ``REQUIRED``.  Flags follow their subject or
+identity, which takes exactly its own.
+
+Two readers take a command line, and both read one flag table per
+subject, identity and ``audit`` (:func:`_flags`).  The plain reader
+takes the command, its subject or identity, and each flag once as
+``--flag value`` or ``--flag=value``, and gives the namespace argparse
+would.  Any other command line (help, an abbreviated or repeated flag,
+``--``, a usage error) goes to :func:`build_parser`, so argparse loads
+only for those and stays the one source of help text and usage errors.
 
 Each command imports only what it runs: a ``table`` subject's rows
 import their kernel when they run (the triangle :mod:`feident.stirling`,
 the others :mod:`feident.frobenius`), never :mod:`feident.verify` or
-``csv``; the checker registry loads only for ``verify``, which builds its
-subparsers from it, and ``audit``; ``json`` loads with it and for JSON
-tables, ``csv`` for report CSV.
+``csv``; the checker registry loads only for ``verify``, whose flags it
+gives, and ``audit``; ``json`` loads with it and for JSON tables, ``csv``
+for report CSV.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import io
 import os
@@ -47,6 +54,7 @@ import sys
 from collections import namedtuple
 from itertools import chain
 from math import gcd
+from types import SimpleNamespace
 from typing import Iterable, Iterator
 
 from .exact import binomial_rows, check_at_least, exact_parameter
@@ -86,63 +94,149 @@ def _join_negative_values(argv) -> list:
     return out
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises each usage error as a ValueError, which prints as one line."""
-
-    def error(self, message):
-        raise ValueError(message)
+def _is_integer(text: str) -> bool:
+    """Whether an integer flag's value is ASCII digits after an optional ``-``."""
+    digits = text[1:] if text[:1] == "-" else text
+    return digits.isascii() and digits.isdigit()
 
 
 def _integer(text: str) -> int:
-    """An integer flag's value: ASCII digits after an optional ``-``."""
-    digits = text[1:] if text[:1] == "-" else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    """An integer flag's value as argparse reads it (see :func:`_is_integer`)."""
+    if not _is_integer(text):
+        from argparse import ArgumentTypeError
+
+        raise ArgumentTypeError(f"invalid int value: {text!r}")
     return int(text)
 
 
-def _add_param(parser: argparse.ArgumentParser, dest: str, integer: bool, default=None) -> None:
-    """Add the value flag of ``dest`` (a rational stays text), required when ``default`` is None."""
+# One flag of a command's parser: the name it sets, whether its value is an
+# integer, the values it may take (None: any text), and its default and help.
+_Flag = namedtuple("_Flag", "dest integer choices required default help")
+
+
+def _value_flag(dest: str, integer: bool, default=None) -> tuple:
+    """``(option, _Flag)`` of ``dest``'s value (a rational stays text),
+    required when ``default`` is None."""
     text = "integer" if integer else "rational p/q"
-    parser.add_argument(_flag(dest), dest=dest, type=_integer if integer else None,
-                        required=default is None,
-                        help=text if default is None else f"{text}, default {default}")
+    return _flag(dest), _Flag(dest, integer, None, default is None, None,
+                              text if default is None else f"{text}, default {default}")
 
 
-def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The CLI parser, with one subparser per table subject and identity.
-    The top-level help lists only command names, so the subparsers of a
-    command are added only when ``command`` names it."""
+def _flags(command: str, name: str | None) -> dict:
+    """``{option: _Flag}`` of the parser of ``command``'s table subject or
+    identity ``name`` (None for ``audit``), in the order it adds them: the
+    one table that both the plain reader and argparse read."""
+    if command == "table":
+        flags = dict(_value_flag(dest, kind is int) for dest, kind in _SUBJECTS[name].flags.items())
+        flags["--n-max"] = _Flag("n_max", True, None, True, None, "largest index, inclusive")
+        output = "csv"
+    elif command == "verify":
+        from .verify import REQUIRED, VARIANTS, parameters
+
+        flags = {}
+        for dest, param in parameters(name).items():
+            if dest == "variant":
+                choices = tuple(v.replace("_", "-") for v in VARIANTS)
+                flags["--variant"] = _Flag("variant", False, choices, False, None, None)
+            else:
+                flags.update([_value_flag(dest, param.integer,
+                                          None if param.default is REQUIRED else param.default)])
+        output = "json"
+    else:
+        flags = {"--grid": _Flag("grid", False, None, False, None,
+                                 "JSON grid file (defaults to the built-in grid)")}
+        output = "json"
+    flags["--format"] = _Flag("format", False, ("csv", "json"), False, output, None)
+    flags["--out"] = _Flag("out", False, None, False, None,
+                           "write output to this path instead of stdout")
+    return flags
+
+
+def _plain_args(argv):
+    """The namespace argparse builds from a plain ``argv``: the command, its
+    subject or identity, then only exact ``--flag value`` or ``--flag=value``
+    pairs of its parser, each flag once, every required one given and every
+    value well formed.  None for any other ``argv`` (help, abbreviated,
+    repeated or unknown flags, a separate value starting with ``-``, ``--``,
+    a bad value), which :func:`build_parser` reads."""
+    command, *rest = argv or [None]
+    if command == "audit":
+        name, names = None, {}
+    elif command in ("table", "verify") and rest:
+        name, *rest = rest
+        if command == "table":
+            known, names = _SUBJECTS, {"subject": name}
+        else:
+            from .verify import IDENTITIES as known
+
+            names = {"identity": name}
+        if name not in known:
+            return None
+    else:
+        return None
+    flags = _flags(command, name)
+    values = {}
+    tokens = iter(rest)
+    for token in tokens:
+        option, joined, value = token.partition("=")
+        flag = flags.get(option)
+        if flag is None or flag.dest in values:
+            return None
+        if not joined:
+            value = next(tokens, "-")  # no value reads as an option
+        # argparse reads a separate value that starts with "-" as an option,
+        # and drops a joined "--" before Python 3.13
+        if (value[:1] == "-" and not joined) or value == "--":
+            return None
+        if flag.integer:
+            if not _is_integer(value):
+                return None
+            value = int(value)
+        elif flag.choices is not None and value not in flag.choices:
+            return None
+        values[flag.dest] = value
+    if any(flag.required and flag.dest not in values for flag in flags.values()):
+        return None
+    return SimpleNamespace(command=command, **names,
+                           **{flag.dest: values.get(flag.dest, flag.default)
+                              for flag in flags.values()})
+
+
+def build_parser(command: str | None):
+    """The CLI's argparse parser, with one subparser per table subject and identity,
+    each with the flags of :func:`_flags`.  The top-level help lists only
+    command names, so the subparsers of a command are added only when
+    ``command`` names it.  Only this parser loads argparse."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Raises each usage error as a ValueError, which prints as one line."""
+
+        def error(self, message):
+            raise ValueError(message)
+
     parser = _Parser(prog="feident",
                      description="Exact Frobenius-Euler tables and identity verification.")
     sub = parser.add_subparsers(dest="command", required=True)
     table = sub.add_parser("table", help="emit a number, polynomial, or triangle table")
     verify = sub.add_parser("verify", help="verify one identity at given parameters")
     audit = sub.add_parser("audit", help="run the full verification grid")
-    audit.add_argument("--grid", help="JSON grid file (defaults to the built-in grid)")
-    formats = {audit: "json"}  # each parser that writes output -> its default --format
+    parsers = {audit: _flags("audit", None)}
     if command == "table":
         subjects = table.add_subparsers(dest="subject", required=True)
-        for name, subject in _SUBJECTS.items():
-            formats[each := subjects.add_parser(name)] = "csv"
-            for dest, kind in subject.flags.items():
-                _add_param(each, dest, kind is int)
-            each.add_argument("--n-max", type=_integer, required=True, help="largest index, inclusive")
+        for name in _SUBJECTS:
+            parsers[subjects.add_parser(name)] = _flags("table", name)
     elif command == "verify":
-        from .verify import IDENTITIES, REQUIRED, VARIANTS, parameters
+        from .verify import IDENTITIES
 
         identities = verify.add_subparsers(dest="identity", required=True)
-        for identity in IDENTITIES:
-            formats[each := identities.add_parser(identity)] = "json"
-            for name, param in parameters(identity).items():
-                if name == "variant":
-                    each.add_argument("--variant", choices=[v.replace("_", "-") for v in VARIANTS])
-                else:
-                    _add_param(each, name, param.integer,
-                               None if param.default is REQUIRED else param.default)
-    for each, default in formats.items():
-        each.add_argument("--format", choices=("csv", "json"), default=default)
-        each.add_argument("--out", help="write output to this path instead of stdout")
+        for name in IDENTITIES:
+            parsers[identities.add_parser(name)] = _flags("verify", name)
+    for each, flags in parsers.items():
+        for option, flag in flags.items():
+            each.add_argument(option, dest=flag.dest, type=_integer if flag.integer else None,
+                              choices=flag.choices, required=flag.required,
+                              default=flag.default, help=flag.help)
     return parser
 
 
@@ -329,9 +423,11 @@ def _discard_stdout() -> None:
 
 
 def _run(argv) -> int:
-    command = _command(argv)
+    argv = _join_negative_values(argv)
     try:
-        args = build_parser(command).parse_args(_join_negative_values(argv))
+        args = _plain_args(argv)
+        if args is None:
+            args = build_parser(_command(argv)).parse_args(argv)
         if args.command == "table":
             _emit(_table_chunks(args), args.out)
             return EXIT_PASS

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from itertools import zip_longest
 from operator import add
@@ -87,12 +88,15 @@ def exact_parameter(value) -> Fraction:
 
 def check_at_least(name: str, value: int, low: int) -> None:
     """Refuse an index or exponent ``value`` (named ``name``) that is not an
-    ``int`` (TypeError; a ``bool`` is not one) or is below ``low``
-    (ValueError)."""
+    ``int`` (TypeError; a ``bool`` is not one), is below ``low``
+    (ValueError) or is above ``sys.maxsize``, the length of the longest
+    sequence Python can hold (OverflowError)."""
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
         raise TypeError(f"argument {name!r} must be an int, not {type(value).__name__}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}")
+    if value > sys.maxsize:
+        raise OverflowError(f"{name} is too large: must be <= {sys.maxsize}")
 
 
 def parse_rational(text: str) -> Fraction:

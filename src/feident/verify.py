@@ -67,6 +67,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from types import MappingProxyType
@@ -293,6 +294,8 @@ def _derivative_expansion(N, u, T, variant):
     u = _check_u(u, forbid_zero=True)
     if T < N:
         raise ValueError("truncation order T must be >= N")
+    if T > sys.maxsize:
+        raise OverflowError(f"T is too large: must be <= {sys.maxsize}")
     table = _table(u)
     target = T - (N - 1)
     h = table.power(T, 1)
@@ -432,6 +435,8 @@ def verify_carlitz(m: int, n: int, alpha, beta, variant: str = "corrected"):
     the ``corrected`` form.
     """
     check_at_least("m and n", min(m, n), 0)
+    if m + n > sys.maxsize:
+        raise OverflowError(f"m + n is too large: must be <= {sys.maxsize}")
     if alpha == 1 or beta == 1:
         raise ValueError("alpha = 1 or beta = 1 is outside the parameter domain")
     ab = alpha * beta
@@ -471,6 +476,8 @@ def verify_carlitz_reciprocal(m: int, n: int, alpha):
     sides and records the verdict either way.
     """
     check_at_least("m and n", min(m, n), 0)
+    if m + n > sys.maxsize:
+        raise OverflowError(f"m + n is too large: must be <= {sys.maxsize}")
     if alpha == 0:
         raise ValueError("alpha = 0 has no reciprocal")
     if alpha == 1:

@@ -789,26 +789,71 @@ class TestUsage:
         assert err.startswith("feident: error: ") and err.count("\n") == 1
 
 
+FE_NUMBERS_THIRD = "n,value\n0,1\n1,-3/2\n2,3\n3,-33/4\n"
+
+
+class TestFlagSpellings:
+    """Command lines that are not written one flag and one value at a time,
+    each flag once, read as they always have."""
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "fe-numbers", "--u", "1/3", "--n-m", "3"],
+        ["table", "fe-numbers", "--u", "1/3", "--n-max", "2", "--n-max", "3"],
+        ["table", "fe-numbers", "--u=1/3", "--n-max", "3"],
+        ["table", "fe-numbers", "--n-max=3", "--u", "1/3"],
+        ["table", "fe-numbers", "--u", "1/2", "--n-max", "3", "--u=1/3"],
+    ], ids=["abbreviated", "repeated-last-wins", "joined-then-separate",
+            "separate-after-joined", "joined-repeat"])
+    def test_spellings_of_one_table(self, capsys, argv):
+        assert run_capture(capsys, argv) == (0, FE_NUMBERS_THIRD, "")
+
+    def test_value_that_is_a_command_word(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        argv = ["table", "fe-numbers", "--u", "1/3", "--n-max", "3", "--out", "table"]
+        assert run_capture(capsys, argv) == (0, "", "")
+        assert (tmp_path / "table").read_text(encoding="utf-8") == FE_NUMBERS_THIRD
+
+    def test_bare_double_dash_ends_the_flags(self, capsys):
+        argv = ["table", "fe-numbers", "--", "--u", "1/3", "--n-max", "3"]
+        assert run_capture(capsys, argv) == (
+            2, "", "feident: error: the following arguments are required: --u, --n-max\n")
+
+
 # Above sys.maxsize: each fails before it allocates anything.
 HUGE = "99999999999999999999"
 
 
 class TestSizesTooLarge:
     """A size Python cannot hold (OverflowError) or memory cannot (MemoryError)
-    is a parameter error: status 2, one line, no traceback."""
+    is a parameter error: status 2, one line, no traceback.  A size past
+    ``sys.maxsize`` is refused by name (or the sum ``m + n`` by its own)
+    before any work starts."""
 
-    @pytest.mark.parametrize("argv", [
-        ["verify", "theorem1", "--N", "2", "--u", "2", "--trunc", HUGE],
-        ["verify", "corollary4", "--n", HUGE, "--N", "2", "--u", "2"],
-        ["verify", "bernoulli_product", "--m", HUGE, "--n", "2"],
-        ["verify", "carlitz_reciprocal", "--m", HUGE, "--n", "1", "--alpha", "2"],
+    @pytest.mark.parametrize("argv, name", [
+        (["verify", "theorem1", "--N", "2", "--u", "2", "--trunc", HUGE], "T"),
+        (["verify", "corollary4", "--n", HUGE, "--N", "2", "--u", "2"], "n"),
+        (["verify", "bernoulli_product", "--m", HUGE, "--n", "2"], "m + n"),
+        (["verify", "carlitz_reciprocal", "--m", HUGE, "--n", "1", "--alpha", "2"], "m + n"),
     ], ids=["theorem1-trunc", "corollary4-n", "bernoulli_product-m", "carlitz_reciprocal-m"])
-    def test_size_past_maxsize_exits_two(self, capsys, argv):
+    def test_size_past_maxsize_exits_two(self, capsys, argv, name):
         assert int(HUGE) > sys.maxsize
         code, out, err = run_capture(capsys, argv)
         assert (code, out) == (2, "")
         assert err.startswith("feident: error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert err == f"feident: error: {name} is too large: must be <= {sys.maxsize}\n"
+
+    @pytest.mark.parametrize("argv, name", [
+        (["verify", "carlitz_product", "--m", "1", "--n", HUGE, "--alpha", "2", "--beta", "3"],
+         "m + n"),
+        (["verify", "theorem3", "--n", "2", "--N", HUGE, "--u", "2"], "N"),
+        (["table", "fe-higher", "--u", "2", "--N", HUGE, "--n-max", "2"], "--N"),
+        (["table", "stirling", "--n-max", HUGE], "--n-max"),
+    ], ids=["carlitz_product-n", "theorem3-N", "fe-higher-N", "stirling-n-max"])
+    def test_size_past_maxsize_is_refused_by_name(self, capsys, argv, name):
+        """theorem3 at such an N ran until it was stopped."""
+        assert run_capture(capsys, argv) == (
+            2, "", f"feident: error: {name} is too large: must be <= {sys.maxsize}\n")
 
     def test_size_past_maxsize_in_a_grid_is_an_error_report(self, capsys, tmp_path):
         grid = tmp_path / "grid.json"

@@ -11,7 +11,7 @@ so H_3 + 1) reaches every check that reads the order-1 prefix table
 (the triangle formula, direct enumeration, polynomials of order 1); the
 audit reads no index past 64, so the gamma route builds every prefix it
 reads, and the same fault in the Euler-Seidel step reaches only tables
-read past 64;
+read past 64, which the deep grid (``tests/deep_grid.json``) reads;
 the series-power fault reaches only the series route to higher-order
 numbers, which corollary5, eq60_multinomial and theorem3 read through
 the table's ``power``, and theorem1 and corollary2 as F^N from the same
@@ -44,7 +44,9 @@ These sets do not depend on how the package loads: the checkers that
 ``feident`` exports on first access are the objects of ``feident.verify``.
 """
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 from caches import cold_caches
 from feident import exact, frobenius, series, stirling, verify
@@ -52,17 +54,22 @@ from feident.poly import Polynomial
 from feident.series import EgfSeries
 from feident.verify import audit_all
 
+# An opt-in grid (``feident audit --grid tests/deep_grid.json``) whose
+# tables are read past 64, where Euler-Seidel builds the prefix.
+DEEP_GRID = Path(__file__).with_name("deep_grid.json")
 
-def failing_identities() -> set:
-    """Identities with a failing non-``as_printed`` report in the default
-    audit, run on cold caches (:func:`cold_caches`).  The number tables
+
+def failing_identities(grid=None) -> set:
+    """Identities with a failing non-``as_printed`` report in the audit of
+    ``grid`` (the default grid when None), run on cold caches
+    (:func:`cold_caches`).  The number tables
     hold both routes' caches: the prefix and polynomials of the recurrence
     route and the series route's powers of F; the kept composition terms
     must be cold for the multinomial and weak-composition faults to reach
     them, so a planted fault reaches every value the audit reads."""
     cold_caches()
     try:
-        reports = audit_all()
+        reports = audit_all(grid)
     finally:
         cold_caches()
     return {r.identity for r in reports if r.variant != "as_printed" and r.verdict != "pass"}
@@ -143,6 +150,44 @@ def test_euler_seidel_fault_past_64(monkeypatch):
     assert table_numbers(u, 70) == plus_one_at_three(clean)
     assert table_numbers(u, 64) == clean[:65]
     assert failing_identities() == set()
+
+
+def deep_grid() -> dict:
+    with open(DEEP_GRID, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_deep_grid_passes_every_report():
+    """The deep grid reads number tables past the switch at 64, and checks
+    only ``corrected`` forms: every report passes."""
+    cold_caches()
+    try:
+        reports = audit_all(deep_grid())
+    finally:
+        cold_caches()
+    assert len(reports) == 104
+    assert {r.verdict for r in reports} == {"pass"}
+
+
+def test_euler_seidel_fault_on_the_deep_grid(monkeypatch):
+    """M_80 one larger as the Euler-Seidel step makes it, the diagonal left
+    as it is: the deep grid reads the table past 64 and catches it, where
+    the default audit does not."""
+    step = frobenius._seidel_step
+
+    def faulty(p, r, diagonal):
+        m, next_diagonal = step(p, r, diagonal)
+        return (m + 1 if len(diagonal) == 80 else m), next_diagonal
+
+    monkeypatch.setattr(frobenius, "_seidel_step", faulty)
+    assert failing_identities() == set()
+    assert failing_identities(deep_grid()) == {
+        "carlitz_product",
+        "corollary4",
+        "corollary5",
+        "eq60_multinomial",
+        "theorem3",
+    }
 
 
 def test_series_pow_fault(monkeypatch):

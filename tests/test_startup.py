@@ -8,7 +8,9 @@ environment, so modules that site customisation loads do not count.
 needs only ``feident.stirling``, and no table needs the identity checker
 (``feident.verify``), nor ``json`` or ``csv`` unless the output is JSON.
 No command loads ``dataclasses`` (the reports are NamedTuples) or
-``inspect`` (the checker registry reads each body's code object).
+``inspect`` (the checker registry reads each body's code object), and a
+command line of exact flags loads no ``argparse``, which only help and
+usage errors need.
 """
 
 import functools
@@ -26,6 +28,9 @@ SRC = str(Path(feident.__file__).resolve().parents[1])
 
 # Modules no table in CSV may load.
 CHECKER_ONLY = ("feident.verify", "inspect", "dataclasses", "json", "csv")
+
+# Modules that only argparse, and so only help and usage errors, load.
+PARSER_ONLY = ("argparse", "gettext", "locale")
 
 # The kernels of the tables of numbers and polynomials.
 NUMBER_KERNEL = ("feident.frobenius", "feident.poly", "feident.series")
@@ -131,6 +136,29 @@ def test_json_table_loads_json_but_no_checker(tmp_path):
                           "--out", str(out)]))
     assert "json" in new
     assert new.isdisjoint({"feident.verify", "inspect", "dataclasses", "csv"})
+
+
+@pytest.mark.parametrize("argv", [
+    *(["table", subject, *flags] for subject, flags in sorted(TABLES.items())),
+    ["verify", "theorem3", "--n", "3", "--N", "2", "--u=-5/7", "--format", "csv"],
+    ["audit", "--grid", "GRID"],
+], ids=[*sorted(TABLES), "verify", "audit"])
+def test_plain_command_line_loads_no_parser(argv, tmp_path):
+    """A command line of exact flags, each once, is read without argparse."""
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"theorem3": {"variant": ["corrected"], "n": [2], "N": [2], "u": ["2"]}}',
+                    encoding="utf-8")
+    argv = [str(grid) if token == "GRID" else token for token in argv]
+    assert loads(run_code(argv + ["--out", str(tmp_path / "out")])).isdisjoint(PARSER_ONLY)
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["table", "fe-numbers", "--help"], 0),
+    (["table", "fe-numbers", "--n-max", "2"], 2),
+    (["verify", "theorem3", "--n", "x", "--N", "2", "--u", "2"], 2),
+], ids=["help", "table-usage-error", "verify-usage-error"])
+def test_help_and_usage_errors_load_the_parser(argv, status):
+    assert "argparse" in loads(run_code(argv, status))
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["table", "--help"]])
