@@ -38,11 +38,12 @@ would.  Any other command line (help, an abbreviated or repeated flag,
 only for those and stays the one source of help text and usage errors.
 
 Each command imports only what it runs: a ``table`` subject's rows
-import their kernel when they run (the triangle :mod:`feident.stirling`,
-the others :mod:`feident.frobenius`), never :mod:`feident.verify` or
-``csv``; the checker registry loads only for ``verify``, whose flags it
-gives, and ``audit``; ``json`` loads with it and for JSON tables, ``csv``
-for report CSV.
+import their kernel when they run (numbers and polynomials
+:mod:`feident.prefix`, Bernoulli :mod:`feident.series`, fe-higher
+:mod:`feident.frobenius`, the triangle :mod:`feident.stirling`), never
+:mod:`feident.verify` or ``csv``; the checker registry loads only for
+``verify``, whose flags it gives, and ``audit``; ``json`` loads with it
+and for JSON tables, ``csv`` for report CSV.
 """
 
 from __future__ import annotations
@@ -183,11 +184,10 @@ def _plain_args(argv):
         if flag is None or flag.dest in values:
             return None
         if not joined:
-            value = next(tokens, "-")  # no value reads as an option
-        # argparse reads a separate value that starts with "-" as an option,
-        # and drops a joined "--" before Python 3.13
-        if (value[:1] == "-" and not joined) or value == "--":
-            return None
+            # no value, or one that starts with "-", argparse reads as an option
+            value = next(tokens, "-")
+            if value[:1] == "-":
+                return None
         if flag.integer:
             if not _is_integer(value):
                 return None
@@ -210,10 +210,17 @@ def build_parser(command: str | None):
     import argparse
 
     class _Parser(argparse.ArgumentParser):
-        """Raises each usage error as a ValueError, which prints as one line."""
+        """Raises each usage error as a ValueError, which prints as one line;
+        reads a joined ``--`` value as ``--``, as 3.13 does (3.10-3.12 give [])."""
 
         def error(self, message):
             raise ValueError(message)
+
+        def _get_values(self, action, arg_strings):
+            if action.option_strings and arg_strings == ["--"]:
+                self._check_value(action, value := self._get_value(action, "--"))
+                return value
+            return super()._get_values(action, arg_strings)
 
     parser = _Parser(prog="feident",
                      description="Exact Frobenius-Euler tables and identity verification.")
@@ -277,7 +284,7 @@ def _subject(name: str, *, header=lambda n_max: "n,value\n",
 
 @_subject("fe-numbers", u=exact_parameter)
 def _fe_numbers(n_max: int, u) -> Iterator[dict]:
-    from .frobenius import fe_number
+    from .prefix import fe_number
 
     for n in range(n_max + 1):
         yield {"n": n, "value": str(fe_number(n, u))}
@@ -289,7 +296,7 @@ def _fe_numbers(n_max: int, u) -> Iterator[dict]:
 def _fe_polynomials(n_max: int, u) -> Iterator[dict]:
     # x^d of H_n(x|u) is C(n,d) a/b for the reduced a/b = H_(n-d): (C/g) a
     # over b/g in lowest terms, for g = gcd(C, b), with no Fraction made
-    from .frobenius import fe_number
+    from .prefix import fe_number
 
     terms = []  # (a, b) of H_0..H_n
     for n, row in enumerate(binomial_rows(n_max)):
@@ -323,7 +330,7 @@ def _stirling(n_max: int) -> Iterator[tuple]:
 
 @_subject("bernoulli")
 def _bernoulli(n_max: int) -> Iterator[dict]:
-    from .frobenius import bernoulli_number
+    from .series import bernoulli_number
 
     for n in range(n_max + 1):
         yield {"n": n, "value": str(bernoulli_number(n))}

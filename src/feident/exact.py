@@ -3,14 +3,14 @@ primitives.
 
 Every quantity in this package is an exact ``fractions.Fraction`` (or an
 arbitrary-precision ``int`` where integrality is guaranteed); nothing is
-ever rounded.  ``as_fraction`` and ``exact_parameter`` are the coercions:
-both refuse a ``float`` and a ``bool``, and so does ``check_at_least``,
-the check of every index and exponent.  The text form of a rational on
-the command line, in grids and in JSON is ``"p/q"`` with an optional
-leading ``-``, the denominator omitted when it is 1 (``"2"``,
-``"-1/3"``): ``exact_parameter``, the one reader of a rational
-parameter, reads text only in that form, and ``str`` of a ``Fraction``
-writes it.
+ever rounded.  ``as_fraction`` and ``exact_parameter`` are the
+coercions: both refuse a ``float`` and a ``bool``, and so does
+``check_at_least``, the check of every index and exponent, and
+``_check_u``, the check of u.  The text form of a rational on the
+command line, in grids and in JSON is ``"p/q"`` with an optional leading
+``-``, the denominator omitted when it is 1 (``"2"``, ``"-1/3"``):
+``exact_parameter``, the one reader of a rational parameter, reads text
+only in that form, and ``str`` of a ``Fraction`` writes it.
 
 :class:`Coefficients` is the storage shared by series and polynomials:
 integer numerators over one positive denominator, its only stored form.
@@ -97,6 +97,16 @@ def check_at_least(name: str, value: int, low: int) -> None:
         raise ValueError(f"{name} must be >= {low}")
     if value > sys.maxsize:
         raise OverflowError(f"{name} is too large: must be <= {sys.maxsize}")
+
+
+def _check_u(u: Fraction, forbid_zero: bool = False) -> Fraction:
+    """u as a Fraction; u = 1, and u = 0 when ``forbid_zero``, raise ValueError."""
+    u = exact_parameter(u)
+    if u == 1:
+        raise ValueError("u = 1 is outside the parameter domain")
+    if forbid_zero and u == 0:
+        raise ValueError("u = 0 is outside the parameter domain (division by u)")
+    return u
 
 
 def parse_rational(text: str) -> Fraction:

@@ -47,8 +47,8 @@ from itertools import islice
 from operator import mul
 from typing import Iterable
 
-from .exact import (Coefficients, as_fraction, binomial_rows, check_at_least,
-                    common_denominator, exact_parameter, lowest_terms, to_fractions)
+from .exact import (Coefficients, _check_u, as_fraction, binomial_rows, check_at_least,
+                    common_denominator, lowest_terms, to_fractions)
 
 __all__ = [
     "EgfSeries",
@@ -61,6 +61,7 @@ __all__ = [
     "exp_minus_constant",
     "frobenius_oracle",
     "bernoulli_oracle",
+    "bernoulli_number",
 ]
 
 
@@ -202,16 +203,6 @@ def exp_minus_constant(c, order: int) -> EgfSeries:
     return EgfSeries._of(([q - c.numerator] + [q] * order, q))
 
 
-def _check_u(u: Fraction, forbid_zero: bool = False) -> Fraction:
-    """u as a Fraction; u = 1, and u = 0 when ``forbid_zero``, raise ValueError."""
-    u = exact_parameter(u)
-    if u == 1:
-        raise ValueError("u = 1 is outside the parameter domain")
-    if forbid_zero and u == 0:
-        raise ValueError("u = 0 is outside the parameter domain (division by u)")
-    return u
-
-
 def frobenius_oracle(u: Fraction, order: int) -> EgfSeries:
     """Frobenius-Euler numbers H_0(u)..H_T(u) straight from the generating
     function (1-u)/(e^t - u), independent of any recurrence."""
@@ -236,3 +227,10 @@ def bernoulli_oracle(order: int) -> EgfSeries:
         g = EgfSeries._of(([lcm // (n + 1) for n in range(size + 1)], lcm))
         prefix = _bernoulli_prefix = series_reciprocal(g, prefix)
     return series_truncate(prefix, order)
+
+
+def bernoulli_number(n: int) -> Fraction:
+    """B_n from t/(e^t - 1); B_1 = -1/2 in this convention."""
+    check_at_least("n", n, 0)
+    nums, d = bernoulli_oracle(n).integer_form
+    return Fraction(nums[n], d)

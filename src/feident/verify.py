@@ -74,6 +74,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .exact import (
+    _check_u,
     binomial,
     check_at_least,
     differing_entries,
@@ -90,9 +91,12 @@ from .frobenius import (
     _table,
     bernoulli_number,
     bernoulli_polynomial,
+    polynomial,
+    power,
+    weights,
 )
 from .poly import Polynomial
-from .series import EgfSeries, _check_u, exp_xt, series_mul
+from .series import EgfSeries, exp_xt, series_mul
 
 __all__ = [
     "Mismatch",
@@ -298,7 +302,7 @@ def _derivative_expansion(N, u, T, variant):
         raise OverflowError(f"T is too large: must be <= {sys.maxsize}")
     table = _table(u)
     target = T - (N - 1)
-    h = table.power(T, 1)
+    h = power(table, T, 1)
     p, q = u.numerator, u.denominator
     sign = 1 if variant == "as_printed" else (-1) ** (N - 1)
     cn, cd = math.factorial(N - 1) * sign * p ** (N - 1) * q, (q - p) ** N
@@ -306,11 +310,11 @@ def _derivative_expansion(N, u, T, variant):
         cn, cd = -cn, -cd
 
     def powers():
-        nums, d = table.power(target, N).integer_form
+        nums, d = power(table, target, N).integer_form
         return EgfSeries._of(([cn * v for v in nums], cd * d))
 
     def derivatives():
-        w, e = table.weights(N, variant)
+        w, e = weights(table, N, variant)
         return _shifted_sum(([cn * v for v in w], cd * e), h.integer_form, target + 1)
 
     return powers, derivatives
@@ -345,7 +349,7 @@ def verify_theorem3(n: int, N: int, u, variant: str = "corrected"):
     table = _checked_table("n", n, "N", N, u, forbid_zero=True)
 
     def series_entry():
-        nums, d = table.power(n, N).integer_form
+        nums, d = power(table, n, N).integer_form
         return EgfSeries._of((nums[n:], d))
 
     return "value", series_entry, lambda: _formula_numbers(table, n, N, variant, first=n)
@@ -405,7 +409,7 @@ def verify_corollary5(n: int, N: int, u, variant: str = "corrected"):
     """Higher-order polynomial H_n^(N)(x|u) against the Appell form of the
     triangle formula's numbers, compared coefficient by coefficient."""
     table = _checked_table("n", n, "N", N, u, forbid_zero=True)
-    return ("x", lambda: Polynomial.appell(table.power(n, N)),
+    return ("x", lambda: Polynomial.appell(power(table, n, N)),
             lambda: Polynomial.appell(_formula_numbers(table, n, N, variant)))
 
 
@@ -422,7 +426,7 @@ def verify_product_multinomial(n: int, N: int, u):
         sums = [_composition_sum(k, N, nums) for k in range(n + 1)]
         return Polynomial.appell(EgfSeries._of((sums, d**N)))
 
-    return "x", lambda: Polynomial.appell(table.power(n, N)), expansion
+    return "x", lambda: Polynomial.appell(power(table, n, N)), expansion
 
 
 @_identity("carlitz_product")
@@ -457,14 +461,14 @@ def verify_carlitz(m: int, n: int, alpha, beta, variant: str = "corrected"):
         # H_r(alpha) = ha[r] / da and H_s(beta) = hb[s] / db
         (ha, da), (hb, db) = ta.integer_form(0, m + 1), tb.integer_form(0, n + 1)
         return Polynomial.combination(
-            [(((a2 - a1) * (b2 - b1), g), tab.polynomial(m + n))]
-            + [((ca * binomial(m, r) * ha[r], g * da), tab.polynomial(m + n - r))
+            [(((a2 - a1) * (b2 - b1), g), polynomial(tab, m + n))]
+            + [((ca * binomial(m, r) * ha[r], g * da), polynomial(tab, m + n - r))
                for r in range(m + 1)]
-            + [((cb * binomial(n, s) * hb[s], gb * db), tab.polynomial(m + n - s))
+            + [((cb * binomial(n, s) * hb[s], gb * db), polynomial(tab, m + n - s))
                for s in range(n + 1)]
         )
 
-    return "x", lambda: ta.polynomial(m) * tb.polynomial(n), expansion
+    return "x", lambda: polynomial(ta, m) * polynomial(tb, n), expansion
 
 
 @_identity("carlitz_reciprocal")
@@ -499,7 +503,7 @@ def verify_carlitz_reciprocal(m: int, n: int, alpha):
             + [((tail * ha[m + n + 1], math.factorial(m + n + 1) * a2 * da), Polynomial.one())]
         )
 
-    return "x", lambda: ta.polynomial(m) * tb.polynomial(n), expansion
+    return "x", lambda: polynomial(ta, m) * polynomial(tb, n), expansion
 
 
 @_identity("bernoulli_product")

@@ -9,15 +9,15 @@ and when a test module in this directory runs as a script.
 
 from fractions import Fraction
 
-from feident import exact, frobenius, series, verify
+from feident import exact, prefix, series, verify
 from feident.series import EgfSeries
 
 
 def cold_caches() -> None:
     """Empty the number tables of every u, the kept composition terms, the
     Bernoulli prefix, the kept Pascal rows and the kept gamma-vectors."""
-    frobenius._table.cache_clear()
+    prefix._table.cache_clear()
     verify._composition_terms.cache_clear()
     series._bernoulli_prefix = EgfSeries([Fraction(1)])
     exact._kept_rows = ((1,),)
-    frobenius._kept_gammas = ((), (1,))
+    prefix._kept_gammas = ((), (1,))

@@ -18,7 +18,7 @@ import pytest
 
 import feident
 from caches import cold_caches
-from feident import frobenius, stirling
+from feident import frobenius, prefix, series, stirling
 from feident.cli import main, run
 from feident.exact import parse_rational
 from feident.frobenius import fe_higher_numbers, fe_polynomial
@@ -43,9 +43,11 @@ def cli_env() -> dict:
     return env
 
 
-def fresh_cli(argv) -> subprocess.CompletedProcess:
-    """``python -m feident.cli argv`` run to its end in a new process."""
-    return subprocess.run(MODULE_CLI + argv, capture_output=True, env=cli_env(), timeout=120)
+def fresh_cli(argv, cwd=None) -> subprocess.CompletedProcess:
+    """``python -m feident.cli argv`` run to its end in a new process, in
+    ``cwd`` when given."""
+    return subprocess.run(MODULE_CLI + argv, capture_output=True, env=cli_env(), timeout=120,
+                          cwd=cwd)
 
 
 def close_after_first_line(argv) -> tuple[bytes, int, bytes]:
@@ -369,7 +371,8 @@ class TestTableRendering:
         argv = table_argv(subject, 6)
         _, want, _ = run_capture(capsys, argv)
         events = []
-        kernel = getattr(frobenius, computes)
+        home = {"fe_number": prefix, "bernoulli_number": series}.get(computes, frobenius)
+        kernel = getattr(home, computes)
 
         class Logged(Fraction):
             def __str__(self):
@@ -393,7 +396,7 @@ class TestTableRendering:
             def flush(self):
                 pass
 
-        monkeypatch.setattr(frobenius, computes, logged)
+        monkeypatch.setattr(home, computes, logged)
         monkeypatch.setattr(sys, "stdout", Stream())
         assert run(argv) == 0
         writes = [event for event in events if event != computes]
@@ -819,6 +822,34 @@ class TestFlagSpellings:
             2, "", "feident: error: the following arguments are required: --u, --n-max\n")
 
 
+class TestJoinedDoubleDash:
+    """A joined ``--`` value (``--u=--``) is the text ``--`` on every
+    supported Python, as argparse reads it from 3.13 on (before 3.13 it
+    dropped the value, and the command ended in a traceback): a rational
+    that is not p/q, a file name.  Each runs in a new process in an empty
+    directory."""
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "fe-numbers", "--n-max", "2", "--u=--"],
+        ["verify", "theorem3", "--n", "1", "--N", "2", "--u=--"],
+        ["verify", "corollary2", "--N", "2", "--u", "2", "--x=--"],
+    ], ids=["table-u", "theorem3-u", "corollary2-x"])
+    def test_rational_is_not_p_over_q(self, tmp_path, argv):
+        proc = fresh_cli(argv, cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == b"feident: error: not a rational in p/q form: '--'\n"
+
+    def test_grid_is_a_file_name(self, tmp_path):
+        proc = fresh_cli(["audit", "--grid=--"], cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == b"feident: error: [Errno 2] No such file or directory: '--'\n"
+
+    def test_out_is_a_file_name(self, tmp_path):
+        proc = fresh_cli(["table", "stirling", "--n-max", "2", "--out=--"], cwd=tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert (tmp_path / "--").read_text(encoding="utf-8") == "N,k,a_k\n1,0,1\n2,0,1\n2,1,1\n"
+
+
 # Above sys.maxsize: each fails before it allocates anything.
 HUGE = "99999999999999999999"
 
@@ -874,7 +905,7 @@ class TestSizesTooLarge:
         def exhausted(*args):
             raise MemoryError
 
-        monkeypatch.setattr(frobenius, kernel, exhausted)
+        monkeypatch.setattr(prefix if kernel == "fe_number" else frobenius, kernel, exhausted)
         assert run_capture(capsys, argv) == (2, "", "feident: error: out of memory\n")
 
 
@@ -902,8 +933,8 @@ class TestInterruptsAndClosedPipes:
     def test_interrupted_table_exits_130(self, capsys, monkeypatch):
         """Rows are written as they are computed, so what came before the
         interrupt has been written."""
-        kernel = frobenius.fe_number
-        monkeypatch.setattr(frobenius, "fe_number",
+        kernel = prefix.fe_number
+        monkeypatch.setattr(prefix, "fe_number",
                             lambda n, u: interrupted() if n == 2 else kernel(n, u))
         code, out, err = run_capture(capsys, ["table", "fe-numbers", "--u", "2", "--n-max", "3"])
         assert code == 130

@@ -3,7 +3,8 @@
 ``cli.run`` is called in-process on argv made of a command, a table
 subject or an identity (or a name that is neither), the flags that the
 subject or identity takes, and flags drawn from every registered value
-flag, ``--variant`` and ``--format``, some without a value.  Values are
+flag, ``--variant`` and ``--format``, some without a value, each value
+given as the next token or joined (``--flag=value``).  Values are
 small integers (negatives included), 0, 1 and -1, rationals with small
 and large denominators, and malformed strings.  Every run exits 0, 1 or 2
 and prints no traceback; a 2 prints exactly one ``error:`` line and
@@ -18,7 +19,7 @@ import csv
 import io
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from feident import cli
@@ -69,9 +70,11 @@ def argvs(draw) -> list[str]:
     if not often(draw, 7):
         flags += draw(st.lists(st.sampled_from(FLAGS), min_size=1, max_size=2))
     for flag in draw(st.permutations(flags)):
-        argv.append(flag)
-        if often(draw, 9):
-            argv.append(draw(CHOICES[flag] if often(draw, 9) else malformed))
+        if not often(draw, 9):
+            argv.append(flag)
+            continue
+        value = draw(CHOICES[flag] if often(draw, 9) else malformed)
+        argv += [f"{flag}={value}"] if often(draw, 3) else [flag, value]
     return argv
 
 
@@ -88,6 +91,8 @@ def parses(out: str) -> bool:
 
 @settings(deadline=None, max_examples=200)
 @given(argvs())
+@example(["table", "fe-numbers", "--n-max", "2", "--u=--"])
+@example(["verify", "theorem3", "--n", "1", "--N", "2", "--u", "2", "--variant=--"])
 def test_exit_status_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -21,7 +21,7 @@ from fractions import Fraction
 import pytest
 
 from caches import cold_caches
-from feident import exact, frobenius, verify
+from feident import exact, frobenius, series, verify
 from feident.frobenius import bernoulli_number, fe_polynomial
 from feident.poly import Polynomial
 from feident.series import EgfSeries, exp_minus_constant, series_reciprocal
@@ -100,14 +100,14 @@ def test_sweep_op(fresh):
 def test_one_fraction_per_bernoulli_number(fresh, monkeypatch):
     """``bernoulli_number`` reads the oracle's integer form: one oracle
     call and one Fraction per call, not one per entry of the prefix."""
-    oracle = frobenius.bernoulli_oracle
+    oracle = series.bernoulli_oracle
     calls = []
 
     def counting_oracle(order):
         calls.append(order)
         return oracle(order)
 
-    monkeypatch.setattr(frobenius, "bernoulli_oracle", counting_oracle)
+    monkeypatch.setattr(series, "bernoulli_oracle", counting_oracle)
     with counting_fractions() as made:
         values = [bernoulli_number(n) for n in range(121)]
     assert made == [121]

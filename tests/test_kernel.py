@@ -4,6 +4,7 @@ u-independent Pascal rows, gamma-vectors and composition terms,
 square-and-multiply series powers, the shared Bernoulli prefix, and the
 integer convolutions behind series and polynomial products."""
 
+import ast
 import math
 import random
 import sys
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from caches import cold_caches
-from feident import cli, exact, frobenius, poly, series, stirling, verify
+from feident import cli, exact, frobenius, poly, prefix, series, stirling, verify
 from feident.exact import binomial, binomial_rows, weak_compositions
 from feident.frobenius import (
     bernoulli_number,
@@ -58,6 +59,23 @@ def fraction_recurrence(n_max, u):
 REFERENCE = {u: fraction_recurrence(N_MAX, u) for u in KERNEL_US}
 
 
+def package_imports(module) -> set:
+    """The submodules of the package that ``module``'s source imports, by
+    any import statement anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            # "from .x import y" names x; "from . import y" names y
+            found |= ({node.module.partition(".")[0]} if node.module
+                      else {alias.name for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("feident."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("feident.")}
+    return found
+
+
 @pytest.fixture
 def cold():
     """Every process-wide cache empty, before the test and after it."""
@@ -79,13 +97,13 @@ class TestPrefixTables:
             assert fe_number(n, u) == REFERENCE[u][n], (u, n)
 
     def test_past_eviction(self, cold):
-        bound = frobenius._TABLE_BOUND
+        bound = prefix._TABLE_BOUND
         many = [Fraction(p, q) for q in range(2, 40) for p in range(-7, 8)
                 if Fraction(p, q).denominator == q][: bound + 40]
         assert len(set(many)) > bound
         for i, u in enumerate(many):
             assert fe_number(5 + i % 7, u) == fraction_recurrence(5 + i % 7, u)[-1]
-        assert frobenius._table.cache_info().currsize <= bound
+        assert prefix._table.cache_info().currsize <= bound
         # the earliest tables were evicted; asking again rebuilds them
         for u in many[:10] + KERNEL_US:
             assert fe_number(30, u) == fraction_recurrence(30, u)[30]
@@ -112,7 +130,7 @@ class TestPrefixTables:
         oracle = frobenius_oracle(u, 41).coeffs
         for n in [*range(41, -1, -1), 41, 3, 3, 0, 17]:
             assert fe_number(n, u) == oracle[n], (u, n)
-        assert frobenius._table.cache_info().currsize == 1
+        assert prefix._table.cache_info().currsize == 1
 
     def test_routes_stay_independent(self, monkeypatch, cold):
         """The closed-form route must not touch the series code."""
@@ -130,6 +148,17 @@ class TestPrefixTables:
 
     def test_series_does_not_import_the_kernel(self):
         assert "frobenius import" not in Path(series.__file__).read_text(encoding="utf-8")
+
+    def test_prefix_kernel_imports_only_exact(self):
+        """The prefix kernel imports no other route of the package: not
+        ``series``, ``poly``, ``stirling`` or ``frobenius``, only ``exact``;
+        and ``series`` imports neither the kernel nor ``frobenius``."""
+        assert package_imports(prefix) == {"exact"}
+        assert package_imports(series).isdisjoint({"prefix", "frobenius"})
+
+    def test_frobenius_exports_the_kernels_objects(self):
+        assert frobenius.fe_number is prefix.fe_number
+        assert frobenius.bernoulli_number is series.bernoulli_number
 
     @pytest.mark.parametrize(
         "u", [Fraction(2), Fraction(1, 3), Fraction(-5, 7), Fraction(-1)], ids=str
@@ -169,7 +198,7 @@ class TestGrowthOrder:
     def test_interleaved_reads(self, u, reads):
         cold_caches()
         top = max(n + extra for _, n, extra in reads)
-        once = frobenius._NumberTable(u)
+        once = prefix._NumberTable(u)
         r = u.numerator - u.denominator
         want = [Fraction(m, r**k) for k, m in enumerate(once._numerators(top)[: top + 1])]
         largest = 0  # the largest index read
@@ -182,7 +211,7 @@ class TestGrowthOrder:
                 assert poly.integer_form[1] > 0
                 assert poly == Polynomial.appell(want[: n + 1])
             else:
-                nums, d = frobenius._table(u).integer_form(n, n + extra)
+                nums, d = prefix._table(u).integer_form(n, n + extra)
                 assert d == abs(r) ** (n + extra - 1)
                 assert [Fraction(v, d) for v in nums] == want[n: n + extra]
                 if u != 0:
@@ -191,13 +220,13 @@ class TestGrowthOrder:
                     factor = ((u - 1) / u) ** (extra - 1) / math.factorial(extra - 1)
                     assert fe_higher_number_formula(n, extra, u) == factor * sum(
                         a * want[n + k] for k, a in enumerate(row))
-        table = frobenius._table(u)
+        table = prefix._table(u)
         ms, diagonal = table._state
         assert ms == once._numerators(top)[: len(ms)]
         # grown to exactly the largest index read, by the gamma route up to
         # 64, which keeps no Euler-Seidel diagonal
         assert len(ms) == largest + 1
-        if largest <= frobenius._GAMMA_TOP:
+        if largest <= prefix._GAMMA_TOP:
             assert diagonal is None
         else:
             assert diagonal[-1] == u.denominator * ms[-1]
@@ -233,17 +262,17 @@ class TestPrefixKernels:
     @example(Fraction(0))
     @example(Fraction(2))
     def test_gamma_route_equals_euler_seidel(self, u):
-        gamma, seidel = frobenius._NumberTable(u), frobenius._NumberTable(u)
+        gamma, seidel = prefix._NumberTable(u), prefix._NumberTable(u)
         # a table first asked for 65 runs Euler-Seidel steps from M_0
         assert seidel._numerators(65)[:65] == gamma._numerators(64)
         assert gamma._state[1] is None and seidel._state[1] is not None
 
     @pytest.mark.parametrize("u", KERNEL_US, ids=str)
     def test_grown_one_index_at_a_time_equals_grown_at_once(self, u):
-        stepped = frobenius._NumberTable(u)
+        stepped = prefix._NumberTable(u)
         for n in range(101):
             stepped._numerators(n)
-        whole = frobenius._NumberTable(u)
+        whole = prefix._NumberTable(u)
         whole._numerators(100)
         assert stepped._state == whole._state
         ms, r = stepped._state[0], u.numerator - u.denominator
@@ -252,7 +281,7 @@ class TestPrefixKernels:
     def test_kept_rows_are_the_gamma_vectors_of_the_eulerian_polynomials(self, cold):
         """A_n(t) = sum_j g_(n,j) t^j (1+t)^(n-1-2j), coefficient by
         coefficient, for n = 1..64."""
-        rows = frobenius._gamma_rows(64)
+        rows = prefix._gamma_rows(64)
         assert len(rows) == 65 and rows[0] == ()
         for n, want in enumerate(eulerian_rows(64)[1:], start=1):
             gammas = rows[n]
@@ -269,7 +298,7 @@ served_read = st.tuples(
     st.sampled_from(["higher_numbers", "higher_polynomial", "polynomial", "number"]),
     st.integers(0, 16), st.integers(1, 6))
 # more parameter values than the tables kept, none of them a growth_u
-EVICTORS = [Fraction(k, 97) for k in range(1, frobenius._TABLE_BOUND + 2)]
+EVICTORS = [Fraction(k, 97) for k in range(1, prefix._TABLE_BOUND + 2)]
 
 
 def fresh_power(u, n, order):
@@ -301,14 +330,14 @@ class TestCacheServing:
             if evict and i % 2:
                 for v in EVICTORS:
                     fe_number(0, v)
-                assert frobenius._table.cache_info().currsize <= frobenius._TABLE_BOUND
+                assert prefix._table.cache_info().currsize <= prefix._TABLE_BOUND
         cold_caches()
 
     def test_each_route_fills_only_its_own_slots(self, cold):
         u = Fraction(-5, 7)
         fe_number(9, u)
-        table = frobenius._table(u)
-        table.polynomial(6)
+        table = prefix._table(u)
+        frobenius.polynomial(table, 6)
         fe_higher_number_formula(4, 3, u)
         assert table._powers == {} and set(table._polynomials) == {6}
         fe_higher_polynomial(5, 3, u)
@@ -325,9 +354,9 @@ class TestCacheServing:
         want = fraction_recurrence(12, u)
         for n in range(13):
             assert fe_polynomial(n, u) == Polynomial.appell(want[: n + 1])
-        table = frobenius._table(u)
+        table = prefix._table(u)
         assert table._polynomials == {}
-        assert table.polynomial(7) is table.polynomial(7)
+        assert frobenius.polynomial(table, 7) is frobenius.polynomial(table, 7)
         assert set(table._polynomials) == {7}
 
     def test_powers_share_the_kept_f(self, monkeypatch, cold):
@@ -404,15 +433,15 @@ def test_audit_work_counts(cold, monkeypatch):
     # bindings are put back)
     for name, home in (("series_pow", series),
                        ("series_reciprocal", series), ("triangle_recurrence", stirling),
-                       ("check_at_least", exact), ("_check_u", series),
-                       ("_check_variant", frobenius), ("_table", frobenius)):
+                       ("check_at_least", exact), ("_check_u", exact),
+                       ("_check_variant", frobenius), ("_table", prefix)):
         kernel = getattr(home, name)
-        for module in (exact, poly, series, stirling, frobenius, verify, cli):
+        for module in (exact, prefix, poly, series, stirling, frobenius, verify, cli):
             if getattr(module, name, None) is kernel:
                 monkeypatch.setattr(module, name, counted(name, kernel))
 
     appell = Polynomial.appell.__func__
-    builder = frobenius._NumberTable.polynomial.__code__
+    builder = frobenius.polynomial.__code__
 
     def counting_appell(cls, numbers):
         frame = sys._getframe(1)
@@ -461,7 +490,7 @@ def test_table_bound_covers_each_identity_block():
         for identity, config in grid.items():
             values = set().union(*map(table_parameters, _expand(identity, config)))
             widest = max(widest, len(values))
-    assert 9 <= widest <= frobenius._TABLE_BOUND
+    assert 9 <= widest <= prefix._TABLE_BOUND
 
 
 def sweep_op(u):
@@ -501,7 +530,7 @@ class TestKeptCombinatorics:
         sweep_op(Fraction(7, 11))
         rows = exact._kept_rows
         assert len(rows) == 25  # theorem1 at T = 24 reads the longest series
-        gammas = frobenius._kept_gammas
+        gammas = prefix._kept_gammas
         assert len(gammas) == 61  # fe_polynomial(60, u) reads the longest prefix
         counts = Counter()
         for name in ("multinomial", "weak_compositions"):
@@ -516,7 +545,7 @@ class TestKeptCombinatorics:
         assert counts == {}
         # a row built up to n = 64 would have replaced the kept ones
         assert exact._kept_rows is rows
-        assert frobenius._kept_gammas is gammas
+        assert prefix._kept_gammas is gammas
 
     def test_rows_above_64_are_built_not_kept(self, cold):
         rng = random.Random(3)
@@ -535,26 +564,26 @@ class TestKeptCombinatorics:
             tuple(math.comb(n, k) for k in range(n + 1)) for n in range(t + 1)]
 
     def test_gamma_rows_stop_at_65_and_are_replaced_whole(self, cold):
-        frobenius._NumberTable(Fraction(1, 3))._numerators(64)
-        rows = frobenius._kept_gammas
+        prefix._NumberTable(Fraction(1, 3))._numerators(64)
+        rows = prefix._kept_gammas
         assert len(rows) == 65
-        table = frobenius._NumberTable(Fraction(-5, 7))
+        table = prefix._NumberTable(Fraction(-5, 7))
         for n in (30, 64, 70, 200):
             table._numerators(n)
-        frobenius._NumberTable(Fraction(2))._numerators(300)
+        prefix._NumberTable(Fraction(2))._numerators(300)
         # no row past 64 was built, and no read replaced the kept rows
-        assert frobenius._kept_gammas is rows
+        assert prefix._kept_gammas is rows
 
     @pytest.mark.parametrize("t", [0, 1, 5, 64, 65, 70])
     def test_gamma_rows_warm_equal_rows_cold(self, cold, t):
         u = Fraction(-5, 7)
-        first = frobenius._NumberTable(u)._numerators(t)
+        first = prefix._NumberTable(u)._numerators(t)
         # a table first asked for an index past 64 builds no gamma row
-        assert len(frobenius._kept_gammas) == (max(t, 1) + 1 if t <= 64 else 2)
-        assert first == frobenius._NumberTable(u)._numerators(t)
-        stepped = frobenius._kept_gammas
+        assert len(prefix._kept_gammas) == (max(t, 1) + 1 if t <= 64 else 2)
+        assert first == prefix._NumberTable(u)._numerators(t)
+        stepped = prefix._kept_gammas
         cold_caches()
-        assert frobenius._gamma_rows(64)[: len(stepped)] == stepped
+        assert prefix._gamma_rows(64)[: len(stepped)] == stepped
 
     def test_large_enumerations_stream(self, cold):
         nums = list(range(-6, 7))
@@ -654,7 +683,7 @@ class TestBernoulliPrefix:
             calls.append(order)
             return bernoulli_oracle(order)
 
-        monkeypatch.setattr(frobenius, "bernoulli_oracle", counting_oracle)
+        monkeypatch.setattr(series, "bernoulli_oracle", counting_oracle)
         for n in range(12):
             bernoulli_number(n)
         assert calls == list(range(12))
@@ -820,8 +849,8 @@ class TestKernelPaths:
         u = Fraction(-5, 7)
         want = [frobenius_oracle(u, order) for order in (6, 8, 24)]
         monkeypatch.setattr(series, "sum", counted_sum, raising=False)
-        table = frobenius._table(u)
-        assert [table.power(order, 1) for order in (6, 8, 24)] == want
+        table = prefix._table(u)
+        assert [frobenius.power(table, order, 1) for order in (6, 8, 24)] == want
         assert len(sums) == 24
         assert table._powers[1].order == 24
 

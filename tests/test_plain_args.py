@@ -141,8 +141,9 @@ def test_plain_reader_leaves_to_argparse(argv):
     ["verify", "eq60_multinomial", "--n", "2", "--N", "2", "--u", "0", "--format", "csv"],
     ["audit"],
     ["audit", "--grid", "grid.json", "--format=csv", "--out", "audit.csv"],
+    ["table", "fe-numbers", "--n-max", "2", "--u=--", "--out=--"],
 ], ids=["negative-u", "joined", "command-word-value", "verify", "no-variant", "audit",
-        "audit-flags"])
+        "audit-flags", "joined-double-dash"])
 def test_plain_reader_reads_what_argparse_reads(argv):
     argv = cli._join_negative_values(argv)
     plain = cli._plain_args(argv)

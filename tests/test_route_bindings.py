@@ -72,9 +72,9 @@ def test_each_kernel_use_is_found(source):
 
 def test_table_reads_pass():
     source = (
-        "from .frobenius import _shifted_sum, _table\n"
+        "from .frobenius import _shifted_sum, _table, power, weights\n"
         "from .series import exp_xt, series_mul, series_scale\n"
-        "h = _table(u).power(T, 1)\n"
-        "rhs = _shifted_sum(_table(u).weights(N, variant), h.integer_form, T + 1)\n"
+        "h = power(_table(u), T, 1)\n"
+        "rhs = _shifted_sum(weights(_table(u), N, variant), h.integer_form, T + 1)\n"
     )
     assert kernel_uses(source) == []

@@ -38,14 +38,14 @@ ALLOWED = {"feident.verify:_derivative_expansion"} | {
     f"feident.verify:{CHECKERS[identity].__wrapped__.__name__}" for identity in IDENTITIES
 } | {
     "feident.exact:" + name for name in (
-        "as_fraction", "exact_parameter", "check_at_least", "common_denominator",
+        "as_fraction", "exact_parameter", "check_at_least", "_check_u", "common_denominator",
         "to_fractions", "lowest_terms", "_hold", "_of", "coeffs", "combine", "binomial",
         "binomial_rows",
     )
 } | {
     "feident.series:" + name for name in (
         "__init__", "order", "__len__", "__getitem__", "series_scale", "series_mul",
-        "series_truncate", "_check_u",
+        "series_truncate",
     )
 } | {
     "feident.poly:" + name for name in (
@@ -53,8 +53,8 @@ ALLOWED = {"feident.verify:_derivative_expansion"} | {
         "appell", "_appell_ints",
     )
 } | {
-    "feident.frobenius:" + name for name in ("__init__", "appell", "_checked_table")
-}
+    "feident.frobenius:" + name for name in ("appell", "_checked_table")
+} | {"feident.prefix:__init__"}
 
 # F = (1-u)/(e^t - u) by the series route: the table's reciprocal of e^t - u.
 F = {"feident.frobenius:power", "feident.series:exp_minus_constant",
@@ -62,9 +62,9 @@ F = {"feident.frobenius:power", "feident.series:exp_minus_constant",
 # H_0(u)..H_n(u) by the gamma-vectors of the Eulerian polynomials (n <= 64)
 # or the Euler-Seidel recurrence, and the polynomials of the table built
 # from them.
-PREFIX = {"feident.frobenius:integer_form", "feident.frobenius:_numerators",
-          "feident.frobenius:_gamma_rows", "feident.frobenius:_gamma_step",
-          "feident.frobenius:_seidel_step", "feident.frobenius:polynomial"}
+PREFIX = {"feident.prefix:integer_form", "feident.prefix:_numerators",
+          "feident.prefix:_gamma_rows", "feident.prefix:_gamma_step",
+          "feident.prefix:_seidel_step", "feident.frobenius:polynomial"}
 # B_0..B_K by the reciprocal of (e^t - 1)/t, and B_n(x) from them.
 BERNOULLI = {"feident.frobenius:bernoulli_polynomial", "feident.series:bernoulli_oracle",
              "feident.series:series_reciprocal"}

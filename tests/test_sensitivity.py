@@ -49,7 +49,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from caches import cold_caches
-from feident import exact, frobenius, series, stirling, verify
+from feident import exact, frobenius, prefix, series, stirling, verify
 from feident.poly import Polynomial
 from feident.series import EgfSeries
 from feident.verify import audit_all
@@ -103,7 +103,7 @@ def table_numbers(u: Fraction, top: int) -> tuple:
         read = tuple(reversed([frobenius.fe_number(n, u) for n in range(top, -1, -1)]))
     finally:
         cold_caches()
-    nums, d = frobenius._NumberTable(u).integer_form(0, top + 1)
+    nums, d = prefix._NumberTable(u).integer_form(0, top + 1)
     assert tuple(Fraction(v, d) for v in nums) == read
     return read
 
@@ -115,13 +115,13 @@ def test_number_table_fault(monkeypatch):
     no other H_k moves."""
     u = Fraction(2)
     want = plus_one_at_three(table_numbers(u, 5))
-    step = frobenius._gamma_step
+    step = prefix._gamma_step
 
     def faulty(q, s, ts, gammas, n):
         m = step(q, s, ts, gammas, n)
         return m + (s - 2 * q) ** 3 if n == 3 else m  # r = p - q = s - 2q
 
-    monkeypatch.setattr(frobenius, "_gamma_step", faulty)
+    monkeypatch.setattr(prefix, "_gamma_step", faulty)
     assert table_numbers(u, 5) == want
     assert failing_identities() == {
         "carlitz_product",
@@ -140,13 +140,13 @@ def test_euler_seidel_fault_past_64(monkeypatch):
     report sees it."""
     u = Fraction(2)
     clean = table_numbers(u, 70)
-    step = frobenius._seidel_step
+    step = prefix._seidel_step
 
     def faulty(p, r, diagonal):
         m, next_diagonal = step(p, r, diagonal)
         return (m + r**3 if len(diagonal) == 3 else m), next_diagonal
 
-    monkeypatch.setattr(frobenius, "_seidel_step", faulty)
+    monkeypatch.setattr(prefix, "_seidel_step", faulty)
     assert table_numbers(u, 70) == plus_one_at_three(clean)
     assert table_numbers(u, 64) == clean[:65]
     assert failing_identities() == set()
@@ -173,13 +173,13 @@ def test_euler_seidel_fault_on_the_deep_grid(monkeypatch):
     """M_80 one larger as the Euler-Seidel step makes it, the diagonal left
     as it is: the deep grid reads the table past 64 and catches it, where
     the default audit does not."""
-    step = frobenius._seidel_step
+    step = prefix._seidel_step
 
     def faulty(p, r, diagonal):
         m, next_diagonal = step(p, r, diagonal)
         return (m + 1 if len(diagonal) == 80 else m), next_diagonal
 
-    monkeypatch.setattr(frobenius, "_seidel_step", faulty)
+    monkeypatch.setattr(prefix, "_seidel_step", faulty)
     assert failing_identities() == set()
     assert failing_identities(deep_grid()) == {
         "carlitz_product",

@@ -4,8 +4,10 @@ Every test here runs a fresh interpreter and compares the modules it ends
 with against those a bare ``python -c pass`` has loaded in the same
 environment, so modules that site customisation loads do not count.
 ``import feident`` loads no submodule, and the CLI module only
-``feident.exact``.  Each table subject loads its own kernel: the triangle
-needs only ``feident.stirling``, and no table needs the identity checker
+``feident.exact``.  Each table subject loads its own kernel: the number
+and polynomial tables only ``feident.prefix``, the Bernoulli numbers only
+``feident.series``, the triangle only ``feident.stirling``, and no table
+needs the identity checker
 (``feident.verify``), nor ``json`` or ``csv`` unless the output is JSON.
 No command loads ``dataclasses`` (the reports are NamedTuples) or
 ``inspect`` (the checker registry reads each body's code object), and a
@@ -14,6 +16,7 @@ usage errors need.
 """
 
 import functools
+import json
 import os
 import subprocess
 import sys
@@ -33,7 +36,7 @@ CHECKER_ONLY = ("feident.verify", "inspect", "dataclasses", "json", "csv")
 PARSER_ONLY = ("argparse", "gettext", "locale")
 
 # The kernels of the tables of numbers and polynomials.
-NUMBER_KERNEL = ("feident.frobenius", "feident.poly", "feident.series")
+NUMBER_KERNEL = ("feident.frobenius", "feident.poly", "feident.prefix", "feident.series")
 
 # Each export and the submodule that defines it.
 EXPORTS = {
@@ -45,6 +48,19 @@ EXPORTS = {
     "Polynomial": "poly",
     "coeff_closed_form": "stirling",
     "triangle_recurrence": "stirling",
+}
+
+# The package modules each table loads beyond ``feident.cli`` and
+# ``feident.exact``, in CSV and in JSON: the number and polynomial tables
+# the prefix kernel alone, the Bernoulli numbers the series alone, the
+# triangle itself alone, and fe-higher both routes of the number table.
+TABLE_MODULES = {
+    "fe-numbers": {"feident.prefix"},
+    "fe-polynomials": {"feident.prefix"},
+    "fe-higher": {"feident.frobenius", "feident.poly", "feident.prefix", "feident.series",
+                  "feident.stirling"},
+    "stirling": {"feident.stirling"},
+    "bernoulli": {"feident.series"},
 }
 
 TABLES = {
@@ -94,6 +110,11 @@ def loads(code: str) -> set:
     return fresh(code)[0] - bare()
 
 
+def package_modules(modules) -> set:
+    """The submodules of feident among ``modules``."""
+    return {name for name in modules if name.startswith("feident.")}
+
+
 def run_code(argv, status=0) -> str:
     return f"from feident.cli import run\nassert run({argv!r}) == {status}"
 
@@ -126,8 +147,20 @@ def test_triangle_table_loads_only_its_kernel(tmp_path):
 def test_csv_table_loads_only_the_number_kernel(subject, tmp_path):
     out = tmp_path / "table.csv"
     argv = ["table", subject, *TABLES[subject], "--out", str(out)]
-    assert loads(run_code(argv)).isdisjoint(CHECKER_ONLY)
+    new = loads(run_code(argv))
+    assert new.isdisjoint(CHECKER_ONLY)
     assert out.read_text(encoding="utf-8").count("\n") > 1
+    assert package_modules(new) == {"feident.cli", "feident.exact", *TABLE_MODULES[subject]}
+
+
+@pytest.mark.parametrize("subject", sorted(TABLES))
+def test_json_table_loads_the_csv_tables_modules(subject, tmp_path):
+    out = tmp_path / "table.json"
+    argv = ["table", subject, *TABLES[subject], "--format", "json", "--out", str(out)]
+    new = loads(run_code(argv))
+    assert "json" in new
+    assert json.loads(out.read_text(encoding="utf-8"))["table"] == subject
+    assert package_modules(new) == {"feident.cli", "feident.exact", *TABLE_MODULES[subject]}
 
 
 def test_json_table_loads_json_but_no_checker(tmp_path):

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from feident.frobenius import _NumberTable
+from feident.frobenius import weights
 from feident.poly import Polynomial
+from feident.prefix import _NumberTable
 from feident.stirling import coeff_closed_form, triangle_recurrence
 
 KNOWN_ROWS = {
@@ -75,7 +76,7 @@ def test_weights_keep_one_row():
     table = _NumberTable(Fraction(1, 3))
     tracemalloc.start()
     try:
-        table.weights(300, "corrected")
+        weights(table, 300, "corrected")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
