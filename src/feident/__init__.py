@@ -20,7 +20,7 @@ _EXPORTS = {
     "VARIANTS": "frobenius",
     "fe_higher_number_formula": "frobenius",
     "fe_higher_number_oracle": "frobenius",
-    "fe_number": "frobenius",
+    "fe_number": "prefix",
     "fe_polynomial": "frobenius",
     "Polynomial": "poly",
     "coeff_closed_form": "stirling",

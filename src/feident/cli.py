@@ -309,10 +309,10 @@ def _fe_polynomials(n_max: int, u) -> Iterator[dict]:
 
 @_subject("fe-higher", u=exact_parameter, N=int)
 def _fe_higher(n_max: int, u, N: int) -> Iterator[dict]:
-    from .frobenius import _fe_higher_rows
+    from .frobenius import fe_higher_numbers
 
     check_at_least("--N", N, 1)
-    for n, value in enumerate(_fe_higher_rows(n_max, N, u).coeffs):
+    for n, value in enumerate(fe_higher_numbers(n_max, N, u)):
         yield {"n": n, "value": str(value)}
 
 

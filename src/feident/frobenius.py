@@ -134,9 +134,18 @@ def _checked_table(name: str, n: int, order_name: str, order: int, u: Fraction,
 
 
 def fe_higher_numbers(n_max: int, order: int, u: Fraction) -> tuple[Fraction, ...]:
-    """H_0^(N)(u)..H_{n_max}^(N)(u) as coefficients of the N-th power of
-    the order-1 generating function."""
-    return power(_checked_table("n_max", n_max, "order", order, u), n_max, order).coeffs
+    """H_0^(N)(u)..H_{n_max}^(N)(u) by the cheaper route: the triangle
+    formula for 2N <= n_max and u != 0 (its prefactor divides by u), else
+    the series route, the N-th power of the order-1 generating function.
+    The triangle builds N rows of the triangle, keeping one, and grows the
+    prefix to n_max + N - 1; the series takes about 2*log2(N) products of
+    order n_max.  The triangle takes 0.03 to 0.75 of the series' time at
+    2N <= n_max, about 1.2 times it at N = n_max, and 29 to 524 times it
+    at N = 200 to 400 with n_max = 5 to 20."""
+    table = _checked_table("n_max", n_max, "order", order, u)
+    if table._u == 0 or 2 * order > n_max:
+        return power(table, n_max, order).coeffs
+    return _formula_numbers(table, n_max, order, "corrected").coeffs
 
 
 def fe_higher_number_oracle(n: int, order: int, u: Fraction) -> Fraction:
@@ -170,21 +179,6 @@ def _formula_numbers(
     denominator."""
     return _shifted_sum(weights(table, order, variant),
                         table.integer_form(first, n_max + order), n_max + 1 - first)
-
-
-def _fe_higher_rows(n_max: int, order: int, u: Fraction) -> EgfSeries:
-    """H_0^(N)(u)..H_{n_max}^(N)(u) in integer form, by the cheaper route:
-    the triangle formula for 2N <= n_max, else the series route, which is
-    also the one route at u = 0, where the prefactor divides by u.  The
-    triangle route builds N rows of the triangle, keeping one, and grows
-    the prefix to n_max + N - 1; the series route takes about 2*log2(N)
-    products of order n_max.  The triangle takes 0.03 to 0.75 of the
-    series' time at 2N <= n_max, about 1.2 times it at N = n_max, and 29
-    to 524 times it at N = 200 to 400 with n_max = 5 to 20."""
-    table = _checked_table("n_max", n_max, "order", order, u)
-    if u == 0 or 2 * order > n_max:
-        return power(table, n_max, order)
-    return _formula_numbers(table, n_max, order, "corrected")
 
 
 def _shifted_sum(weights: tuple[list[int], int], form: tuple[list[int], int],

@@ -513,7 +513,7 @@ def verify_bernoulli_product(m: int, n: int):
 
     The formally infinite sum has finitely many nonzero terms: the
     binomial weights vanish once 2r exceeds max(m, n), which is below
-    m + n, so no 1/(m+n-2r) divides by zero.  Zero weights are skipped.
+    m + n, so no 1/(m+n-2r) divides by zero.
     """
     check_at_least("m and n", min(m, n), 0)
     check_at_least("m + n", m + n, 2)
@@ -524,8 +524,6 @@ def verify_bernoulli_product(m: int, n: int):
         terms = []
         for r in range(max(m, n) // 2 + 1):
             weight = binomial(m, 2 * r) * n + binomial(n, 2 * r) * m
-            if weight == 0:
-                continue
             b = bernoulli_number(2 * r)
             terms.append(((weight * b.numerator, b.denominator * (m + n - 2 * r)),
                           bernoulli_polynomial(m + n - 2 * r)))

@@ -21,7 +21,8 @@ from caches import cold_caches
 from feident import frobenius, prefix, series, stirling
 from feident.cli import main, run
 from feident.exact import parse_rational
-from feident.frobenius import fe_higher_numbers, fe_polynomial
+from feident.frobenius import fe_polynomial
+from feident.series import frobenius_oracle, series_pow
 
 FE_NUMBERS_CSV = "n,value\n0,1\n1,1\n2,3\n3,13\n4,75\n"
 
@@ -110,10 +111,9 @@ class TestTable:
     @pytest.mark.parametrize("u", ["1/3", "-5/7", "2", "-1", "0"])
     def test_fe_higher_rows_equal_the_series_route(self, capsys, u, N):
         """The rows come from the triangle route (the series route at
-        u = 0), each on cold caches, and equal ``fe_higher_numbers``, the
-        series route."""
-        cold_caches()
-        want = fe_higher_numbers(60, N, Fraction(u))
+        u = 0), on cold caches, and equal the series reference, the N-th
+        power of the generating function."""
+        want = series_pow(frobenius_oracle(Fraction(u), 60), N).coeffs
         cold_caches()
         code, out, _ = run_capture(
             capsys, ["table", "fe-higher", f"--u={u}", "--N", str(N), "--n-max", "60"])
@@ -161,9 +161,9 @@ class TestTable:
         try:
             code, out, _ = run_capture(
                 capsys, ["table", "fe-higher", f"--u={u}", "--N", str(N), "--n-max", str(n_max)])
-            want = fe_higher_numbers(n_max, N, Fraction(u))
         finally:
             cold_caches()
+        want = series_pow(frobenius_oracle(Fraction(u), n_max), N).coeffs
         assert code == 0
         assert out == "n,value\n" + "".join(f"{n},{value}\n" for n, value in enumerate(want))
         assert reads == ([N] if triangle else [])

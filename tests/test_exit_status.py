@@ -4,14 +4,14 @@
 subject or an identity (or a name that is neither), the flags that the
 subject or identity takes, and flags drawn from every registered value
 flag, ``--variant`` and ``--format``, some without a value, each value
-given as the next token or joined (``--flag=value``).  Values are
-small integers (negatives included), 0, 1 and -1, rationals with small
-and large denominators, and malformed strings.  Every run exits 0, 1 or 2
-and prints no traceback; a 2 prints exactly one ``error:`` line and
-nothing on stdout; a 0 or 1 prints JSON or CSV.  The same holds for
-``audit --grid`` on grid files drawn from JSON seeded with the real
-identity and axis names.  Sizes stay small, since no cost budget bounds
-the work yet.
+given as the next token or joined (``--flag=value``, where ``--`` has
+a weight of its own).  Values are small integers (negatives included),
+0, 1 and -1, rationals with small and large denominators, and malformed
+strings.  Every run exits 0, 1 or 2 and prints no traceback; a 2 prints
+exactly one ``error:`` line and nothing on stdout; a 0 or 1 prints JSON
+or CSV.  The same holds for ``audit --grid`` on grid files drawn from
+JSON seeded with the real identity and axis names.  Sizes stay small,
+since no cost budget bounds the work yet.
 """
 
 import contextlib
@@ -74,7 +74,12 @@ def argvs(draw) -> list[str]:
             argv.append(flag)
             continue
         value = draw(CHOICES[flag] if often(draw, 9) else malformed)
-        argv += [f"{flag}={value}"] if often(draw, 3) else [flag, value]
+        if often(draw, 3):
+            # a joined "--" has a weight of its own: as a malformed value it
+            # would come about once in a hundred joined flags
+            argv.append(f"{flag}={'--' if often(draw, 2) else value}")
+        else:
+            argv += [flag, value]
     return argv
 
 

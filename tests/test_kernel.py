@@ -24,6 +24,7 @@ from feident.frobenius import (
     bernoulli_number,
     euler_polynomial,
     fe_higher_number_formula,
+    fe_higher_number_oracle,
     fe_higher_numbers,
     fe_higher_polynomial,
     fe_number,
@@ -375,13 +376,33 @@ class TestCacheServing:
                             counted("reciprocal", series.series_reciprocal))
         monkeypatch.setattr(frobenius, "series_pow", counted("pow", frobenius.series_pow))
         u = Fraction(1, 3)
-        fe_higher_numbers(8, 1, u)
+        fe_higher_number_oracle(8, 1, u)
         for N in (2, 3, 4, 2, 3):
-            fe_higher_numbers(6, N, u)
-        fe_higher_numbers(7, 4, u)
+            fe_higher_number_oracle(6, N, u)
+        fe_higher_number_oracle(7, 4, u)
         assert calls == ["reciprocal", "pow", "pow", "pow", "pow"]
-        fe_higher_numbers(9, 2, u)
+        fe_higher_number_oracle(9, 2, u)
         assert calls[5:] == ["reciprocal", "pow"]
+
+    @pytest.mark.parametrize("u, N, n_max, triangle", [
+        ("1/3", 3, 6, True),
+        ("1/3", 4, 7, False),
+        ("-5/7", 20, 40, True),
+        ("-5/7", 41, 80, False),
+        ("0", 3, 60, False),
+        ("1/3", 10000, 1, False),
+    ])
+    def test_fe_higher_numbers_route_follows_the_sizes(self, monkeypatch, cold, u, N, n_max,
+                                                       triangle):
+        """``fe_higher_numbers`` reads row N of the triangle once for
+        2N <= n_max and u != 0, and no row otherwise, where it takes the
+        series route; on both sides it equals the series reference."""
+        reads = []
+        monkeypatch.setattr(frobenius, "triangle_recurrence",
+                            lambda n: reads.append(n) or triangle_recurrence(n))
+        u = Fraction(u)
+        assert fe_higher_numbers(n_max, N, u) == fresh_power(u, n_max, N).coeffs
+        assert reads == ([N] if triangle else [])
 
     @pytest.mark.parametrize("check", [verify.verify_theorem1, verify.verify_corollary2])
     @pytest.mark.parametrize("N", [1, 2, 4, 5])
@@ -864,10 +885,10 @@ def test_bernoulli_against_sympy_at_large_n(n):
 
 def test_concurrent_readers_see_correct_values(cold):
     """Threads that grow the same fresh tables (their prefixes, by either
-    kernel and across the switch at 64, and the series route's reciprocal
-    and powers), Bernoulli prefix, Pascal rows, gamma-vectors and
-    composition terms at once may redo work, but every value any of them
-    reads is right."""
+    kernel and across the switch at 64, the series route's reciprocal and
+    powers, and the triangle route's weights), Bernoulli prefix, Pascal
+    rows, gamma-vectors and composition terms at once may redo work, but
+    every value any of them reads is right."""
     us = [Fraction(p, 11) for p in range(-12, 12) if p != 11]
     want = {u: fraction_recurrence(70, u) for u in us}
     higher_want = {(u, N): fresh_power(u, 30, N).coeffs for u in us for N in (1, 2)}
@@ -887,6 +908,8 @@ def test_concurrent_readers_see_correct_values(cold):
                     N = rng.choice((1, 2))
                     if fe_higher_numbers(n, N, u) != higher_want[u, N][: n + 1]:
                         errors.append((u, n, N))
+                    if fe_higher_number_oracle(n, N, u) != higher_want[u, N][n]:
+                        errors.append(("oracle", u, n, N))
                 k = rng.choice(list(bernoulli_want))
                 if bernoulli_number(k) != bernoulli_want[k]:
                     errors.append(("B", k))

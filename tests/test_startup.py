@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import feident
-from feident import verify
+from feident import frobenius, verify
 
 SRC = str(Path(feident.__file__).resolve().parents[1])
 
@@ -43,7 +43,7 @@ EXPORTS = {
     "VARIANTS": "frobenius",
     "fe_higher_number_formula": "frobenius",
     "fe_higher_number_oracle": "frobenius",
-    "fe_number": "frobenius",
+    "fe_number": "prefix",
     "fe_polynomial": "frobenius",
     "Polynomial": "poly",
     "coeff_closed_form": "stirling",
@@ -133,6 +133,17 @@ def test_bare_import_loads_no_submodule():
     new = loads("import feident")
     assert "feident" in new
     assert not {name for name in new if name.startswith("feident.")}
+
+
+def test_fe_number_loads_only_the_prefix_kernel():
+    """The package's ``fe_number`` is the prefix kernel's, which
+    ``feident.frobenius`` re-exports: reading a number through the package
+    loads none of the series, polynomial or triangle code."""
+    new = loads("import feident\nassert feident.fe_number(3, 2) == 13")
+    assert "feident.prefix" in new
+    assert new.isdisjoint({"feident.frobenius", "feident.poly", "feident.series",
+                           "feident.stirling"})
+    assert feident.fe_number is frobenius.fe_number
 
 
 def test_triangle_table_loads_only_its_kernel(tmp_path):
