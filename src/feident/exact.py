@@ -49,7 +49,6 @@ __all__ = [
     "binomial",
     "binomial_rows",
     "multinomial",
-    "compositions",
     "weak_compositions",
 ]
 
@@ -273,21 +272,6 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
     if total != n:
         raise ValueError(f"parts {tuple(parts)} do not sum to {n}")
     return result
-
-
-def compositions(total: int, num_parts: int) -> Iterator[tuple[int, ...]]:
-    """All ordered tuples of positive integers with ``num_parts`` entries
-    summing to ``total``, in lexicographic order: the weak compositions of
-    total - num_parts with every part one larger.
-
-    There are C(total-1, num_parts-1) of them; the iterator is empty when
-    num_parts > total.
-    """
-    if total < 1 or num_parts < 1:
-        raise ValueError("compositions needs total >= 1 and num_parts >= 1")
-    if num_parts <= total:
-        for parts in weak_compositions(total - num_parts, num_parts):
-            yield tuple([p + 1 for p in parts])
 
 
 def weak_compositions(total: int, num_parts: int) -> Iterator[tuple[int, ...]]:

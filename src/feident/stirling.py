@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator
 
-from .exact import check_at_least, compositions
+from .exact import check_at_least, weak_compositions
 
 __all__ = ["triangle_recurrence", "coeff_closed_form"]
 
@@ -49,9 +49,11 @@ def coeff_closed_form(k: int, n: int) -> Fraction:
     if k > n - 1:
         raise ValueError(f"k = {k} outside 0..{n - 1}")
     total = Fraction(0)
-    for parts in compositions(n, k + 1):
+    # the compositions of N into k + 1 positive parts are the weak
+    # compositions of N - k - 1, each part one larger
+    for parts in weak_compositions(n - k - 1, k + 1):
         prod = 1
         for p in parts:
-            prod *= p
+            prod *= p + 1
         total += Fraction(1, prod)
     return Fraction(math.factorial(n), math.factorial(k + 1)) * total

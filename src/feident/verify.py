@@ -15,7 +15,7 @@ a one-entry series labelled ``"value"``.  Each check runs once, where the
 value enters: the registry checks types and ``variant``, the body the
 ranges and u (an (n, N, u) body through ``_checked_table``, as the public
 higher-order functions do), and the route helpers (``_formula_numbers``,
-the table's ``power``) trust it and check nothing, reading the number
+``frobenius.power``) trust it and check nothing, reading the number
 table of u that the body looked up once for both routes.  The registry
 calls ``lhs()``, then ``rhs()``, and compares their integer forms in
 :func:`_mismatches` with :func:`feident.exact.differing_entries`, the one
@@ -515,10 +515,8 @@ def verify_bernoulli_product(m: int, n: int):
     binomial weights vanish once 2r exceeds max(m, n), which is below
     m + n, so no 1/(m+n-2r) divides by zero.
     """
-    check_at_least("m and n", min(m, n), 0)
+    check_at_least("m and n", min(m, n), 1)
     check_at_least("m + n", m + n, 2)
-    if min(m, n) == 0:
-        raise ValueError("m and n must be >= 1")
 
     def expansion():
         terms = []

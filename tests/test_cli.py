@@ -22,6 +22,7 @@ from feident import frobenius, prefix, series, stirling
 from feident.cli import main, run
 from feident.exact import parse_rational
 from feident.frobenius import fe_polynomial
+from feident.poly import Polynomial
 from feident.series import frobenius_oracle, series_pow
 
 FE_NUMBERS_CSV = "n,value\n0,1\n1,1\n2,3\n3,13\n4,75\n"
@@ -324,6 +325,29 @@ class TestTableRendering:
         code, out, _ = run_capture(capsys, argv + ["--format", "json"])
         assert code == 0
         assert json.loads(out)["rows"] == [
+            {"n": n, "coeffs": coeffs} for n, coeffs in enumerate(want)]
+
+    @pytest.mark.parametrize("u", ["1/3", "-5/7", "2", "-1"])
+    def test_polynomial_rows_past_the_switch_are_the_series_route(self, capsys, u):
+        """Past n = 64 the number table builds H_n by Euler-Seidel, not the
+        gamma route.  Each row, in CSV and in JSON, is the Appell polynomial
+        of the series route's H_0..H_n, which reads no number table, padded
+        with zeros to ``--n-max``."""
+        n_max = 70
+        numbers = frobenius_oracle(parse_rational(u), n_max).coeffs
+        want = [[str(c) for c in Polynomial.appell(numbers[: n + 1]).coeffs] + ["0"] * (n_max - n)
+                for n in range(n_max + 1)]
+        argv = ["table", "fe-polynomials", f"--u={u}", "--n-max", str(n_max)]
+        cold_caches()
+        try:
+            code, out, _ = run_capture(capsys, argv)
+            json_code, json_out, _ = run_capture(capsys, argv + ["--format", "json"])
+        finally:
+            cold_caches()
+        assert (code, json_code) == (0, 0)
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert rows == [[str(n), *coeffs] for n, coeffs in enumerate(want)]
+        assert json.loads(json_out)["rows"] == [
             {"n": n, "coeffs": coeffs} for n, coeffs in enumerate(want)]
 
     @pytest.mark.parametrize(

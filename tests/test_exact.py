@@ -15,7 +15,6 @@ from feident.exact import (
     binomial,
     combine,
     common_denominator,
-    compositions,
     exact_parameter,
     multinomial,
     parse_rational,
@@ -263,53 +262,6 @@ class TestMultinomial:
         with pytest.raises(ValueError) as info:
             multinomial(n, parts)
         assert str(info.value) == message
-
-
-class TestCompositions:
-    def test_exhaustive_small(self):
-        assert list(compositions(3, 2)) == [(1, 2), (2, 1)]
-        assert list(compositions(4, 1)) == [(4,)]
-
-    def test_stars_and_bars_count(self):
-        assert len(list(compositions(6, 3))) == math.comb(5, 2) == 10
-
-    def test_empty_when_too_many_parts(self):
-        assert list(compositions(2, 5)) == []
-
-    @pytest.mark.parametrize("total,num_parts", [(5, 2), (6, 3), (7, 4)])
-    def test_lexicographic_and_valid(self, total, num_parts):
-        seq = list(compositions(total, num_parts))
-        assert seq == sorted(seq)
-        assert len(set(seq)) == len(seq)
-        for parts in seq:
-            assert len(parts) == num_parts
-            assert sum(parts) == total
-            assert all(p >= 1 for p in parts)
-
-    @pytest.mark.parametrize("total", range(1, 13))
-    def test_total_count_over_all_lengths(self, total):
-        count = sum(
-            len(list(compositions(total, parts))) for parts in range(1, total + 1)
-        )
-        assert count == 2 ** (total - 1)
-
-    def test_many_parts_order_and_count(self):
-        # deeper than the interpreter's recursion limit
-        num_parts = 1500
-        total = num_parts + 1
-        seq = list(compositions(total, num_parts))
-        assert len(seq) == math.comb(total - 1, num_parts - 1)
-        assert seq == sorted(seq)
-        assert len(set(seq)) == len(seq)
-        assert all(sum(parts) == total and min(parts) == 1 for parts in seq)
-        assert seq[0] == (1,) * (num_parts - 1) + (2,)
-        assert seq[-1] == (2,) + (1,) * (num_parts - 1)
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            list(compositions(0, 1))
-        with pytest.raises(ValueError):
-            list(compositions(3, 0))
 
 
 class TestWeakCompositions:

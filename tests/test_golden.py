@@ -21,7 +21,10 @@ value is checked on: a malformed value beside an empty axis, and a JSON
 ``true`` on a rational axis.  Before each axis was converted on its own,
 they exited 0 (an empty audit) and 1 (an ``error`` report at u = 1).
 The six missing-flag and ``--variant`` cases print argparse's wording,
-since each identity became a subparser that owns its flags.
+since each identity became a subparser that owns its flags.  The
+``bernoulli_product m+n<2`` path and the two ``audit error reports``
+digests were recorded again when ``bernoulli_product`` came to check
+m, n >= 1 first: (1, 0) now fails that rule, not m + n >= 2.
 
 To regenerate after an intended output change, run from the repository
 root
@@ -201,7 +204,7 @@ PATH_RESULTS = {
     'verify carlitz_reciprocal alpha=0':
         (2, EMPTY, 'feident: error: alpha = 0 has no reciprocal\n'),
     'verify bernoulli_product m+n<2':
-        (2, EMPTY, 'feident: error: m + n must be >= 2\n'),
+        (2, EMPTY, 'feident: error: m and n must be >= 1\n'),
     'verify bernoulli_product m=0':
         (2, EMPTY, 'feident: error: m and n must be >= 1\n'),
     'verify theorem1 trunc omitted':
@@ -253,9 +256,9 @@ PATH_RESULTS = {
     'grid boolean u':
         (2, EMPTY, "feident: error: grid value for 'u' must be an int or 'p/q' string: True\n"),
     'audit error reports json':
-        (1, '6b6837f89c0ad41fb37c82477321c2b4948e9c5861f441f1aaf454b0ad2cc17c', ''),
+        (1, '2bfacb217b104777e813fcc8c5b09e775fe1e82a35b0a01aac0f447a0cffed1e', ''),
     'audit error reports csv':
-        (1, '8a669e439789524a85114e3e28d9284d5f8f73ed6e7ffce046df8a9dde131796', ''),
+        (1, '6155ad9bdcfd8ed00c92e2cceea64dba4641390d5fbda7fa6bdf8f0510ff49b3', ''),
 }
 
 

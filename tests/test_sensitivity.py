@@ -14,7 +14,7 @@ reads, and the same fault in the Euler-Seidel step reaches only tables
 read past 64, which the deep grid (``tests/deep_grid.json``) reads;
 the series-power fault reaches only the series route to higher-order
 numbers, which corollary5, eq60_multinomial and theorem3 read through
-the table's ``power``, and theorem1 and corollary2 as F^N from the same
+``frobenius.power``, and theorem1 and corollary2 as F^N from the same
 table, so all five read ``frobenius.series_pow``.  The multinomial fault (one more at k = 3)
 reaches only the composition sum, which corollary4 and eq60_multinomial
 read on their direct-enumeration side, and so does the weak-composition
