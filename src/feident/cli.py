@@ -23,11 +23,14 @@ has returned), so an in-process caller uses ``run``.
 Each table subject is one ``@_subject`` entry, which its flags and both
 renderings read.  CSV is written a row at a time as the entry's generator
 yields it, so no table's text is held whole; its fields never need
-quoting.  Each identity's flags come from the checker registry's schema
-(see :mod:`feident.verify`): each ``Param`` is a flag of the same name
-(``T`` is ``--trunc``), an integer when ``param.integer``, required when
-``param.default`` is ``REQUIRED``.  Flags follow their subject or
-identity, which takes exactly its own.
+quoting.  JSON is one ``json.dumps`` of the document, except for rows
+that ``json`` cannot write (the triangle's ``Decimal`` rows): the entry
+gives each such row's text, written a row at a time after the
+document's other fields.  Each identity's flags come from the checker
+registry's schema (see :mod:`feident.verify`): each ``Param`` is a flag
+of the same name (``T`` is ``--trunc``), an integer when
+``param.integer``, required when ``param.default`` is ``REQUIRED``.
+Flags follow their subject or identity, which takes exactly its own.
 
 Two readers take a command line, and both read one flag table per
 subject, identity and ``audit`` (:func:`_flags`).  The plain reader
@@ -262,21 +265,22 @@ def _verify_kwargs(args) -> dict:
 # A table subject: the value flags it takes, all required, as {name: reader}
 # (int, or exact_parameter for a rational); its CSV header for an --n-max;
 # one row's CSV text; the JSON fields before "rows", from --n-max and the
-# flag values as text; and its row generator, which raises a parameter
-# error before its first row.
-_Subject = namedtuple("_Subject", "flags header line head rows")
+# flag values as text; one row's JSON text, for rows that json cannot
+# write (None: json writes them); and its row generator, which raises a
+# parameter error before its first row.
+_Subject = namedtuple("_Subject", "flags header line head json_row rows")
 _SUBJECTS: dict[str, _Subject] = {}
 
 
 def _subject(name: str, *, header=lambda n_max: "n,value\n",
              line=lambda row: f"{row['n']},{row['value']}\n",
-             head=lambda n_max, params: {"params": params}, **flags):
+             head=lambda n_max, params: {"params": params}, json_row=None, **flags):
     """Register the generator below as table subject ``name``; it takes
     ``--n-max`` and then the value of each flag in ``flags``, and yields
     the rows as the JSON document holds them."""
 
     def register(rows):
-        _SUBJECTS[name] = _Subject(flags, header, line, head, rows)
+        _SUBJECTS[name] = _Subject(flags, header, line, head, json_row, rows)
         return rows
 
     return register
@@ -316,16 +320,19 @@ def _fe_higher(n_max: int, u, N: int) -> Iterator[dict]:
         yield {"n": n, "value": str(value)}
 
 
-# row N of the triangle holds a_0(N)..a_(N-1)(N)
+# row N of the triangle holds a_0(N)..a_(N-1)(N), as exact Decimal integers,
+# whose text is linear in their digits (an int's is quadratic); "!s" skips
+# the slower Decimal.__format__
 @_subject("stirling", header=lambda n_max: "N,k,a_k\n",
-          line=lambda row: "".join(f"{len(row)},{k},{a}\n" for k, a in enumerate(row)),
-          head=lambda n_max, params: {"n_max": n_max})
+          line=lambda row: "".join([f"{len(row)},{k},{a!s}\n" for k, a in enumerate(row)]),
+          head=lambda n_max, params: {"n_max": n_max},
+          json_row=lambda row: "    [\n      " + ",\n      ".join([str(a) for a in row]) + "\n    ]")
 def _stirling(n_max: int) -> Iterator[tuple]:
-    from .stirling import triangle_recurrence
+    from .stirling import decimal_rows
 
     if n_max < 1:
         raise ValueError("stirling table needs --n-max >= 1")
-    yield from triangle_recurrence(n_max)
+    yield from decimal_rows(n_max)
 
 
 @_subject("bernoulli")
@@ -338,8 +345,9 @@ def _bernoulli(n_max: int) -> Iterator[dict]:
 
 def _table_chunks(args) -> Iterable[str]:
     """The table as text: CSV one row per chunk, each row computed as it is
-    read, or JSON whole.  The values are checked and the first row computed
-    first, so a parameter error writes nothing."""
+    read, or JSON whole, but for a subject that gives its rows' JSON text,
+    whose JSON is written a row per chunk too.  The values are checked and
+    the first row computed first, so a parameter error writes nothing."""
     name, n_max, subject = args.subject, args.n_max, _SUBJECTS[args.subject]
     values = {dest: kind(getattr(args, dest)) for dest, kind in subject.flags.items()}
     check_at_least("--n-max", n_max, 0)
@@ -349,8 +357,13 @@ def _table_chunks(args) -> Iterable[str]:
         import json
 
         params = {dest: str(value) for dest, value in values.items()}
-        doc = {"table": name, **subject.head(n_max, params), "rows": [first, *rows]}
-        return [json.dumps(doc, indent=2) + "\n"]
+        head = {"table": name, **subject.head(n_max, params)}
+        if subject.json_row is None:
+            return [json.dumps({**head, "rows": [first, *rows]}, indent=2) + "\n"]
+        # the rows' own text in place of the empty list that ends '"rows": []\n}'
+        text = json.dumps({**head, "rows": []}, indent=2)[:-4] + "[\n"
+        return chain([text, subject.json_row(first)],
+                     (",\n" + subject.json_row(row) for row in rows), ["\n  ]\n}\n"])
     return chain([subject.header(n_max), subject.line(first)], map(subject.line, rows))
 
 

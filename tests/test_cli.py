@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import csv
+import decimal
 import gc
 import hashlib
 import io
@@ -129,9 +130,9 @@ class TestTable:
         _, want, _ = run_capture(capsys, argv)
         triangle_recurrence = stirling.triangle_recurrence
 
-        def faulty(n_max):
+        def faulty(n_max, one=1):
             return (row[:1] + (row[1] + 1,) + row[2:] if len(row) > 1 else row
-                    for row in triangle_recurrence(n_max))
+                    for row in triangle_recurrence(n_max, one))
 
         monkeypatch.setattr(frobenius, "triangle_recurrence", faulty)
         cold_caches()
@@ -157,7 +158,7 @@ class TestTable:
         reads = []
         triangle_recurrence = stirling.triangle_recurrence
         monkeypatch.setattr(frobenius, "triangle_recurrence",
-                            lambda n: reads.append(n) or triangle_recurrence(n))
+                            lambda n, one=1: reads.append(n) or triangle_recurrence(n, one))
         cold_caches()
         try:
             code, out, _ = run_capture(
@@ -287,6 +288,106 @@ def csv_writer_rendering(doc) -> str:
     return out.getvalue()
 
 
+def decimal_context() -> tuple:
+    """The precision, Emax and trapped signals of the current decimal context."""
+    ctx = decimal.getcontext()
+    return ctx.prec, ctx.Emax, frozenset(signal for signal, on in ctx.traps.items() if on)
+
+
+# A caller's own decimal context, far from the one the triangle is built in:
+# rows built under it would raise Inexact from N = 11 on.
+CALLER_CONTEXT = decimal.Context(prec=7, Emax=99, traps=[decimal.Inexact, decimal.Overflow])
+
+
+def int_rows_text(n_max: int, fmt: str) -> str:
+    """The stirling table as it was written from the ``int`` rows of the
+    recurrence: CSV one line per value, JSON one ``json.dumps``."""
+    rows = [list(row) for row in stirling.triangle_recurrence(n_max)]
+    if fmt == "json":
+        return json.dumps({"table": "stirling", "n_max": n_max, "rows": rows}, indent=2) + "\n"
+    return "N,k,a_k\n" + "".join(f"{len(row)},{k},{a}\n" for row in rows for k, a in enumerate(row))
+
+
+class TestStirlingDecimal:
+    """``table stirling`` prints exact ``Decimal`` rows: their text is
+    that of the ``int`` rows, a fault in the recurrence reaches it, and
+    the caller's decimal context holds throughout."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n_max", [1, 2, 400])
+    def test_text_is_that_of_the_int_rows(self, capsys, n_max, fmt):
+        argv = ["table", "stirling", "--n-max", str(n_max), "--format", fmt]
+        assert run_capture(capsys, argv) == (0, int_rows_text(n_max, fmt), "")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_fault_in_the_recurrence_reaches_the_text(self, capsys, monkeypatch, fmt):
+        """A +1 on a_0 of each new row changes what is printed, to the text
+        of the faulty ``int`` rows."""
+        argv = ["table", "stirling", "--n-max", "6", "--format", fmt]
+        _, want, _ = run_capture(capsys, argv)
+        next_row = stirling._next_row
+
+        def faulty(prev, n):
+            row = next_row(prev, n)
+            return (row[0] + 1,) + row[1:]
+
+        monkeypatch.setattr(stirling, "_next_row", faulty)
+        code, out, _ = run_capture(capsys, argv)
+        assert code == 0
+        assert out != want
+        assert out == int_rows_text(6, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_caller_context_holds_between_rows_and_after(self, monkeypatch, fmt):
+        """Each write, and the return of ``run``, sees the caller's context."""
+        seen = []
+
+        class Stream:
+            def write(self, text):
+                seen.append(decimal_context())
+
+            def writelines(self, chunks):
+                for chunk in chunks:
+                    self.write(chunk)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Stream())
+        with decimal.localcontext(CALLER_CONTEXT):
+            want = decimal_context()
+            assert run(["table", "stirling", "--n-max", "30", "--format", fmt]) == 0
+            assert decimal_context() == want
+        # the head, then one write per row (and JSON's closing brackets)
+        assert len(seen) == (31 if fmt == "csv" else 32)
+        assert set(seen) == {want}
+
+    def test_caller_context_holds_after_a_closed_reader(self, monkeypatch):
+        """A reader that closes stdout after the header and two rows leaves
+        the rows' generator suspended, and the caller's context as it was."""
+        writes = []
+
+        class Closed:
+            def write(self, text):
+                writes.append(text)
+                if len(writes) > 3:
+                    raise BrokenPipeError
+
+            def writelines(self, chunks):
+                for chunk in chunks:
+                    self.write(chunk)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        with decimal.localcontext(CALLER_CONTEXT):
+            want = decimal_context()
+            assert run(["table", "stirling", "--n-max", "30"]) == 141
+            assert decimal_context() == want
+        assert len(writes) == 4
+
+
 class TestTableRendering:
     """Tables are written row by row without ``csv.writer``; the bytes must
     be what ``csv.writer`` would have written."""
@@ -363,11 +464,13 @@ class TestTableRendering:
 
     def test_stirling_is_streamed(self, tmp_path):
         """The whole text is never held: the peak of traced allocations
-        stays below the size of the file written, for the triangle and for
-        the polynomials (about 7 MB at this size), none of which is kept."""
+        stays below the size of the file written, for the triangle, in CSV
+        and in JSON, and for the polynomials (about 7 MB at this size),
+        none of which is kept."""
         for argv in (["stirling", "--n-max", "200"],
+                     ["stirling", "--n-max", "200", "--format", "json"],
                      ["fe-polynomials", "--u=5/8", "--n-max", "250"]):
-            path = tmp_path / f"{argv[0]}.csv"
+            path = tmp_path / f"{argv[0]}.out"
             tracemalloc.start()
             try:
                 code = run(["table", *argv, "--out", str(path)])

@@ -33,7 +33,8 @@ kernel by name, as a caller sees it:
   of carlitz_reciprocal and bernoulli_product;
 - ``triangle_recurrence`` (a_1(N) + 1 for N >= 2) reaches every
   triangle-formula side, each of which reads its weights from the table:
-  theorem1, corollary2, theorem3, corollary4 and corollary5;
+  theorem1, corollary2, theorem3, corollary4 and corollary5, and the
+  ``Decimal`` rows that ``table stirling`` prints from the same stream;
 - ``Polynomial.__mul__`` reaches only the polynomial products of the
   Carlitz and Bernoulli identities;
 - ``bernoulli_oracle`` (B_3 + 1) reaches only the Bernoulli numbers and
@@ -50,6 +51,7 @@ from pathlib import Path
 
 from caches import cold_caches
 from feident import exact, frobenius, prefix, series, stirling, verify
+from feident.cli import run
 from feident.poly import Polynomial
 from feident.series import EgfSeries
 from feident.verify import audit_all
@@ -250,12 +252,12 @@ def test_series_reciprocal_fault(monkeypatch):
     }
 
 
-def test_triangle_recurrence_fault(monkeypatch):
+def test_triangle_recurrence_fault(monkeypatch, capsys):
     triangle_recurrence = stirling.triangle_recurrence
 
-    def faulty(n_max):
+    def faulty(n_max, one=1):
         return (row[:1] + (row[1] + 1,) + row[2:] if len(row) > 1 else row
-                for row in triangle_recurrence(n_max))
+                for row in triangle_recurrence(n_max, one))
 
     # the stirling table reads stirling.triangle_recurrence when it runs
     patch_callers(monkeypatch, "triangle_recurrence", faulty, [stirling, frobenius])
@@ -266,6 +268,9 @@ def test_triangle_recurrence_fault(monkeypatch):
         "theorem1",
         "theorem3",
     }
+    # and its exact Decimal rows reach the printed table
+    assert run(["table", "stirling", "--n-max", "3"]) == 0
+    assert capsys.readouterr().out == "N,k,a_k\n1,0,1\n2,0,1\n2,1,2\n3,0,2\n3,1,4\n3,2,1\n"
 
 
 def test_polynomial_mul_fault(monkeypatch):

@@ -3,14 +3,16 @@
 import math
 import tracemalloc
 from collections import deque
+from decimal import Decimal, Inexact, Rounded
 from fractions import Fraction
 
 import pytest
 
+from feident import stirling
 from feident.frobenius import weights
 from feident.poly import Polynomial
 from feident.prefix import _NumberTable
-from feident.stirling import coeff_closed_form, triangle_recurrence
+from feident.stirling import coeff_closed_form, decimal_rows, triangle_recurrence
 
 KNOWN_ROWS = {
     1: (1,),
@@ -101,6 +103,27 @@ def test_recurrence_relation_holds():
             above = prev[k] if k < n else 0
             left = prev[k - 1] if k >= 1 else 0
             assert row[k] == n * above + left
+
+
+def test_decimal_rows_are_the_int_rows():
+    """The same rows, each value an exact ``Decimal`` integer."""
+    rows = list(decimal_rows(60))
+    assert rows == rows_by_loop(60)
+    assert all(type(a) is Decimal and a.as_tuple().exponent == 0 for row in rows for a in row)
+
+
+def test_decimal_rows_raise_rather_than_round(monkeypatch):
+    """Under a planted precision of 10 digits, every row whose values fit
+    is exact, and the first row that does not fit raises ``Inexact`` or
+    ``Rounded``: no value is ever rounded."""
+    monkeypatch.setattr(stirling, "MAX_PREC", 10)
+    fits = [row for row in rows_by_loop(30) if max(row) < 10**10]
+    assert 0 < len(fits) < 30
+    rows = decimal_rows(30)
+    for want in fits:
+        assert next(rows) == want
+    with pytest.raises((Inexact, Rounded)):
+        next(rows)
 
 
 class TestClosedForm:
