@@ -21,12 +21,12 @@ the interpreter's shutdown collection (it freezes the heap once ``run``
 has returned), so an in-process caller uses ``run``.
 
 Each table subject is one ``@_subject`` entry, which its flags and both
-renderings read.  CSV is written a row at a time as the entry's generator
-yields it, so no table's text is held whole; its fields never need
-quoting.  JSON is one ``json.dumps`` of the document, except for rows
-that ``json`` cannot write (the triangle's ``Decimal`` rows): the entry
-gives each such row's text, written a row at a time after the
-document's other fields.  Each identity's flags come from the checker
+renderings read.  CSV and JSON are written a row at a time as the entry's
+generator yields it, so no table's text is held whole; CSV fields never
+need quoting.  JSON is ``json.dumps`` of the document's other fields,
+then each row's own text: its ``json.dumps``, indented to its place, or
+the entry's own text for rows that ``json`` cannot write (the triangle's
+``Decimal`` rows).  Each identity's flags come from the checker
 registry's schema (see :mod:`feident.verify`): each ``Param`` is a flag
 of the same name (``T`` is ``--trunc``), an integer when
 ``param.integer``, required when ``param.default`` is ``REQUIRED``.
@@ -42,8 +42,9 @@ only for those and stays the one source of help text and usage errors.
 
 Each command imports only what it runs: a ``table`` subject's rows
 import their kernel when they run (numbers and polynomials
-:mod:`feident.prefix`, Bernoulli :mod:`feident.series`, fe-higher
-:mod:`feident.frobenius`, the triangle :mod:`feident.stirling`), never
+:mod:`feident.prefix`, and fe-higher too but for 10N <= n_max and
+u != 0, where it adds :mod:`feident.frobenius`; Bernoulli
+:mod:`feident.series`, the triangle :mod:`feident.stirling`), never
 :mod:`feident.verify` or ``csv``; the checker registry loads only for
 ``verify``, whose flags it gives, and ``audit``; ``json`` loads with it
 and for JSON tables, ``csv`` for report CSV.
@@ -265,16 +266,24 @@ def _verify_kwargs(args) -> dict:
 # A table subject: the value flags it takes, all required, as {name: reader}
 # (int, or exact_parameter for a rational); its CSV header for an --n-max;
 # one row's CSV text; the JSON fields before "rows", from --n-max and the
-# flag values as text; one row's JSON text, for rows that json cannot
-# write (None: json writes them); and its row generator, which raises a
-# parameter error before its first row.
+# flag values as text; one row's JSON text as the document holds it; and
+# its row generator, which raises a parameter error before its first row.
 _Subject = namedtuple("_Subject", "flags header line head json_row rows")
 _SUBJECTS: dict[str, _Subject] = {}
 
 
+def _json_row(row) -> str:
+    """A row's text in the "rows" list of ``json.dumps(doc, indent=2)``:
+    its own ``json.dumps(row, indent=2)``, every line indented by four
+    spaces (a JSON string holds no raw newline)."""
+    import json
+
+    return "    " + json.dumps(row, indent=2).replace("\n", "\n    ")
+
+
 def _subject(name: str, *, header=lambda n_max: "n,value\n",
              line=lambda row: f"{row['n']},{row['value']}\n",
-             head=lambda n_max, params: {"params": params}, json_row=None, **flags):
+             head=lambda n_max, params: {"params": params}, json_row=_json_row, **flags):
     """Register the generator below as table subject ``name``; it takes
     ``--n-max`` and then the value of each flag in ``flags``, and yields
     the rows as the JSON document holds them."""
@@ -313,18 +322,33 @@ def _fe_polynomials(n_max: int, u) -> Iterator[dict]:
 
 @_subject("fe-higher", u=exact_parameter, N=int)
 def _fe_higher(n_max: int, u, N: int) -> Iterator[dict]:
-    from .frobenius import fe_higher_numbers
+    from .prefix import fe_higher_numbers
 
     check_at_least("--N", N, 1)
     for n, value in enumerate(fe_higher_numbers(n_max, N, u)):
         yield {"n": n, "value": str(value)}
 
 
-# row N of the triangle holds a_0(N)..a_(N-1)(N), as exact Decimal integers,
-# whose text is linear in their digits (an int's is quadratic); "!s" skips
-# the slower Decimal.__format__
-@_subject("stirling", header=lambda n_max: "N,k,a_k\n",
-          line=lambda row: "".join([f"{len(row)},{k},{a!s}\n" for k, a in enumerate(row)]),
+# ",k,%s\n" for k = 0, 1, ...: the tails of the triangle's CSV lines, kept
+# for the life of the process, grown by doubling, replaced whole and never
+# mutated, so a reader never sees a half-built tuple
+_k_tails = ()
+
+
+def _stirling_line(row: tuple) -> str:
+    """Row N's CSV text, "N,k,a_k\n" for k < N, in one format call: "%s"
+    writes each a_k by ``str``, linear in the digits of an exact Decimal
+    (an int's is quadratic), without the slower Decimal.__format__."""
+    global _k_tails
+    tails, width = _k_tails, len(row)
+    if len(tails) < width:
+        tails = _k_tails = (*tails, *[f",{k},%s\n" for k in range(len(tails), 2 * width)])
+    s = str(width)
+    return (s + s.join(tails[:width])) % row
+
+
+# row N of the triangle holds a_0(N)..a_(N-1)(N), as exact Decimal integers
+@_subject("stirling", header=lambda n_max: "N,k,a_k\n", line=_stirling_line,
           head=lambda n_max, params: {"n_max": n_max},
           json_row=lambda row: "    [\n      " + ",\n      ".join([str(a) for a in row]) + "\n    ]")
 def _stirling(n_max: int) -> Iterator[tuple]:
@@ -344,10 +368,10 @@ def _bernoulli(n_max: int) -> Iterator[dict]:
 
 
 def _table_chunks(args) -> Iterable[str]:
-    """The table as text: CSV one row per chunk, each row computed as it is
-    read, or JSON whole, but for a subject that gives its rows' JSON text,
-    whose JSON is written a row per chunk too.  The values are checked and
-    the first row computed first, so a parameter error writes nothing."""
+    """The table as text, one row per chunk, each row computed as it is
+    read: CSV, or JSON in the bytes of ``json.dumps(doc, indent=2)``.  The
+    values are checked and the first row computed first, so a parameter
+    error writes nothing."""
     name, n_max, subject = args.subject, args.n_max, _SUBJECTS[args.subject]
     values = {dest: kind(getattr(args, dest)) for dest, kind in subject.flags.items()}
     check_at_least("--n-max", n_max, 0)
@@ -358,8 +382,6 @@ def _table_chunks(args) -> Iterable[str]:
 
         params = {dest: str(value) for dest, value in values.items()}
         head = {"table": name, **subject.head(n_max, params)}
-        if subject.json_row is None:
-            return [json.dumps({**head, "rows": [first, *rows]}, indent=2) + "\n"]
         # the rows' own text in place of the empty list that ends '"rows": []\n}'
         text = json.dumps({**head, "rows": []}, indent=2)[:-4] + "[\n"
         return chain([text, subject.json_row(first)],

@@ -2,9 +2,9 @@
 Bernoulli and Euler companions.
 
 Each u gets one number table (:mod:`feident.prefix`, whose ``fe_number``
-this module exports, as it does ``series.bernoulli_number``), the one
-per-u cache; each slot is filled only by its own route's code, here a
-function of the table:
+and ``fe_higher_numbers`` this module exports, as it does
+``series.bernoulli_number``), the one per-u cache; each slot is filled
+only by its own route's code, here a function of the table:
 - Recurrence: H_0(u)..H_k(u), grown by the table itself.  One Appell
   builder, ``appell``, makes H_n(x|u): ``polynomial`` keeps it by n,
   as the Carlitz checks read it again; ``fe_polynomial`` keeps nothing.
@@ -41,7 +41,7 @@ from operator import mul
 from . import series
 from .exact import _check_u, check_at_least, lowest_terms
 from .poly import Polynomial
-from .prefix import _NumberTable, _table, fe_number
+from .prefix import _NumberTable, _table, fe_higher_numbers, fe_number
 from .series import (EgfSeries, bernoulli_number, bernoulli_oracle, exp_minus_constant,
                      series_pow, series_scale, series_truncate)
 from .stirling import triangle_recurrence
@@ -131,21 +131,6 @@ def _checked_table(name: str, n: int, order_name: str, order: int, u: Fraction,
     check_at_least(name, n, 0)
     check_at_least(order_name, order, 1)
     return _table(_check_u(u, forbid_zero))
-
-
-def fe_higher_numbers(n_max: int, order: int, u: Fraction) -> tuple[Fraction, ...]:
-    """H_0^(N)(u)..H_{n_max}^(N)(u) by the cheaper route: the triangle
-    formula for 2N <= n_max and u != 0 (its prefactor divides by u), else
-    the series route, the N-th power of the order-1 generating function.
-    The triangle builds N rows of the triangle, keeping one, and grows the
-    prefix to n_max + N - 1; the series takes about 2*log2(N) products of
-    order n_max.  The triangle takes 0.03 to 0.75 of the series' time at
-    2N <= n_max, about 1.2 times it at N = n_max, and 29 to 524 times it
-    at N = 200 to 400 with n_max = 5 to 20."""
-    table = _checked_table("n_max", n_max, "order", order, u)
-    if table._u == 0 or 2 * order > n_max:
-        return power(table, n_max, order).coeffs
-    return _formula_numbers(table, n_max, order, "corrected").coeffs
 
 
 def fe_higher_number_oracle(n: int, order: int, u: Fraction) -> Fraction:

@@ -13,7 +13,6 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -109,12 +108,13 @@ class TestTable:
         assert code == 0
         assert out == "n,value\n0,1\n1,2\n2,8\n"
 
-    @pytest.mark.parametrize("N", [1, 2, 3, 7, 20])
+    @pytest.mark.parametrize("N", [1, 2, 3, 7, 20, 200])
     @pytest.mark.parametrize("u", ["1/3", "-5/7", "2", "-1", "0"])
     def test_fe_higher_rows_equal_the_series_route(self, capsys, u, N):
-        """The rows come from the triangle route (the series route at
-        u = 0), on cold caches, and equal the series reference, the N-th
-        power of the generating function."""
+        """The rows come from the triangle route for N <= 6 (the
+        recurrence at u = 0) and from the recurrence for N >= 7, on cold
+        caches, and equal the series reference, the N-th power of the
+        generating function."""
         want = series_pow(frobenius_oracle(Fraction(u), 60), N).coeffs
         cold_caches()
         code, out, _ = run_capture(
@@ -124,8 +124,9 @@ class TestTable:
         assert out == "n,value\n" + "".join(f"{n},{value}\n" for n, value in enumerate(want))
 
     def test_fe_higher_reads_the_triangle(self, capsys, monkeypatch):
-        """a_1(N) + 1 for N >= 2 in the triangle changes the printed rows."""
-        argv = ["table", "fe-higher", "--u=-5/7", "--N", "7", "--n-max", "14"]
+        """a_1(N) + 1 for N >= 2 in the triangle changes the printed rows
+        on the triangle side, 10N <= n_max."""
+        argv = ["table", "fe-higher", "--u=-5/7", "--N", "7", "--n-max", "70"]
         cold_caches()
         _, want, _ = run_capture(capsys, argv)
         triangle_recurrence = stirling.triangle_recurrence
@@ -143,18 +144,42 @@ class TestTable:
         assert code == 0
         assert out != want
 
+    def test_fe_higher_reads_the_recurrence(self, capsys, monkeypatch):
+        """U(5,3) + 1 in the recurrence changes the printed rows on the
+        recurrence side, from n = 5 on."""
+        argv = ["table", "fe-higher", "--u=-5/7", "--N", "7", "--n-max", "14"]
+        _, want, _ = run_capture(capsys, argv)
+        higher_step = prefix._higher_step
+
+        def faulty(a, b, row):
+            row = higher_step(a, b, row)
+            if len(row) == 6:
+                row[3] += 1
+            return row
+
+        monkeypatch.setattr(prefix, "_higher_step", faulty)
+        code, out, _ = run_capture(capsys, argv)
+        assert code == 0
+        changed = [n for n, (a, b) in enumerate(zip(out.splitlines(), want.splitlines()))
+                   if a != b]
+        assert changed == list(range(6, 16))  # lines of n = 5..14, after the header
+
     @pytest.mark.parametrize("u, N, n_max, triangle", [
-        ("1/3", 3, 6, True),
+        ("1/3", 3, 6, False),
         ("1/3", 4, 7, False),
-        ("-5/7", 20, 40, True),
+        ("-5/7", 20, 40, False),
         ("-5/7", 41, 80, False),
         ("0", 3, 60, False),
         ("1/3", 10000, 1, False),
+        ("1/3", 3, 30, True),
+        ("1/3", 3, 29, False),
+        ("-5/7", 8, 80, True),
+        ("-5/7", 9, 80, False),
     ])
     def test_fe_higher_route_follows_the_sizes(self, capsys, monkeypatch, u, N, n_max, triangle):
-        """The triangle route for 2N <= n_max and u != 0, else the series
-        route, which needs no triangle row: a large order at a small n_max
-        builds no N-row triangle."""
+        """The triangle route for 10N <= n_max and u != 0, else the
+        recurrence, which reads no triangle row and builds no number
+        table: a large order at a small n_max builds no N-row triangle."""
         reads = []
         triangle_recurrence = stirling.triangle_recurrence
         monkeypatch.setattr(frobenius, "triangle_recurrence",
@@ -163,12 +188,22 @@ class TestTable:
         try:
             code, out, _ = run_capture(
                 capsys, ["table", "fe-higher", f"--u={u}", "--N", str(N), "--n-max", str(n_max)])
+            tables = prefix._table.cache_info().currsize
         finally:
             cold_caches()
         want = series_pow(frobenius_oracle(Fraction(u), n_max), N).coeffs
         assert code == 0
         assert out == "n,value\n" + "".join(f"{n},{value}\n" for n, value in enumerate(want))
-        assert reads == ([N] if triangle else [])
+        assert (reads, tables) == (([N], 1) if triangle else ([], 0))
+
+    def test_fe_higher_recurrence_side_in_a_fresh_process(self):
+        """``python -m feident.cli`` prints the recurrence's rows at the
+        benchmark's size, equal to the series reference."""
+        proc = fresh_cli(["table", "fe-higher", "--u=-5/7", "--N", "20", "--n-max", "80"])
+        want = series_pow(frobenius_oracle(Fraction(-5, 7), 80), 20).coeffs
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.decode() == "n,value\n" + "".join(
+            f"{n},{value}\n" for n, value in enumerate(want))
 
     def test_fe_polynomials_csv(self, capsys):
         code, out, _ = run_capture(
@@ -464,12 +499,13 @@ class TestTableRendering:
 
     def test_stirling_is_streamed(self, tmp_path):
         """The whole text is never held: the peak of traced allocations
-        stays below the size of the file written, for the triangle, in CSV
-        and in JSON, and for the polynomials (about 7 MB at this size),
-        none of which is kept."""
+        stays below the size of the file written, for the triangle and for
+        the polynomials (about 7 MB at this size, 8 MB in JSON), in CSV
+        and in JSON, none of which is kept."""
         for argv in (["stirling", "--n-max", "200"],
                      ["stirling", "--n-max", "200", "--format", "json"],
-                     ["fe-polynomials", "--u=5/8", "--n-max", "250"]):
+                     ["fe-polynomials", "--u=5/8", "--n-max", "250"],
+                     ["fe-polynomials", "--u=5/8", "--n-max", "250", "--format", "json"]):
             path = tmp_path / f"{argv[0]}.out"
             tracemalloc.start()
             try:
@@ -486,9 +522,9 @@ class TestTableRendering:
         # H_0..H_n
         ("fe-polynomials", "fe_number"),
         ("bernoulli", "bernoulli_number"),
-        # one triangle-route call makes every value; each row is formatted
-        # as it is written, which its values' __str__ logs
-        ("fe-higher", "_formula_numbers"),
+        # one recurrence call makes every value; each row is formatted as
+        # it is written, which its values' __str__ logs
+        ("fe-higher", "_recurrence_numbers"),
     ])
     def test_first_row_is_written_before_the_last_is_computed(
         self, capsys, monkeypatch, subject, computes
@@ -498,7 +534,7 @@ class TestTableRendering:
         argv = table_argv(subject, 6)
         _, want, _ = run_capture(capsys, argv)
         events = []
-        home = {"fe_number": prefix, "bernoulli_number": series}.get(computes, frobenius)
+        home = series if computes == "bernoulli_number" else prefix
         kernel = getattr(home, computes)
 
         class Logged(Fraction):
@@ -507,8 +543,8 @@ class TestTableRendering:
                 return super().__str__()
 
         def logged(*args):
-            if computes == "_formula_numbers":
-                return SimpleNamespace(coeffs=[Logged(value) for value in kernel(*args).coeffs])
+            if computes == "_recurrence_numbers":
+                return tuple([Logged(value) for value in kernel(*args)])
             events.append(computes)
             return kernel(*args)
 

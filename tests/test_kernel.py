@@ -60,11 +60,21 @@ def fraction_recurrence(n_max, u):
 REFERENCE = {u: fraction_recurrence(N_MAX, u) for u in KERNEL_US}
 
 
-def package_imports(module) -> set:
+def package_imports(module, within=None) -> set:
     """The submodules of the package that ``module``'s source imports, by
-    any import statement anywhere in it."""
+    any import statement anywhere in it, or only anywhere in ``within``,
+    the name of one of its functions, or "" for its top-level statements."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    if within is None:
+        nodes = ast.walk(tree)
+    elif within:
+        (function,) = [node for node in tree.body
+                       if isinstance(node, ast.FunctionDef) and node.name == within]
+        nodes = ast.walk(function)
+    else:
+        nodes = tree.body
     found = set()
-    for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
+    for node in nodes:
         if isinstance(node, ast.ImportFrom) and node.level:
             # "from .x import y" names x; "from . import y" names y
             found |= ({node.module.partition(".")[0]} if node.module
@@ -153,8 +163,12 @@ class TestPrefixTables:
     def test_prefix_kernel_imports_only_exact(self):
         """The prefix kernel imports no other route of the package: not
         ``series``, ``poly``, ``stirling`` or ``frobenius``, only ``exact``;
-        and ``series`` imports neither the kernel nor ``frobenius``."""
-        assert package_imports(prefix) == {"exact"}
+        and ``series`` imports neither the kernel nor ``frobenius``.  The
+        one exception is ``fe_higher_numbers``, which loads ``frobenius``
+        when it takes the triangle route, and only then."""
+        assert package_imports(prefix, within="") == {"exact"}
+        assert package_imports(prefix) == {"exact", "frobenius"}
+        assert package_imports(prefix, within="fe_higher_numbers") == {"frobenius"}
         assert package_imports(series).isdisjoint({"prefix", "frobenius"})
 
     def test_frobenius_exports_the_kernels_objects(self):
@@ -385,24 +399,40 @@ class TestCacheServing:
         assert calls[5:] == ["reciprocal", "pow"]
 
     @pytest.mark.parametrize("u, N, n_max, triangle", [
-        ("1/3", 3, 6, True),
+        ("1/3", 3, 6, False),
         ("1/3", 4, 7, False),
-        ("-5/7", 20, 40, True),
+        ("-5/7", 20, 40, False),
         ("-5/7", 41, 80, False),
         ("0", 3, 60, False),
         ("1/3", 10000, 1, False),
+        ("1/3", 3, 30, True),
+        ("1/3", 3, 29, False),
+        ("-5/7", 8, 80, True),
+        ("-5/7", 9, 80, False),
     ])
     def test_fe_higher_numbers_route_follows_the_sizes(self, monkeypatch, cold, u, N, n_max,
                                                        triangle):
         """``fe_higher_numbers`` reads row N of the triangle once for
-        2N <= n_max and u != 0, and no row otherwise, where it takes the
-        series route; on both sides it equals the series reference."""
+        10N <= n_max and u != 0, from the number table of u; otherwise it
+        takes the recurrence, which reads no triangle row and builds no
+        number table.  On both sides it equals the series reference."""
         reads = []
         monkeypatch.setattr(frobenius, "triangle_recurrence",
                             lambda n: reads.append(n) or triangle_recurrence(n))
         u = Fraction(u)
-        assert fe_higher_numbers(n_max, N, u) == fresh_power(u, n_max, N).coeffs
-        assert reads == ([N] if triangle else [])
+        values = fe_higher_numbers(n_max, N, u)
+        tables = prefix._table.cache_info().currsize
+        assert values == fresh_power(u, n_max, N).coeffs
+        assert (reads, tables) == (([N], 1) if triangle else ([], 0))
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 7, 20, 200])
+    @pytest.mark.parametrize("u", ["1/3", "-5/7", "2", "-1", "0"])
+    def test_recurrence_equals_the_series_route(self, cold, u, N):
+        """The recurrence, which ``fe_higher_numbers`` takes for
+        10N > n_max or u = 0, equals the series reference to n = 60 at
+        every u and N, on the triangle's side of the rule too."""
+        u = Fraction(u)
+        assert prefix._recurrence_numbers(60, N, u) == fresh_power(u, 60, N).coeffs
 
     @pytest.mark.parametrize("check", [verify.verify_theorem1, verify.verify_corollary2])
     @pytest.mark.parametrize("N", [1, 2, 4, 5])

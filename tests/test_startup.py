@@ -5,10 +5,11 @@ with against those a bare ``python -c pass`` has loaded in the same
 environment, so modules that site customisation loads do not count.
 ``import feident`` loads no submodule, and the CLI module only
 ``feident.exact``.  Each table subject loads its own kernel: the number
-and polynomial tables only ``feident.prefix``, the Bernoulli numbers only
-``feident.series``, the triangle only ``feident.stirling``, and no table
-needs the identity checker
-(``feident.verify``), nor ``json`` or ``csv`` unless the output is JSON.
+and polynomial tables only ``feident.prefix``, as the higher-order
+numbers do but on the triangle side of their size rule, the Bernoulli
+numbers only ``feident.series``, the triangle only ``feident.stirling``,
+and no table needs the identity checker (``feident.verify``), nor
+``json`` or ``csv`` unless the output is JSON.
 No command loads ``dataclasses`` (the reports are NamedTuples) or
 ``inspect`` (the checker registry reads each body's code object), and a
 command line of exact flags loads no ``argparse``, which only help and
@@ -52,13 +53,13 @@ EXPORTS = {
 
 # The package modules each table loads beyond ``feident.cli`` and
 # ``feident.exact``, in CSV and in JSON: the number and polynomial tables
-# the prefix kernel alone, the Bernoulli numbers the series alone, the
-# triangle itself alone, and fe-higher both routes of the number table.
+# the prefix kernel alone, and fe-higher too on its recurrence side
+# (10N > n_max), the Bernoulli numbers the series alone, and the triangle
+# itself alone.
 TABLE_MODULES = {
     "fe-numbers": {"feident.prefix"},
     "fe-polynomials": {"feident.prefix"},
-    "fe-higher": {"feident.frobenius", "feident.poly", "feident.prefix", "feident.series",
-                  "feident.stirling"},
+    "fe-higher": {"feident.prefix"},
     "stirling": {"feident.stirling"},
     "bernoulli": {"feident.series"},
 }
@@ -172,6 +173,19 @@ def test_json_table_loads_the_csv_tables_modules(subject, tmp_path):
     assert "json" in new
     assert json.loads(out.read_text(encoding="utf-8"))["table"] == subject
     assert package_modules(new) == {"feident.cli", "feident.exact", *TABLE_MODULES[subject]}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fe_higher_triangle_side_loads_the_formula(fmt, tmp_path):
+    out = tmp_path / "table.out"
+    argv = ["table", "fe-higher", "--u", "2", "--N", "3", "--n-max", "40", "--format", fmt,
+            "--out", str(out)]
+    new = loads(run_code(argv))
+    assert new.isdisjoint({"feident.verify", "inspect", "dataclasses", "csv"})
+    assert out.read_text(encoding="utf-8").count("\n") > 41
+    # the triangle formula's module, which brings the other kernels
+    assert package_modules(new) == {"feident.cli", "feident.exact", *NUMBER_KERNEL,
+                                    "feident.stirling"}
 
 
 def test_json_table_loads_json_but_no_checker(tmp_path):
