@@ -10,9 +10,10 @@ Tables default to CSV, verification and audits to JSON.  A rational flag
 is "p/q" text, never floating point, passed on as text and read once by
 :func:`feident.exact.exact_parameter` (a table's before its first row,
 ``verify``'s in the checker registry), whose message a malformed one
-prints.  Report CSV goes through ``csv.writer``, as error messages may
-hold commas and quotes; report JSON is
-:func:`feident.verify.document_json`.  Exit status is 0 when every verdict
+prints.  Reports are rendered by :mod:`feident.verify`:
+:func:`~feident.verify.document_json`, and
+:func:`~feident.verify.document_csv` through ``csv.writer``, as error
+messages may hold commas and quotes.  Exit status is 0 when every verdict
 passes, 1 when any verification fails, 2 on usage or parameter errors
 (argparse's own, and sizes too large for Python or for memory, included;
 each prints one ``feident: error:`` line), 130 on an interrupt, and 141
@@ -37,32 +38,33 @@ subject, identity and ``audit`` (:func:`_flags`).  The plain reader
 takes the command, its subject or identity, and each flag once as
 ``--flag value`` or ``--flag=value``, and gives the namespace argparse
 would.  Any other command line (help, an abbreviated or repeated flag,
-``--``, a usage error) goes to :func:`build_parser`, so argparse loads
-only for those and stays the one source of help text and usage errors.
+``--``, a usage error) goes to :mod:`feident.parser`, which loads, with
+argparse, only for those and stays the one source of help text and usage
+errors.
 
 Each command imports only what it runs: a ``table`` subject's rows
 import their kernel when they run (numbers and polynomials
 :mod:`feident.prefix`, and fe-higher too but for 10N <= n_max and
 u != 0, where it adds :mod:`feident.frobenius`; Bernoulli
 :mod:`feident.series`, the triangle :mod:`feident.stirling`), never
-:mod:`feident.verify` or ``csv``; the checker registry loads only for
-``verify``, whose flags it gives, and ``audit``; ``json`` loads with it
-and for JSON tables, ``csv`` for report CSV.
+:mod:`feident.verify` or ``csv``; the integer form of series and
+polynomials (:mod:`feident.forms`) loads only with the modules that use
+it; the checker registry loads only for ``verify``, whose flags it
+gives, and ``audit``; ``json`` loads with it and for JSON tables, ``csv``
+for report CSV.  This module and :mod:`feident.exact` define no
+namedtuple and compile no regular expression at import, and no module
+of the package imports ``__future__``.
 """
 
-from __future__ import annotations
-
 import gc
-import io
 import os
 import sys
-from collections import namedtuple
 from itertools import chain
 from math import gcd
 from types import SimpleNamespace
 from typing import Iterable, Iterator
 
-from .exact import binomial_rows, check_at_least, exact_parameter
+from .exact import _is_integer, binomial_rows, check_at_least, exact_parameter
 
 __all__ = ["main", "run"]
 
@@ -80,12 +82,6 @@ def _flag(name: str) -> str:
     return "--" + _FLAG_NAMES.get(name, name)
 
 
-def _command(argv) -> str | None:
-    """The command word: the first token that is not an option (the top
-    level takes no option with a value)."""
-    return next((token for token in argv if token[:1] != "-"), None)
-
-
 def _join_negative_values(argv) -> list:
     """Pass ``--u -5/7`` on as ``--u=-5/7``, as argparse reads ``-5/7`` as an option:
     a ``-<digit>`` token joins the ``--flag`` before it, but not ``--help`` or one with ``=``."""
@@ -99,24 +95,16 @@ def _join_negative_values(argv) -> list:
     return out
 
 
-def _is_integer(text: str) -> bool:
-    """Whether an integer flag's value is ASCII digits after an optional ``-``."""
-    digits = text[1:] if text[:1] == "-" else text
-    return digits.isascii() and digits.isdigit()
+class _Flag:
+    """One flag of a command's parser: the name it sets, whether its value
+    is an integer, the values it may take (None: any text), whether it is
+    required, and its default and help."""
 
+    __slots__ = ("dest", "integer", "choices", "required", "default", "help")
 
-def _integer(text: str) -> int:
-    """An integer flag's value as argparse reads it (see :func:`_is_integer`)."""
-    if not _is_integer(text):
-        from argparse import ArgumentTypeError
-
-        raise ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
-
-
-# One flag of a command's parser: the name it sets, whether its value is an
-# integer, the values it may take (None: any text), and its default and help.
-_Flag = namedtuple("_Flag", "dest integer choices required default help")
+    def __init__(self, dest, integer, choices, required, default, help):
+        self.dest, self.integer, self.choices = dest, integer, choices
+        self.required, self.default, self.help = required, default, help
 
 
 def _value_flag(dest: str, integer: bool, default=None) -> tuple:
@@ -163,7 +151,7 @@ def _plain_args(argv):
     pairs of its parser, each flag once, every required one given and every
     value well formed.  None for any other ``argv`` (help, abbreviated,
     repeated or unknown flags, a separate value starting with ``-``, ``--``,
-    a bad value), which :func:`build_parser` reads."""
+    a bad value), which :mod:`feident.parser` reads."""
     command, *rest = argv or [None]
     if command == "audit":
         name, names = None, {}
@@ -206,51 +194,6 @@ def _plain_args(argv):
                               for flag in flags.values()})
 
 
-def build_parser(command: str | None):
-    """The CLI's argparse parser, with one subparser per table subject and identity,
-    each with the flags of :func:`_flags`.  The top-level help lists only
-    command names, so the subparsers of a command are added only when
-    ``command`` names it.  Only this parser loads argparse."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        """Raises each usage error as a ValueError, which prints as one line;
-        reads a joined ``--`` value as ``--``, as 3.13 does (3.10-3.12 give [])."""
-
-        def error(self, message):
-            raise ValueError(message)
-
-        def _get_values(self, action, arg_strings):
-            if action.option_strings and arg_strings == ["--"]:
-                self._check_value(action, value := self._get_value(action, "--"))
-                return value
-            return super()._get_values(action, arg_strings)
-
-    parser = _Parser(prog="feident",
-                     description="Exact Frobenius-Euler tables and identity verification.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    table = sub.add_parser("table", help="emit a number, polynomial, or triangle table")
-    verify = sub.add_parser("verify", help="verify one identity at given parameters")
-    audit = sub.add_parser("audit", help="run the full verification grid")
-    parsers = {audit: _flags("audit", None)}
-    if command == "table":
-        subjects = table.add_subparsers(dest="subject", required=True)
-        for name in _SUBJECTS:
-            parsers[subjects.add_parser(name)] = _flags("table", name)
-    elif command == "verify":
-        from .verify import IDENTITIES
-
-        identities = verify.add_subparsers(dest="identity", required=True)
-        for name in IDENTITIES:
-            parsers[identities.add_parser(name)] = _flags("verify", name)
-    for each, flags in parsers.items():
-        for option, flag in flags.items():
-            each.add_argument(option, dest=flag.dest, type=_integer if flag.integer else None,
-                              choices=flag.choices, required=flag.required,
-                              default=flag.default, help=flag.help)
-    return parser
-
-
 def _verify_kwargs(args) -> dict:
     """The flags given, as the checker's keyword arguments."""
     from .verify import parameters
@@ -263,12 +206,21 @@ def _verify_kwargs(args) -> dict:
 # ---------------------------------------------------------------------------
 # Table subjects
 
-# A table subject: the value flags it takes, all required, as {name: reader}
-# (int, or exact_parameter for a rational); its CSV header for an --n-max;
-# one row's CSV text; the JSON fields before "rows", from --n-max and the
-# flag values as text; one row's JSON text as the document holds it; and
-# its row generator, which raises a parameter error before its first row.
-_Subject = namedtuple("_Subject", "flags header line head json_row rows")
+class _Subject:
+    """A table subject: the value flags it takes, all required, as
+    {name: reader} (int, or exact_parameter for a rational); its CSV header
+    for an --n-max; one row's CSV text; the JSON fields before "rows", from
+    --n-max and the flag values as text; one row's JSON text as the
+    document holds it; and its row generator, which raises a parameter
+    error before its first row."""
+
+    __slots__ = ("flags", "header", "line", "head", "json_row", "rows")
+
+    def __init__(self, flags, header, line, head, json_row, rows):
+        self.flags, self.header, self.line = flags, header, line
+        self.head, self.json_row, self.rows = head, json_row, rows
+
+
 _SUBJECTS: dict[str, _Subject] = {}
 
 
@@ -389,26 +341,6 @@ def _table_chunks(args) -> Iterable[str]:
     return chain([subject.header(n_max), subject.line(first)], map(subject.line, rows))
 
 
-# ---------------------------------------------------------------------------
-# Report rendering
-
-def _reports_csv(reports) -> str:
-    import csv
-
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["identity", "variant", "params", "verdict", "at", "lhs", "rhs"])
-    for report in reports:
-        doc = report.to_dict()
-        packed = ";".join(f"{k}={v}" for k, v in doc["params"].items())
-        head = [doc["identity"], doc["variant"], packed, doc["verdict"]]
-        for mm in doc["mismatches"]:
-            writer.writerow(head + [mm["at"], mm["lhs"], mm["rhs"]])
-        if not doc["mismatches"]:
-            writer.writerow(head + [doc.get("error", ""), "", ""])
-    return out.getvalue()
-
-
 def _emit(chunks: Iterable[str], out_path: str | None) -> None:
     """Write the chunks in order to stdout or to ``out_path``, never
     holding more than one of them."""
@@ -469,19 +401,21 @@ def _run(argv) -> int:
     try:
         args = _plain_args(argv)
         if args is None:
-            args = build_parser(_command(argv)).parse_args(argv)
+            from .parser import parse_args
+
+            args = parse_args(argv, _SUBJECTS, _flags)
         if args.command == "table":
             _emit(_table_chunks(args), args.out)
             return EXIT_PASS
 
-        from .verify import CHECKERS, audit_all, document_json
+        from .verify import CHECKERS, audit_all, document_csv, document_json
 
         if args.command == "verify":
             reports = [CHECKERS[args.identity](**_verify_kwargs(args))]
         else:
             reports = audit_all(_read_grid(args.grid))
         text = (document_json(reports, audit=args.command == "audit")
-                if args.format == "json" else _reports_csv(reports))
+                if args.format == "json" else document_csv(reports))
         _emit([text], args.out)
         return EXIT_PASS if all(r.verdict == "pass" for r in reports) else EXIT_FAIL
     except SystemExit as exc:  # only --help exits, once it has printed

@@ -1,5 +1,4 @@
-"""Exact rational scalars, coefficient vectors and combinatorial counting
-primitives.
+"""Exact rational scalars and combinatorial counting primitives.
 
 Every quantity in this package is an exact ``fractions.Fraction`` (or an
 arbitrary-precision ``int`` where integrality is guaranteed); nothing is
@@ -10,51 +9,44 @@ coercions: both refuse a ``float`` and a ``bool``, and so does
 command line, in grids and in JSON is ``"p/q"`` with an optional leading
 ``-``, the denominator omitted when it is 1 (``"2"``, ``"-1/3"``):
 ``exact_parameter``, the one reader of a rational parameter, reads text
-only in that form, and ``str`` of a ``Fraction`` writes it.
-
-:class:`Coefficients` is the storage shared by series and polynomials:
-integer numerators over one positive denominator, its only stored form.
-Kernels read and return it, so a chain of them makes no Fraction;
-:func:`to_fractions` is the one place it becomes Fractions, on each read
-of ``coeffs``.  :func:`differing_entries` is the one comparison of two
-integer forms, for equality and for the verification harness alike.
+only in that form, and ``str`` of a ``Fraction`` writes it.  Its digits
+are ASCII digits by :func:`_is_integer`, the rule the CLI's integer
+flags follow too.
 
 :func:`binomial_rows` is the one source of Pascal rows, for the series
 kernels and the CLI's polynomial rows.  The rows depend on nothing but
 n, so those up to n = 64 are kept for the life of the process (at most
 65 rows); this is the module's one cache, and it never changes a value.
+
+The integer form that series and polynomials share lives in
+:mod:`feident.forms`, so that a table of numbers, which reads only
+scalars, never compiles it.
 """
 
-from __future__ import annotations
-
 import math
-import re
 import sys
 from fractions import Fraction
-from itertools import zip_longest
 from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "as_fraction",
     "exact_parameter",
     "check_at_least",
     "parse_rational",
-    "common_denominator",
-    "to_fractions",
-    "lowest_terms",
-    "differing_entries",
-    "Coefficients",
-    "combine",
     "binomial",
     "binomial_rows",
     "multinomial",
     "weak_compositions",
 ]
 
-# ASCII digits only: \d alone would also match other scripts' digits,
-# which int() reads, so a fullwidth "2" would parse as 2.
-_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?", re.ASCII)
+
+def _is_integer(text: str) -> bool:
+    """Whether ``text`` is ASCII digits after an optional ``-``.  (ASCII
+    only: ``str.isdigit`` alone also takes other scripts' digits, which
+    ``int()`` reads, so a fullwidth "2" would read as 2.)"""
+    digits = text[1:] if text[:1] == "-" else text
+    return digits.isascii() and digits.isdigit()
 
 
 def as_fraction(value) -> Fraction:
@@ -113,112 +105,19 @@ def parse_rational(text: str) -> Fraction:
 
     Accepts an optional leading minus sign and an optional "/q" part with
     q > 0; anything else (empty string, decimals, "1/0", signed
-    denominators) is rejected with ValueError.
+    denominators) is rejected with ValueError, and any type but ``str``
+    with TypeError.
     """
-    m = _RATIONAL_RE.fullmatch(text)
-    if m is None:
+    if not isinstance(text, str):
+        raise TypeError(f"a rational must be 'p/q' text, not {type(text).__name__}")
+    numer, slash, denom = text.partition("/")
+    if not _is_integer(numer) or slash and not (_is_integer(denom) and denom[:1] != "-"):
         raise ValueError(f"not a rational in p/q form: {text!r}")
-    numer = int(m.group(1))
-    denom = int(m.group(2)) if m.group(2) is not None else 1
+    numer = int(numer)
+    denom = int(denom) if slash else 1
     if denom == 0:
         raise ValueError(f"zero denominator: {text!r}")
     return Fraction(numer, denom)
-
-
-def common_denominator(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
-    """``(numerators, d)`` with ``d`` the lcm of the denominators of
-    ``values`` and ``values[i] == numerators[i] / d``; ``d`` is 1 for no
-    values."""
-    d = math.lcm(*[v.denominator for v in values])
-    return [v.numerator * (d // v.denominator) for v in values], d
-
-
-def to_fractions(numerators: Sequence[int], d: int) -> tuple[Fraction, ...]:
-    """``numerators[i] / d`` for each i, one reduced Fraction each."""
-    return tuple([Fraction(v, d) for v in numerators])
-
-
-def lowest_terms(numerators: list[int], d: int) -> tuple[list[int], int]:
-    """``(numerators, d)`` divided by their gcd, so that d is the lcm of
-    the reduced denominators of the numerators[i] / d."""
-    g = math.gcd(d, *numerators)
-    if g == 1:
-        return numerators, d
-    return [v // g for v in numerators], d // g
-
-
-def differing_entries(a: tuple, b: tuple) -> Iterator[tuple[int, int, int]]:
-    """``(i, x, y)`` for each entry i where the integer forms ``a`` =
-    (xs, d_a) and ``b`` = (ys, d_b), both d > 0, differ: x * d_b != y * d_a,
-    the shorter padded with zeros.  Makes no Fraction."""
-    (xs, da), (ys, db) = a, b
-    return ((i, x, y) for i, (x, y) in enumerate(zip_longest(xs, ys, fillvalue=0))
-            if x * db != y * da)
-
-
-class Coefficients:
-    """Immutable coefficients c_0..c_k, stored only as ``integer_form``,
-    ``(numerators, d)`` with d > 0 and c_i = numerators[i] / d; ``coeffs``
-    makes their Fractions on each read.  No caller may mutate the shared
-    numerator list.  Values of one class are equal when their forms hold the
-    same values (:func:`differing_entries`); hashing and pickling read Fractions."""
-
-    __slots__ = ("integer_form",)
-
-    def _hold(self, ints):
-        object.__setattr__(self, "integer_form", ints)
-        return self
-
-    @classmethod
-    def _of(cls, ints):
-        """A value holding the integer form ``ints`` as it is, unchecked."""
-        return object.__new__(cls)._hold(ints)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        a, b = self.integer_form, other.integer_form
-        return len(a[0]) == len(b[0]) and next(differing_entries(a, b), None) is None
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.coeffs,)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return to_fractions(*self.integer_form)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}([{', '.join(str(c) for c in self.coeffs)}])"
-
-
-def combine(
-    terms: Iterable[tuple[tuple[int, int], tuple[Sequence[int], int]]]
-) -> tuple[list[int], int]:
-    """``(totals, lcm)``: entry i of sum num / den * numerators / d over the
-    ``((num, den), (numerators, d))`` pairs of integer weights and integer
-    forms, as long as the longest numerator list (shorter ones count as
-    padded with zeros).  Each ``den`` and ``d`` is a nonzero int; ``lcm``
-    is positive.
-
-    Terms with a zero weight are skipped.  The others are put over one
-    lcm and summed in integers; nothing is reduced."""
-    width, scaled = 0, []
-    for (num, den), (nums, d) in terms:
-        width = max(width, len(nums))
-        if num:
-            scaled.append((num, den * d, nums))
-    lcm = math.lcm(*[den for _, den, _ in scaled])
-    total = [0] * width
-    for num, den, nums in scaled:
-        # lcm // den carries the sign of den
-        total[: len(nums)] = map(add, total, map((num * (lcm // den)).__mul__, nums))
-    return total, lcm
 
 
 def binomial(n: int, k: int) -> int:

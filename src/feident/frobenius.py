@@ -31,15 +31,14 @@ sign is wrong for even N.  Both are computable so that the verification
 harness can audit the difference.
 """
 
-from __future__ import annotations
-
 import math
 from collections import deque
 from fractions import Fraction
 from operator import mul
 
 from . import series
-from .exact import _check_u, check_at_least, lowest_terms
+from .exact import _check_u, check_at_least
+from .forms import lowest_terms
 from .poly import Polynomial
 from .prefix import _NumberTable, _table, fe_higher_numbers, fe_number
 from .series import (EgfSeries, bernoulli_number, bernoulli_oracle, exp_minus_constant,

@@ -7,13 +7,13 @@ Instances are immutable and support mixed arithmetic with ``int`` and
 ``Fraction`` scalars.  A Polynomial is never a series coefficient.
 
 A Polynomial stores its coefficients only in integer form, numerators
-over the lcm of their denominators (:class:`feident.exact.Coefficients`):
+over the lcm of their denominators (:class:`feident.forms.Coefficients`):
 ``coeffs`` makes Fractions when read, ``coefficient`` and evaluation make
 one, and equality, with a scalar as a one-entry form, makes none.
 The product of two polynomials is convolved on the integer forms and put
 in lowest terms.
 ``Polynomial.combination`` sums weighted polynomials through
-:func:`feident.exact.combine`: every term over one lcm and one integer sum,
+:func:`feident.forms.combine`: every term over one lcm and one integer sum,
 in integer form.  A weight is an int or Fraction scalar, made an integer
 pair ``(num, den)`` once per term, or such a pair already, so the sum
 itself runs on integers only.  Every linear operator is one combination: a
@@ -25,14 +25,12 @@ numbers held as a series, or puts a plain sequence of numbers over one
 denominator first.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .exact import (Coefficients, as_fraction, binomial, check_at_least, combine,
-                    common_denominator, lowest_terms)
+from .exact import as_fraction, binomial, check_at_least
+from .forms import Coefficients, combine, common_denominator, lowest_terms
 
 __all__ = ["Polynomial"]
 
@@ -104,7 +102,7 @@ class Polynomial(Coefficients):
     def appell(cls, numbers: Sequence[Scalar]) -> "Polynomial":
         """sum_d C(n,d) numbers[n-d] x^d with n = len(numbers) - 1: the
         Appell polynomial of the numbers, as H_n(x|u) is that of the H_l(u).
-        Numbers held as a :class:`~feident.exact.Coefficients` value give
+        Numbers held as a :class:`~feident.forms.Coefficients` value give
         their integer form; others (ints or Fractions) are put over one
         denominator."""
         ints = (numbers.integer_form if isinstance(numbers, Coefficients)
@@ -115,7 +113,7 @@ class Polynomial(Coefficients):
     def combination(cls, terms: Iterable[tuple[Weight, "Polynomial"]]) -> "Polynomial":
         """sum weight * poly over the ``(weight, poly)`` pairs, summed in
         integers over one common denominator (see
-        :func:`feident.exact.combine`); zero for no terms.  A weight is an
+        :func:`feident.forms.combine`); zero for no terms.  A weight is an
         int or Fraction, or an integer pair ``(num, den)`` with ``den != 0``
         for num / den."""
         return cls._from_ints(*combine((_weight(w), p.integer_form) for w, p in terms))

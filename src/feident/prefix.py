@@ -83,8 +83,6 @@ one sum; it reads no number table, no triangle and no series, and u = 0
 that module only then.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, repeat

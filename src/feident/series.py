@@ -8,7 +8,7 @@ convolution weight an integer binomial, so all arithmetic stays exact.
 Coefficients are Fractions, and only Fractions: ints are converted, and
 anything else (a float, a Polynomial) raises TypeError.  A series stores
 them only in integer form, numerators over the lcm of their denominators
-(:class:`feident.exact.Coefficients`), and makes Fractions when
+(:class:`feident.forms.Coefficients`), and makes Fractions when
 ``coeffs`` or ``s[n]`` is read, never to compare.  The kernels read and
 return the integer form, so a chain such as F -> F^N -> scale makes no
 Fraction: a product convolves the numerators, with binomial weights row
@@ -39,16 +39,14 @@ order asked for.  A truncated reciprocal equals the reciprocal of the
 truncation, so served values do not depend on what was asked before.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from itertools import islice
 from operator import mul
 from typing import Iterable
 
-from .exact import (Coefficients, _check_u, as_fraction, binomial_rows, check_at_least,
-                    common_denominator, lowest_terms, to_fractions)
+from .exact import _check_u, as_fraction, binomial_rows, check_at_least
+from .forms import Coefficients, common_denominator, lowest_terms, to_fractions
 
 __all__ = [
     "EgfSeries",

@@ -15,19 +15,20 @@ coincides with the unsigned Stirling numbers of the first kind under a
 shift of k; that identification is a cross-check, never the
 implementation.)
 
-The recurrence uses only ``*`` by a small int and ``+``, so it runs on
-the type of its row-1 seed: ``int`` rows for every identity, and exact
-``Decimal`` rows (:func:`decimal_rows`) for the printed triangle, as
-libmpdec writes a ``Decimal`` integer's text in linear time and CPython
-3.11 writes an ``int``'s in quadratic time.
+The recurrence uses only ``*`` by the small N and ``+``, so it runs on
+the type of its row-1 seed, with N of that type too: ``int`` rows for
+every identity, and exact ``Decimal`` rows (:func:`decimal_rows`) for the
+printed triangle, as libmpdec writes a ``Decimal`` integer's text in
+linear time and CPython 3.11 writes an ``int``'s in quadratic time.  Each
+row is two C-level passes over the row before, one of products and one
+of sums.
 """
-
-from __future__ import annotations
 
 import math
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import add, mul
 from typing import Iterator
 
 from .exact import check_at_least, weak_compositions
@@ -35,18 +36,20 @@ from .exact import check_at_least, weak_compositions
 __all__ = ["triangle_recurrence", "decimal_rows", "coeff_closed_form"]
 
 
-def _next_row(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Row n + 1 from row n: a_k(N+1) = N a_k(N) + a_{k-1}(N), with
-    a_N(N) = a_{-1}(N) = 0."""
-    return tuple(n * above + left for above, left in zip(prev + (0,), (0,) + prev))
+def _next_row(prev: tuple, m) -> tuple:
+    """Row N + 1 from row N: a_k(N+1) = N a_k(N) + a_{k-1}(N), with
+    a_N(N) = a_{-1}(N) = 0, for ``m`` = N of the row's own type, in two
+    C-level passes: the products by N, then the sums."""
+    zero = m - m
+    return tuple(map(add, map(mul, prev + (zero,), repeat(m)), (zero,) + prev))
 
 
 def triangle_recurrence(n_max: int, one=1) -> Iterator[tuple]:
     """Rows 1..n_max by the additive recurrence from row 1 = (one,), each
-    built from the one before as it is read; ``n_max`` is checked on the
-    call itself."""
+    built from the one before as it is read, by multipliers N of the type
+    of ``one``; ``n_max`` is checked on the call itself."""
     check_at_least("n_max", n_max, 1)
-    return accumulate(range(1, n_max), _next_row, initial=(one,))
+    return accumulate(map(type(one), range(1, n_max)), _next_row, initial=(one,))
 
 
 def decimal_rows(n_max: int) -> Iterator[tuple[Decimal, ...]]:

@@ -18,7 +18,7 @@ higher-order functions do), and the route helpers (``_formula_numbers``,
 ``frobenius.power``) trust it and check nothing, reading the number
 table of u that the body looked up once for both routes.  The registry
 calls ``lhs()``, then ``rhs()``, and compares their integer forms in
-:func:`_mismatches` with :func:`feident.exact.differing_entries`, the one
+:func:`_mismatches` with :func:`feident.forms.differing_entries`, the one
 comparison; it makes Fractions only for the entries that differ.  As no body compares, each
 route can be run, timed and traced alone; ``tests/test_route_map.py``
 pins what each enters.
@@ -42,7 +42,9 @@ holds both values exact; only the report's text (``to_dict`` and
 :func:`document_json`) formats them, with ``str``, so a failing check is
 ``fail`` however many digits its values have.  :func:`document_json`
 renders the JSON text of reports in the bytes of ``json.dumps(doc,
-indent=2)``, writing the summary with ``json.dumps`` itself.
+indent=2)``, writing the summary with ``json.dumps`` itself, and
+:func:`document_csv` their CSV text through ``csv.writer``, which loads
+only for it.
 
 ``CHECKERS`` maps identity ids to checkers, in audit order; each is
 registered where it is defined, with ``@_identity(id)``, which reads the
@@ -61,8 +63,6 @@ once, with :func:`feident.exact.exact_parameter`), so a body gets
 Fractions; the registry runs and compares the routes and builds the report.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import json
@@ -77,11 +77,11 @@ from .exact import (
     _check_u,
     binomial,
     check_at_least,
-    differing_entries,
     exact_parameter,
     multinomial,
     weak_compositions,
 )
+from .forms import differing_entries
 from .frobenius import (
     VARIANTS,
     _check_variant,
@@ -121,6 +121,7 @@ __all__ = [
     "summarize",
     "audit_document",
     "document_json",
+    "document_csv",
 ]
 
 
@@ -212,7 +213,7 @@ def _schema(body) -> dict:
     required = len(names) - len(defaults)
     annotations = body.__annotations__
     return {
-        name: Param(name, annotations.get(name) == "int",
+        name: Param(name, annotations.get(name) is int,
                     defaults[i - required] if i >= required else REQUIRED)
         for i, name in enumerate(names)
     }
@@ -729,3 +730,24 @@ def document_json(reports, audit: bool = True) -> str:
     body = f"[\n    {body}\n  ]" if body else "[]"
     summary = json.dumps(summarize(reports), indent=2).replace("\n", "\n  ")
     return f'{{\n  "reports": {body},\n  "summary": {summary}\n}}\n'
+
+
+def document_csv(reports) -> str:
+    """The reports as CSV, one row per mismatch (one for a report with
+    none, holding its error if any), through ``csv.writer``, as an error
+    message may hold commas and quotes."""
+    import csv
+    import io
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["identity", "variant", "params", "verdict", "at", "lhs", "rhs"])
+    for report in reports:
+        doc = report.to_dict()
+        packed = ";".join(f"{k}={v}" for k, v in doc["params"].items())
+        head = [doc["identity"], doc["variant"], packed, doc["verdict"]]
+        for mm in doc["mismatches"]:
+            writer.writerow(head + [mm["at"], mm["lhs"], mm["rhs"]])
+        if not doc["mismatches"]:
+            writer.writerow(head + [doc.get("error", ""), "", ""])
+    return out.getvalue()

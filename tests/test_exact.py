@@ -7,22 +7,24 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feident.exact import (
     as_fraction,
     binomial,
-    combine,
-    common_denominator,
     exact_parameter,
     multinomial,
     parse_rational,
-    to_fractions,
     weak_compositions,
 )
+from feident.forms import combine, common_denominator, to_fractions
 from feident.poly import Polynomial
 
+# the pieces of "p/q" text, well formed and not: signs, ASCII digits, and
+# underscores, spaces and non-ASCII digits, which int() would read
+SIGNS = st.sampled_from(["", "-", "+", " ", "--"])
+DIGITS = st.sampled_from(["", "0", "00", "3", "10", "1_0", "3 ", "\u0663", "\uff11", "1\uff11"])
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 nonzero_rationals = rationals.filter(lambda q: q != 0)
 
@@ -65,16 +67,47 @@ class TestRationalText:
         assert parse_rational(text) == expected
 
     @pytest.mark.parametrize(
-        "bad", ["", "1/0", "1.5", "1/-3", "+2", "a", " 2", "2 ", "1/2/3", "--1"]
+        "bad", ["", "1/0", "0/0", "1.5", "1/-3", "+2", "a", " 2", "2 ", "1/2/3", "--1"]
     )
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)
 
+    @pytest.mark.parametrize("value", [2, b"1/3", None, Fraction(1, 3)], ids=repr)
+    def test_parse_takes_only_text(self, value):
+        with pytest.raises(TypeError):
+            parse_rational(value)
+
     @given(rationals)
     def test_round_trip(self, q):
         """The grammar reads what ``str`` of a Fraction writes."""
         assert parse_rational(str(q)) == q
+
+    @settings(max_examples=500)
+    @given(st.tuples(SIGNS, DIGITS, st.sampled_from(["", "/", "//"]), SIGNS, DIGITS,
+                     st.sampled_from(["", " ", "_", "/2"])).map("".join))
+    def test_same_as_the_regular_grammar(self, text):
+        """``parse_rational`` gives the value, or the error message, of the
+        regular grammar it replaced, on strings of digits, signs, slashes,
+        underscores, spaces and non-ASCII digits (which ``int()`` reads)."""
+
+        def reference(text):
+            m = re.fullmatch(r"(-?\d+)(?:/(\d+))?", text, re.ASCII)
+            if m is None:
+                raise ValueError(f"not a rational in p/q form: {text!r}")
+            numer = int(m.group(1))
+            denom = int(m.group(2)) if m.group(2) is not None else 1
+            if denom == 0:
+                raise ValueError(f"zero denominator: {text!r}")
+            return Fraction(numer, denom)
+
+        outcomes = []
+        for parse in (parse_rational, reference):
+            try:
+                outcomes.append(("value", parse(text)))
+            except ValueError as exc:
+                outcomes.append(("error", str(exc)))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestExactParameter:

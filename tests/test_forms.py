@@ -8,7 +8,7 @@ them), before and after their Fractions are read.  A read stores
 nothing, so each must give the same ``coeffs``.  Values compare, hash,
 pickle and copy alike in every form.  The last tests pin that a passing
 check of series or polynomials keeps its whole chain in integers: it
-never calls ``exact.to_fractions``, the one conversion from the integer
+never calls ``forms.to_fractions``, the one conversion from the integer
 form; nor does asking a polynomial its degree or whether it is zero.
 """
 
@@ -20,8 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feident import exact, verify
-from feident.exact import combine, common_denominator, to_fractions
+from feident import forms, verify
+from feident.forms import combine, common_denominator, to_fractions
 from feident.frobenius import fe_polynomial
 from feident.poly import Polynomial
 from feident.series import (
@@ -177,13 +177,13 @@ PASSING = [
 @pytest.mark.parametrize("check,args", PASSING, ids=["carlitz", "theorem1", "corollary5"])
 def test_passing_chains_stay_in_integers(monkeypatch, check, args):
     conversions = []
-    convert = exact.to_fractions
+    convert = forms.to_fractions
 
     def counted(numerators, d):
         conversions.append(len(numerators))
         return convert(numerators, d)
 
-    monkeypatch.setattr(exact, "to_fractions", counted)
+    monkeypatch.setattr(forms, "to_fractions", counted)
     assert check(*args).verdict == "pass"
     assert conversions == []
     # the counter sees a conversion when one happens
@@ -199,7 +199,7 @@ def test_degree_and_truth_read_the_integer_form(monkeypatch):
     def refuse(numerators, d):
         raise AssertionError("a Fraction was made")
 
-    monkeypatch.setattr(exact, "to_fractions", refuse)
+    monkeypatch.setattr(forms, "to_fractions", refuse)
     assert p.degree == 40 and bool(p)
     zero = p - p
     assert zero.degree == 0 and not zero

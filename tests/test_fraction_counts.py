@@ -21,7 +21,7 @@ from fractions import Fraction
 import pytest
 
 from caches import cold_caches
-from feident import exact, frobenius, series, verify
+from feident import forms, frobenius, series, verify
 from feident.frobenius import bernoulli_number, fe_polynomial
 from feident.poly import Polynomial
 from feident.series import EgfSeries, exp_minus_constant, series_reciprocal
@@ -144,7 +144,7 @@ def test_equality_reads_the_integer_form(monkeypatch):
     def refuse(numerators, d):
         raise AssertionError("to_fractions was called")
 
-    monkeypatch.setattr(exact, "to_fractions", refuse)
+    monkeypatch.setattr(forms, "to_fractions", refuse)
     with counting_fractions() as made:
         assert p == spare == built and spare == p and not p != built
         assert p != q and q != spare

@@ -2,7 +2,7 @@
 
 ``cli._plain_args`` reads a command line written one exact flag and one
 value at a time, each flag once, and returns None for any other, which
-``cli.build_parser`` then reads.  Command lines are drawn from each
+``feident.parser`` then reads.  Command lines are drawn from each
 command's flag table (``cli._flags``), well formed, and then mutated:
 a flag dropped, repeated or abbreviated, a value broken or left out, or a
 token argparse treats apart (``--``, ``-h``, an unknown flag, a stray
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feident import cli
+from feident import cli, parser
 from feident.verify import IDENTITIES
 
 GOOD = {
@@ -37,7 +37,7 @@ def argparse_args(argv):
     """argparse's namespace for ``argv``, or None when it refuses it or prints help."""
     with contextlib.redirect_stdout(io.StringIO()):
         try:
-            return cli.build_parser(cli._command(argv)).parse_args(argv)
+            return parser.parse_args(argv, cli._SUBJECTS, cli._flags)
         except (ValueError, SystemExit):
             return None
 

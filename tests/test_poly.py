@@ -93,7 +93,7 @@ def test_degree_and_coefficient():
 def test_coefficient_and_value_read_the_integer_form(monkeypatch):
     """On a fresh polynomial, a coefficient or a value makes no Fraction
     per coefficient, and equals the one read from ``coeffs``."""
-    from feident import exact
+    from feident import forms
     from feident.frobenius import fe_polynomial
 
     p = fe_polynomial(40, Fraction(5, 8))
@@ -104,7 +104,7 @@ def test_coefficient_and_value_read_the_integer_form(monkeypatch):
         raise AssertionError("a Fraction per coefficient was made")
 
     with monkeypatch.context() as patch:
-        patch.setattr(exact, "to_fractions", refuse)
+        patch.setattr(forms, "to_fractions", refuse)
         values = [p(x) for x in points]
         coefficients = [p.coefficient(d) for d in degrees]
     for x, value in zip(points, values):

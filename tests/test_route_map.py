@@ -38,9 +38,12 @@ ALLOWED = {"feident.verify:_derivative_expansion"} | {
     f"feident.verify:{CHECKERS[identity].__wrapped__.__name__}" for identity in IDENTITIES
 } | {
     "feident.exact:" + name for name in (
-        "as_fraction", "exact_parameter", "check_at_least", "_check_u", "common_denominator",
-        "to_fractions", "lowest_terms", "_hold", "_of", "coeffs", "combine", "binomial",
+        "as_fraction", "exact_parameter", "check_at_least", "_check_u", "binomial",
         "binomial_rows",
+    )
+} | {
+    "feident.forms:" + name for name in (
+        "common_denominator", "to_fractions", "lowest_terms", "_hold", "_of", "coeffs", "combine",
     )
 } | {
     "feident.series:" + name for name in (

@@ -7,20 +7,26 @@ environment, so modules that site customisation loads do not count.
 ``feident.exact``.  Each table subject loads its own kernel: the number
 and polynomial tables only ``feident.prefix``, as the higher-order
 numbers do but on the triangle side of their size rule, the Bernoulli
-numbers only ``feident.series``, the triangle only ``feident.stirling``,
-and no table needs the identity checker (``feident.verify``), nor
-``json`` or ``csv`` unless the output is JSON.
-No command loads ``dataclasses`` (the reports are NamedTuples) or
-``inspect`` (the checker registry reads each body's code object), and a
-command line of exact flags loads no ``argparse``, which only help and
+numbers only ``feident.series`` and the integer form it stores
+(``feident.forms``), the triangle only ``feident.stirling``, and no
+table needs the identity checker (``feident.verify``), nor ``json`` or
+``csv`` unless the output is JSON.
+No command loads ``__future__`` (annotations are evaluated where they
+are defined, and every one resolves), ``dataclasses`` (the reports are
+NamedTuples) or ``inspect`` (the checker registry reads each body's code
+object), and a command line of exact flags loads neither ``argparse``
+nor the CLI's argparse reader (``feident.parser``), which only help and
 usage errors need.
 """
 
 import functools
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -33,8 +39,11 @@ SRC = str(Path(feident.__file__).resolve().parents[1])
 # Modules no table in CSV may load.
 CHECKER_ONLY = ("feident.verify", "inspect", "dataclasses", "json", "csv")
 
+# Modules no command loads.
+NEVER = ("__future__", "inspect", "dataclasses")
+
 # Modules that only argparse, and so only help and usage errors, load.
-PARSER_ONLY = ("argparse", "gettext", "locale")
+PARSER_ONLY = ("feident.parser", "argparse", "gettext", "locale")
 
 # The kernels of the tables of numbers and polynomials.
 NUMBER_KERNEL = ("feident.frobenius", "feident.poly", "feident.prefix", "feident.series")
@@ -54,14 +63,15 @@ EXPORTS = {
 # The package modules each table loads beyond ``feident.cli`` and
 # ``feident.exact``, in CSV and in JSON: the number and polynomial tables
 # the prefix kernel alone, and fe-higher too on its recurrence side
-# (10N > n_max), the Bernoulli numbers the series alone, and the triangle
-# itself alone.
+# (10N > n_max), the Bernoulli numbers the series and its integer form,
+# and the triangle itself alone: so no other table loads ``feident.forms``,
+# and none loads the argparse reader ``feident.parser``.
 TABLE_MODULES = {
     "fe-numbers": {"feident.prefix"},
     "fe-polynomials": {"feident.prefix"},
     "fe-higher": {"feident.prefix"},
     "stirling": {"feident.stirling"},
-    "bernoulli": {"feident.series"},
+    "bernoulli": {"feident.series", "feident.forms"},
 }
 
 TABLES = {
@@ -160,7 +170,7 @@ def test_csv_table_loads_only_the_number_kernel(subject, tmp_path):
     out = tmp_path / "table.csv"
     argv = ["table", subject, *TABLES[subject], "--out", str(out)]
     new = loads(run_code(argv))
-    assert new.isdisjoint(CHECKER_ONLY)
+    assert new.isdisjoint(CHECKER_ONLY + NEVER)
     assert out.read_text(encoding="utf-8").count("\n") > 1
     assert package_modules(new) == {"feident.cli", "feident.exact", *TABLE_MODULES[subject]}
 
@@ -170,7 +180,7 @@ def test_json_table_loads_the_csv_tables_modules(subject, tmp_path):
     out = tmp_path / "table.json"
     argv = ["table", subject, *TABLES[subject], "--format", "json", "--out", str(out)]
     new = loads(run_code(argv))
-    assert "json" in new
+    assert "json" in new and new.isdisjoint(NEVER)
     assert json.loads(out.read_text(encoding="utf-8"))["table"] == subject
     assert package_modules(new) == {"feident.cli", "feident.exact", *TABLE_MODULES[subject]}
 
@@ -181,11 +191,11 @@ def test_fe_higher_triangle_side_loads_the_formula(fmt, tmp_path):
     argv = ["table", "fe-higher", "--u", "2", "--N", "3", "--n-max", "40", "--format", fmt,
             "--out", str(out)]
     new = loads(run_code(argv))
-    assert new.isdisjoint({"feident.verify", "inspect", "dataclasses", "csv"})
+    assert new.isdisjoint({"feident.verify", "csv", *NEVER})
     assert out.read_text(encoding="utf-8").count("\n") > 41
     # the triangle formula's module, which brings the other kernels
     assert package_modules(new) == {"feident.cli", "feident.exact", *NUMBER_KERNEL,
-                                    "feident.stirling"}
+                                    "feident.stirling", "feident.forms"}
 
 
 def test_json_table_loads_json_but_no_checker(tmp_path):
@@ -216,7 +226,30 @@ def test_plain_command_line_loads_no_parser(argv, tmp_path):
     (["verify", "theorem3", "--n", "x", "--N", "2", "--u", "2"], 2),
 ], ids=["help", "table-usage-error", "verify-usage-error"])
 def test_help_and_usage_errors_load_the_parser(argv, status):
-    assert "argparse" in loads(run_code(argv, status))
+    new = loads(run_code(argv, status))
+    assert {"argparse", "feident.parser"} <= new and new.isdisjoint(NEVER)
+
+
+def test_every_annotation_resolves():
+    """Annotations are evaluated where they are defined, so each one in the
+    package resolves: a forward reference fails on import already, on the
+    oldest supported Python too."""
+    names = [f"feident.{info.name}" for info in pkgutil.iter_modules(feident.__path__)]
+    assert {"feident.cli", "feident.exact", "feident.forms", "feident.parser"} <= set(names)
+    checked = 0
+    for name in names:
+        module = importlib.import_module(name)
+        typing.get_type_hints(module)
+        for value in vars(module).values():
+            if getattr(value, "__module__", None) != name:
+                continue
+            members = vars(value).values() if isinstance(value, type) else ()
+            for each in (value, *members):
+                each = getattr(each, "fget", each)  # a property's getter
+                if callable(each) and getattr(each, "__annotations__", None):
+                    typing.get_type_hints(each)
+                    checked += 1
+    assert checked > 50
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["table", "--help"]])
@@ -228,7 +261,7 @@ def test_verify_runs_in_a_fresh_process():
     argv = ["verify", "theorem3", "--n", "3", "--N", "2", "--u", "-5/7", "--format", "csv"]
     new, printed = fresh(run_code(argv))
     assert "feident.verify" in new
-    assert new.isdisjoint({"dataclasses", "inspect"})
+    assert new.isdisjoint(NEVER)
     assert printed.splitlines()[1] == "theorem3,corrected,n=3;N=2;u=-5/7,pass,,,"
 
 
@@ -240,7 +273,7 @@ def test_audit_runs_in_a_fresh_process(tmp_path):
     )
     new, printed = fresh(run_code(["audit", "--grid", str(grid)]))
     assert {"feident.verify", "json"} <= new
-    assert new.isdisjoint({"dataclasses", "inspect"})
+    assert new.isdisjoint(NEVER)
     assert '"pass": 2' in printed
 
 

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from caches import cold_caches
 from feident import frobenius
 from feident.cli import run
-from feident.exact import common_denominator, multinomial, weak_compositions
+from feident.exact import multinomial, weak_compositions
+from feident.forms import common_denominator
 from feident.frobenius import euler_polynomial, fe_polynomial
 from feident.poly import Polynomial
 from feident.series import EgfSeries, exp_minus_constant, series_mul, series_reciprocal
